@@ -47,7 +47,7 @@ from repro.multicast import (
 )
 from repro.net import cpu as cats
 from repro.net.slicing import StreamSlicer
-from repro.dsps.tuples import AddressedTuple, StreamTuple
+from repro.dsps.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.executor import Executor
@@ -77,19 +77,20 @@ class Envelope:
 # ----------------------------------------------------------------------
 @dataclass
 class InstancePacket:
-    """Coalesced instance-oriented messages for one machine: each entry is
-    an independently-serialized single-destination message."""
+    """Coalesced instance-oriented messages for one machine: one
+    independently-serialized single-destination message per task in
+    ``dst_tasks``, all carrying the same tuple."""
 
-    tuples: List[AddressedTuple]
-    deserialize_cpu_s: float  # total for all entries
+    tuple: StreamTuple
+    dst_tasks: List[int]
+    deserialize_cpu_s: float  # total for all messages
 
     def deliver(self, worker: "Worker", charge_deser: bool = True) -> Iterator:
         if charge_deser:
             yield from worker.cpu.work(
                 self.deserialize_cpu_s, cats.DESERIALIZATION
             )
-        for at in self.tuples:
-            worker.dispatch_local(at)
+        worker.dispatch(self.tuple, self.dst_tasks)
 
 
 @dataclass
@@ -107,8 +108,7 @@ class WorkerPacket:
             yield from worker.cpu.work(
                 self.deserialize_cpu_s, cats.DESERIALIZATION
             )
-        for task_id in self.dst_tasks:
-            worker.dispatch_local(AddressedTuple(task_id, self.tuple))
+        worker.dispatch(self.tuple, self.dst_tasks)
         if self.relay is not None:
             service, endpoint = self.relay
             yield from service.relay_from(worker, endpoint, self.tuple)
@@ -399,10 +399,7 @@ class CommEngine:
                 yield from executor.cpu.work(
                     self.costs.dispatch_cpu_s * len(tasks), cats.DISPATCH
                 )
-                for task in tasks:
-                    self.system.workers[machine].dispatch_local(
-                        AddressedTuple(task, env.tuple)
-                    )
+                self.system.workers[machine].dispatch(env.tuple, tasks)
                 continue
             # One serialization + one network send *per destination task*.
             n = len(tasks)
@@ -411,7 +408,8 @@ class CommEngine:
             yield from executor.cpu.work(serialize_cpu, cats.SERIALIZATION)
             self._trace_serialize(src_machine, machine, n * msg_bytes, serialize_cpu, n)
             packet = InstancePacket(
-                tuples=[AddressedTuple(t, env.tuple) for t in tasks],
+                tuple=env.tuple,
+                dst_tasks=tasks,
                 deserialize_cpu_s=n * self.costs.deserialize_time(msg_bytes),
             )
             yield from self._transmit(
@@ -440,10 +438,7 @@ class CommEngine:
                 yield from executor.cpu.work(
                     self.costs.dispatch_cpu_s * len(tasks), cats.DISPATCH
                 )
-                for task in tasks:
-                    self.system.workers[machine].dispatch_local(
-                        AddressedTuple(task, env.tuple)
-                    )
+                self.system.workers[machine].dispatch(env.tuple, tasks)
                 continue
             yield from self._send_batch(
                 executor.cpu, src_machine, machine, env.tuple, tasks,

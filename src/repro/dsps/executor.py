@@ -286,9 +286,11 @@ class BoltExecutor(ExecutorBase):
       the hand-off event and both generator resumes are gone;
     * ``"lazy"`` mode (terminal sinks with no downstream): no per-tuple
       events at all — completed work is *flushed* on the next accept, on
-      one re-armed drain timer per busy period, and at measurement-window
-      boundaries (:meth:`MetricsHub.flush`), with metrics taking the
-      computed completion instants.
+      a drain timer at the end of each busy period, and at
+      measurement-window boundaries (:meth:`MetricsHub.flush`), with
+      metrics taking the computed completion instants.  Drain timers
+      and the flush hook belong to the hosting :class:`Worker`: sinks
+      that fall due at the same instant share one calendar entry.
 
     Observable results match the event-resolved path up to same-instant
     tie ordering.  The gate decision freezes at the first accepted tuple
@@ -298,9 +300,9 @@ class BoltExecutor(ExecutorBase):
     def __init__(self, system: "DspsSystem", task_id: int):
         super().__init__(system, task_id)
         self.bolt: Bolt = self.spec.factory()  # type: ignore[assignment]
-        self.inqueue: Store = Store(
-            self.sim, capacity=system.config.executor_queue_capacity
-        )
+        self.worker = system.workers[self.machine_id]
+        self._queue_capacity = system.config.executor_queue_capacity
+        self.inqueue: Store = Store(self.sim, capacity=self._queue_capacity)
         self.processed = 0
         #: high-water mark of the queued (not in-service) input depth,
         #: maintained on every accept so overload experiments can measure
@@ -313,16 +315,17 @@ class BoltExecutor(ExecutorBase):
         #: may be in service, everything behind it is queued.
         self._fifo: Deque[list] = deque()
         self._busy_until = self.sim.now
-        self._timer_armed = False
+        #: lazy mode: a worker drain timer is pending for this executor
+        self._drain_armed = False
 
     def halt(self) -> None:
         super().halt()
         mode = self._mode
+        now = self.sim.now
         if mode == "lazy":
-            self._flush_completed()
+            self._flush_completed(now, *self.system.metrics.window_bounds())
         if mode in ("lazy", "timed"):
             fifo = self._fifo
-            now = self.sim.now
             zombie = None
             if fifo and fifo[0][0] - fifo[0][1] <= now:
                 # Mid-service head: the CPU was committed at service
@@ -366,35 +369,35 @@ class BoltExecutor(ExecutorBase):
             return "lazy"
         return "timed"
 
-    def accept(self, at: AddressedTuple) -> bool:
+    def accept(self, tup: StreamTuple) -> bool:
         """Dispatcher entry point: enqueue a tuple (False = overflow)."""
         mode = self._mode
         if mode is None:
             mode = self._mode = self._pick_mode()
             if mode == "lazy":
-                self.system.metrics.add_flush_hook(self._flush_completed)
+                self.worker.add_lazy(self)
         if mode == "slow":
-            ok = self.inqueue.try_put(at)
+            ok = self.inqueue.try_put(AddressedTuple(self.task_id, tup))
             if not ok:
                 self.system.metrics.on_drop(f"{self.operator}.inqueue")
             elif self.inqueue.level > self.inqueue_hwm:
                 self.inqueue_hwm = self.inqueue.level
             return ok
-        if mode == "lazy":
-            self._flush_completed()
+        sim = self.sim
+        now = sim.now
+        fifo = self._fifo
+        if mode == "lazy" and fifo and fifo[0][0] <= now:
+            self._flush_completed(now, *self.system.metrics.window_bounds())
         if self.halted:
             # Accepted into a crashed executor: the tuple is absorbed and
             # dies unprocessed (the event-resolved work loop drains and
             # discards it the same way).
             return True
-        fifo = self._fifo
-        queued = len(fifo) - 1 if fifo else 0
-        if queued >= self.system.config.executor_queue_capacity:
+        # The head may be in service; everything behind it is queued.
+        depth = len(fifo)
+        if (depth - 1 if depth else 0) >= self._queue_capacity:
             self.system.metrics.on_drop(f"{self.operator}.inqueue")
             return False
-        sim = self.sim
-        now = sim.now
-        tup = at.tuple
         service = self.bolt.service_time(tup) * self.service_scale
         start = self._busy_until
         if start < now:
@@ -403,12 +406,12 @@ class BoltExecutor(ExecutorBase):
         self._busy_until = done
         entry = [done, service, tup, True]
         fifo.append(entry)
-        if len(fifo) - 1 > self.inqueue_hwm:
-            self.inqueue_hwm = len(fifo) - 1
+        if depth > self.inqueue_hwm:  # queued depth with the newcomer in
+            self.inqueue_hwm = depth
         if mode == "timed":
             sim.schedule_call(done - now, lambda: self._complete_timed(entry))
-        elif not self._timer_armed:
-            self._arm_timer(done)
+        elif not self._drain_armed:
+            self.worker.arm_drain(self, done)
         return True
 
     # ------------------------------------------------------------------
@@ -435,43 +438,42 @@ class BoltExecutor(ExecutorBase):
                 self.operator, self.sim.now - tup.created_at
             )
 
-    def _arm_timer(self, at: float) -> None:
-        """Keep one drain timer alive per busy period, so the event queue
-        never runs dry while lazy-mode work is logically pending."""
-        self._timer_armed = True
-        self.sim.schedule_call(at - self.sim.now, self._on_timer)
-
-    def _on_timer(self) -> None:
-        self._timer_armed = False
-        self._flush_completed()
-        if self._fifo and not self._timer_armed:
-            self._arm_timer(self._busy_until)
-
-    def _flush_completed(self) -> None:
+    def _flush_completed(self, now: float, start: float, end: float) -> None:
+        """Lazy mode: realise every completion due at or before ``now``,
+        each at its own computed instant; ``start``/``end`` are the
+        measurement window's bounds (:meth:`MetricsHub.window_bounds`),
+        read once by the caller for a whole group of sinks.  Processing
+        CPU is summed in a local in FIFO order (the same float as one
+        charge per tuple) and operator counters are added once."""
         fifo = self._fifo
-        if not fifo:
-            return
-        now = self.sim.now
-        if fifo[0][0] > now:
+        if not fifo or fifo[0][0] > now:
             return
         metrics = self.system.metrics
-        completion = metrics.completion
-        bolt = self.bolt
+        on_executed = metrics.completion.on_executed
+        execute = self.bolt.execute
         collector = self.collector
-        cpu = self.cpu
-        operator = self.operator
         task_id = self.task_id
+        busy = self.cpu.busy_s
+        spent = busy.get(cats.PROCESSING, 0.0)
+        realised = 0
+        latencies = []
         while fifo and fifo[0][0] <= now:
             done, service, tup, live = fifo.popleft()
             if not live:
                 continue
             if service > 0:
-                cpu.charge(service, cats.PROCESSING)
-            bolt.execute(tup, collector)
-            self.processed += 1
-            metrics.on_processed_at(operator, done)
-            completion.on_executed(tup.tuple_id, task_id, at=done)
-            metrics.on_sink_latency_at(operator, done - tup.created_at, at=done)
+                spent += service
+            execute(tup, collector)
+            realised += 1
+            on_executed(tup.tuple_id, task_id, done)
+            if start <= done <= end:
+                latencies.append(done - tup.created_at)
+        if spent:
+            busy[cats.PROCESSING] = spent
+        self.processed += realised
+        if latencies:
+            metrics.processed[self.operator] += len(latencies)
+            metrics.sink_latencies[self.operator].extend(latencies)
 
     def _work_loop(self):
         metrics = self.system.metrics

@@ -36,6 +36,7 @@ import math
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Deque, Dict, Tuple
 
+from repro.dsps.grouping import inqueue_depth
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,19 +106,6 @@ class FlowController:
     # ------------------------------------------------------------------
     # receiver-driven credits (one-to-many sends)
     # ------------------------------------------------------------------
-    def _inqueue_depth(self, task: int) -> int:
-        executor = self.system.executors.get(task)
-        if executor is None:
-            return 0
-        inqueue = getattr(executor, "inqueue", None)
-        if inqueue is None:
-            return 0
-        depth = inqueue.level
-        fifo = getattr(executor, "_fifo", None)
-        if fifo:
-            depth += len(fifo)
-        return depth
-
     def credits_available(self, env: "Envelope") -> bool:
         """Would a send of ``env`` fit every live destination's window?"""
         window = self.config.credit_window
@@ -126,7 +114,8 @@ class FlowController:
         for task in env.dst_tasks:
             if system.machine_is_crashed(machine_of[task]):
                 continue  # fail-stop: dead destinations need no credit
-            if self._inqueue_depth(task) + self.in_flight[task] >= window:
+            depth = inqueue_depth(system.executors.get(task))
+            if depth + self.in_flight[task] >= window:
                 return False
         return True
 
@@ -170,7 +159,7 @@ class FlowController:
             self.in_flight[task] = count - 1
         self._last_activity[task] = self.sim.now
         self.metrics.note_queue_depth(
-            f"{executor.operator}.inqueue", self._inqueue_depth(task)
+            f"{executor.operator}.inqueue", inqueue_depth(executor)
         )
         self._wake(self._credit_waiters)
 

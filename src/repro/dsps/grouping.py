@@ -453,12 +453,23 @@ class _BoundLocality(Grouping):
 # ----------------------------------------------------------------------
 def inqueue_depth(executor) -> int:
     """Live input-side depth of a bolt executor: event-resolved queue
-    level plus the batched-dispatch arithmetic FIFO (spouts report 0)."""
+    level plus the batched-dispatch arithmetic FIFO entries not yet done
+    at ``now`` (spouts and unknown tasks report 0).
+
+    A batched sink realises finished work lazily, so the head of its
+    FIFO may hold tuples that already executed and only wait to be
+    counted; those are not queued work and must not steer routing."""
     queue = getattr(executor, "inqueue", None)
     depth = queue.level if queue is not None else 0
     fifo = getattr(executor, "_fifo", None)
-    if fifo is not None:
-        depth += len(fifo)
+    if fifo:
+        now = executor.sim.now
+        finished = 0
+        for entry in fifo:  # ascending completion instants
+            if entry[0] > now:
+                break
+            finished += 1
+        depth += len(fifo) - finished
     return depth
 
 

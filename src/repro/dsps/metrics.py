@@ -93,14 +93,16 @@ class MulticastTracker:
             # completes when the union of destinations has received it.
             entry[1].update(destinations)
 
-    def on_receive(self, tuple_id: int, destination: int) -> None:
+    def on_receive(self, tuple_id: int, destinations: Iterable[int]) -> None:
+        """``destinations`` received ``tuple_id`` now (one delivered
+        packet's destination tasks: one lookup for the whole group)."""
         entry = self._pending.get(tuple_id)
         if entry is None:
             return  # not a tracked tuple (e.g. emitted outside the window)
         emit_time, outstanding = entry
-        if destination not in outstanding:
-            return  # duplicate delivery (retransmission): already counted
-        outstanding.discard(destination)
+        # A duplicated delivery (retransmission) to a destination already
+        # counted is a no-op here, so it cannot complete the tuple early.
+        outstanding.difference_update(destinations)
         if not outstanding:
             del self._pending[tuple_id]
             self.latencies.append(self.sim.now - emit_time)
@@ -227,8 +229,8 @@ class MetricsHub:
         #: admission gate
         self.credit_stall_s: Dict[str, float] = defaultdict(float)
         self._window: Optional[Tuple[float, Optional[float]]] = None
-        #: callbacks that realize lazily-batched work (batched-dispatch
-        #: executors register here); run by :meth:`flush` so window
+        #: callbacks that realize lazily-batched work (one per worker
+        #: hosting batched-dispatch sinks); run by :meth:`flush` so window
         #: boundaries and end-of-run reporting see every completion that
         #: is logically due.
         self._flush_hooks: List[Callable[[], None]] = []
@@ -247,7 +249,11 @@ class MetricsHub:
         self._flush_hooks.append(hook)
 
     def flush(self) -> None:
-        """Realize every batched completion due at or before ``sim.now``."""
+        """Realize every batched completion due at or before ``sim.now``.
+
+        Batched sinks count their executions only when they realize
+        them, so readers of executor or operator counters (``processed``,
+        ``sink_latencies``, executor ``busy_s``) call this first."""
         for hook in self._flush_hooks:
             hook()
 
@@ -270,13 +276,15 @@ class MetricsHub:
         start, end = self._window
         return self.sim.now >= start and (end is None or self.sim.now <= end)
 
-    def in_window_at(self, t: float) -> bool:
-        """Window membership of an explicit instant (for lazily-flushed
-        completions whose logical time is not ``sim.now``)."""
+    def window_bounds(self) -> Tuple[float, float]:
+        """``(start, end)`` such that an explicit instant ``t`` is inside
+        the window iff ``start <= t <= end`` (for lazily-flushed
+        completions whose logical time is not ``sim.now``).  An open
+        window ends at +inf; with no window the interval is empty."""
         if self._window is None:
-            return False
+            return math.inf, -math.inf
         start, end = self._window
-        return t >= start and (end is None or t <= end)
+        return start, math.inf if end is None else end
 
     @property
     def window_duration(self) -> float:
@@ -334,17 +342,6 @@ class MetricsHub:
 
     def on_sink_latency(self, operator: str, latency_s: float) -> None:
         if self.in_window:
-            self.sink_latencies[operator].append(latency_s)
-
-    # --- explicit-instant variants (batched-dispatch flush path) ------
-    def on_processed_at(self, operator: str, t: float) -> None:
-        if self.in_window_at(t):
-            self.processed[operator] += 1
-
-    def on_sink_latency_at(
-        self, operator: str, latency_s: float, at: float
-    ) -> None:
-        if self.in_window_at(at):
             self.sink_latencies[operator].append(latency_s)
 
     # ------------------------------------------------------------------

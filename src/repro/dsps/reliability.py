@@ -648,9 +648,7 @@ class ReplayCoordinator:
             for task in local:
                 tup = held.pop(task)
                 executor = self.system.executors[task]
-                from repro.dsps.tuples import AddressedTuple
-
-                if executor.accept(AddressedTuple(task, tup)):
+                if executor.accept(tup):
                     self._in_release.setdefault(root, set()).add(task)
                 else:
                     # Inqueue overflow: the committed copy is lost at

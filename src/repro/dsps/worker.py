@@ -7,6 +7,11 @@ local dispatch to executor incoming-queues, and (for multicast packets)
 relaying to cascading endpoints all run on this thread, exactly like the
 "specialized receiving thread" + dispatcher of Section 4.
 
+A delivered packet is one unit of work: :meth:`Worker.dispatch` hands
+its tuple to every local destination task in one call.  The worker also
+keeps the drain timers of its batched-dispatch sinks, one calendar entry
+per instant however many co-located sinks fall due then.
+
 Control-plane packets (``kind="control"``) are fanned out to registered
 handlers (the multicast controller, the replay coordinator).  Heartbeat
 pings are answered by the worker itself, so liveness reflects the
@@ -16,9 +21,9 @@ machine, not any single component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
-from repro.dsps.tuples import AddressedTuple
+from repro.dsps.tuples import StreamTuple
 from repro.net import cpu as cats
 from repro.net.cpu import CpuAccount
 
@@ -62,6 +67,11 @@ class Worker:
         self.messages_received = 0
         self.dispatched = 0
         self.heartbeats_answered = 0
+        #: lazy-mode (batched terminal) executors hosted here; realised
+        #: by this worker's one flush hook
+        self._lazy: List["BoltExecutor"] = []
+        #: drain instant -> lazy executors due then (one calendar entry)
+        self._drains: Dict[float, List["BoltExecutor"]] = {}
 
     def start(self) -> None:
         self.sim.process(self._receive_loop())
@@ -83,30 +93,84 @@ class Worker:
         self.crashed = False
 
     # ------------------------------------------------------------------
-    def dispatch_local(self, at: AddressedTuple) -> None:
-        """Hand a tuple to a locally hosted executor."""
-        executor = self.executors.get(at.task_id)
-        if executor is None:
-            raise LookupError(
-                f"task {at.task_id} is not hosted on machine {self.machine_id}"
-            )
-        self.cpu.charge(self.system.costs.dispatch_cpu_s, cats.DISPATCH)
-        self.dispatched += 1
-        self.system.metrics.multicast.on_receive(at.tuple.tuple_id, at.task_id)
+    def dispatch(self, tup: StreamTuple, tasks: Sequence[int]) -> None:
+        """Hand one delivered packet's tuple to its local destination
+        tasks.
+
+        The executor map, tracer and flow controller are looked up once
+        per packet and the multicast tracker is updated once.  The
+        per-copy dispatch CPU is summed in a local that starts from the
+        account's total and adds in task order, so ``busy_s`` ends up
+        with the same float as one charge per copy.
+        """
+        executors = self.executors
         tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                "worker.dispatch",
-                self.sim.now,
-                id=at.tuple.tuple_id,
-                task=at.task_id,
-                machine=self.machine_id,
-            )
-        executor.accept(at)
         flow = self.system.flow
-        if flow is not None:
-            # Return the sender's credit reservation for this copy.
-            flow.on_dispatch(executor)
+        cost = self.system.costs.dispatch_cpu_s
+        busy = self.cpu.busy_s
+        spent = busy[cats.DISPATCH]
+        for task in tasks:
+            try:
+                executor = executors[task]
+            except KeyError:
+                raise LookupError(
+                    f"task {task} is not hosted on machine {self.machine_id}"
+                ) from None
+            spent += cost
+            if tracer is not None:
+                tracer.emit(
+                    "worker.dispatch",
+                    self.sim.now,
+                    id=tup.tuple_id,
+                    task=task,
+                    machine=self.machine_id,
+                )
+            executor.accept(tup)
+            if flow is not None:
+                # Return the sender's credit reservation for this copy.
+                flow.on_dispatch(executor)
+        busy[cats.DISPATCH] = spent
+        self.dispatched += len(tasks)
+        self.system.metrics.multicast.on_receive(tup.tuple_id, tasks)
+
+    # ------------------------------------------------------------------
+    # drain timers of lazy-mode (batched terminal) executors
+    # ------------------------------------------------------------------
+    def add_lazy(self, executor: "BoltExecutor") -> None:
+        """Host a lazy-mode executor: this worker's flush hook (one per
+        worker) realises its completions at window boundaries."""
+        if not self._lazy:
+            self.system.metrics.add_flush_hook(self._flush_lazy)
+        self._lazy.append(executor)
+
+    def _flush_lazy(self) -> None:
+        now = self.sim.now
+        start, end = self.system.metrics.window_bounds()
+        for executor in self._lazy:
+            executor._flush_completed(now, start, end)
+
+    def arm_drain(self, executor: "BoltExecutor", at: float) -> None:
+        """Realise ``executor``'s completions at ``at`` (its busy-until
+        instant), so the calendar never runs dry while lazy work is
+        logically pending.  Executors due at the same instant share one
+        calendar entry."""
+        executor._drain_armed = True
+        due = self._drains.get(at)
+        if due is None:
+            self._drains[at] = [executor]
+            self.sim.schedule_call(at - self.sim.now, lambda: self._drain(at))
+        else:
+            due.append(executor)
+
+    def _drain(self, at: float) -> None:
+        now = self.sim.now
+        start, end = self.system.metrics.window_bounds()
+        for executor in self._drains.pop(at):
+            executor._drain_armed = False
+            executor._flush_completed(now, start, end)
+            if executor._fifo:
+                # Still busy: the next drain is due when it goes idle.
+                self.arm_drain(executor, executor._busy_until)
 
     # ------------------------------------------------------------------
     def _receive_loop(self):

@@ -22,13 +22,18 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.dsps.config import BACKENDS, DELIVERY_MODES, SystemConfig
+from repro.dsps.config import BACKENDS, SystemConfig
 from repro.rt.differential import (
     GOODPUT_RATIO_BAND,
     differential_config,
     run_differential,
 )
-from repro.rt.runtime import RunReport, create_runtime, default_cluster
+from repro.rt.runtime import (
+    RT_DELIVERY_MODES,
+    RunReport,
+    create_runtime,
+    default_cluster,
+)
 from repro.rt.topologies import TOPOLOGIES, Recorder, make_topology
 
 #: what ``--smoke`` clamps a ``run`` to — small enough that the CI job
@@ -66,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--parallelism", type=int, default=4)
     run.add_argument("--seed", type=int, default=42)
     run.add_argument(
-        "--delivery", choices=DELIVERY_MODES, default="at_least_once",
+        "--delivery", choices=RT_DELIVERY_MODES, default="at_least_once",
         help="delivery guarantee (default: at_least_once, exercising "
-        "the acker)",
+        "the acker; the asyncio backend implements no stronger mode)",
     )
     run.add_argument("--flow", action="store_true",
                      help="enable receiver-driven credit flow control")

@@ -47,6 +47,13 @@ from repro.rt.worker import RtSpoutExecutor, WorkerHost
 from repro.workloads.arrivals import ConstantArrivals, FiniteArrivals
 
 
+#: delivery guarantees the asyncio backend implements.  ``exactly_once``
+#: and ``atomic`` need the DES reliability layer (epoch-GC'd dedup,
+#: hold/commit); the asyncio backend rejects them rather than silently
+#: running at-least-once.
+RT_DELIVERY_MODES = ("at_most_once", "at_least_once")
+
+
 def default_cluster() -> Cluster:
     """The small symmetric cluster both backends default to (4 machines
     keeps an rt run at 4 sockets-servers while still exercising relay
@@ -217,6 +224,12 @@ class AsyncRuntime(RuntimeBackend):
         tracer=None,
         recorder: Optional[Recorder] = None,
     ):
+        if config.delivery_mode not in RT_DELIVERY_MODES:
+            raise ValueError(
+                f"the asyncio backend does not implement "
+                f"delivery={config.delivery_mode!r} (supported: "
+                f"{', '.join(RT_DELIVERY_MODES)}); use backend='sim'"
+            )
         topology.validate()
         self.topology = topology
         self.config = config

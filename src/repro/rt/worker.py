@@ -610,7 +610,7 @@ class WorkerHost:
                 if wire["tuple_id"] in seen:
                     continue
                 seen.add(wire["tuple_id"])
-            metrics.multicast.on_receive(wire["tuple_id"], task)
+            metrics.multicast.on_receive(wire["tuple_id"], (task,))
             metrics.note_queue_depth(
                 f"{executor.operator}[{task}].inqueue", executor.inqueue.level
             )

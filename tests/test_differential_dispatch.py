@@ -15,15 +15,21 @@ invariant checker (the gate in ``BoltExecutor._pick_mode`` refuses to
 batch under instrumentation so traces stay event-faithful).
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import whale_full_config, whale_woc_rdma_config
-from repro.dsps import storm_config
+from repro.core import create_system, whale_full_config, whale_woc_rdma_config
+from repro.dsps import AllGrouping, Bolt, DspsSystem, Spout, Topology, storm_config
+from repro.dsps.grouping import inqueue_depth
+from repro.dsps.tuples import StreamTuple
+from repro.net import Cluster
+from repro.workloads import PoissonArrivals
 from tests._check_util import build_checked_system, run_windowed
 
 END_TO_END = settings(max_examples=8, deadline=None)
@@ -126,6 +132,137 @@ def test_dispatch_equivalence_holds_for_fuzzed_scenarios(
     )
     assert Counter(fast_log) == Counter(slow_log)
     assert set(Counter(fast_log).values()) == {1}
+
+
+# ----------------------------------------------------------------------
+# Pinned DES observables: the fig03 fan-out shape (one 150 B spout, 20 us
+# all-grouped terminal bolts, full Whale, Poisson arrivals at 8000/s) at
+# small scale — 48 bolts on three machines, so every worker hosts 16
+# co-located replicas.  PINNED_FANOUT holds what the simulator computes
+# for this seed; a dispatch or drain-timer change that only makes the
+# simulator faster must reproduce it bit for bit.
+# ----------------------------------------------------------------------
+PINNED_FANOUT = Path(__file__).with_name("data") / "des_fanout_small.json"
+FANOUT_SEED = 11
+FANOUT_RUN_S = 0.02
+
+
+class _Requests(Spout):
+    def next_tuple(self):
+        return {}, None, 150
+
+
+class _LightMatching(Bolt):
+    base_service_s = 20e-6
+
+
+def _run_small_fanout(n_machines=3):
+    """Run the fan-out with 16 bolts per machine for FANOUT_RUN_S
+    simulated seconds inside a measurement window; returns
+    ``(system, calendar steps)``."""
+    topo = Topology("small-des-fanout")
+    topo.add_spout("src", _Requests)
+    topo.add_bolt("matching", _LightMatching, parallelism=16 * n_machines,
+                  inputs={"src": AllGrouping()}, terminal=True)
+    system = create_system(
+        topo,
+        whale_full_config(),
+        cluster=Cluster(n_machines, 1, 16),
+        arrivals={"src": PoissonArrivals(
+            8000.0, np.random.default_rng(FANOUT_SEED))},
+        seed=FANOUT_SEED,
+    )
+    sim = system.sim
+    system.start()
+    system.metrics.open_window()
+    steps = 0
+    while sim.peek() <= FANOUT_RUN_S:  # sim.run(until=...), counted
+        sim.step()
+        steps += 1
+    sim.run(until=FANOUT_RUN_S)
+    system.metrics.close_window()
+    return system, steps
+
+
+def _fanout_observables(system):
+    metrics = system.metrics
+    accounts = (
+        [worker.cpu for worker in system.workers.values()]
+        + [ex.cpu for ex in system.executors.values()]
+        + [controller.cpu for controller in system.controllers]
+    )
+    bolts = system.operator_executors("matching")
+    return {
+        "completion_latencies": sorted(metrics.completion.latencies),
+        "multicast_latencies": sorted(metrics.multicast.latencies),
+        "busy_s": {
+            acc.name: dict(sorted(acc.busy_s.items())) for acc in accounts
+        },
+        "processed": [ex.processed for ex in bolts],
+        "inqueue_hwm": [ex.inqueue_hwm for ex in bolts],
+        "dropped": dict(sorted(metrics.dropped.items())),
+    }
+
+
+def test_des_fanout_observables_match_pinned_values():
+    system, _steps = _run_small_fanout()
+    assert {ex._mode for ex in system.operator_executors("matching")} == {"lazy"}
+    got = _fanout_observables(system)
+    expected = json.loads(PINNED_FANOUT.read_text())
+    assert set(got) == set(expected)
+    assert got["completion_latencies"] == expected["completion_latencies"]
+    assert got["multicast_latencies"] == expected["multicast_latencies"]
+    assert set(got["busy_s"]) == set(expected["busy_s"])
+    for name, busy in expected["busy_s"].items():
+        assert got["busy_s"][name] == busy, name
+    assert got["processed"] == expected["processed"]
+    assert got["inqueue_hwm"] == expected["inqueue_hwm"]
+    assert got["dropped"] == expected["dropped"]
+
+
+def test_co_located_replicas_share_calendar_steps():
+    """16 replicas per worker fall due together: a packet must cost about
+    one drain timer per worker, not one per replica.  (Six machines, so
+    the per-tuple spout, send and fabric events — paid once per tuple or
+    per machine, not per replica — do not dominate the ratio; with one
+    drain timer per replica it is about 0.67.)"""
+    system, steps = _run_small_fanout(n_machines=6)
+    executions = sum(ex.processed for ex in system.operator_executors("matching"))
+    assert executions > 10_000
+    assert steps / executions <= 0.25
+
+
+class _SlowSink(Bolt):
+    base_service_s = 1e-3
+
+
+def test_finished_batched_work_is_not_queue_depth():
+    """A lazy sink's FIFO head may hold tuples that already executed and
+    only wait to be realised; load-adaptive routing, the rebalancer and
+    the credit check must not see them as queued."""
+    topo = Topology("depth")
+    topo.add_spout("src", _Requests)
+    topo.add_bolt("sink", _SlowSink, parallelism=1,
+                  inputs={"src": AllGrouping()}, terminal=True)
+    system = DspsSystem(topo, storm_config(), cluster=Cluster(1, 1, 16))
+    sink = system.operator_executors("sink")[0]
+    sim = system.sim
+    last_done = 0.0
+    for _ in range(3):
+        last_done += _SlowSink.base_service_s
+    depths = []
+    # Scheduled before any drain timer, so at the last completion instant
+    # it reads the depth before anything realises the finished tuples.
+    for at in (0.5e-3, 1.5e-3, last_done):
+        sim.schedule_call(at, lambda: depths.append(inqueue_depth(sink)))
+    for _ in range(3):
+        assert sink.accept(StreamTuple(stream="src", values={}, payload_bytes=10))
+    assert sink._mode == "lazy"
+    sim.run(until=last_done)
+    assert depths == [3, 2, 0]
+    system.metrics.flush()
+    assert sink.processed == 3
+    assert inqueue_depth(sink) == 0
 
 
 # ----------------------------------------------------------------------

@@ -36,10 +36,9 @@ def test_multicast_tracker_completes_on_last_receive():
     hub.multicast.register(1, [10, 11, 12], emit_time=0.0)
     sim.timeout(2.0)
     sim.run()
-    hub.multicast.on_receive(1, 10)
-    hub.multicast.on_receive(1, 11)
+    hub.multicast.on_receive(1, [10, 11])  # one packet, two destinations
     assert hub.multicast.completed == 0
-    hub.multicast.on_receive(1, 12)
+    hub.multicast.on_receive(1, [12])
     assert hub.multicast.completed == 1
     assert hub.multicast.latencies == [pytest.approx(2.0)]
     assert hub.multicast.outstanding == 0
@@ -51,21 +50,21 @@ def test_multicast_tracker_ignores_duplicate_delivery():
     sim = Simulator()
     hub = MetricsHub(sim)
     hub.multicast.register(1, [10, 11], emit_time=0.0)
-    hub.multicast.on_receive(1, 10)
-    hub.multicast.on_receive(1, 10)  # duplicate: must not count as 11
+    hub.multicast.on_receive(1, [10])
+    hub.multicast.on_receive(1, [10])  # duplicate: must not count as 11
     assert hub.multicast.completed == 0
     assert hub.multicast.outstanding == 1
-    hub.multicast.on_receive(1, 11)
+    hub.multicast.on_receive(1, [11])
     assert hub.multicast.completed == 1
 
 
 def test_multicast_tracker_ignores_unknown_and_cancelled():
     sim = Simulator()
     hub = MetricsHub(sim)
-    hub.multicast.on_receive(99, 0)  # unknown: no-op
+    hub.multicast.on_receive(99, [0])  # unknown: no-op
     hub.multicast.register(1, [10, 11], 0.0)
     hub.multicast.cancel(1)
-    hub.multicast.on_receive(1, 10)
+    hub.multicast.on_receive(1, [10])
     assert hub.multicast.completed == 0
 
 
@@ -92,9 +91,9 @@ def test_tracker_register_merges_repeat_registration():
     hub.multicast.register(1, [11], emit_time=2.0)
     sim.timeout(3.0)
     sim.run()
-    hub.multicast.on_receive(1, 10)
+    hub.multicast.on_receive(1, [10])
     assert hub.multicast.completed == 0
-    hub.multicast.on_receive(1, 11)
+    hub.multicast.on_receive(1, [11])
     assert hub.multicast.completed == 1
     assert hub.multicast.latencies == [pytest.approx(2.0)]  # 3.0 - 1.0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dsps import Bolt, DspsSystem, ShuffleGrouping, Spout, Topology, storm_config
-from repro.dsps.tuples import AddressedTuple, StreamTuple
+from repro.dsps.tuples import StreamTuple
 from repro.net import Cluster
 from repro.workloads import ConstantArrivals
 
@@ -32,11 +32,9 @@ def make_system():
 def test_dispatch_to_unhosted_task_raises():
     system = make_system()
     worker = system.workers[0]
-    ghost = AddressedTuple(
-        9999, StreamTuple(stream="s", values={}, payload_bytes=10)
-    )
+    tup = StreamTuple(stream="s", values={}, payload_bytes=10)
     with pytest.raises(LookupError):
-        worker.dispatch_local(ghost)
+        worker.dispatch(tup, [9999])
 
 
 def test_workers_host_only_their_tasks():

@@ -124,6 +124,30 @@ def test_create_runtime_dispatches_on_backend():
     assert isinstance(real, AsyncRuntime)
 
 
+@pytest.mark.parametrize("delivery", ["exactly_once", "atomic"])
+def test_asyncio_backend_rejects_unimplemented_delivery(delivery):
+    """The asyncio backend implements at-most-once and at-least-once
+    only; a stronger guarantee is refused, not silently weakened."""
+    config = SystemConfig(name="x", backend="asyncio", delivery=delivery)
+    with pytest.raises(ValueError, match=delivery):
+        create_runtime(make_topology("fanout"), config)
+    with pytest.raises(ValueError, match=delivery):
+        AsyncRuntime(make_topology("fanout"), config)
+    # the DES backend honours every mode
+    sim_config = config.with_overrides(backend="sim")
+    assert isinstance(create_runtime(make_topology("fanout"), sim_config), SimRuntime)
+
+
+@pytest.mark.parametrize("delivery", ["exactly_once", "atomic"])
+def test_rt_cli_refuses_unimplemented_delivery(delivery, capsys):
+    from repro.rt.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--topology", "fanout", "--delivery", delivery, "--smoke"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_sim_runtime_is_bit_identical_per_seed():
     """The DES backend stays deterministic under the runtime wrapper:
     same seed, same trace, record for record."""
