@@ -18,7 +18,7 @@ executions each.
 
 Run:  python examples/realtime_quickstart.py
       python -m repro.rt run --topology word_count --duration 5
-      python -m repro.rt diff --smoke
+      python -m repro.exp run ablation_sim_vs_real --smoke
 """
 
 from collections import Counter
@@ -106,7 +106,7 @@ def main():
         missing = sum((sim - real).values()) + sum((real - sim).values())
         print(f"backends disagree on {missing} deliveries — "
               "that would be a bug worth a differential look:")
-        print("  python -m repro.rt diff")
+        print("  python -m repro.exp run ablation_sim_vs_real")
 
 
 if __name__ == "__main__":

@@ -6,15 +6,14 @@
   Section 5.1.
 * :mod:`repro.bench.report` — renders rows/series in the paper's units.
 * :mod:`repro.bench.experiments` — one function per table/figure of the
-  paper; the ``benchmarks/`` directory wraps these in pytest-benchmark
-  entry points.
+  paper; ``python -m repro.exp`` schedules them and the ``benchmarks/``
+  directory wraps them in pytest-benchmark entry points.
 """
 
 from repro.bench.runner import (
     AppRun,
     downstream_service_estimate,
     run_app,
-    sweep_offered_rate,
 )
 from repro.bench.report import Series, Table
 from repro.bench.ablations import ablation_dstar, ablation_queue_capacity
@@ -37,5 +36,4 @@ __all__ = [
     "node_failure_run",
     "downstream_service_estimate",
     "run_app",
-    "sweep_offered_rate",
 ]

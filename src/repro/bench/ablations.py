@@ -15,7 +15,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analytic.fastforward import run_measured_window
 from repro.bench.report import Table
 from repro.core import create_system, whale_full_config
 from repro.dsps import AllGrouping, Bolt, Spout, Topology
@@ -68,7 +67,9 @@ def _run_point(
     )
     system.start()
     system.sim.run(until=0.25)
-    run_measured_window(system, 0.25 + measure_s)
+    system.metrics.open_window()
+    system.sim.run(until=0.25 + measure_s)
+    system.metrics.close_window()
     return system
 
 

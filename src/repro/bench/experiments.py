@@ -2,9 +2,9 @@
 
 Each returns one or more :class:`~repro.bench.report.Table`\\ s whose rows
 mirror what the paper plots.  The ``benchmarks/`` directory wraps these
-in pytest-benchmark entry points; they can also be run directly::
-
-    python -m repro.bench.experiments fig13_14
+in pytest-benchmark entry points; ``python -m repro.exp run fig13_14``
+runs one through the cached, parallel suite (see
+:mod:`repro.exp.registry`).
 
 Scales: the cluster is the paper's (30 machines x 16 cores) for the
 parallelism sweeps; rates are the maximum sustainable rates of *our*
@@ -14,12 +14,10 @@ shapes are comparable (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analytic.fastforward import run_measured_window
 from repro.bench.report import Series, Table
 from repro.bench.runner import AppRun, run_app
 from repro.core import (
@@ -150,7 +148,9 @@ def fig03_rdmc_blocking(
         )
         system.start()
         system.sim.run(until=0.08)  # long enough for Q=64 to block
-        run_measured_window(system, 0.2)
+        system.metrics.open_window()
+        system.sim.run(until=0.2)
+        system.metrics.close_window()
         m = system.metrics
         src = system.source_executor("src")
         # Throughput = tuples processed per unit time (drain rate at the
@@ -757,44 +757,3 @@ def table2_datasets(sample: int = 30_000, seed: int = 0) -> Table:
         "universe (6,649) is matched exactly"
     )
     return table
-
-
-# ----------------------------------------------------------------------
-# The historical {name: figure function} mapping now sits on top of the
-# declarative point registry (repro.exp.registry), which also carries
-# the sweep decomposition, per-point seeds, and timeouts the orchestrator
-# (`python -m repro.exp`) schedules from.
-from repro.exp.registry import figure_function_map
-
-EXPERIMENTS = figure_function_map()
-
-
-def main(argv: List[str]) -> int:
-    """Run figures by name; ``--list`` shows every registered experiment.
-
-    ``python -m repro.exp run`` is the parallel/cached way to run the
-    suite; this entry point stays for one-off sequential regeneration.
-    """
-    from repro.exp.registry import REGISTRY, SPECS, select
-
-    if "--list" in argv:
-        for spec in SPECS:
-            points = len(spec.point_params(smoke=False))
-            print(f"{spec.name}: {spec.category}, {points} point(s), "
-                  f"{spec.fn_ref.partition(':')[2]}")
-        return 0
-    try:
-        specs = select(argv or list(REGISTRY))
-    except KeyError as exc:
-        # Report *all* unknown names before exiting non-zero.
-        print(exc.args[0])
-        return 2
-    for spec in specs:
-        for t in spec.run_inline():
-            print(t.render())
-            print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main(sys.argv[1:]))

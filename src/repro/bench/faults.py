@@ -17,11 +17,12 @@ less forgiving cluster than the paper's non-blocking InfiniBand core:
   mid-run with failure detection, tree self-healing, and acker-driven
   replay enabled, and report recovery time (crash until full delivery
   is restored for every affected broadcast tuple) and goodput.
+* :func:`ablation_delivery_semantics` / :func:`ablation_overload` — all
+  four delivery guarantees, and the flow layer on/off, under one seeded
+  crash (+ flash-crowd) timeline.
 
-Run the crash table from the shell::
-
-    python -m repro.bench.faults            # full table
-    python -m repro.bench.faults --smoke    # one small crash run (CI)
+Every table is a registered experiment:
+``python -m repro.exp run ablation_node_failure``.
 """
 
 from __future__ import annotations
@@ -165,20 +166,118 @@ def ablation_oversubscribed_racks(
 
 
 # ----------------------------------------------------------------------
+# shared scaffolding of the crash, delivery and overload runs
+# ----------------------------------------------------------------------
+def _ride_hailing_system(config, parallelism, n_machines, seed, arrivals=None):
+    """Ride-hailing at ``parallelism`` on ``Cluster(n_machines, 1, 16)``.
+
+    Without ``arrivals`` the system is a placement probe: placement and
+    multicast trees depend only on the config, cluster and seed, so a
+    probe answers "which machine hosts what" for every run it stands for.
+    """
+    return create_system(
+        ride_hailing_topology(
+            parallelism, n_drivers=N_DRIVERS, compute_real_matches=False
+        ),
+        config,
+        cluster=Cluster(n_machines, 1, 16),
+        arrivals=arrivals,
+        seed=seed,
+    )
+
+
+def _protected_machines(system) -> set:
+    """The acker's machine and every multicast source.  The fault
+    experiments measure relay recovery and delivery guarantees, not
+    source loss, so these machines are never crashed."""
+    protected = {service.src_machine for service in system.multicast_services}
+    if system.reliability is not None:
+        protected.add(system.reliability.home_machine)
+    return protected
+
+
+def _crash_candidates(config, parallelism, n_machines, seed) -> List[int]:
+    """Machines a random fault schedule may crash (placement is identical
+    across a table's rows, so one probe serves them all)."""
+    probe = _ride_hailing_system(config, parallelism, n_machines, seed)
+    return sorted(set(probe.workers) - _protected_machines(probe))
+
+
+def _fault_run(
+    config,
+    fault_schedule: Optional[FaultSchedule],
+    duration_s: float,
+    parallelism: int,
+    n_machines: int,
+    offered_rate: Optional[float],
+    seed: int,
+    drain_s: float,
+    check: Optional[str],
+):
+    """Run one ride-hailing point under ``fault_schedule`` and drain it.
+
+    The spouts stop at ``duration_s``; the sim then runs until every
+    tracked tree settled (at most ``drain_s`` more), or for
+    :data:`DRAIN_S` when nothing tracks delivery.  ``offered_rate=None``
+    offers half the analytic sustainable rate, capped at 400/s.  Returns
+    ``(system, offered_rate, check_report)``.
+    """
+    if offered_rate is None:
+        shape = SystemShape(
+            parallelism=parallelism,
+            n_machines=n_machines,
+            payload_bytes=REQUEST_RECORD_BYTES,
+        )
+        offered_rate = min(
+            400.0,
+            0.5
+            * sustainable_rate(
+                config,
+                shape,
+                downstream_service_estimate("ridehailing", parallelism),
+            ),
+        )
+    rng = np.random.default_rng(seed)
+    arrivals = {
+        "requests": PoissonArrivals(offered_rate, rng),
+        "driver_locations": PoissonArrivals(min(1000.0, offered_rate), rng),
+    }
+    system = _ride_hailing_system(
+        config, parallelism, n_machines, seed, arrivals
+    )
+    if fault_schedule is not None:
+        # A fresh schedule object per run: the events are shared frozen
+        # data, so every row sees the identical fault timeline.
+        system.add_fault_schedule(FaultSchedule(fault_schedule.events))
+    if check:
+        system.attach_checker(mode=check)
+    system.start()
+    system.metrics.open_window()
+    system.sim.run(until=duration_s)
+    for spout in system.spout_executors:
+        spout.stop()
+    reliability = system.reliability
+    deadline = duration_s + drain_s
+    if reliability is not None:
+        while (
+            reliability.outstanding or reliability.held_entries
+        ) and system.sim.now < deadline:
+            system.sim.run(until=min(deadline, system.sim.now + 0.05))
+    else:
+        system.sim.run(until=duration_s + DRAIN_S)
+    system.metrics.close_window()
+    report = system.checker.finalize() if system.checker is not None else None
+    return system, offered_rate, report
+
+
+# ----------------------------------------------------------------------
 # node failure: crash an interior relay, measure recovery
 # ----------------------------------------------------------------------
 def _interior_relay_machine(system) -> int:
-    """Pick the machine of an interior (relaying, non-root) tree node.
-
-    Machines hosting a multicast source or the acker are never picked:
-    the experiment measures relay recovery, not source loss.  (A side
-    stream's spout landing on the victim is fine — it just pauses.)
-    """
-    protected = set()
-    if system.reliability is not None:
-        protected.add(system.reliability.home_machine)
-    for service in system.multicast_services:
-        protected.add(service.src_machine)
+    """Pick the machine of an interior (relaying, non-root) tree node
+    outside :func:`_protected_machines`.  (A side stream's spout landing
+    on the victim is fine — it just pauses.)"""
+    protected = _protected_machines(system)
     for service in system.multicast_services:
         for node in service.tree.bfs():
             if node is SOURCE or not service.tree.children(node):
@@ -213,64 +312,25 @@ def node_failure_run(
     """
     config = whale_full_config(adaptive=False).with_overrides(
         name="whale-faults",
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=True,
         ack_timeout_s=0.15,
         ack_sweep_interval_s=0.02,
         max_replays=8,
     )
-    topology = ride_hailing_topology(
-        parallelism, n_drivers=N_DRIVERS, compute_real_matches=False
+    victim = _interior_relay_machine(
+        _ride_hailing_system(config, parallelism, n_machines, seed)
     )
-    if offered_rate is None:
-        shape = SystemShape(
-            parallelism=parallelism,
-            n_machines=n_machines,
-            payload_bytes=REQUEST_RECORD_BYTES,
-        )
-        offered_rate = min(
-            400.0,
-            0.5
-            * sustainable_rate(
-                config,
-                shape,
-                downstream_service_estimate("ridehailing", parallelism),
-            ),
-        )
-    rng = np.random.default_rng(seed)
-    arrivals = {
-        "requests": PoissonArrivals(offered_rate, rng),
-        "driver_locations": PoissonArrivals(
-            min(1000.0, offered_rate), rng
-        ),
-    }
-    system = create_system(
-        topology,
-        config,
-        cluster=Cluster(n_machines, 1, 16),
-        arrivals=arrivals,
-        seed=seed,
+    schedule = (
+        FaultSchedule.single_crash(victim, crash_at, crash_at + downtime_s)
+        if crash
+        else None
     )
-    victim = _interior_relay_machine(system)
-    if crash:
-        system.add_fault_schedule(
-            FaultSchedule.single_crash(victim, crash_at, crash_at + downtime_s)
-        )
-    if check:
-        system.attach_checker(mode=check)
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=duration_s)
-    for spout in system.spout_executors:
-        spout.stop()
+    system, offered_rate, report = _fault_run(
+        config, schedule, duration_s, parallelism, n_machines,
+        offered_rate, seed, drain_s, check,
+    )
     reliability = system.reliability
-    assert reliability is not None
-    deadline = duration_s + drain_s
-    while reliability.outstanding and system.sim.now < deadline:
-        system.sim.run(until=min(deadline, system.sim.now + 0.05))
-    system.metrics.close_window()
-    report = system.checker.finalize() if system.checker is not None else None
-
     replayed = reliability.replayed_completions()
     recovery_s = (
         max(r.completed_at for r in replayed) - crash_at
@@ -306,6 +366,7 @@ def ablation_node_failure(
     parallelism: int = 24,
     n_machines: int = 8,
     seed: int = 42,
+    check: Optional[str] = "strict",
 ) -> Table:
     """Recovery time and goodput after an interior-relay crash."""
     table = Table(
@@ -333,6 +394,7 @@ def ablation_node_failure(
             parallelism=parallelism,
             n_machines=n_machines,
             seed=seed,
+            check=check,
         )
         table.add(
             label,
@@ -394,60 +456,11 @@ def delivery_semantics_run(
     so goodput means the same thing in every mode: distinct broadcast
     tuples executed at every destination instance.
     """
-    config = _delivery_config(delivery)
-    topology = ride_hailing_topology(
-        parallelism, n_drivers=N_DRIVERS, compute_real_matches=False
+    system, offered_rate, report = _fault_run(
+        _delivery_config(delivery), fault_schedule, duration_s,
+        parallelism, n_machines, offered_rate, seed, drain_s, check,
     )
-    if offered_rate is None:
-        shape = SystemShape(
-            parallelism=parallelism,
-            n_machines=n_machines,
-            payload_bytes=REQUEST_RECORD_BYTES,
-        )
-        offered_rate = min(
-            400.0,
-            0.5
-            * sustainable_rate(
-                config,
-                shape,
-                downstream_service_estimate("ridehailing", parallelism),
-            ),
-        )
-    rng = np.random.default_rng(seed)
-    arrivals = {
-        "requests": PoissonArrivals(offered_rate, rng),
-        "driver_locations": PoissonArrivals(min(1000.0, offered_rate), rng),
-    }
-    system = create_system(
-        topology,
-        config,
-        cluster=Cluster(n_machines, 1, 16),
-        arrivals=arrivals,
-        seed=seed,
-    )
-    if fault_schedule is not None:
-        # A fresh schedule object per run: the events are shared frozen
-        # data, so every mode sees the identical fault timeline.
-        system.add_fault_schedule(FaultSchedule(fault_schedule.events))
-    if check:
-        system.attach_checker(mode=check)
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=duration_s)
-    for spout in system.spout_executors:
-        spout.stop()
     reliability = system.reliability
-    deadline = duration_s + drain_s
-    if reliability is not None:
-        while (
-            reliability.outstanding or reliability.held_entries
-        ) and system.sim.now < deadline:
-            system.sim.run(until=min(deadline, system.sim.now + 0.05))
-    else:
-        system.sim.run(until=duration_s + DRAIN_S)
-    system.metrics.close_window()
-    report = system.checker.finalize() if system.checker is not None else None
-
     completion = system.metrics.completion
     crash_times = fault_schedule.crash_times if fault_schedule else []
     first_crash = min((t for t, _ in crash_times), default=math.nan)
@@ -508,21 +521,9 @@ def ablation_delivery_semantics(
 ) -> Table:
     """Goodput/latency/recovery of all four delivery guarantees under
     one identical seeded crash + link-flap schedule."""
-    # Probe system (placement is identical across modes): protect the
-    # acker's machine and every multicast source from the random draw —
-    # the ablation measures delivery guarantees, not source loss.
-    probe = create_system(
-        ride_hailing_topology(
-            parallelism, n_drivers=N_DRIVERS, compute_real_matches=False
-        ),
-        _delivery_config("at_least_once"),
-        cluster=Cluster(n_machines, 1, 16),
-        seed=seed,
+    eligible = _crash_candidates(
+        _delivery_config("at_least_once"), parallelism, n_machines, seed
     )
-    protected = {probe.reliability.home_machine}
-    for service in probe.multicast_services:
-        protected.add(service.src_machine)
-    eligible = sorted(set(probe.workers) - protected)
     schedule = FaultSchedule.random(
         eligible,
         horizon_s=duration_s,
@@ -635,45 +636,11 @@ def overload_run(
     worst per-executor input-queue high-water mark — the figure that
     grows without bound when nothing pushes back on the spouts.
     """
-    config = _overload_config(delivery, flow)
-    topology = ride_hailing_topology(
-        parallelism, n_drivers=N_DRIVERS, compute_real_matches=False
+    system, offered_rate, report = _fault_run(
+        _overload_config(delivery, flow), fault_schedule, duration_s,
+        parallelism, n_machines, offered_rate, seed, drain_s, check,
     )
-    rng = np.random.default_rng(seed)
-    arrivals = {
-        "requests": PoissonArrivals(offered_rate, rng),
-        "driver_locations": PoissonArrivals(min(1000.0, offered_rate), rng),
-    }
-    system = create_system(
-        topology,
-        config,
-        cluster=Cluster(n_machines, 1, 16),
-        arrivals=arrivals,
-        seed=seed,
-    )
-    if fault_schedule is not None:
-        # A fresh schedule object per run: the events are shared frozen
-        # data, so every row sees the identical overload timeline.
-        system.add_fault_schedule(FaultSchedule(fault_schedule.events))
-    if check:
-        system.attach_checker(mode=check)
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=duration_s)
-    for spout in system.spout_executors:
-        spout.stop()
     reliability = system.reliability
-    deadline = duration_s + drain_s
-    if reliability is not None:
-        while (
-            reliability.outstanding or reliability.held_entries
-        ) and system.sim.now < deadline:
-            system.sim.run(until=min(deadline, system.sim.now + 0.05))
-    else:
-        system.sim.run(until=duration_s + DRAIN_S)
-    system.metrics.close_window()
-    report = system.checker.finalize() if system.checker is not None else None
-
     metrics = system.metrics
     completion = metrics.completion
     delivered = completion.completed
@@ -723,21 +690,9 @@ def ablation_overload(
 ) -> Table:
     """Goodput and queue growth with and without the flow layer, under
     one identical seeded flash-crowd + slow-node + crash schedule."""
-    # Probe system (placement is identical across rows): protect the
-    # acker's machine and every multicast source from the random crash —
-    # the ablation measures overload protection, not source loss.
-    probe = create_system(
-        ride_hailing_topology(
-            parallelism, n_drivers=N_DRIVERS, compute_real_matches=False
-        ),
-        _overload_config("at_least_once", False),
-        cluster=Cluster(n_machines, 1, 16),
-        seed=seed,
+    eligible = _crash_candidates(
+        _overload_config("at_least_once", False), parallelism, n_machines, seed
     )
-    protected = {probe.reliability.home_machine}
-    for service in probe.multicast_services:
-        protected.add(service.src_machine)
-    eligible = sorted(set(probe.workers) - protected)
     crash_schedule = FaultSchedule.random(
         eligible,
         horizon_s=duration_s,
@@ -813,154 +768,3 @@ def ablation_overload(
         "throughout."
     )
     return table
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.bench.faults`` — run the crash-recovery table."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.faults",
-        description="Crash an interior relay machine and measure recovery.",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="one small crash run (CI-sized: fewer instances, shorter run)",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--delivery",
-        choices=("at_most_once", "at_least_once", "exactly_once", "atomic"),
-        default=None,
-        help="smoke a single delivery guarantee under the crash schedule "
-        "instead of the at-least-once relay-crash run",
-    )
-    parser.add_argument(
-        "--check",
-        choices=("off", "warn", "strict"),
-        default="off",
-        help="attach the runtime invariant checker to the smoke run "
-        "(strict fails the run on the first breach)",
-    )
-    parser.add_argument(
-        "--overload",
-        action="store_true",
-        help="smoke the flow layer under a flash crowd (with --smoke): "
-        "one flow-on run per delivery mode, checking bounded queues",
-    )
-    args = parser.parse_args(argv)
-    check = None if args.check == "off" else args.check
-
-    if args.smoke:
-        if args.overload:
-            schedule = FaultSchedule(
-                [FaultEvent.flash_crowd(0.1, 8.0, 0.2)]
-            )
-            ok = True
-            for mode in ("at_most_once", "at_least_once"):
-                point = overload_run(
-                    mode,
-                    flow=True,
-                    fault_schedule=schedule,
-                    parallelism=12,
-                    n_machines=6,
-                    duration_s=0.5,
-                    offered_rate=150.0,
-                    seed=args.seed,
-                    check=check,
-                )
-                print(
-                    f"smoke[overload/{mode}]: {point['delivered']} delivered "
-                    f"({point['goodput']:.0f}/s), inqueue hwm "
-                    f"{point['inqueue_hwm']}, shed {point['shed']}, "
-                    f"deferred {point['deferred']}, "
-                    f"stalled {point['stall_s'] * 1e3:.1f} ms"
-                )
-                report = point["check_report"]
-                if report is not None:
-                    print(f"  checker: {report.summary()}")
-                ok = ok and point["delivered"] > 0
-                ok = ok and point["inqueue_hwm"] <= 4 * OVERLOAD_CREDIT_WINDOW
-                ok = ok and (report is None or report.ok)
-            print("smoke OK" if ok else "smoke FAILED")
-            return 0 if ok else 1
-        if args.delivery is not None:
-            schedule = FaultSchedule.random(
-                [2, 3, 4],
-                horizon_s=0.5,
-                n_crashes=2,
-                seed=args.seed,
-                min_downtime_s=0.1,
-                max_downtime_s=0.2,
-                n_link_flaps=1,
-            )
-            point = delivery_semantics_run(
-                args.delivery,
-                fault_schedule=schedule,
-                parallelism=12,
-                n_machines=6,
-                duration_s=0.6,
-                offered_rate=150.0,
-                seed=args.seed,
-                check=check,
-            )
-            print(
-                f"smoke[{args.delivery}]: {point['delivered']} delivered "
-                f"({point['goodput']:.0f}/s), {point['replays']} replays, "
-                f"{point['duplicate_executions']} duplicate executions, "
-                f"{point['abandoned']} abandoned, {point['commits']} "
-                f"commits / {point['aborts']} aborts"
-            )
-            report = point["check_report"]
-            if report is not None:
-                print(f"  checker: {report.summary()}")
-            ok = point["delivered"] > 0 and (
-                report is None or report.ok
-            )
-            if args.delivery in ("exactly_once", "atomic"):
-                ok = ok and point["duplicate_executions"] == 0
-            print("smoke OK" if ok else "smoke FAILED")
-            return 0 if ok else 1
-        point = node_failure_run(
-            parallelism=12,
-            n_machines=6,
-            duration_s=0.6,
-            crash_at=0.2,
-            downtime_s=0.15,
-            offered_rate=150.0,
-            seed=args.seed,
-            check=check,
-        )
-        print(
-            f"smoke: crashed machine {point['victim_machine']}, "
-            f"{point['completed']}/{point['registered']} tuples completed "
-            f"({point['outstanding']} outstanding, "
-            f"{point['gave_up']} gave up)"
-        )
-        print(
-            f"  recovery {point['recovery_s'] * 1e3:.1f} ms after crash, "
-            f"{point['replays']} replays over "
-            f"{point['replayed_roots']} roots, "
-            f"{point['repairs']} repairs / {point['reattaches']} reattaches"
-        )
-        ok = point["outstanding"] == 0 and point["replays"] > 0
-        report = point.get("check_report")
-        if report is not None:
-            print(f"  checker: {report.summary()}")
-            ok = ok and report.ok
-        print("smoke OK" if ok else "smoke FAILED")
-        return 0 if ok else 1
-    print(ablation_node_failure(seed=args.seed).render())
-    print()
-    print(ablation_delivery_semantics(seed=args.seed).render())
-    print()
-    print(ablation_overload(seed=args.seed).render())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

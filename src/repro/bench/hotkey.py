@@ -14,7 +14,7 @@ partitioning decision and nothing else.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -233,60 +233,3 @@ def ablation_hot_key(
         "invariants."
     )
     return table
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.bench.hotkey`` — run the hot-key ablation."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.hotkey",
-        description="Partitioning strategies under a Zipf hot-key storm.",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: fields vs key_split vs fields+rebalance only",
-    )
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--check",
-        choices=("off", "warn", "strict"),
-        default="strict",
-        help="runtime invariant checker mode for every run",
-    )
-    args = parser.parse_args(argv)
-    check = None if args.check == "off" else args.check
-
-    if args.smoke:
-        ok = True
-        points = {}
-        for strategy in ("fields", "key_split", "fields+rebalance"):
-            point = hot_key_run(
-                strategy, duration_s=0.3, seed=args.seed, check=check
-            )
-            points[strategy] = point
-            print(
-                f"smoke[{strategy}]: {point['delivered']} delivered "
-                f"({point['goodput']:.0f}/s), p99 {point['p99_ms']:.1f} ms, "
-                f"inqueue hwm {point['inqueue_hwm']}, "
-                f"migrations {point['migrations']}"
-            )
-            report = point["check_report"]
-            if report is not None:
-                print(f"  checker: {report.summary()}")
-                ok = ok and report.ok
-            ok = ok and point["delivered"] > 0
-        ok = ok and points["key_split"]["p99_ms"] < points["fields"]["p99_ms"]
-        ok = ok and points["fields+rebalance"]["migrations"] > 0
-        print("smoke OK" if ok else "smoke FAILED")
-        return 0 if ok else 1
-    print(ablation_hot_key(seed=args.seed, check=check).render())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

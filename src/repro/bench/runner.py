@@ -17,15 +17,11 @@ a Whale point at 5,000 tuples/s simulates a fraction of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.analytic import SystemShape, sustainable_rate
-from repro.analytic.fastforward import (
-    resolve as resolve_fast_forward,
-    run_measured_window,
-)
 from repro.apps.ridehailing import (
     MATCH_BASE_S,
     MATCH_PER_DRIVER_S,
@@ -92,9 +88,9 @@ class AppRun:
     serialization_cpu_s: float
     #: transfer-queue load factor: max observed length / capacity Q
     source_queue_load: float = 0.0
-    #: path of the JSONL trace captured for this point (``--trace``)
+    #: path of the JSONL trace captured for this point
     trace_path: Optional[str] = None
-    #: invariant-check report when the run was checked (``--check``)
+    #: invariant-check report when the run was checked
     check_report: Optional[object] = field(default=None, repr=False)
     #: kept for experiments that need deeper inspection
     system: Optional[DspsSystem] = field(default=None, repr=False)
@@ -123,7 +119,6 @@ def run_app(
     trace_path: Optional[str] = None,
     fault_schedule=None,
     check: Optional[str] = None,
-    fast_forward: Optional[bool] = None,
 ) -> AppRun:
     """Measure one (app, variant, parallelism) point.
 
@@ -134,11 +129,6 @@ def run_app(
     recoveries at the scheduled sim times.  ``check`` attaches a runtime
     :class:`~repro.check.InvariantChecker` (``"strict"`` raises on the
     first breach, ``"warn"`` collects into ``AppRun.check_report``).
-    ``fast_forward`` closes the measurement window early once the sink
-    rate and in-flight population are statistically steady
-    (:mod:`repro.analytic.fastforward`); ``None`` defers to the
-    ``REPRO_FAST_FORWARD`` environment variable.  Fault-schedule runs
-    always use the full window — their transients are the measurement.
     """
     if app == "ridehailing":
         topology = ride_hailing_topology(
@@ -222,13 +212,9 @@ def run_app(
         for ex in downstream:
             ex.cpu.reset()
         window_start = system.sim.now
-        ff_on = resolve_fast_forward(fast_forward) and fault_schedule is None
-        measured_s = run_measured_window(
-            system, warmup_s + measure_s, fast_forward=ff_on
-        )
-        if not ff_on:
-            # Keep the exact float the window math was derived from.
-            measured_s = measure_s
+        system.metrics.open_window()
+        system.sim.run(until=warmup_s + measure_s)
+        system.metrics.close_window()
         check_report = checker.finalize() if checker is not None else None
         metrics = system.metrics
     finally:
@@ -250,8 +236,8 @@ def run_app(
         variant=config.name,
         parallelism=parallelism,
         offered_rate=offered_rate,
-        duration_s=measured_s,
-        throughput=metrics.completion.completed / measured_s,
+        duration_s=measure_s,
+        throughput=metrics.completion.completed / measure_s,
         processing_latency=completion,
         multicast_latency=multicast,
         drops=sum(metrics.dropped.values()),
@@ -275,124 +261,3 @@ def run_app(
         system=system if keep_system else None,
     )
     return run
-
-
-def sweep_offered_rate(
-    app: str,
-    config: SystemConfig,
-    parallelism: int,
-    rates: List[float],
-    **kwargs,
-) -> List[AppRun]:
-    """Measure the same variant at several fixed offered rates (Fig. 3)."""
-    return [
-        run_app(app, config, parallelism, offered_rate=rate, **kwargs)
-        for rate in rates
-    ]
-
-
-# ----------------------------------------------------------------------
-# CLI: run one point, optionally capturing a JSONL trace
-# ----------------------------------------------------------------------
-def _variant_factories():
-    from repro.core.whale import (
-        whale_diffverbs_config,
-        whale_full_config,
-        whale_woc_config,
-        whale_woc_rdma_config,
-    )
-    from repro.dsps.presets import rdma_storm_config, rdmc_config, storm_config
-
-    return {
-        "storm": storm_config,
-        "rdma-storm": rdma_storm_config,
-        "rdmc": rdmc_config,
-        "whale-woc": whale_woc_config,
-        "whale-woc-rdma": whale_woc_rdma_config,
-        "whale": whale_full_config,
-        "whale-diffverbs": whale_diffverbs_config,
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.bench.runner`` — measure one point from the shell.
-
-    With ``--trace PATH`` the run streams a JSONL trace that
-    ``python -m repro.trace PATH`` summarizes and
-    :func:`repro.trace.replay` re-derives the figures from.
-    """
-    import argparse
-
-    variants = _variant_factories()
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.runner",
-        description="Measure one (app, variant, parallelism) point.",
-    )
-    parser.add_argument(
-        "--app", choices=("ridehailing", "stocks"), default="ridehailing"
-    )
-    parser.add_argument(
-        "--variant", choices=sorted(variants), default="whale"
-    )
-    parser.add_argument("--parallelism", type=int, default=8)
-    parser.add_argument("--machines", type=int, default=30)
-    parser.add_argument(
-        "--rate", type=float, default=None, help="offered rate (tuples/s); "
-        "defaults to the analytic sustainable rate x 1.1"
-    )
-    parser.add_argument("--tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSONL run trace to PATH"
-    )
-    parser.add_argument(
-        "--check", choices=("strict", "warn"), default=None,
-        help="attach the runtime invariant checker (strict raises on the "
-        "first violation; warn collects a report)"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="shrink the point to a seconds-scale self-validation run "
-        "(parallelism 4, 4 machines, 120 tuples)"
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.parallelism = min(args.parallelism, 4)
-        args.machines = min(args.machines, 4)
-        args.tuples = min(args.tuples, 120)
-
-    run = run_app(
-        args.app,
-        variants[args.variant](),
-        args.parallelism,
-        n_machines=args.machines,
-        offered_rate=args.rate,
-        tuple_budget=args.tuples,
-        seed=args.seed,
-        trace_path=args.trace,
-        check=args.check,
-    )
-    print(f"{run.app} / {run.variant} / k={run.parallelism}")
-    print(f"  offered rate       {run.offered_rate:12.1f} tuples/s")
-    print(f"  throughput         {run.throughput:12.1f} tuples/s")
-    print(f"  processing latency p50={run.processing_latency.p50 * 1e3:.3f} ms"
-          f"  p99={run.processing_latency.p99 * 1e3:.3f} ms")
-    print(f"  multicast latency  p50={run.multicast_latency.p50 * 1e3:.3f} ms"
-          f"  p99={run.multicast_latency.p99 * 1e3:.3f} ms")
-    print(f"  drops              {run.drops:12d}")
-    print(f"  wire traffic       {run.data_bytes:12d} B data"
-          f" / {run.control_bytes} B control")
-    if args.trace:
-        print(f"  trace              {args.trace}"
-              f"  (summarize: python -m repro.trace {args.trace})")
-    if run.check_report is not None:
-        print(f"  {run.check_report.summary()}")
-        if not run.check_report.ok:
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

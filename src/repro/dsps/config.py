@@ -82,12 +82,8 @@ class SystemConfig:
     #: ``"at_most_once"`` (fire-and-forget), ``"at_least_once"``
     #: (acker-driven full-tree replay), ``"exactly_once"`` (at-least-once
     #: + per-destination dedup, selective replay, epoch GC), or
-    #: ``"atomic"`` (sender-ordered all-or-none multicast).  ``None``
-    #: derives the mode from the legacy ``at_least_once`` flag.
-    delivery: Optional[str] = None
-    #: legacy on/off switch for at-least-once tracking; superseded by
-    #: ``delivery`` but still honoured when ``delivery`` is ``None``
-    at_least_once: bool = False
+    #: ``"atomic"`` (sender-ordered all-or-none multicast).
+    delivery: str = "at_most_once"
     #: tree age at which the acker declares a timeout (Storm's
     #: TOPOLOGY_MESSAGE_TIMEOUT_SECS, scaled to simulated seconds)
     ack_timeout_s: float = 0.5
@@ -213,14 +209,10 @@ class SystemConfig:
             raise ValueError("max_replays must be >= 0")
         if self.replay_backoff_base_s < 0:
             raise ValueError("replay backoff base must be >= 0")
-        if self.delivery is not None and self.delivery not in DELIVERY_MODES:
+        if self.delivery not in DELIVERY_MODES:
             raise ValueError(
                 f"unknown delivery mode {self.delivery!r}; "
                 f"choices: {DELIVERY_MODES}"
-            )
-        if self.delivery == "at_most_once" and self.at_least_once:
-            raise ValueError(
-                "delivery='at_most_once' contradicts at_least_once=True"
             )
         if self.epoch_interval_s <= 0:
             raise ValueError("epoch interval must be positive")
@@ -283,18 +275,10 @@ class SystemConfig:
             )
 
     @property
-    def delivery_mode(self) -> str:
-        """The resolved delivery guarantee (``delivery`` or, when that is
-        unset, the legacy ``at_least_once`` flag)."""
-        if self.delivery is not None:
-            return self.delivery
-        return "at_least_once" if self.at_least_once else "at_most_once"
-
-    @property
     def reliability_enabled(self) -> bool:
         """True when a :class:`~repro.dsps.reliability.ReplayCoordinator`
         tracks one-to-many spout tuples."""
-        return self.delivery_mode != "at_most_once"
+        return self.delivery != "at_most_once"
 
     @property
     def warning_waterline(self) -> float:

@@ -141,7 +141,7 @@ class ReplayCoordinator:
         self.sim = system.sim
         cfg = system.config
         self.config = cfg
-        self.mode = cfg.delivery_mode
+        self.mode = cfg.delivery
         # The acker task lives with a broadcasting spout (Storm places
         # ackers as ordinary tasks; co-locating with the source keeps
         # the register path local while acks travel the real network).

@@ -21,7 +21,6 @@ from repro.exp.registry import (
     SPECS,
     ExperimentSpec,
     assemble,
-    figure_function_map,
     get,
     select,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "default_store_dir",
     "evaluate_claims",
     "execute_point",
-    "figure_function_map",
     "get",
     "load_tables",
     "render_experiment",

@@ -5,15 +5,14 @@ Subcommands::
     run    [names...] [--jobs N] [--smoke] [--force] [--store PATH]
     status [--store PATH]
     verify [--smoke | --full] [--store PATH]
-    perf   [--baseline PATH] [--current PATH] [--max-regression F]
-           [--append-history PATH]
     list
 
 ``run`` schedules every selected experiment point across a process pool,
 resumes from the content-addressed store (a second invocation is almost
-entirely cache hits), re-renders the ``benchmarks/results/`` tables from
-the stored records, and writes ``benchmarks/results/BENCH_suite.json``.
-``verify`` checks the paper's claims against the stored results.
+entirely cache hits) and re-renders the ``benchmarks/results/`` tables
+from the stored records.  ``verify`` checks the paper's claims against
+the stored results.  Engine performance is measured by
+``benchmarks/perf/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -47,16 +46,6 @@ def _progress_printer(stream=None):
 
 def _cmd_run(args) -> int:
     store = ResultStore(args.store)
-    # Smoke runs are engine self-validation, not figure-quality output:
-    # they default to the steady-state fast-forward.  Full sweeps keep
-    # the complete measurement window unless asked otherwise.  Worker
-    # processes inherit the environment variable.
-    fast_forward = args.fast_forward
-    if fast_forward is None:
-        fast_forward = args.smoke
-    from repro.analytic.fastforward import ENV_VAR as FF_ENV
-
-    os.environ[FF_ENV] = "1" if fast_forward else "0"
     try:
         report = run_suite(
             names=args.names or None,
@@ -70,8 +59,7 @@ def _cmd_run(args) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    suite_path = report.save(args.suite_json)
-    counts = report.to_dict()["points"]
+    counts = report.counts()
     print(
         f"suite: {counts['total']} points — {counts['ok']} computed, "
         f"{counts['cached']} cached ({100 * report.cache_hit_rate():.0f}% "
@@ -80,7 +68,6 @@ def _cmd_run(args) -> int:
     )
     if report.rendered:
         print(f"re-rendered {len(report.rendered)} result files from the store")
-    print(f"perf trajectory: {suite_path}")
     for outcome in report.outcomes:
         if outcome.status in ("timeout", "error"):
             print(f"-- {outcome.point.label}: {outcome.status}", file=sys.stderr)
@@ -141,63 +128,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    """Gate suite throughput against the committed baseline.
-
-    ``BENCH_suite.json`` at the repo root records the suite's points/s
-    on the commit that last touched performance; CI regenerates
-    ``benchmarks/results/BENCH_suite.json`` and this command fails when
-    the fresh run is more than ``--max-regression`` slower.  Wall-clock
-    noise across runners is why the default band is a generous 30%.
-    """
-    import json
-
-    try:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        with open(args.current) as fh:
-            current = json.load(fh)
-    except OSError as exc:
-        print(f"perf gate: cannot read input: {exc}", file=sys.stderr)
-        return 2
-    base_pps = float(baseline["points_per_s"])
-    cur_pps = float(current["points_per_s"])
-    floor = (1.0 - args.max_regression) * base_pps
-    ratio = cur_pps / base_pps if base_pps else float("inf")
-    print(
-        f"perf gate: baseline {base_pps:.3f} points/s "
-        f"({args.baseline}), current {cur_pps:.3f} points/s "
-        f"({args.current}) — {ratio:.2f}x, floor {floor:.3f}"
-    )
-    ok = cur_pps >= floor
-    if args.append_history:
-        points = current.get("points")
-        entry = {
-            "schema": "repro.exp.perf-history/1",
-            "code_version": current.get("code_version"),
-            "created_at": current.get("created_at"),
-            "points": points.get("total") if isinstance(points, dict)
-            else points,
-            "points_per_s": cur_pps,
-            "wall_clock_s": current.get("wall_clock_s"),
-            "baseline_points_per_s": base_pps,
-            "ratio": round(ratio, 3),
-            "gate": "ok" if ok else "fail",
-        }
-        with open(args.append_history, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        print(f"perf gate: appended history point to {args.append_history}")
-    if not ok:
-        print(
-            f"perf gate: FAIL — suite throughput regressed more than "
-            f"{100 * args.max_regression:.0f}% vs the committed baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print("perf gate: ok")
-    return 0
-
-
 def _cmd_list(args) -> int:
     width = max(len(name) for name in REGISTRY)
     for spec in SPECS:
@@ -237,23 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-render", action="store_true",
         help="skip re-rendering the .txt/.json figure files"
     )
-    run_p.add_argument(
-        "--suite-json", default=None,
-        help="where to write BENCH_suite.json "
-        "(default: benchmarks/results/BENCH_suite.json)"
-    )
-    ff = run_p.add_mutually_exclusive_group()
-    ff.add_argument(
-        "--fast-forward", dest="fast_forward", action="store_true",
-        default=None,
-        help="close measurement windows early once steady "
-        "(repro.analytic.fastforward); default: on for --smoke, off "
-        "for full sweeps"
-    )
-    ff.add_argument(
-        "--no-fast-forward", dest="fast_forward", action="store_false",
-        help="always simulate the full measurement window"
-    )
     run_p.set_defaults(fn=_cmd_run)
 
     status_p = sub.add_parser("status", help="store coverage per experiment")
@@ -272,28 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="verify the full sweep only"
     )
     verify_p.set_defaults(fn=_cmd_verify)
-
-    perf_p = sub.add_parser(
-        "perf", help="fail if suite points/s regressed vs the baseline"
-    )
-    perf_p.add_argument(
-        "--baseline", default="BENCH_suite.json",
-        help="committed baseline (default: BENCH_suite.json at repo root)"
-    )
-    perf_p.add_argument(
-        "--current", default="benchmarks/results/BENCH_suite.json",
-        help="freshly generated suite report to check"
-    )
-    perf_p.add_argument(
-        "--max-regression", type=float, default=0.30,
-        help="tolerated fractional points/s drop (default: 0.30)"
-    )
-    perf_p.add_argument(
-        "--append-history", metavar="PATH", default=None,
-        help="append the measured points/s as one JSONL record "
-        "(e.g. benchmarks/BENCH_history.jsonl)"
-    )
-    perf_p.set_defaults(fn=_cmd_perf)
 
     list_p = sub.add_parser("list", help="list registered experiments")
     list_p.set_defaults(fn=_cmd_list)

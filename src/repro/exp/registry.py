@@ -1,11 +1,9 @@
 """Declarative registry of every figure/ablation experiment.
 
 Each :class:`ExperimentSpec` names the figure function (lazily, by
-``module:attr`` reference — this module must stay import-light so it can
-sit *under* :mod:`repro.bench.experiments` without a cycle), how its
-sweep decomposes into independently runnable points, the seed each point
-is pinned to, and how long one point may run before the scheduler kills
-it.
+``module:attr`` reference), how its sweep decomposes into independently
+runnable points, the seed each point is pinned to, and how long one
+point may run before the scheduler kills it.
 
 Decomposition rule: the figure functions already accept their sweep as a
 list parameter and re-seed every iteration internally, so running them
@@ -92,11 +90,6 @@ class ExperimentSpec:
         result = self.resolve()(**kwargs)
         tables = result if isinstance(result, tuple) else (result,)
         return {"tables": [t.to_dict() for t in tables]}
-
-    def run_inline(self, smoke: bool = False) -> Tuple[Table, ...]:
-        """Run every point sequentially and assemble the figure tables."""
-        results = [self.run_point(p) for p in self.point_params(smoke)]
-        return assemble(self, results)
 
 
 def assemble(
@@ -395,18 +388,3 @@ def select(names: Optional[Sequence[str]] = None) -> List[ExperimentSpec]:
             f"choices: {sorted(REGISTRY)}"
         )
     return [REGISTRY[n] for n in names]
-
-
-def figure_function_map() -> Dict[str, Callable]:
-    """``{name: figure function}`` for the paper-figure experiments.
-
-    :data:`repro.bench.experiments.EXPERIMENTS` is built from this, so
-    the historical dict now sits on top of the registry.  Resolution is
-    lazy enough to tolerate being called from the bottom of
-    ``repro.bench.experiments`` while that module finishes importing.
-    """
-    return {
-        spec.name: spec.resolve()
-        for spec in SPECS
-        if spec.category == "figure"
-    }

@@ -1,16 +1,13 @@
-"""Suite orchestration: run experiments, re-render tables, emit metrics.
+"""Suite orchestration: run experiments and re-render tables.
 
 This is the layer the CLI drives: it expands the selected experiments
-into points, schedules them (:mod:`repro.exp.scheduler`), re-renders the
-human-readable ``.txt``/``.json`` figure files from the store so they
-can never diverge from the records, and writes the ``BENCH_suite.json``
-perf-trajectory artifact (wall-clock per figure, points/s, cache-hit
-rate) that CI uploads to track the harness itself.
+into points, schedules them (:mod:`repro.exp.scheduler`) and re-renders
+the human-readable ``.txt``/``.json`` figure files from the store so
+they can never diverge from the records.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,9 +17,6 @@ from repro.exp.points import ExperimentPoint, code_version
 from repro.exp.registry import ExperimentSpec, assemble, select
 from repro.exp.scheduler import PointOutcome, ProgressFn, run_points
 from repro.exp.store import ResultStore
-
-SUITE_SCHEMA = "repro.exp.suite/1"
-
 
 def default_results_dir(smoke: bool = False) -> str:
     from repro.bench.report import default_results_dir as base
@@ -45,7 +39,7 @@ def build_tasks(
 
 @dataclass
 class SuiteReport:
-    """Everything one ``run`` invocation did, ready for BENCH_suite.json."""
+    """Everything one ``run`` invocation did."""
 
     smoke: bool
     jobs: int
@@ -54,11 +48,12 @@ class SuiteReport:
     outcomes: List[PointOutcome] = field(default_factory=list)
     rendered: List[str] = field(default_factory=list)
 
-    def _counts(self, outcomes: Sequence[PointOutcome]) -> Dict[str, int]:
-        counts = {"total": len(outcomes), "ok": 0, "cached": 0,
+    def counts(self) -> Dict[str, int]:
+        """Points per status, plus ``total``."""
+        counts = {"total": len(self.outcomes), "ok": 0, "cached": 0,
                   "timeout": 0, "error": 0}
-        for outcome in outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        for outcome in self.outcomes:
+            counts[outcome.status] += 1
         return counts
 
     @property
@@ -70,49 +65,6 @@ class SuiteReport:
             return 0.0
         hits = sum(1 for o in self.outcomes if o.status == "cached")
         return hits / len(self.outcomes)
-
-    def to_dict(self) -> Dict:
-        per_experiment: Dict[str, List[PointOutcome]] = {}
-        for outcome in self.outcomes:
-            per_experiment.setdefault(outcome.spec.name, []).append(outcome)
-        experiments = {}
-        for name, outcomes in per_experiment.items():
-            compute_s = sum(o.elapsed_s for o in outcomes)
-            experiments[name] = {
-                **self._counts(outcomes),
-                "wall_clock_s": round(compute_s, 3),
-                "points_per_s": round(len(outcomes) / compute_s, 3)
-                if compute_s > 0
-                else None,
-            }
-        wall = self.wall_clock_s
-        return {
-            "schema": SUITE_SCHEMA,
-            "smoke": self.smoke,
-            "jobs": self.jobs,
-            "code_version": self.code_version,
-            "created_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            "wall_clock_s": round(wall, 3),
-            "points": self._counts(self.outcomes),
-            "cache_hit_rate": round(self.cache_hit_rate(), 4),
-            "points_per_s": round(len(self.outcomes) / wall, 3)
-            if wall > 0
-            else None,
-            "experiments": experiments,
-            "rendered": list(self.rendered),
-        }
-
-    def save(self, path: Optional[str] = None) -> str:
-        path = path or os.path.join(
-            default_results_dir(smoke=False), "BENCH_suite.json"
-        )
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-        return path
 
 
 def render_experiment(

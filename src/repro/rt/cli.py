@@ -1,10 +1,10 @@
-"""Command line for the rt backend: ``python -m repro.rt {run,diff}``.
+"""Command line for the rt backend: ``python -m repro.rt run``.
 
 ``run`` executes one built-in topology (see :mod:`repro.rt.topologies`)
-on either execution backend and prints a run report; ``diff`` runs the
-sim-vs-real differential of :mod:`repro.rt.differential` and exits
-non-zero when conservation or the goodput band fails, so it can gate a
-CI job directly.
+on either execution backend and prints a run report.  The sim-vs-real
+differential is the registered ``ablation_sim_vs_real`` experiment
+(``python -m repro.exp run ablation_sim_vs_real``), gated by the
+``sim-predicts-real`` claim.
 
 Everything binds ephemeral localhost ports and ``--smoke`` clamps the
 workload to roughly a second of wall clock, which is what the CI
@@ -12,7 +12,6 @@ workload to roughly a second of wall clock, which is what the CI
 
     python -m repro.rt run --topology word_count --duration 5
     python -m repro.rt run --topology fanout --smoke
-    python -m repro.rt diff --smoke
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ import sys
 from typing import List, Optional
 
 from repro.dsps.config import BACKENDS, SystemConfig
-from repro.rt.differential import (
-    GOODPUT_RATIO_BAND,
-    differential_config,
-    run_differential,
-)
 from repro.rt.runtime import (
     RT_DELIVERY_MODES,
     RunReport,
@@ -40,7 +34,6 @@ from repro.rt.topologies import TOPOLOGIES, Recorder, make_topology
 #: finishes in about a second even on a loaded box.
 SMOKE_DURATION_S = 1.0
 SMOKE_RATE = 200.0
-SMOKE_BUDGET = 60
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,21 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--smoke", action="store_true",
                      help=f"CI-sized run: duration {SMOKE_DURATION_S}s "
                      f"at {SMOKE_RATE:.0f} tuples/s")
-
-    diff = sub.add_parser(
-        "diff", help="run the sim-vs-real differential and gate on it"
-    )
-    diff.add_argument(
-        "--topology", choices=sorted(TOPOLOGIES), action="append",
-        default=None, help="topology to compare (repeatable; default: all)",
-    )
-    diff.add_argument("--rate", type=float, default=400.0)
-    diff.add_argument("--budget", type=int, default=240)
-    diff.add_argument("--parallelism", type=int, default=4)
-    diff.add_argument("--seed", type=int, default=42)
-    diff.add_argument("--smoke", action="store_true",
-                      help=f"CI-sized comparison: budget {SMOKE_BUDGET} "
-                      "tuples per spout")
     return parser
 
 
@@ -181,35 +159,5 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
-    budget = SMOKE_BUDGET if args.smoke else args.budget
-    names = args.topology if args.topology else sorted(TOPOLOGIES)
-    low, high = GOODPUT_RATIO_BAND
-    failed = False
-    for name in names:
-        diff = run_differential(
-            topology=name,
-            rate=args.rate,
-            budget=budget,
-            parallelism=args.parallelism,
-            seed=args.seed,
-            config=differential_config(),
-        )
-        verdict = "ok" if diff.conserved and diff.within_band else "FAIL"
-        failed = failed or verdict == "FAIL"
-        print(f"[{name}] {verdict}")
-        print(f"  conserved           {str(diff.conserved):>10}")
-        print(f"  sim goodput         {diff.sim.goodput_tps:10.0f} tuples/s")
-        print(f"  real goodput        {diff.real.goodput_tps:10.0f} tuples/s")
-        print(f"  goodput ratio       {diff.goodput_ratio:10.3f} "
-              f"(band [{low}, {high}])")
-        for line in diff.mismatch():
-            print(f"  mismatch: {line}")
-    return 1 if failed else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_diff(args)
+    return _cmd_run(_build_parser().parse_args(argv))

@@ -224,10 +224,10 @@ class AsyncRuntime(RuntimeBackend):
         tracer=None,
         recorder: Optional[Recorder] = None,
     ):
-        if config.delivery_mode not in RT_DELIVERY_MODES:
+        if config.delivery not in RT_DELIVERY_MODES:
             raise ValueError(
                 f"the asyncio backend does not implement "
-                f"delivery={config.delivery_mode!r} (supported: "
+                f"delivery={config.delivery!r} (supported: "
                 f"{', '.join(RT_DELIVERY_MODES)}); use backend='sim'"
             )
         topology.validate()

@@ -1,4 +1,4 @@
-"""Array-backed event calendar (the ``REPRO_SIM_CALENDAR=array`` option).
+"""Array-backed event calendar (``Simulator(calendar="array")``).
 
 The default :class:`~repro.sim.engine.Simulator` calendar is a binary
 heap of ``(when, key, event)`` tuples driven by :mod:`heapq`.  That boxes
@@ -18,7 +18,7 @@ On CPython the :mod:`heapq` C implementation usually wins (the sift loops
 here are Python bytecode), so the array calendar stays opt-in — it exists
 to bound per-event allocation and as the substrate for future vectorized
 calendar queries (e.g. numpy windowed extraction).  Measured numbers live
-in ``BENCH_suite.json``.
+in ``benchmarks/perf`` (``sim.calendar_*_ops_per_s``).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Two calendar implementations back the queue:
   element cheaper to compare and box);
 * the opt-in :class:`~repro.sim.calendar.ArrayCalendar` (preallocated
   ``when``/``key`` arrays + index heap), selected with
-  ``Simulator(calendar="array")`` or ``REPRO_SIM_CALENDAR=array``.
+  ``Simulator(calendar="array")``.
 
 Both produce identical event orderings; see ``tests/test_sim_calendar.py``.
 """
@@ -21,7 +21,6 @@ Both produce identical event orderings; see ``tests/test_sim_calendar.py``.
 from __future__ import annotations
 
 import heapq
-import os
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
@@ -40,10 +39,6 @@ _PRIO_STRIDE = 1 << 62
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-
-def _default_calendar() -> str:
-    return os.environ.get("REPRO_SIM_CALENDAR", "heap")
 
 
 class _Call:
@@ -72,9 +67,7 @@ class Simulator:
     start_time:
         Initial clock value.
     calendar:
-        ``"heap"`` (default) or ``"array"``; ``None`` reads the
-        ``REPRO_SIM_CALENDAR`` environment variable (falling back to
-        ``"heap"``).
+        ``"heap"`` (default) or ``"array"``.
     """
 
     __slots__ = (
@@ -87,11 +80,9 @@ class Simulator:
         "_trace_steps",
     )
 
-    def __init__(self, start_time: float = 0.0, calendar: Optional[str] = None):
+    def __init__(self, start_time: float = 0.0, calendar: str = "heap"):
         self._now = float(start_time)
         self._queue: list = []
-        if calendar is None:
-            calendar = _default_calendar()
         if calendar == "heap":
             self._cal = None
         elif calendar == "array":

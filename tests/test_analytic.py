@@ -81,6 +81,12 @@ def test_queueing_wait_md1():
         queueing_wait_md1(1.0, 0.0)
 
 
+def test_md1_closed_form_sanity():
+    # rho -> 1 diverges; rho = 0 means no wait.
+    assert queueing_wait_md1(0.0, 1000.0) == 0.0
+    assert math.isinf(queueing_wait_md1(1000.0, 1000.0))
+
+
 def test_per_hop_time_rdma_below_tcp():
     tcp = per_hop_time(whale_woc_config(), payload_bytes=150, batch_ids=16)
     rdma = per_hop_time(whale_woc_rdma_config(), payload_bytes=150, batch_ids=16)

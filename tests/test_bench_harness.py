@@ -176,32 +176,38 @@ def test_run_app_fixed_rate_respected():
     assert run.throughput == pytest.approx(300.0, rel=0.25)
 
 
+def test_run_app_point_is_pinned():
+    """Exact observables of one small point, recorded before the
+    measurement window moved inline into ``run_app``: the window must
+    still span exactly ``measure_s`` and count the same work."""
+    from repro.core import whale_woc_config
+
+    run = run_app(
+        "stocks", whale_woc_config(), 4, n_machines=4, offered_rate=300.0,
+        tuple_budget=40, seed=42,
+    )
+    assert run.throughput == 67.5
+    assert run.processing_latency.p50 == 0.07794294671909378
+    assert run.processing_latency.p99 == 0.10512798589158659
+    assert run.drops == 0
+    assert run.data_bytes == 18860
+
+
 # ----------------------------------------------------------------------
 # experiment registry
 # ----------------------------------------------------------------------
 def test_experiment_registry_covers_every_figure():
-    from repro.bench.experiments import EXPERIMENTS
+    from repro.exp.registry import SPECS
 
     expected = {
         "fig02", "fig03", "fig11", "fig12", "fig13_14", "fig15_16",
         "fig17_18_21", "fig19_20_22", "fig23_24", "fig25_26", "fig27_28",
         "fig29_30", "fig31_32", "fig33_34", "table2",
     }
-    assert set(EXPERIMENTS) == expected
-    assert all(callable(fn) for fn in EXPERIMENTS.values())
-
-
-def test_experiments_main_list(capsys):
-    from repro.bench.experiments import main
-
-    assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert "fig02" in out and "ablation_node_failure" in out
-
-
-def test_experiments_main_reports_all_unknown_names(capsys):
-    from repro.bench.experiments import main
-
-    assert main(["fig02", "bogus1", "bogus2"]) == 2
-    out = capsys.readouterr().out
-    assert "bogus1" in out and "bogus2" in out
+    figures = [s for s in SPECS if s.category == "figure"]
+    assert {s.name for s in figures} == expected
+    assert all(
+        s.fn_ref.startswith("repro.bench.experiments:")
+        and callable(s.resolve())
+        for s in figures
+    )

@@ -4,7 +4,7 @@ The figure benchmarks only run under ``pytest benchmarks/`` with
 pytest-benchmark, so a broken import (renamed bench function, moved
 module) would otherwise surface long after the change that caused it.
 This sweep imports every ``benchmarks/bench_*.py`` in-process and smoke
-runs the CLI entry point under the strict invariant checker.
+runs one measured point under the strict invariant checker.
 """
 
 import importlib
@@ -43,23 +43,28 @@ def test_benchmark_module_imports_and_defines_benchmarks(
     assert bench_fns, f"{module_name} defines no pytest-benchmark entry"
 
 
+def _smoke_point(config, check):
+    from repro.bench.runner import run_app
+
+    return run_app(
+        "ridehailing", config, 4, n_machines=4, tuple_budget=60, check=check
+    )
+
+
 @pytest.mark.parametrize("variant", ["whale", "storm"])
-def test_runner_cli_smoke_passes_strict_check(variant, capsys):
-    from repro.bench.runner import main
+def test_run_app_smoke_passes_strict_check(variant):
+    from repro.core import whale_full_config
+    from repro.dsps import storm_config
 
-    rc = main([
-        "--smoke", "--check=strict", "--variant", variant,
-        "--tuples", "60",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "invariant check [strict]: OK" in out
+    config = whale_full_config() if variant == "whale" else storm_config()
+    report = _smoke_point(config, "strict").check_report
+    assert report.ok
+    assert report.summary().startswith("invariant check [strict]: OK")
 
 
-def test_runner_cli_warn_mode_reports(capsys):
-    from repro.bench.runner import main
+def test_run_app_warn_mode_reports():
+    from repro.core import whale_full_config
 
-    rc = main(["--smoke", "--check=warn", "--tuples", "60"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "invariant check [warn]: OK" in out
+    report = _smoke_point(whale_full_config(), "warn").check_report
+    assert report.ok
+    assert report.summary().startswith("invariant check [warn]: OK")

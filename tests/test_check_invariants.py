@@ -113,7 +113,7 @@ def test_clean_run_passes_strict(config_fn):
 
 def test_clean_fault_run_with_replay_passes_strict():
     config = whale_full_config(adaptive=False).with_overrides(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=True,
         ack_timeout_s=0.1,
         ack_sweep_interval_s=0.02,

@@ -32,10 +32,11 @@ END_TO_END = settings(max_examples=10, deadline=None)
 
 
 def _config(mode: str, d_star: int, at_least_once: bool):
+    delivery = "at_least_once" if at_least_once else "at_most_once"
     if mode == "storm":
-        return storm_config().with_overrides(at_least_once=at_least_once)
+        return storm_config().with_overrides(delivery=delivery)
     return whale_full_config(d_star=d_star, adaptive=False).with_overrides(
-        at_least_once=at_least_once,
+        delivery=delivery,
         **({"ack_timeout_s": 0.1, "ack_sweep_interval_s": 0.02}
            if at_least_once else {}),
     )
@@ -84,7 +85,7 @@ def test_fuzzed_fault_schedules_hold_every_invariant(
     n_crashes, fault_seed, max_replays
 ):
     config = whale_full_config(adaptive=False).with_overrides(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=True,
         ack_timeout_s=0.1,
         ack_sweep_interval_s=0.02,
@@ -117,7 +118,9 @@ def _first_divergence(records_a, records_b):
 def _traced_run(seed: int, check: bool):
     tracer = MemoryTracer()
     system, log = build_checked_system(
-        whale_full_config(adaptive=False).with_overrides(at_least_once=True),
+        whale_full_config(adaptive=False).with_overrides(
+            delivery="at_least_once"
+        ),
         n_tuples=40, seed=seed, tracer=tracer,
         check="strict" if check else None,
     )

@@ -79,19 +79,24 @@ def test_delivery_mode_catalog_and_validation():
     with pytest.raises(ValueError):
         SystemConfig(name="bad", delivery="exactly_twice")
     with pytest.raises(ValueError):
-        SystemConfig(name="bad", delivery="at_most_once", at_least_once=True)
-    with pytest.raises(ValueError):
         SystemConfig(name="bad", epoch_interval_s=0.0)
 
 
-def test_delivery_mode_derives_from_legacy_flag():
-    assert SystemConfig(name="c").delivery_mode == "at_most_once"
+def test_delivery_defaults_to_at_most_once():
+    assert SystemConfig(name="c").delivery == "at_most_once"
     assert not SystemConfig(name="c").reliability_enabled
-    legacy = SystemConfig(name="c", at_least_once=True)
-    assert legacy.delivery_mode == "at_least_once"
     strong = SystemConfig(name="c", delivery="exactly_once")
-    assert strong.delivery_mode == "exactly_once"
     assert strong.reliability_enabled
+
+
+def test_legacy_at_least_once_flag_is_rejected():
+    # `delivery` is the only switch; the old bool must fail loudly, not
+    # be silently ignored.
+    legacy = {"at_least_once": True}
+    with pytest.raises(TypeError):
+        SystemConfig(name="c", **legacy)
+    with pytest.raises(TypeError):
+        whale_full_config().with_overrides(**legacy)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.exp.cli import main
 from repro.exp.registry import REGISTRY, ExperimentSpec
 from repro.exp.store import ResultStore
 from repro.exp.suite import (
-    SUITE_SCHEMA,
     build_tasks,
     coverage,
     render_experiment,
@@ -35,10 +34,9 @@ def test_run_smoke_jobs2_then_rerun_is_cache_hits(tmp_path, capsys, monkeypatch)
     invocation answers from the store."""
     monkeypatch.setenv("REPRO_EXP_CODE_VERSION", "cli-test")
     store = str(tmp_path / "store")
-    suite_json = str(tmp_path / "BENCH_suite.json")
     argv = [
         "run", "fig29_30", "table2", "--smoke", "--jobs", "2",
-        "--store", store, "--no-render", "--suite-json", suite_json,
+        "--store", store, "--no-render",
     ]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -48,15 +46,6 @@ def test_run_smoke_jobs2_then_rerun_is_cache_hits(tmp_path, capsys, monkeypatch)
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert "2 cached (100% hits)" in second
-
-    with open(suite_json) as fh:
-        suite = json.load(fh)
-    assert suite["schema"] == SUITE_SCHEMA
-    assert suite["smoke"] is True and suite["jobs"] == 2
-    assert suite["code_version"] == "cli-test"
-    assert suite["points"]["total"] == 2
-    assert suite["cache_hit_rate"] == 1.0
-    assert set(suite["experiments"]) == {"fig29_30", "table2"}
 
 
 def test_run_reports_every_unknown_name_and_exits_2(tmp_path, capsys):
@@ -102,89 +91,6 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "FAIL throughput-ordering-ridehailing" in capsys.readouterr().out
 
 
-def test_perf_gate_exit_codes(tmp_path, capsys):
-    def write(path, pps):
-        path.write_text(json.dumps({"points_per_s": pps}))
-        return str(path)
-
-    baseline = write(tmp_path / "baseline.json", 0.28)
-    # 25% slower: inside the default 30% band
-    ok = write(tmp_path / "ok.json", 0.21)
-    assert main(["perf", "--baseline", baseline, "--current", ok]) == 0
-    assert "perf gate: ok" in capsys.readouterr().out
-
-    # 50% slower: regression
-    bad = write(tmp_path / "bad.json", 0.14)
-    assert main(["perf", "--baseline", baseline, "--current", bad]) == 1
-    assert "FAIL" in capsys.readouterr().err
-
-    # a tighter band flips the passing pair
-    assert main([
-        "perf", "--baseline", baseline, "--current", ok,
-        "--max-regression", "0.10",
-    ]) == 1
-    capsys.readouterr()
-
-    # unreadable input is a usage error, not a crash
-    assert main([
-        "perf", "--baseline", str(tmp_path / "missing.json"),
-        "--current", ok,
-    ]) == 2
-
-
-def test_perf_gate_appends_history_records(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"points_per_s": 0.28}))
-    current = tmp_path / "current.json"
-    current.write_text(json.dumps({
-        "points_per_s": 0.30, "points": {"total": 35},
-        "wall_clock_s": 116.0, "code_version": "abc",
-        "created_at": "2026-08-08T00:00:00Z",
-    }))
-    history = tmp_path / "history.jsonl"
-    for _ in range(2):  # append, never truncate
-        assert main([
-            "perf", "--baseline", str(baseline), "--current", str(current),
-            "--append-history", str(history),
-        ]) == 0
-    capsys.readouterr()
-    lines = history.read_text().splitlines()
-    assert len(lines) == 2
-    entry = json.loads(lines[0])
-    assert entry["points_per_s"] == 0.30
-    assert entry["baseline_points_per_s"] == 0.28
-    assert entry["points"] == 35
-    assert entry["gate"] == "ok"
-
-    # a failing gate still records the point, marked as such
-    slow = tmp_path / "slow.json"
-    slow.write_text(json.dumps({"points_per_s": 0.05, "points": 35}))
-    assert main([
-        "perf", "--baseline", str(baseline), "--current", str(slow),
-        "--append-history", str(history),
-    ]) == 1
-    capsys.readouterr()
-    assert json.loads(history.read_text().splitlines()[-1])["gate"] == "fail"
-
-
-def test_repo_history_file_is_committed_and_parses():
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    with open(os.path.join(root, "benchmarks", "BENCH_history.jsonl")) as fh:
-        entries = [json.loads(line) for line in fh if line.strip()]
-    assert entries, "history must carry at least the seed point"
-    assert all(e["points_per_s"] > 0 for e in entries)
-
-
-def test_perf_gate_repo_baseline_is_committed_and_sane():
-    # CI runs `python -m repro.exp perf` from the repo root: the file it
-    # reads must exist in-tree with the field the gate compares.
-    root = os.path.join(os.path.dirname(__file__), os.pardir)
-    with open(os.path.join(root, "BENCH_suite.json")) as fh:
-        baseline = json.load(fh)
-    assert baseline["points_per_s"] > 0
-    assert baseline["suite"] == "smoke"
-
-
 def test_list_shows_points_and_fn_refs(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -223,9 +129,9 @@ def test_run_suite_report_and_coverage(tmp_path, monkeypatch):
     )
     assert report.ok
     assert report.cache_hit_rate() == 0.0
-    assert report.to_dict()["points"]["ok"] == 1
-    path = report.save(str(tmp_path / "suite.json"))
-    assert os.path.exists(path)
+    assert report.counts() == {
+        "total": 1, "ok": 1, "cached": 0, "timeout": 0, "error": 0,
+    }
 
     cov = coverage([REGISTRY["fig29_30"], REGISTRY["fig02"]], store)
     assert cov["fig29_30"]["smoke"] == (1, 1)

@@ -8,7 +8,6 @@ from repro.exp.registry import (
     SPECS,
     ExperimentSpec,
     assemble,
-    figure_function_map,
     get,
     select,
 )
@@ -42,17 +41,6 @@ def test_registry_covers_every_figure_and_ablation():
         "ablation_delivery_semantics", "ablation_overload",
         "ablation_hot_key", "ablation_sim_vs_real",
     }
-
-
-def test_experiments_dict_sits_on_top_of_registry():
-    from repro.bench.experiments import EXPERIMENTS
-
-    assert set(EXPERIMENTS) == {
-        s.name for s in SPECS if s.category == "figure"
-    }
-    for name, fn in EXPERIMENTS.items():
-        assert fn is REGISTRY[name].resolve()
-    assert EXPERIMENTS == figure_function_map()
 
 
 def test_every_spec_resolves_and_seed_param_matches_signature():
@@ -122,7 +110,7 @@ def test_run_point_passes_seed_and_wraps_tables():
 def test_point_decomposition_is_bit_identical_to_full_sweep():
     """Running one sweep value at a time and merging equals the full
     sweep in one call — the property the whole orchestrator rests on."""
-    merged = TOY.run_inline()
+    merged = assemble(TOY, [TOY.run_point(p) for p in TOY.point_params()])
     from tests._exp_toy import toy_experiment
 
     full = toy_experiment(values=[1, 2, 3], scale=2.0, seed=5)

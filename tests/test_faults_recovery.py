@@ -323,7 +323,7 @@ def test_crash_halts_executors_until_recovery():
 
 def test_replay_completes_all_trees_under_injected_loss():
     system = _build_system(
-        at_least_once=True,
+        delivery="at_least_once",
         fabric_options={"loss_probability": 0.05, "loss_seed": 3},
     )
     system.start()
@@ -346,7 +346,7 @@ def test_replay_completes_all_trees_under_injected_loss():
 def test_replay_gives_up_after_retry_budget():
     schedule = FaultSchedule.single_crash(3, crash_at=0.02)  # never recovers
     system = _build_system(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=False,
         max_replays=2,
         fault_schedule=schedule,
@@ -373,7 +373,9 @@ def test_end_to_end_recovery_after_interior_relay_crash():
         downtime_s=0.15,
         offered_rate=150.0,
         seed=42,
+        check="strict",
     )
+    assert point["check_report"].ok, point["check_report"].summary()
     assert point["outstanding"] == 0, "every registered tuple completes"
     assert point["gave_up"] == 0
     assert point["replays"] > 0

@@ -20,7 +20,7 @@ MAX_REPLAYS = 2
 
 def _run_to_exhaustion():
     config = whale_full_config(adaptive=False).with_overrides(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=False,
         max_replays=MAX_REPLAYS,
         ack_timeout_s=0.05,

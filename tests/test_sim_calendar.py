@@ -79,13 +79,10 @@ def test_array_calendar_run_identical_to_heap():
     assert _trace_run("array") == _trace_run("heap")
 
 
-def test_env_selects_calendar(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_CALENDAR", "array")
-    sim = Simulator()
-    assert isinstance(sim._cal, ArrayCalendar)
-    monkeypatch.setenv("REPRO_SIM_CALENDAR", "heap")
-    sim = Simulator()
-    assert sim._cal is None
+def test_argument_selects_calendar():
+    assert isinstance(Simulator(calendar="array")._cal, ArrayCalendar)
+    assert Simulator(calendar="heap")._cal is None
+    assert Simulator()._cal is None  # the heap is the default
 
 
 def test_unknown_calendar_rejected():

@@ -334,24 +334,16 @@ def test_trace_summary_spans(tmp_path):
     assert span.multicast_latency is not None and span.multicast_latency > 0
 
 
-def test_bench_runner_cli_with_trace(tmp_path, capsys):
-    from repro.bench.runner import main
+def test_run_app_with_trace(tmp_path):
+    from repro.bench.runner import run_app
+    from repro.core import whale_woc_config
 
     path = tmp_path / "bench.jsonl"
-    rc = main(
-        [
-            "--app", "stocks",
-            "--variant", "whale-woc",
-            "--parallelism", "4",
-            "--machines", "4",
-            "--rate", "300",
-            "--tuples", "40",
-            "--trace", str(path),
-        ]
+    run = run_app(
+        "stocks", whale_woc_config(), 4, n_machines=4, offered_rate=300.0,
+        tuple_budget=40, trace_path=str(path),
     )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "throughput" in out and str(path) in out
+    assert run.trace_path == str(path)
     manifest, records = load_trace(str(path))
     assert manifest["app"] == "stocks"
     assert manifest["config"]["name"] == "whale-woc"
