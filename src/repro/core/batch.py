@@ -8,8 +8,9 @@ item is serialized once per *worker*:
     ``BatchTuple = [header | dstIds... | data item]``
 
 A serialized ``BatchTuple`` travelling the wire is a ``WorkerMessage``;
-the receiving worker's dispatcher deserializes it once and fans
-``AddressedTuple``\\ s out to the local executors.
+the receiving worker's dispatcher deserializes it once and hands the
+tuple to every local destination executor in one call
+(:meth:`~repro.dsps.worker.Worker.dispatch`).
 """
 
 from __future__ import annotations

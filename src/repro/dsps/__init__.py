@@ -40,11 +40,10 @@ from repro.dsps.rebalance import PartitionRouter, Rebalancer
 from repro.dsps.scheduler import Placement
 from repro.dsps.system import DspsSystem
 from repro.dsps.topology import Topology
-from repro.dsps.tuples import AddressedTuple, StreamTuple
+from repro.dsps.tuples import StreamTuple
 from repro.dsps.presets import rdma_storm_config, storm_config
 
 __all__ = [
-    "AddressedTuple",
     "AllGrouping",
     "BACKENDS",
     "Bolt",

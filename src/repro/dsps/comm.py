@@ -75,6 +75,14 @@ class Envelope:
 # ----------------------------------------------------------------------
 # wire packet payloads
 # ----------------------------------------------------------------------
+def deliver_packet(packet, worker: "Worker") -> Iterator:
+    """Deserialize, dispatch and relay one packet on ``worker``'s thread."""
+    yield from worker.cpu.work(packet.deserialize_cpu_s, cats.DESERIALIZATION)
+    relay = packet.arrive(worker)
+    if relay is not None:
+        yield from relay
+
+
 @dataclass
 class InstancePacket:
     """Coalesced instance-oriented messages for one machine: one
@@ -85,11 +93,8 @@ class InstancePacket:
     dst_tasks: List[int]
     deserialize_cpu_s: float  # total for all messages
 
-    def deliver(self, worker: "Worker", charge_deser: bool = True) -> Iterator:
-        if charge_deser:
-            yield from worker.cpu.work(
-                self.deserialize_cpu_s, cats.DESERIALIZATION
-            )
+    def arrive(self, worker: "Worker") -> None:
+        """Dispatch the deserialized packet; nothing to relay."""
         worker.dispatch(self.tuple, self.dst_tasks)
 
 
@@ -103,15 +108,13 @@ class WorkerPacket:
     #: relay coordinates: (service, endpoint id) when part of a multicast.
     relay: Optional[Tuple["MulticastService", Any]] = None
 
-    def deliver(self, worker: "Worker", charge_deser: bool = True) -> Iterator:
-        if charge_deser:
-            yield from worker.cpu.work(
-                self.deserialize_cpu_s, cats.DESERIALIZATION
-            )
+    def arrive(self, worker: "Worker") -> Optional[Iterator]:
+        """Dispatch the deserialized packet; returns its relay, if any."""
         worker.dispatch(self.tuple, self.dst_tasks)
-        if self.relay is not None:
-            service, endpoint = self.relay
-            yield from service.relay_from(worker, endpoint, self.tuple)
+        if self.relay is None:
+            return None
+        service, endpoint = self.relay
+        return service.relay_from(worker, endpoint, self.tuple)
 
 
 @dataclass
@@ -122,7 +125,7 @@ class PacketGroup:
 
     def deliver(self, worker: "Worker") -> Iterator:
         for packet in self.packets:
-            yield from packet.deliver(worker)
+            yield from deliver_packet(packet, worker)
 
 
 # ----------------------------------------------------------------------
@@ -530,8 +533,7 @@ class CommEngine:
     ) -> Iterator:
         if src_machine == dst_machine:
             # Same machine: hand straight to the local worker.
-            worker = self.system.workers[dst_machine]
-            yield from packet.deliver(worker)
+            yield from deliver_packet(packet, self.system.workers[dst_machine])
             return
         transport = self.system.transport
         if self.config.slicing and self.config.transport == "rdma":
@@ -574,19 +576,12 @@ class CommEngine:
 
     def _flush(self, key: Tuple[int, int], items: List[Any], nbytes: int) -> None:
         src_machine, dst_machine = key
-        transport = self.system.transport
-        packets = [p for p, _ in items]
         # Charge the post cost to the account of the last contributor
         # (whoever's add() triggered the flush, or the timer's victim).
-        cpu_account = items[-1][1]
-        group = PacketGroup(packets)
-
-        def _post(sim):
-            yield from transport.send(
-                src_machine, dst_machine, group, nbytes, cpu_account
-            )
-
-        self.system.sim.process(_post(self.system.sim))
+        self.system.transport.post(
+            src_machine, dst_machine, PacketGroup([p for p, _ in items]),
+            nbytes, items[-1][1],
+        )
 
     def flush_all_slicers(self) -> None:
         """Flush pending slices (end of run)."""

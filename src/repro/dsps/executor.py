@@ -3,9 +3,12 @@
 Each task runs as two simulated threads, mirroring Storm's executor
 anatomy (Section 4 of the paper):
 
-* the **working thread** takes :class:`AddressedTuple`\\ s from the
-  executor incoming-queue, charges the operator's service time, and runs
-  the user logic (which may emit);
+* the **working thread** takes tuples from the executor incoming-queue,
+  charges the operator's service time, and runs the user logic (which
+  may emit).  It is a chain of scheduled callbacks: a service start
+  (flow hook, crash check, delivery verdict, CPU charge) schedules one
+  calendar entry at the service's end, which executes and takes the
+  next queued tuple;
 * the **sending thread** drains the bounded **transfer queue** and hands
   envelopes to the communication engine.  The transfer queue is the
   queue of the paper's M/D/1 model; when it overflows, tuples are lost
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.dsps.api import Bolt, Spout, TupleContext
 from repro.dsps.comm import Envelope
-from repro.dsps.tuples import AddressedTuple, StreamTuple
+from repro.dsps.tuples import StreamTuple
 from repro.net import cpu as cats
 from repro.net.cpu import CpuAccount
 from repro.sim.queues import TransferQueue
@@ -278,12 +281,11 @@ class BoltExecutor(ExecutorBase):
     instants are a deterministic function of arrival instants:
     ``done = max(now, busy_until) + service``.  For untraced runs with no
     reliability tracking, ``accept`` computes that arithmetic directly
-    instead of a queue hand-off event plus a service timeout per tuple:
+    instead of evaluating each service start:
 
     * ``"timed"`` mode (bolts with downstream edges): one completion
       timeout per tuple fires a flat callback at exactly ``done``, where
-      the bolt executes and emits — downstream timing is unchanged, but
-      the hand-off event and both generator resumes are gone;
+      the bolt executes and emits — downstream timing is unchanged;
     * ``"lazy"`` mode (terminal sinks with no downstream): no per-tuple
       events at all — completed work is *flushed* on the next accept, on
       a drain timer at the end of each busy period, and at
@@ -292,7 +294,7 @@ class BoltExecutor(ExecutorBase):
       and the flush hook belong to the hosting :class:`Worker`: sinks
       that fall due at the same instant share one calendar entry.
 
-    Observable results match the event-resolved path up to same-instant
+    Observable results match the working thread up to same-instant
     tie ordering.  The gate decision freezes at the first accepted tuple
     — attach tracers/checkers before traffic starts.
     """
@@ -303,6 +305,8 @@ class BoltExecutor(ExecutorBase):
         self.worker = system.workers[self.machine_id]
         self._queue_capacity = system.config.executor_queue_capacity
         self.inqueue: Store = Store(self.sim, capacity=self._queue_capacity)
+        #: the thread holds a tuple (not in the inqueue) or has not started
+        self._serving = True
         self.processed = 0
         #: high-water mark of the queued (not in-service) input depth,
         #: maintained on every accept so overload experiments can measure
@@ -333,7 +337,7 @@ class BoltExecutor(ExecutorBase):
                 # busy until its `done` (and, in timed mode, the live
                 # completion callback re-checks `halted` — so a recovery
                 # before `done` still lets it execute, exactly like the
-                # event-resolved loop's post-service halt check).
+                # working thread's service-end halt check).
                 zombie = fifo.popleft()
             while fifo:
                 entry = fifo.popleft()
@@ -353,11 +357,12 @@ class BoltExecutor(ExecutorBase):
     def start(self) -> None:
         super().start()
         self.bolt.prepare(self.context())
-        self.sim.process(self._work_loop())
+        self._serve()
 
     def _pick_mode(self) -> str:
-        # The flow layer needs live input-queue depths (credits) and the
-        # event-resolved consume hook, so it pins the slow path too.
+        # Delivery verdicts and credit grants depend on the state at the
+        # service start, and tracers record each execution, so the
+        # reliability and flow layers and tracing pin the working thread.
         if not (
             self.system.config.batched_dispatch
             and self.system.reliability is None
@@ -377,9 +382,11 @@ class BoltExecutor(ExecutorBase):
             if mode == "lazy":
                 self.worker.add_lazy(self)
         if mode == "slow":
-            ok = self.inqueue.try_put(AddressedTuple(self.task_id, tup))
+            ok = self.inqueue.try_put(tup)
             if not ok:
                 self.system.metrics.on_drop(f"{self.operator}.inqueue")
+            elif not self._serving:
+                self._serve()  # an idle thread takes it at once
             elif self.inqueue.level > self.inqueue_hwm:
                 self.inqueue_hwm = self.inqueue.level
             return ok
@@ -390,8 +397,8 @@ class BoltExecutor(ExecutorBase):
             self._flush_completed(now, *self.system.metrics.window_bounds())
         if self.halted:
             # Accepted into a crashed executor: the tuple is absorbed and
-            # dies unprocessed (the event-resolved work loop drains and
-            # discards it the same way).
+            # dies unprocessed (the working thread takes and discards it
+            # the same way).
             return True
         # The head may be in service; everything behind it is queued.
         depth = len(fifo)
@@ -419,24 +426,15 @@ class BoltExecutor(ExecutorBase):
     # ------------------------------------------------------------------
     def _complete_timed(self, entry: list) -> None:
         """Timed-mode completion: runs at exactly the service-done
-        instant, so emission timing matches the event-resolved path."""
+        instant, so emission timing matches the working thread."""
         if not entry[3]:
             return
         self._fifo.popleft()  # live completions fire in FIFO order
         _done, service, tup, _live = entry
         if service > 0:
             self.cpu.charge(service, cats.PROCESSING)
-        if self.halted:
-            return  # crash landed mid-service: no output, no ack
-        metrics = self.system.metrics
-        self.bolt.execute(tup, self.collector)
-        self.processed += 1
-        metrics.on_processed(self.operator)
-        metrics.completion.on_executed(tup.tuple_id, self.task_id)
-        if self.spec.terminal:
-            metrics.on_sink_latency(
-                self.operator, self.sim.now - tup.created_at
-            )
+        if not self.halted:  # a crash mid-service eats the output
+            self._execute(tup)
 
     def _flush_completed(self, now: float, start: float, end: float) -> None:
         """Lazy mode: realise every completion due at or before ``now``,
@@ -475,47 +473,72 @@ class BoltExecutor(ExecutorBase):
             metrics.processed[self.operator] += len(latencies)
             metrics.sink_latencies[self.operator].extend(latencies)
 
-    def _work_loop(self):
-        metrics = self.system.metrics
+    # ------------------------------------------------------------------
+    # the working thread
+    # ------------------------------------------------------------------
+    def _serve(self, tup: Optional[StreamTuple] = None) -> None:
+        """Service start of ``tup`` (default: take the next queued tuple).
+
+        A take waits one calendar entry when other events are already due
+        at this instant, so they run first and the verdict, credits and
+        acks see the state they leave.  Absorbed copies and zero-length
+        services roll on to the next tuple; otherwise one calendar entry
+        at the service's end finishes it."""
+        self._serving = True
+        sim = self.sim
         flow = self.system.flow
+        reliability = self.system.reliability
         while True:
-            at = yield self.inqueue.get()
+            if tup is None:
+                ok, tup = self.inqueue.try_get()
+                if not ok:
+                    self._serving = False
+                    return
+                if sim.peek() <= sim.now:
+                    sim.schedule_call(0.0, lambda: self._serve(tup))
+                    return
             if flow is not None:
                 flow.on_execute(self.task_id)
-            if self.halted:
-                continue  # crashed machine: the tuple dies unprocessed
-            tup: StreamTuple = at.tuple
-            reliability = self.system.reliability
-            if reliability is not None:
-                # Delivery gate: dedup (exactly-once) and commit buffering
-                # (atomic) absorb the copy before any service is charged.
-                if reliability.on_delivery(self.task_id, tup) != "execute":
-                    continue
-            service = self.bolt.service_time(tup) * self.service_scale
-            if service > 0:
-                yield from self.cpu.work(service, cats.PROCESSING)
-            if self.halted:
-                continue  # crash landed mid-service: no output, no ack
-            self.bolt.execute(tup, self.collector)
-            self.processed += 1
-            metrics.on_processed(self.operator)
-            metrics.completion.on_executed(tup.tuple_id, self.task_id)
-            if reliability is not None:
-                reliability.notify_executed(self.task_id, tup)
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "tuple.execute",
-                    self.sim.now,
-                    id=tup.tuple_id,
-                    root=tup.root_id,
-                    operator=self.operator,
-                    task=self.task_id,
-                )
-            if self.spec.terminal:
-                metrics.on_sink_latency(
-                    self.operator, self.sim.now - tup.created_at
-                )
+            # Dedup (exactly-once) and commit buffering (atomic) absorb
+            # a copy before any service is charged.
+            if not self.halted and (
+                reliability is None
+                or reliability.on_delivery(self.task_id, tup) == "execute"
+            ):
+                service = self.bolt.service_time(tup) * self.service_scale
+                if service > 0:
+                    self.cpu.charge(service, cats.PROCESSING)
+                    sim.schedule_call(service, lambda: self._served(tup))
+                    return
+                self._execute(tup)
+            tup = None
+
+    def _served(self, tup: StreamTuple) -> None:
+        if not self.halted:  # a crash mid-service eats the output
+            self._execute(tup)
+        self._serve()
+
+    def _execute(self, tup: StreamTuple) -> None:
+        metrics = self.system.metrics
+        self.bolt.execute(tup, self.collector)
+        self.processed += 1
+        metrics.on_processed(self.operator)
+        metrics.completion.on_executed(tup.tuple_id, self.task_id)
+        reliability = self.system.reliability
+        if reliability is not None:
+            reliability.notify_executed(self.task_id, tup)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                "tuple.execute",
+                self.sim.now,
+                id=tup.tuple_id,
+                root=tup.root_id,
+                operator=self.operator,
+                task=self.task_id,
+            )
+        if self.spec.terminal:
+            metrics.on_sink_latency(self.operator, self.sim.now - tup.created_at)
 
 
 class SpoutExecutor(ExecutorBase):

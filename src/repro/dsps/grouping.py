@@ -452,7 +452,7 @@ class _BoundLocality(Grouping):
 # load-adaptive grouping
 # ----------------------------------------------------------------------
 def inqueue_depth(executor) -> int:
-    """Live input-side depth of a bolt executor: event-resolved queue
+    """Live input-side depth of a bolt executor: working-thread queue
     level plus the batched-dispatch arithmetic FIFO entries not yet done
     at ``now`` (spouts and unknown tasks report 0).
 

@@ -425,13 +425,9 @@ class ReplayCoordinator:
         machine = self.system.placement.machine_of[task_id]
         if self.system.machine_is_crashed(machine):
             return  # execution raced the crash; the ack dies with it
-        self.sim.process(self._send_ack(machine, (root, task_id)))
-
-    def _send_ack(self, machine: int, key: Tuple[int, int]):
-        root, task = key
-        worker = self.system.workers[machine]
-        yield from self.system.control_send(
-            machine, self.home_machine, AckMessage(root, task), worker.cpu
+        self.system.control_post(
+            machine, self.home_machine, AckMessage(root, task_id),
+            self.system.workers[machine].cpu,
         )
 
     def _trace_dedup(self, root: int, task_id: int) -> None:
@@ -623,13 +619,10 @@ class ReplayCoordinator:
                 continue  # its buffers died with it (purged on crash)
             payload = payload_cls(roots=tuple(sorted(set(machine_roots))))
             self.notice_messages += 1
-            self.sim.process(self._send_notice(machine, payload))
-
-    def _send_notice(self, machine: int, payload):
-        worker = self.system.workers[self.home_machine]
-        yield from self.system.control_send(
-            self.home_machine, machine, payload, worker.cpu
-        )
+            self.system.control_post(
+                self.home_machine, machine, payload,
+                self.system.workers[self.home_machine].cpu,
+            )
 
     def _on_notice(self, machine: int, payload) -> None:
         """Commit/abort notice arriving at a destination machine."""

@@ -364,6 +364,15 @@ class DspsSystem:
             src_machine, dst_machine, payload, size, cpu_account, kind="control"
         )
 
+    def control_post(
+        self, src_machine: int, dst_machine: int, payload, cpu_account
+    ) -> None:
+        """Send one control message without blocking the caller."""
+        size = self.serialization.control_message_bytes()
+        self.transport.post(
+            src_machine, dst_machine, payload, size, cpu_account, kind="control"
+        )
+
     # ------------------------------------------------------------------
     # convenience accessors for experiments
     # ------------------------------------------------------------------

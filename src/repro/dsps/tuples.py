@@ -1,10 +1,10 @@
 """Tuple model.
 
 A :class:`StreamTuple` is the logical unit of data; ``payload_bytes`` is
-its serialized data-item size (what the cost model charges for).  An
-:class:`AddressedTuple` is a tuple bound for one specific task — the unit
-a worker's dispatcher hands to a local executor (Section 4's
-``AddressedTuple``).
+its serialized data-item size (what the cost model charges for).  A
+worker's dispatcher hands it straight to each local destination
+executor: Section 4's ``AddressedTuple`` (a tuple plus its task id) is
+that call's argument pair, not an object.
 """
 
 from __future__ import annotations
@@ -66,11 +66,3 @@ class StreamTuple:
             source_operator=source_operator,
             root_id=self.root_id,
         )
-
-
-@dataclass
-class AddressedTuple:
-    """A tuple addressed to one destination task."""
-
-    task_id: int
-    tuple: StreamTuple

@@ -1,11 +1,16 @@
 """Worker processes: one per machine, hosting task threads.
 
-The worker owns the machine's transport inbox and runs the **receive
+The worker is the machine's fabric receiver and runs its **receive
 thread**: take a wire message, pay the receive CPU (kernel TCP path or
 RDMA completion), then let the packet deliver itself — deserialization,
 local dispatch to executor incoming-queues, and (for multicast packets)
 relaying to cascading endpoints all run on this thread, exactly like the
 "specialized receiving thread" + dispatcher of Section 4.
+
+The thread is a chain of scheduled callbacks: one calendar entry at the
+end of a message's receive (+ deserialize) CPU finishes it; messages
+arriving meanwhile wait in a FIFO backlog.  Relays and sliced packet
+groups stay generators, driven by the thread itself.
 
 A delivered packet is one unit of work: :meth:`Worker.dispatch` hands
 its tuple to every local destination task in one call.  The worker also
@@ -20,12 +25,16 @@ machine, not any single component.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional, Sequence,
+)
 
 from repro.dsps.tuples import StreamTuple
 from repro.net import cpu as cats
 from repro.net.cpu import CpuAccount
+from repro.net.message import WireMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.executor import BoltExecutor
@@ -56,7 +65,11 @@ class Worker:
         self.sim = system.sim
         self.machine_id = machine_id
         self.cpu = CpuAccount(self.sim, f"worker[{machine_id}]")
-        self.inbox = system.transport.bind_inbox(machine_id)
+        #: messages delivered while the receive thread was busy
+        self.backlog: Deque[WireMessage] = deque()
+        #: True while the receive thread holds a message (or before start)
+        self._busy = True
+        system.fabric.bind(machine_id, self._on_message)
         #: local task id -> executor (filled by the system during build).
         self.executors: Dict[int, "BoltExecutor"] = {}
         #: handlers for control-plane packets (controller, acker, ...);
@@ -74,7 +87,7 @@ class Worker:
         self._drains: Dict[float, List["BoltExecutor"]] = {}
 
     def start(self) -> None:
-        self.sim.process(self._receive_loop())
+        self._next()
 
     # ------------------------------------------------------------------
     def add_control_handler(self, handler: Callable) -> None:
@@ -87,7 +100,7 @@ class Worker:
     def on_crash(self) -> None:
         """Machine crash: everything buffered in this process is lost."""
         self.crashed = True
-        self.inbox.clear()
+        self.backlog.clear()
 
     def on_recover(self) -> None:
         self.crashed = False
@@ -173,49 +186,81 @@ class Worker:
                 self.arm_drain(executor, executor._busy_until)
 
     # ------------------------------------------------------------------
-    def _receive_loop(self):
-        sim = self.sim
-        cpu = self.cpu
+    # the receive thread
+    # ------------------------------------------------------------------
+    def _on_message(self, msg: WireMessage) -> None:
+        self.backlog.append(msg)
+        if not self._busy:
+            self._next()
+
+    def _next(self, msg: Optional[WireMessage] = None) -> None:
+        """Take messages until one makes the thread wait (its continuation
+        calls back here); a take waits like the working thread's."""
+        self._busy = True
         while True:
-            msg = yield self.inbox.get()
-            if self.crashed:
-                continue  # raced the crash; the fabric drops the rest
-            self.messages_received += 1
-            payload = msg.payload
-            if msg.kind == "control":
-                if msg.recv_cpu_s > 0:
-                    yield from cpu.work(msg.recv_cpu_s, cats.NETWORK)
-                if isinstance(payload, HeartbeatPing):
-                    self.sim.process(self._answer_heartbeat(payload))
-                else:
-                    for handler in self._control_handlers:
-                        handler(payload)
-                continue
-            deser = getattr(payload, "deserialize_cpu_s", None)
-            if deser is None:
-                # PacketGroup (sliced WR) or other composite payload:
-                # the event-resolved path charges per packet.
-                if msg.recv_cpu_s > 0:
-                    yield from cpu.work(msg.recv_cpu_s, cats.NETWORK)
-                yield from payload.deliver(self)
-                continue
-            # Fused receive + deserialize: both CPU categories are
-            # charged separately but the thread blocks once, halving the
-            # per-message event count on the receive path.
-            if msg.recv_cpu_s > 0:
-                cpu.charge(msg.recv_cpu_s, cats.NETWORK)
+            if msg is None:
+                if not self.backlog:
+                    self._busy = False
+                    return
+                msg = self.backlog.popleft()
+                if self.sim.peek() <= self.sim.now:
+                    self.sim.schedule_call(0.0, lambda: self._next(msg))
+                    return
+            if not self.crashed:  # else it raced the crash and dies here
+                self.messages_received += 1
+                if self._receive(msg):
+                    return
+            msg = None
+
+    def _receive(self, msg: WireMessage) -> bool:
+        """Start one message; ``True`` while the thread waits on it."""
+        cpu = self.cpu
+        payload = msg.payload
+        recv = msg.recv_cpu_s
+        if recv > 0:
+            cpu.charge(recv, cats.NETWORK)
+        if msg.kind == "control":
+            wait, finish = recv, lambda: self._control(payload)
+        elif (deser := getattr(payload, "deserialize_cpu_s", None)) is None:
+            # PacketGroup (sliced WR): its packets charge their
+            # deserialization one by one.
+            wait, finish = recv, lambda: payload.deliver(self)
+        else:
+            # Fused receive + deserialize: two CPU categories, one wait.
             if deser > 0:
                 cpu.charge(deser, cats.DESERIALIZATION)
-            total = msg.recv_cpu_s + deser
-            if total > 0:
-                yield sim.timeout(total)
-            yield from payload.deliver(self, charge_deser=False)
+            wait, finish = recv + deser, lambda: payload.arrive(self)
+        if wait > 0:
+            self.sim.schedule_call(wait, lambda: self._resume(finish()))
+            return True
+        steps = finish()
+        return steps is not None and self._drive(steps)
 
-    def _answer_heartbeat(self, ping: HeartbeatPing):
+    def _control(self, payload) -> None:
+        if isinstance(payload, HeartbeatPing):
+            self._answer_heartbeat(payload)
+        else:
+            for handler in self._control_handlers:
+                handler(payload)
+
+    def _drive(self, steps: Iterator) -> bool:
+        """Advance a relay or packet-group generator; ``True`` while it waits."""
+        for event in steps:
+            if event.callbacks is not None:
+                event.callbacks.append(lambda _ev: self._resume(steps))
+                return True
+        return False
+
+    def _resume(self, steps: Optional[Iterator]) -> None:
+        """Continue after a wait: finish ``steps``, then take the next message."""
+        if steps is None or not self._drive(steps):
+            self._next()
+
+    def _answer_heartbeat(self, ping: HeartbeatPing) -> None:
         if self.crashed:
             return
         self.heartbeats_answered += 1
-        yield from self.system.control_send(
+        self.system.control_post(
             self.machine_id,
             ping.reply_to,
             HeartbeatAck(machine=self.machine_id, seq=ping.seq),

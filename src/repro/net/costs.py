@@ -61,7 +61,7 @@ class CostModel:
     rdma_read_receiver_cpu_s: float = 1.0e-6
 
     # --- local work ---------------------------------------------------------
-    #: Worker-side dispatch of one AddressedTuple to a local executor.
+    #: Worker-side dispatch of one tuple copy to a local executor.
     dispatch_cpu_s: float = 0.5e-6
     #: Enqueue/dequeue bookkeeping on an executor queue.
     queue_op_cpu_s: float = 0.1e-6

@@ -172,69 +172,78 @@ class RdmaTransport:
         caller blocks until a region is recycled — the RDMA analogue of a
         full transfer queue.
         """
-        if verb is None:
-            verb = self.data_verb if kind == "data" else self.control_verb
-        if (
-            src_machine != dst_machine
-            and (dst_machine in self._degraded or src_machine in self._degraded)
-        ):
-            msg = yield from self._send_degraded(
-                src_machine, dst_machine, payload, size_bytes, cpu, kind
-            )
-            return msg
-        prof = self._profiles[verb]
-        yield from cpu.work(prof.sender_cpu_s, cpu_categories.RDMA_POST)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                "net.post",
-                self.sim.now,
-                transport=self.name,
-                verb=verb.value,
-                src=src_machine,
-                dst=dst_machine,
-                msg_kind=kind,
-                bytes=size_bytes,
-            )
-        msg = WireMessage(
-            payload=payload,
-            size_bytes=size_bytes,
-            src_machine=src_machine,
-            dst_machine=dst_machine,
-            kind=kind,
-            recv_cpu_s=prof.receiver_cpu_s,
+        route = self._route(src_machine, dst_machine, kind, verb)
+        yield from cpu.work(route[0], route[1])
+        msg, wait, wr = self._launch(
+            src_machine, dst_machine, payload, size_bytes, kind, route
         )
-        if src_machine == dst_machine:
-            # Loopback bypasses the RNIC entirely.
-            self.fabric.send(msg)
-            return msg
-        rnic = self.rnics[src_machine]
-        ring_bytes = 0
-        if self.use_ring and size_bytes > 0:
-            yield rnic.ring.alloc(size_bytes)
-            ring_bytes = size_bytes
-        yield rnic.post(WorkRequest(msg, ring_bytes=ring_bytes))
+        if wr is not None:
+            yield wait  # ring full: post once a region is recycled
+            wait = self.rnics[src_machine].post(wr)
+        if wait is not None:
+            yield wait
         return msg
 
-    def _send_degraded(
+    def post(
         self,
         src_machine: int,
         dst_machine: int,
         payload: Any,
         size_bytes: int,
         cpu: CpuAccount,
-        kind: str,
-    ) -> Iterator:
-        """TCP fallback path for suspected peers: kernel-stack CPU on
-        both sides, straight onto the wire (no ring, no RNIC queue)."""
-        yield from cpu.work(self.costs.tcp_send_cpu_s, cpu_categories.NETWORK)
+        kind: str = "data",
+    ) -> None:
+        """Fire-and-forget :meth:`send`: the same costs and instants, no
+        generator process.  A contended ring allocation chains the post
+        onto the allocation event."""
+        route = self._route(src_machine, dst_machine, kind, None)
+        cpu.charge(route[0], route[1])
+
+        def launch() -> None:
+            _msg, wait, wr = self._launch(
+                src_machine, dst_machine, payload, size_bytes, kind, route
+            )
+            if wr is not None:
+                wait.callbacks.append(lambda _ev: self.rnics[src_machine].post(wr))
+
+        if route[0] > 0:
+            self.sim.schedule_call(route[0], launch)
+        else:
+            launch()
+
+    def _route(self, src_machine: int, dst_machine: int, kind: str, verb):
+        """``(sender CPU, CPU category, verb label, receiver CPU,
+        direct)`` of one message.  Traffic to or from a suspected peer
+        takes the TCP fallback: kernel-stack CPU on both sides, straight
+        onto the wire (``direct``, like loopback: no ring, no RNIC)."""
+        if src_machine != dst_machine and (
+            dst_machine in self._degraded or src_machine in self._degraded
+        ):
+            costs = self.costs
+            return (costs.tcp_send_cpu_s, cpu_categories.NETWORK,
+                    "tcp-fallback", costs.tcp_recv_cpu_s, True)
+        if verb is None:
+            verb = self.data_verb if kind == "data" else self.control_verb
+        prof = self._profiles[verb]
+        return (prof.sender_cpu_s, cpu_categories.RDMA_POST, verb.value,
+                prof.receiver_cpu_s, src_machine == dst_machine)
+
+    def _launch(
+        self, src_machine: int, dst_machine: int, payload: Any,
+        size_bytes: int, kind: str, route: tuple,
+    ):
+        """Trace and build one message whose sender CPU is paid, then
+        hand it to the fabric (direct routes) or to ring + RNIC.  Returns
+        ``(msg, event, wr)``: with ``wr`` set, ``event`` is a contended
+        ring allocation after which ``wr`` must be posted; otherwise it
+        is the RNIC admission (or ``None``)."""
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
                 "net.post",
                 self.sim.now,
                 transport=self.name,
-                verb="tcp-fallback",
+                verb=route[2],
                 src=src_machine,
                 dst=dst_machine,
                 msg_kind=kind,
@@ -246,7 +255,16 @@ class RdmaTransport:
             src_machine=src_machine,
             dst_machine=dst_machine,
             kind=kind,
-            recv_cpu_s=self.costs.tcp_recv_cpu_s,
+            recv_cpu_s=route[3],
         )
-        self.fabric.send(msg)
-        return msg
+        if route[4]:
+            self.fabric.send(msg)
+            return msg, None, None
+        rnic = self.rnics[src_machine]
+        ring_bytes = size_bytes if self.use_ring else 0
+        wr = WorkRequest(msg, ring_bytes=ring_bytes)
+        if ring_bytes > 0:
+            alloc = rnic.ring.alloc(ring_bytes)
+            if alloc.callbacks is not None:
+                return msg, alloc, wr
+        return msg, rnic.post(wr), None

@@ -71,6 +71,31 @@ class TcpTransport:
         :class:`WireMessage` placed on the wire.
         """
         yield from cpu.work(self.costs.tcp_send_cpu_s, cpu_categories.NETWORK)
+        return self._launch(src_machine, dst_machine, payload, size_bytes, kind)
+
+    def post(
+        self,
+        src_machine: int,
+        dst_machine: int,
+        payload: Any,
+        size_bytes: int,
+        cpu: CpuAccount,
+        kind: str = "data",
+    ) -> None:
+        """Fire-and-forget :meth:`send`: same costs and instants, no process."""
+        cost = self.costs.tcp_send_cpu_s
+        cpu.charge(cost, cpu_categories.NETWORK)
+        args = (src_machine, dst_machine, payload, size_bytes, kind)
+        if cost > 0:
+            self.sim.schedule_call(cost, lambda: self._launch(*args))
+        else:
+            self._launch(*args)
+
+    def _launch(
+        self, src_machine: int, dst_machine: int, payload: Any,
+        size_bytes: int, kind: str,
+    ) -> WireMessage:
+        """Trace, build and wire one message whose sender CPU is paid."""
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(

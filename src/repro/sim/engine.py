@@ -116,8 +116,8 @@ class Simulator:
         Every trace hook in the system guards on this being non-``None``,
         so an untraced run costs one attribute check per hook.  Fast
         paths that batch same-instant work (batched bolt dispatch) also
-        gate on it, so traced runs always take the fully event-resolved
-        code paths.
+        gate on it, so traced runs take the bolt working thread, which
+        evaluates every service start.
         """
         return self._tracer
 

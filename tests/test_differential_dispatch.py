@@ -1,18 +1,20 @@
-"""Differential testing: batched dispatch vs. the event-resolved path.
+"""Differential testing: batched dispatch vs. the bolt working thread.
 
-The batched fast path (``SystemConfig.batched_dispatch``, see
-:class:`repro.dsps.executor.BoltExecutor`) replaces per-tuple queue
-hand-off and service-timeout events with closed-form FIFO arithmetic.
-It must never change *what* the system computes: the delivered tuple
-multiset, completion counts, drop counts, and per-tuple latency values
-have to match the slow path exactly — observable differences are
-limited to same-instant tie ordering, which multiset comparison is
-deliberately blind to.
+The working thread (``"slow"`` mode, see
+:class:`repro.dsps.executor.BoltExecutor`) evaluates every service
+start — flow hook, crash check, delivery verdict, CPU charge — and
+schedules one callback at the service's end.  The batched fast path
+(``SystemConfig.batched_dispatch``) replaces even that with closed-form
+FIFO arithmetic.  It must never change *what* the system computes: the
+delivered tuple multiset, completion counts, drop counts, and per-tuple
+latency values have to match the working thread exactly — observable
+differences are limited to same-instant tie ordering, which multiset
+comparison is deliberately blind to.
 
-The slow path is reachable two ways, and both are covered here:
+The working thread is reachable two ways, and both are covered here:
 ``batched_dispatch=False`` in the config, and attaching a tracer or
 invariant checker (the gate in ``BoltExecutor._pick_mode`` refuses to
-batch under instrumentation so traces stay event-faithful).
+batch under instrumentation so every execution is traced).
 """
 
 import json
@@ -81,8 +83,8 @@ def test_batched_and_slow_paths_agree_on_metrics(name, make_config):
     fm, sm = fast_sys.metrics, slow_sys.metrics
     assert fm.completion.completed == sm.completion.completed
     assert sum(fm.dropped.values()) == sum(sm.dropped.values())
-    # Completion instants are computed, not event-resolved, on the fast
-    # path — but they are the *same* instants, so the per-tuple latency
+    # Completion instants are computed, not scheduled, on the fast path
+    # — but they are the *same* instants, so the per-tuple latency
     # multiset matches exactly (ordering may differ on ties).
     assert set(fm.sink_latencies) == set(sm.sink_latencies)
     for op in fm.sink_latencies:
@@ -95,7 +97,7 @@ def test_checker_forces_event_resolved_path_and_multiset_matches():
         whale_full_config(adaptive=False), batched=True, check="strict"
     )
     # batched_dispatch stayed True, but the checker's tracer tap trips
-    # the gate: instrumented runs take the event-resolved path.
+    # the gate: instrumented runs take the working thread.
     assert _modes(checked_sys) == {"slow"}
     assert checked_sys.checker.finalize().ok
     assert Counter(fast_log) == Counter(checked_log)
