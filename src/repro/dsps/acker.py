@@ -64,8 +64,6 @@ class Acker:
         self.timeout_s = timeout_s
         self._rng = np.random.default_rng(seed)
         self._trees: Dict[int, _TreeState] = {}
-        self.completed: List[TreeOutcome] = []
-        self.failed: List[TreeOutcome] = []
 
     # ------------------------------------------------------------------
     def new_edge_id(self) -> int:
@@ -109,14 +107,12 @@ class Acker:
         state.ack_val = val
         if val == 0:
             del self._trees[root_id]
-            outcome = TreeOutcome(
+            return TreeOutcome(
                 root_id=root_id,
                 completed=True,
                 latency_s=self._now() - state.registered_at,
                 edges_seen=state.edges_seen,
             )
-            self.completed.append(outcome)
-            return outcome
         return None
 
     def fail(self, root_id: int) -> Optional[TreeOutcome]:
@@ -124,14 +120,12 @@ class Acker:
         state = self._trees.pop(root_id, None)
         if state is None:
             return None
-        outcome = TreeOutcome(
+        return TreeOutcome(
             root_id=root_id,
             completed=False,
             latency_s=self._now() - state.registered_at,
             edges_seen=state.edges_seen,
         )
-        self.failed.append(outcome)
-        return outcome
 
     def sweep(self) -> List[TreeOutcome]:
         """Fail every tree older than the timeout; returns the failures."""
@@ -150,34 +144,3 @@ class Acker:
 
     def pending_roots(self) -> List[int]:
         return list(self._trees)
-
-
-class AnchoredEmitter:
-    """Bolt-side helper producing correctly-anchored ack calls.
-
-    Usage per executed tuple::
-
-        emitter = AnchoredEmitter(acker, root_id, consumed_edge_id)
-        child_edge = emitter.emit()        # one per downstream tuple
-        emitter.done()                     # after user logic returns
-    """
-
-    def __init__(self, acker: Acker, root_id: int, consumed_edge_id: int):
-        self.acker = acker
-        self.root_id = root_id
-        self.consumed_edge_id = consumed_edge_id
-        self._emitted: List[int] = []
-        self._done = False
-
-    def emit(self) -> int:
-        if self._done:
-            raise RuntimeError("emit() after done()")
-        edge = self.acker.new_edge_id()
-        self._emitted.append(edge)
-        return edge
-
-    def done(self) -> Optional[TreeOutcome]:
-        if self._done:
-            raise RuntimeError("done() called twice")
-        self._done = True
-        return self.acker.ack(self.root_id, self.consumed_edge_id, self._emitted)

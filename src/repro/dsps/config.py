@@ -55,9 +55,9 @@ class SystemConfig:
     #: MMS/WTL stream slicing on the RDMA data path (Section 4)
     slicing: bool = False
     #: batched terminal-bolt dispatch: terminal sinks compute service
-    #: completions arithmetically instead of one queue event + one
-    #: timeout per tuple.  Only engages for untraced runs on terminal
-    #: operators with no downstream and no reliability tracking (see
+    #: completions arithmetically instead of one working-thread callback
+    #: per service.  Only engages for untraced runs on terminal
+    #: operators with no downstream and no reliability or flow layer (see
     #: ``BoltExecutor``); results are equivalent up to same-instant tie
     #: ordering.
     batched_dispatch: bool = True

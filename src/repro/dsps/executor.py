@@ -21,6 +21,7 @@ emission loop.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.dsps.api import Bolt, Spout, TupleContext
@@ -104,7 +105,8 @@ class ExecutorBase:
         #: True while this executor's machine is crashed.
         self.halted = False
         #: service-time multiplier (gray failure: slow-node fault events
-        #: inflate it; ``x * 1.0`` is exact, so the default is free)
+        #: inflate it through :meth:`set_service_scale`; ``x * 1.0`` is
+        #: exact, so the default is free)
         self.service_scale = 1.0
 
     # ------------------------------------------------------------------
@@ -121,6 +123,9 @@ class ExecutorBase:
 
     def resume_from_crash(self) -> None:
         self.halted = False
+
+    def set_service_scale(self, scale: float) -> None:
+        self.service_scale = scale
 
     def context(self) -> TupleContext:
         return TupleContext(
@@ -276,27 +281,26 @@ class ExecutorBase:
 class BoltExecutor(ExecutorBase):
     """Working thread + sending thread around one Bolt instance.
 
-    **Batched dispatch** (``SystemConfig.batched_dispatch``): a bolt's
-    working thread is a pure FIFO single-server, so per-tuple completion
-    instants are a deterministic function of arrival instants:
-    ``done = max(now, busy_until) + service``.  For untraced runs with no
-    reliability tracking, ``accept`` computes that arithmetic directly
-    instead of evaluating each service start:
+    **Batched terminal dispatch** (``SystemConfig.batched_dispatch``): a
+    bolt's working thread is a pure FIFO single-server, so per-tuple
+    completion instants are a deterministic function of arrival instants:
+    ``done = max(now, busy_until) + service``.  A terminal sink feeds
+    nothing downstream, so in untraced runs with no reliability or flow
+    layer it runs in ``"lazy"`` mode: ``accept`` computes that arithmetic
+    directly and no per-tuple events exist at all.  Completed work is
+    *flushed* on the next accept, on a drain timer at the end of each
+    busy period, and at measurement-window boundaries
+    (:meth:`MetricsHub.flush`), with metrics taking the computed
+    completion instants.  Drain timers and the flush hook belong to the
+    hosting :class:`Worker`: sinks that fall due at the same instant
+    share one calendar entry.  A service-scale change re-times every
+    entry that has not started (:meth:`set_service_scale`), so each
+    service is scaled at its own start, as in the working thread.
 
-    * ``"timed"`` mode (bolts with downstream edges): one completion
-      timeout per tuple fires a flat callback at exactly ``done``, where
-      the bolt executes and emits — downstream timing is unchanged;
-    * ``"lazy"`` mode (terminal sinks with no downstream): no per-tuple
-      events at all — completed work is *flushed* on the next accept, on
-      a drain timer at the end of each busy period, and at
-      measurement-window boundaries (:meth:`MetricsHub.flush`), with
-      metrics taking the computed completion instants.  Drain timers
-      and the flush hook belong to the hosting :class:`Worker`: sinks
-      that fall due at the same instant share one calendar entry.
-
-    Observable results match the working thread up to same-instant
-    tie ordering.  The gate decision freezes at the first accepted tuple
-    — attach tracers/checkers before traffic starts.
+    Every other bolt runs the working thread.  Observable results match
+    the working thread up to same-instant tie ordering.  The gate
+    decision freezes at the first accepted tuple — attach
+    tracers/checkers before traffic starts.
     """
 
     def __init__(self, system: "DspsSystem", task_id: int):
@@ -313,10 +317,11 @@ class BoltExecutor(ExecutorBase):
         #: queue growth with or without the flow layer
         self.inqueue_hwm = 0
         #: dispatch mode, frozen at first accept:
-        #: ``None`` = undecided, then "slow" | "timed" | "lazy".
+        #: ``None`` = undecided, then "slow" (the working thread) | "lazy".
         self._mode: Optional[str] = None
-        #: arithmetic FIFO of ``[done, service, tuple, live]``; the head
-        #: may be in service, everything behind it is queued.
+        #: lazy mode's arithmetic FIFO of ``[done, service, tuple,
+        #: unscaled service]``; the head may be in service, everything
+        #: behind it is queued.
         self._fifo: Deque[list] = deque()
         self._busy_until = self.sim.now
         #: lazy mode: a worker drain timer is pending for this executor
@@ -324,34 +329,21 @@ class BoltExecutor(ExecutorBase):
 
     def halt(self) -> None:
         super().halt()
-        mode = self._mode
-        now = self.sim.now
-        if mode == "lazy":
+        if self._mode == "lazy":
+            now = self.sim.now
             self._flush_completed(now, *self.system.metrics.window_bounds())
-        if mode in ("lazy", "timed"):
             fifo = self._fifo
-            zombie = None
             if fifo and fifo[0][0] - fifo[0][1] <= now:
                 # Mid-service head: the CPU was committed at service
-                # start, the crash eats the output; the thread stays
-                # busy until its `done` (and, in timed mode, the live
-                # completion callback re-checks `halted` — so a recovery
-                # before `done` still lets it execute, exactly like the
-                # working thread's service-end halt check).
-                zombie = fifo.popleft()
-            while fifo:
-                entry = fifo.popleft()
-                entry[3] = False
-            if zombie is not None:
-                self._busy_until = zombie[0]
-                if mode == "timed":
-                    fifo.append(zombie)
-                elif zombie[1] > 0:
-                    # Lazy mode has no completion callback; settle the
-                    # committed CPU here and let the output die.
-                    self.cpu.charge(zombie[1], cats.PROCESSING)
+                # start and the crash eats the output; the thread stays
+                # busy until its `done`.
+                done, service, _tup, _base = fifo[0]
+                if service > 0:
+                    self.cpu.charge(service, cats.PROCESSING)
+                self._busy_until = done
             else:
                 self._busy_until = now
+            fifo.clear()
         self.inqueue.clear()
 
     def start(self) -> None:
@@ -361,18 +353,42 @@ class BoltExecutor(ExecutorBase):
 
     def _pick_mode(self) -> str:
         # Delivery verdicts and credit grants depend on the state at the
-        # service start, and tracers record each execution, so the
-        # reliability and flow layers and tracing pin the working thread.
-        if not (
+        # service start, tracers record each execution, and downstream
+        # bolts wait on emissions, so only an untraced terminal sink
+        # without the reliability and flow layers may run lazily.
+        if (
             self.system.config.batched_dispatch
+            and self.spec.terminal
+            and not self._groupings
             and self.system.reliability is None
             and self.system.flow is None
             and self.sim.tracer is None
         ):
-            return "slow"
-        if self.spec.terminal and not self._groupings:
             return "lazy"
-        return "timed"
+        return "slow"
+
+    def set_service_scale(self, scale: float) -> None:
+        """Gray failure: scale every service that starts from now on.
+
+        The working thread reads the scale at each service start.  A lazy
+        sink realises what is done, leaves its in-service head as it is
+        and re-times every entry behind it from its unscaled service."""
+        self.service_scale = scale
+        if self._mode != "lazy":
+            return
+        now = self.sim.now
+        self._flush_completed(now, *self.system.metrics.window_bounds())
+        fifo = self._fifo
+        if not fifo:
+            return
+        head = fifo[0]
+        start = head[0] - head[1]
+        # An in-service head keeps the scale in force at its start.
+        busy, first = (head[0], 1) if start <= now else (start, 0)
+        for entry in islice(fifo, first, None):
+            entry[1] = service = entry[3] * scale
+            entry[0] = busy = busy + service
+        self._busy_until = busy
 
     def accept(self, tup: StreamTuple) -> bool:
         """Dispatcher entry point: enqueue a tuple (False = overflow)."""
@@ -390,10 +406,9 @@ class BoltExecutor(ExecutorBase):
             elif self.inqueue.level > self.inqueue_hwm:
                 self.inqueue_hwm = self.inqueue.level
             return ok
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         fifo = self._fifo
-        if mode == "lazy" and fifo and fifo[0][0] <= now:
+        if fifo and fifo[0][0] <= now:
             self._flush_completed(now, *self.system.metrics.window_bounds())
         if self.halted:
             # Accepted into a crashed executor: the tuple is absorbed and
@@ -405,37 +420,23 @@ class BoltExecutor(ExecutorBase):
         if (depth - 1 if depth else 0) >= self._queue_capacity:
             self.system.metrics.on_drop(f"{self.operator}.inqueue")
             return False
-        service = self.bolt.service_time(tup) * self.service_scale
+        base = self.bolt.service_time(tup)
+        service = base * self.service_scale
         start = self._busy_until
         if start < now:
             start = now
         done = start + service
         self._busy_until = done
-        entry = [done, service, tup, True]
-        fifo.append(entry)
+        fifo.append([done, service, tup, base])
         if depth > self.inqueue_hwm:  # queued depth with the newcomer in
             self.inqueue_hwm = depth
-        if mode == "timed":
-            sim.schedule_call(done - now, lambda: self._complete_timed(entry))
-        elif not self._drain_armed:
+        if not self._drain_armed:
             self.worker.arm_drain(self, done)
         return True
 
     # ------------------------------------------------------------------
-    # batched-dispatch machinery
+    # lazy-mode machinery
     # ------------------------------------------------------------------
-    def _complete_timed(self, entry: list) -> None:
-        """Timed-mode completion: runs at exactly the service-done
-        instant, so emission timing matches the working thread."""
-        if not entry[3]:
-            return
-        self._fifo.popleft()  # live completions fire in FIFO order
-        _done, service, tup, _live = entry
-        if service > 0:
-            self.cpu.charge(service, cats.PROCESSING)
-        if not self.halted:  # a crash mid-service eats the output
-            self._execute(tup)
-
     def _flush_completed(self, now: float, start: float, end: float) -> None:
         """Lazy mode: realise every completion due at or before ``now``,
         each at its own computed instant; ``start``/``end`` are the
@@ -456,9 +457,7 @@ class BoltExecutor(ExecutorBase):
         realised = 0
         latencies = []
         while fifo and fifo[0][0] <= now:
-            done, service, tup, live = fifo.popleft()
-            if not live:
-                continue
+            done, service, tup, _base = fifo.popleft()
             if service > 0:
                 spent += service
             execute(tup, collector)

@@ -452,13 +452,13 @@ class _BoundLocality(Grouping):
 # load-adaptive grouping
 # ----------------------------------------------------------------------
 def inqueue_depth(executor) -> int:
-    """Live input-side depth of a bolt executor: working-thread queue
-    level plus the batched-dispatch arithmetic FIFO entries not yet done
-    at ``now`` (spouts and unknown tasks report 0).
+    """Live input-side depth of a bolt executor: the working thread's
+    queue level, or a lazy sink's arithmetic FIFO entries not yet done at
+    ``now`` (spouts and unknown tasks report 0).
 
-    A batched sink realises finished work lazily, so the head of its
-    FIFO may hold tuples that already executed and only wait to be
-    counted; those are not queued work and must not steer routing."""
+    A lazy sink realises finished work lazily, so the head of its FIFO
+    may hold tuples that already executed and only wait to be counted;
+    those are not queued work and must not steer routing."""
     queue = getattr(executor, "inqueue", None)
     depth = queue.level if queue is not None else 0
     fifo = getattr(executor, "_fifo", None)

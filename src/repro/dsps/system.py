@@ -315,12 +315,12 @@ class DspsSystem:
             raise KeyError(f"unknown machine {machine_id}")
         for ex in self.executors.values():
             if ex.machine_id == machine_id:
-                ex.service_scale = magnitude
+                ex.set_service_scale(magnitude)
 
     def end_slow_node(self, machine_id: int) -> None:
         for ex in self.executors.values():
             if ex.machine_id == machine_id:
-                ex.service_scale = 1.0
+                ex.set_service_scale(1.0)
 
     # ------------------------------------------------------------------
     def start(self) -> None:

@@ -8,7 +8,7 @@ then *processed*).  Processes wait on events by ``yield``-ing them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -28,18 +28,6 @@ UNSET = _Unset()
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, negative delay, ...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    ``cause`` carries the interrupter's reason and is available to the
-    interrupted process via ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -154,111 +142,3 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim._schedule(self, delay=delay)
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`.
-
-    Construction is two-phase so the outcome never depends on the
-    *order* in which already-processed children appear in ``events``:
-    first every still-pending child is counted and subscribed to, then
-    the subclass resolves the complete set of already-processed children
-    at once (:meth:`_resolve_initial`).
-    """
-
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = tuple(events)
-        for ev in self._events:
-            if ev.sim is not sim:
-                raise SimulationError("condition spans multiple simulators")
-        processed = []
-        pending = []
-        for ev in self._events:
-            (processed if ev.callbacks is None else pending).append(ev)
-        self._pending = len(pending)
-        for ev in pending:
-            ev.callbacks.append(self._observe)
-        self._resolve_initial(processed)
-
-    def _observe(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _resolve_initial(self, processed: list) -> None:
-        """Resolve the already-processed children (in listed order)."""
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        # Timeouts are *triggered* at creation but only *processed* when
-        # their instant arrives — collect only what has actually happened.
-        return {ev: ev._value for ev in self._events if ev.processed and ev._ok}
-
-
-class AllOf(_Condition):
-    """Triggers when every child event has triggered.
-
-    Fails as soon as any child fails (the child is defused).  Children
-    already processed at construction count immediately: a failed one
-    (the first in listed order, regardless of where it appears among the
-    processed children) fails the condition; if every child is already
-    processed and none failed, the condition succeeds at once.
-    """
-
-    __slots__ = ()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        self._pending -= 1
-        if self._pending <= 0:
-            self.succeed(self._collect())
-
-    def _resolve_initial(self, processed: list) -> None:
-        for ev in processed:
-            if not ev._ok:
-                ev.defuse()
-                self.fail(ev._value)
-                return
-        if self._pending <= 0 and not self.triggered:
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Triggers when the first child event triggers.
-
-    Pinned semantics for children already processed at construction
-    (independent of their order among ``events``):
-
-    * any processed *successful* child wins — the condition succeeds
-      immediately with every processed successful child's value;
-    * otherwise, if any processed child *failed*, the condition fails
-      immediately with the first-listed failure (which is defused);
-    * with no events at all the condition never triggers (nothing can
-      happen).
-    """
-
-    __slots__ = ()
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
-
-    def _resolve_initial(self, processed: list) -> None:
-        if any(ev._ok for ev in processed):
-            self.succeed(self._collect())
-            return
-        if processed:
-            first = processed[0]
-            first.defuse()
-            self.fail(first._value)

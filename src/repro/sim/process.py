@@ -9,9 +9,9 @@ return value, so processes can wait on each other.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
-from repro.sim.events import Event, Interrupt, SimulationError
+from repro.sim.events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(Event):
     """A running simulation process (also an awaitable event)."""
 
-    __slots__ = ("_gen", "_target")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "send"):
@@ -29,8 +29,6 @@ class Process(Event):
             )
         super().__init__(sim)
         self._gen = generator
-        #: The event this process currently waits on (``None`` while running).
-        self._target: Optional[Event] = None
         bootstrap = Event(sim)
         bootstrap._ok = True
         bootstrap._value = None
@@ -44,37 +42,8 @@ class Process(Event):
         """``True`` while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        ev = Event(self.sim)
-        ev._ok = False
-        ev._value = Interrupt(cause)
-        ev._defused = True
-        ev.callbacks.append(self._resume)
-        from repro.sim.engine import URGENT
-
-        self.sim._schedule(ev, priority=URGENT)
-
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
-            # The process finished between this event being scheduled and
-            # processed (e.g. it interrupted itself and then returned).
-            if not event._ok:
-                event._defused = True
-            return
-        # Detach from the previous target if an interrupt preempted it.
-        target = self._target
-        if target is not None and target is not event:
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
-
         while True:
             try:
                 if event._ok:
@@ -103,5 +72,4 @@ class Process(Event):
                     event._defused = True
                 continue
             next_event.callbacks.append(self._resume)
-            self._target = next_event
             return

@@ -1,4 +1,4 @@
-"""Shared resources: FIFO stores and counted resources.
+"""Shared resources: the bounded FIFO store.
 
 :class:`Store` is the building block for every queue in the system model
 (executor send/receive queues, NIC work-request queues, ...).  ``put`` and
@@ -122,45 +122,3 @@ class Store:
             self._on_put(pending)
             ev.succeed()
         return item
-
-
-class Resource:
-    """A counted resource (e.g. CPU cores on a machine).
-
-    ``request()`` returns an event that triggers when a unit is granted;
-    ``release()`` frees a unit.  Grants are FIFO.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def request(self) -> Event:
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release() without a matching request()")
-        if self._waiters:
-            # Hand the unit directly to the next waiter.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1

@@ -31,6 +31,8 @@ from repro.net import Cluster
 from repro.trace import JsonlTracer
 from repro.workloads import PoissonArrivals
 
+pytestmark = pytest.mark.faults
+
 PINNED = Path(__file__).with_name("data") / "des_reliable_small.json"
 SEED = 5
 HORIZON_S = 0.6

@@ -1,20 +1,23 @@
-"""Differential testing: batched dispatch vs. the bolt working thread.
+"""Differential testing: lazy terminal sinks vs. the bolt working thread.
 
 The working thread (``"slow"`` mode, see
 :class:`repro.dsps.executor.BoltExecutor`) evaluates every service
 start — flow hook, crash check, delivery verdict, CPU charge — and
-schedules one callback at the service's end.  The batched fast path
-(``SystemConfig.batched_dispatch``) replaces even that with closed-form
-FIFO arithmetic.  It must never change *what* the system computes: the
-delivered tuple multiset, completion counts, drop counts, and per-tuple
-latency values have to match the working thread exactly — observable
-differences are limited to same-instant tie ordering, which multiset
-comparison is deliberately blind to.
+schedules one callback at the service's end.  Batched dispatch
+(``SystemConfig.batched_dispatch``) runs untraced terminal sinks
+without the reliability and flow layers in ``"lazy"`` mode instead:
+closed-form FIFO arithmetic with no per-tuple events; every other bolt
+runs the working thread either way.  It must never change *what* the
+system computes: the delivered tuple multiset, completion counts, drop
+counts, and per-tuple latency values have to match the working thread
+exactly — observable differences are limited to same-instant tie
+ordering, which multiset comparison is deliberately blind to.
 
-The working thread is reachable two ways, and both are covered here:
-``batched_dispatch=False`` in the config, and attaching a tracer or
-invariant checker (the gate in ``BoltExecutor._pick_mode`` refuses to
-batch under instrumentation so every execution is traced).
+The working thread is reachable two ways for a sink, and both are
+covered here: ``batched_dispatch=False`` in the config, and attaching a
+tracer or invariant checker (the gate in ``BoltExecutor._pick_mode``
+refuses lazy dispatch under instrumentation so every execution is
+traced).
 """
 
 import json
@@ -27,10 +30,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import create_system, whale_full_config, whale_woc_rdma_config
-from repro.dsps import AllGrouping, Bolt, DspsSystem, Spout, Topology, storm_config
+from repro.dsps import (
+    AllGrouping,
+    Bolt,
+    DspsSystem,
+    ShuffleGrouping,
+    Spout,
+    Topology,
+    storm_config,
+)
 from repro.dsps.grouping import inqueue_depth
 from repro.dsps.tuples import StreamTuple
+from repro.faults import FaultEvent, FaultSchedule
 from repro.net import Cluster
+from repro.net import cpu as cats
 from repro.workloads import PoissonArrivals
 from tests._check_util import build_checked_system, run_windowed
 
@@ -265,6 +278,74 @@ def test_finished_batched_work_is_not_queue_depth():
     system.metrics.flush()
     assert sink.processed == 3
     assert inqueue_depth(sink) == 0
+
+
+# ----------------------------------------------------------------------
+# Slow node: the working thread scales a service by the service_scale in
+# force when the service starts.  A lazy sink must do the same, so an
+# entry queued before a slow-node event and started during it takes the
+# slowed service (and vice versa at the end of the event).
+# ----------------------------------------------------------------------
+class _Relay(Bolt):
+    base_service_s = 100e-6
+
+    def execute(self, tup, collector):
+        collector.emit(values={}, payload_bytes=64, anchor=tup)
+
+
+class _LazySink(Bolt):
+    base_service_s = 200e-6
+
+
+def _run_slow_node(batched):
+    topo = Topology("slow-node")
+    topo.add_spout("src", _Requests)
+    topo.add_bolt("sink", _LazySink, parallelism=6,
+                  inputs={"src": AllGrouping()}, terminal=True)
+    topo.add_bolt("relay", _Relay, parallelism=3,
+                  inputs={"src": ShuffleGrouping()})
+    topo.add_bolt("tail", _LazySink, parallelism=3,
+                  inputs={"relay": ShuffleGrouping()}, terminal=True)
+    system = create_system(
+        topo,
+        whale_full_config(adaptive=False, batched_dispatch=batched),
+        cluster=Cluster(3, 1, 16),
+        arrivals={"src": PoissonArrivals(4000.0, np.random.default_rng(2))},
+        seed=2,
+        fault_schedule=FaultSchedule([FaultEvent.slow_node(0.05, 1, 4.0, 0.03)]),
+    )
+    sim = system.sim
+    system.start()
+    system.metrics.open_window()
+    sim.run(until=0.2)
+    system.metrics.close_window()
+    for spout in system.spout_executors:
+        spout.stop()
+    sim.run(until=0.4)
+    system.metrics.flush()
+    return system
+
+
+@pytest.mark.faults
+def test_slow_node_scales_each_service_at_its_start():
+    fast, slow = _run_slow_node(True), _run_slow_node(False)
+    modes = {op: {ex._mode for ex in fast.operator_executors(op)}
+             for op in ("sink", "relay", "tail")}
+    assert modes == {"sink": {"lazy"}, "relay": {"slow"}, "tail": {"lazy"}}
+    assert _modes(slow) == {"slow"}
+    slowed = [ex for ex in fast.executors.values()
+              if ex.machine_id == 1 and not ex.is_spout]
+    assert {ex.operator for ex in slowed} == {"sink", "relay", "tail"}
+    fm, sm = fast.metrics, slow.metrics
+    assert sorted(fm.completion.latencies) == sorted(sm.completion.latencies)
+    assert set(fm.sink_latencies) == set(sm.sink_latencies) == {"sink", "tail"}
+    for op in fm.sink_latencies:
+        assert sorted(fm.sink_latencies[op]) == sorted(sm.sink_latencies[op])
+    for task, ex in fast.executors.items():
+        if not ex.is_spout:
+            assert ex.inqueue.level == 0 and not ex._fifo  # drained
+            assert (ex.cpu.busy_s[cats.PROCESSING]
+                    == slow.executors[task].cpu.busy_s[cats.PROCESSING]), task
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsps.acker import Acker, AnchoredEmitter
+from repro.dsps.acker import Acker
 
 
 class Clock:
@@ -116,33 +116,6 @@ def test_sweep_times_out_old_trees():
 def test_timeout_validation():
     with pytest.raises(ValueError):
         Acker(lambda: 0.0, timeout_s=0.0)
-
-
-# ----------------------------------------------------------------------
-# AnchoredEmitter
-# ----------------------------------------------------------------------
-def test_anchored_emitter_flow():
-    acker, _ = make_acker()
-    root_edge = acker.new_edge_id()
-    acker.register(7, root_edge)
-    emitter = AnchoredEmitter(acker, 7, root_edge)
-    child = emitter.emit()
-    assert emitter.done() is None  # child still pending
-    leaf = AnchoredEmitter(acker, 7, child)
-    outcome = leaf.done()
-    assert outcome is not None and outcome.completed
-
-
-def test_anchored_emitter_misuse():
-    acker, _ = make_acker()
-    e = acker.new_edge_id()
-    acker.register(1, e)
-    emitter = AnchoredEmitter(acker, 1, e)
-    emitter.done()
-    with pytest.raises(RuntimeError):
-        emitter.done()
-    with pytest.raises(RuntimeError):
-        emitter.emit()
 
 
 # ----------------------------------------------------------------------

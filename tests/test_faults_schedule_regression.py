@@ -12,6 +12,8 @@ import pytest
 
 from repro.faults import FaultSchedule
 
+pytestmark = pytest.mark.faults
+
 # Stream drawn by FaultSchedule.random(machines=range(8), horizon_s=2.0,
 # n_crashes=3, seed=1234, n_link_flaps=2).  Do NOT regenerate these on
 # failure without bumping a major version: changing them invalidates

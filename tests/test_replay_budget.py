@@ -9,11 +9,15 @@ its acks.
 
 from collections import Counter
 
+import pytest
+
 from repro.core import whale_full_config
 from repro.faults import FaultSchedule
 from repro.trace import MemoryTracer
 
 from tests._check_util import build_checked_system
+
+pytestmark = pytest.mark.faults
 
 MAX_REPLAYS = 2
 

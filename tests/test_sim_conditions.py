@@ -1,109 +1,6 @@
-"""Tests for AllOf/AnyOf condition events and RngRegistry."""
+"""Tests for RngRegistry."""
 
-import pytest
-
-from repro.sim import AllOf, AnyOf, RngRegistry, Simulator, SimulationError
-
-
-# ----------------------------------------------------------------------
-# AllOf
-# ----------------------------------------------------------------------
-def test_allof_waits_for_every_child():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(3.0, value="b")
-        results = yield AllOf(sim, [t1, t2])
-        done.append((sim.now, sorted(results.values())))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [(3.0, ["a", "b"])]
-
-
-def test_allof_fails_fast_on_child_failure():
-    sim = Simulator()
-    caught = []
-
-    def failer(sim):
-        yield sim.timeout(1.0)
-        raise ValueError("child broke")
-
-    def proc(sim):
-        p = sim.process(failer(sim))
-        t = sim.timeout(10.0)
-        try:
-            yield AllOf(sim, [p, t])
-        except ValueError as exc:
-            caught.append((sim.now, str(exc)))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert caught == [(1.0, "child broke")]
-
-
-def test_allof_with_already_processed_children():
-    sim = Simulator()
-    t1 = sim.timeout(1.0, value=1)
-    t2 = sim.timeout(2.0, value=2)
-    sim.run()
-    out = []
-
-    def proc(sim):
-        results = yield AllOf(sim, [t1, t2])
-        out.append(sorted(results.values()))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert out == [[1, 2]]
-
-
-# ----------------------------------------------------------------------
-# AnyOf
-# ----------------------------------------------------------------------
-def test_anyof_returns_on_first():
-    sim = Simulator()
-    done = []
-
-    def proc(sim):
-        fast = sim.timeout(1.0, value="fast")
-        slow = sim.timeout(5.0, value="slow")
-        results = yield AnyOf(sim, [fast, slow])
-        done.append((sim.now, list(results.values())))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done == [(1.0, ["fast"])]
-
-
-def test_anyof_mixed_simulators_rejected():
-    sim1, sim2 = Simulator(), Simulator()
-    t1 = sim1.timeout(1.0)
-    t2 = sim2.timeout(1.0)
-    with pytest.raises(SimulationError):
-        AnyOf(sim1, [t1, t2])
-
-
-def test_anyof_timeout_race_pattern():
-    """The canonical use: an operation vs its deadline."""
-    sim = Simulator()
-    outcome = []
-
-    def op(sim):
-        yield sim.timeout(2.0)
-        return "completed"
-
-    def proc(sim):
-        operation = sim.process(op(sim))
-        deadline = sim.timeout(1.0, value="deadline")
-        results = yield AnyOf(sim, [operation, deadline])
-        outcome.append(list(results.values()))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert outcome == [["deadline"]]
+from repro.sim import RngRegistry
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,10 @@
-"""Regression tests for the three simulation-kernel bugfixes.
+"""Regression tests for two simulation-kernel bugfixes.
 
 1. ``TransferQueue._unwrap`` used to rewrite ``event._value`` in place on
    the already-triggered branch, corrupting the event for every other
    reader.
 2. ``Simulator.step()`` used to abandon an event's remaining callbacks
    when one raised, stranding sibling waiters mid-event.
-3. ``AnyOf``/``AllOf`` built over a mix of already-processed and pending
-   children resolved differently depending on the construction order of
-   the processed set.
 
 Each test here fails against the pre-fix kernel.
 """
@@ -17,10 +14,8 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Simulator, TransferQueue, already_done
+from repro.sim import Simulator, TransferQueue, already_done
 
 
 # ---------------------------------------------------------------------------
@@ -145,86 +140,6 @@ def test_step_exception_does_not_strand_sibling_process():
     # raising first.
     sim.run()
     assert resumed == [0.0]
-
-
-# ---------------------------------------------------------------------------
-# 3. AnyOf/AllOf order-independence over processed/pending mixes
-# ---------------------------------------------------------------------------
-def _make_child(sim, kind):
-    """Build one condition child of the given kind."""
-    if kind == "done_ok":
-        return already_done(sim, "ok")
-    if kind == "done_fail":
-        ev = already_done(sim)
-        ev._ok = False
-        ev._value = RuntimeError("processed failure")
-        return ev
-    if kind == "pending":
-        return sim.event()
-    raise AssertionError(kind)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.permutations(["done_ok", "done_fail", "pending", "pending"]),
-)
-def test_anyof_outcome_is_order_independent(kinds):
-    sim = Simulator()
-    children = [_make_child(sim, k) for k in kinds]
-    cond = AnyOf(sim, children)
-    # A processed successful child always wins, regardless of where the
-    # processed failure sits in the listing.
-    assert cond.triggered
-    sim.run()
-    assert cond.ok
-    assert "ok" in cond.value.values()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.permutations(["done_fail", "done_fail", "pending"]))
-def test_anyof_all_processed_failures_fails_immediately(kinds):
-    sim = Simulator()
-    children = [_make_child(sim, k) for k in kinds]
-    cond = AnyOf(sim, children)
-    assert cond.triggered and not cond.ok
-    cond.defuse()
-    sim.run()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.permutations(["done_ok", "done_ok", "pending"]))
-def test_allof_waits_for_pending_despite_processed_children(kinds):
-    sim = Simulator()
-    children = [_make_child(sim, k) for k in kinds]
-    cond = AllOf(sim, children)
-    # Processed successes must NOT make AllOf fire while a child is
-    # still pending (the pre-fix kernel drove _pending negative here).
-    assert not cond.triggered
-    for ev in children:
-        if ev.callbacks is not None and not ev.triggered:
-            ev.succeed("late")
-    sim.run()
-    assert cond.ok
-    assert len(cond.value) == len(children)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.permutations(["done_fail", "done_ok", "pending"]))
-def test_allof_processed_failure_fails_regardless_of_order(kinds):
-    sim = Simulator()
-    children = [_make_child(sim, k) for k in kinds]
-    cond = AllOf(sim, children)
-    assert cond.triggered and not cond.ok
-    assert str(cond.value) == "processed failure"
-    cond.defuse()
-    sim.run()
-
-
-def test_anyof_empty_never_triggers():
-    sim = Simulator()
-    cond = AnyOf(sim, [])
-    sim.run()
-    assert not cond.triggered
 
 
 def test_already_done_yields_inline():

@@ -1,8 +1,8 @@
-"""Unit tests for Process: sequencing, interrupts, failure propagation."""
+"""Unit tests for Process: sequencing and failure propagation."""
 
 import pytest
 
-from repro.sim import Interrupt, Simulator, SimulationError
+from repro.sim import Simulator, SimulationError
 
 
 def test_process_runs_to_completion():
@@ -68,60 +68,6 @@ def test_process_waits_on_already_finished_process():
     sim.process(parent(sim, c, out))
     sim.run()
     assert out == [(10.0, "early")]
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    seen = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as exc:
-            seen.append((sim.now, exc.cause))
-
-    def attacker(sim, victim_proc):
-        yield sim.timeout(2.0)
-        victim_proc.interrupt(cause="stop now")
-
-    v = sim.process(victim(sim))
-    sim.process(attacker(sim, v))
-    sim.run()
-    assert seen == [(2.0, "stop now")]
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    trace = []
-
-    def victim(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            pass
-        yield sim.timeout(1.0)
-        trace.append(sim.now)
-
-    def attacker(sim, victim_proc):
-        yield sim.timeout(2.0)
-        victim_proc.interrupt()
-
-    v = sim.process(victim(sim))
-    sim.process(attacker(sim, v))
-    sim.run()
-    assert trace == [3.0]
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_uncaught_process_exception_surfaces():

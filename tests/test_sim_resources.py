@@ -1,9 +1,9 @@
-"""Unit tests for Store, Resource, and TransferQueue."""
+"""Unit tests for Store and TransferQueue."""
 
 
 import pytest
 
-from repro.sim import Simulator, SimulationError, Store, Resource, TransferQueue
+from repro.sim import Simulator, SimulationError, Store, TransferQueue
 
 
 # ----------------------------------------------------------------------
@@ -101,44 +101,6 @@ def test_store_level_and_full():
     store.try_put(1)
     store.try_put(2)
     assert store.level == 2 and store.is_full
-
-
-# ----------------------------------------------------------------------
-# Resource
-# ----------------------------------------------------------------------
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
-
-    def user(sim, name, hold):
-        yield res.request()
-        grants.append((sim.now, name))
-        yield sim.timeout(hold)
-        res.release()
-
-    sim.process(user(sim, "a", 10.0))
-    sim.process(user(sim, "b", 10.0))
-    sim.process(user(sim, "c", 1.0))
-    sim.run()
-    assert grants == [(0.0, "a"), (0.0, "b"), (10.0, "c")]
-
-
-def test_resource_release_without_request_rejected():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_counters():
-    sim = Simulator()
-    res = Resource(sim, capacity=3)
-    res.request()
-    assert res.in_use == 1
-    assert res.available == 2
-    res.release()
-    assert res.in_use == 0
 
 
 # ----------------------------------------------------------------------
