@@ -14,7 +14,7 @@ Here a sensor spout broadcasts to every instance of an alert bolt (the
 paper's one-to-many pattern).  The terminal bolt counts what it saw into
 a plain in-process tally, so after both runs we can check that the two
 backends delivered exactly the same work: ``budget x parallelism``
-executions each.
+executions each.  The script exits 1 when they disagree.
 
 Run:  python examples/realtime_quickstart.py
       python -m repro.rt run --topology word_count --duration 5
@@ -94,7 +94,8 @@ def run_on(backend: str) -> Counter:
     return tally
 
 
-def main():
+def main() -> int:
+    """Run both backends; exit status 1 when their tallies disagree."""
     print(f"broadcasting {BUDGET} tuples at {RATE:.0f}/s "
           f"to {PARALLELISM} alert instances, twice:\n")
     sim = run_on("sim")
@@ -102,12 +103,13 @@ def main():
     if sim == real:
         print("both backends delivered the identical tuple multiset — "
               "the simulator predicts the real runtime here.")
-    else:
-        missing = sum((sim - real).values()) + sum((real - sim).values())
-        print(f"backends disagree on {missing} deliveries — "
-              "that would be a bug worth a differential look:")
-        print("  python -m repro.exp run ablation_sim_vs_real")
+        return 0
+    missing = sum((sim - real).values()) + sum((real - sim).values())
+    print(f"backends disagree on {missing} deliveries — "
+          "that would be a bug worth a differential look:")
+    print("  python -m repro.exp run ablation_sim_vs_real")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

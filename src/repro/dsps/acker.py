@@ -1,146 +1,86 @@
-"""Storm's acker protocol: XOR-based tuple-tree completion tracking.
+"""The acker's pending table: which destinations still owe a root an ack.
 
-Storm (and therefore Whale) guarantees at-least-once processing by
-tracking, per spout tuple, the *tuple tree* of everything derived from
-it.  The trick that makes this O(1) memory per root: every edge of the
-tree gets a random 64-bit id; the acker keeps one value per root — the
-XOR of every edge id it has seen.  Each processed tuple acks by XOR-ing
-(consumed edge id) ^ (ids of edges it emitted); since every edge id
-enters the value exactly twice (once on emit, once on ack), the value
-returns to zero exactly when the whole tree is processed.
+Every delivery tree either backend tracks has one level: a spout tuple
+and the destination tasks its one-to-many edges chose, all known when
+the tuple is emitted.  Storm's XOR acker folds such a tree into one
+64-bit value; with the destination list already in hand, the plain set
+of outstanding tasks is as small and also says *which* destinations are
+missing, which selective replay needs.
 
-This module implements the protocol exactly; it is exercised standalone
-and available to topologies that want completion semantics stronger
-than the metrics trackers.  Timeouts mark trees failed for replay
-(at-least-once), mirroring ``TOPOLOGY_MESSAGE_TIMEOUT_SECS``.
+The table is sans-IO: callers pass the clock in, and it neither sends
+nor schedules anything.  The DES :class:`~repro.dsps.reliability.ReplayCoordinator`
+and rt's :class:`~repro.rt.worker.Acker` both track completion with it.
+Keys are root tuple ids, so a spout tuple on two one-to-many edges is
+one tree over the union of their destinations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 
-@dataclass
-class _TreeState:
-    ack_val: int
-    registered_at: float
-    edges_seen: int = 0
+class PendingTable:
+    """Armed keys, each with its outstanding tasks and arm time.
 
-
-@dataclass(frozen=True)
-class TreeOutcome:
-    """Completion report for one spout tuple."""
-
-    root_id: int
-    completed: bool  # False = timed out (failed, eligible for replay)
-    latency_s: float
-    edges_seen: int
-
-
-class Acker:
-    """One acker task.
-
-    Parameters
-    ----------
-    now_fn:
-        Clock source (e.g. ``lambda: sim.now``); injected so the
-        protocol is testable without the DES.
-    timeout_s:
-        Trees older than this are failed on :meth:`sweep`.
+    Iteration order is arm order: arming a key (again) moves it to the
+    end, so :meth:`expired` can stop at the first key still in time.
     """
 
-    def __init__(
-        self,
-        now_fn: Callable[[], float],
-        timeout_s: float = 30.0,
-        seed: int = 0,
-    ):
-        if timeout_s <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout_s}")
-        self._now = now_fn
-        self.timeout_s = timeout_s
-        self._rng = np.random.default_rng(seed)
-        self._trees: Dict[int, _TreeState] = {}
+    def __init__(self) -> None:
+        #: key -> (outstanding tasks as an insertion-ordered dict, armed at)
+        self._entries: Dict[Hashable, Tuple[Dict[int, None], float]] = {}
 
-    # ------------------------------------------------------------------
-    def new_edge_id(self) -> int:
-        """A random non-zero 64-bit edge id."""
-        while True:
-            edge = int(self._rng.integers(1, 2**63, dtype=np.int64))
-            if edge != 0:
-                return edge
+    def arm(self, key: Hashable, tasks: Iterable[int], now: float) -> bool:
+        """Await an ack from each of ``tasks`` for ``key``.
 
-    def register(self, root_id: int, first_edge_id: int) -> None:
-        """Spout-side: a new tuple tree rooted at ``root_id`` whose first
-        edge (spout -> first consumer) is ``first_edge_id``."""
-        if root_id in self._trees:
-            raise ValueError(f"root {root_id} already registered")
-        if first_edge_id == 0:
-            raise ValueError("edge ids must be non-zero")
-        self._trees[root_id] = _TreeState(
-            ack_val=first_edge_id,
-            registered_at=self._now(),
-            edges_seen=1,
-        )
+        Arming a live key adds ``tasks`` to the ones it still awaits and
+        restarts its timeout.  Returns ``True`` when nothing is
+        outstanding — an empty arm completes at once and leaves the key
+        unarmed."""
+        entry = self._entries.pop(key, None)
+        outstanding = entry[0] if entry is not None else {}
+        outstanding.update(dict.fromkeys(tasks))
+        if not outstanding:
+            return True
+        self._entries[key] = (outstanding, now)
+        return False
 
-    def ack(
-        self,
-        root_id: int,
-        consumed_edge_id: int,
-        emitted_edge_ids: Sequence[int] = (),
-    ) -> Optional[TreeOutcome]:
-        """Bolt-side: tuple on ``consumed_edge_id`` was processed and
-        produced ``emitted_edge_ids``.  Returns the outcome if the tree
-        completed, else ``None``."""
-        state = self._trees.get(root_id)
-        if state is None:
-            return None  # already completed/failed (late ack is a no-op)
-        val = state.ack_val ^ consumed_edge_id
-        for edge in emitted_edge_ids:
-            if edge == 0:
-                raise ValueError("edge ids must be non-zero")
-            val ^= edge
-            state.edges_seen += 1
-        state.ack_val = val
-        if val == 0:
-            del self._trees[root_id]
-            return TreeOutcome(
-                root_id=root_id,
-                completed=True,
-                latency_s=self._now() - state.registered_at,
-                edges_seen=state.edges_seen,
-            )
-        return None
+    def ack(self, key: Hashable, task: int) -> bool:
+        """``task`` acked ``key``; ``True`` when that was the last one.
+        A late or duplicate ack changes nothing."""
+        entry = self._entries.get(key)
+        if entry is None or task not in entry[0]:
+            return False
+        outstanding = entry[0]
+        del outstanding[task]
+        if outstanding:
+            return False
+        del self._entries[key]
+        return True
 
-    def fail(self, root_id: int) -> Optional[TreeOutcome]:
-        """Explicitly fail a tree (e.g. a bolt raised)."""
-        state = self._trees.pop(root_id, None)
-        if state is None:
-            return None
-        return TreeOutcome(
-            root_id=root_id,
-            completed=False,
-            latency_s=self._now() - state.registered_at,
-            edges_seen=state.edges_seen,
-        )
+    def expired(
+        self, now: float, timeout: float
+    ) -> List[Tuple[Hashable, List[int]]]:
+        """Disarm every key armed at least ``timeout`` ago; returns them
+        in arm order, each with the tasks it was still awaiting."""
+        out = []
+        for key, (outstanding, armed_at) in self._entries.items():
+            if now - armed_at < timeout:
+                break  # arm order is time order: the rest are younger
+            out.append((key, list(outstanding)))
+        for key, _ in out:
+            del self._entries[key]
+        return out
 
-    def sweep(self) -> List[TreeOutcome]:
-        """Fail every tree older than the timeout; returns the failures."""
-        now = self._now()
-        expired = [
-            root
-            for root, state in self._trees.items()
-            if now - state.registered_at >= self.timeout_s
-        ]
-        return [self.fail(root) for root in expired]  # type: ignore[misc]
+    def awaits(self, key: Hashable, task: int) -> bool:
+        """Whether ``key`` is armed and still awaits ``task``'s ack."""
+        entry = self._entries.get(key)
+        return entry is not None and task in entry[0]
 
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        return len(self._trees)
+    def items(self) -> List[Tuple[Hashable, List[int]]]:
+        """A snapshot of the armed keys, in arm order, each with the
+        tasks it still awaits."""
+        return [(key, list(entry[0])) for key, entry in self._entries.items()]
 
-    def pending_roots(self) -> List[int]:
-        return list(self._trees)
+    def __len__(self) -> int:
+        return len(self._entries)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
 from repro.dsps.api import Bolt, Spout, TupleContext
 from repro.dsps.comm import Envelope
@@ -183,6 +183,7 @@ class ExecutorBase:
                 task=self.task_id,
             )
         accepted = True
+        tracked: List[Envelope] = []
         for dst_operator, (grouping, tasks) in self._groupings.items():
             dst_tasks = grouping.choose(tup, tasks)
             env = Envelope(
@@ -236,9 +237,10 @@ class ExecutorBase:
                         where=f"{self.operator}.transfer_queue",
                     )
             elif grouping.one_to_many and self.is_spout:
-                reliability = self.system.reliability
-                if reliability is not None:
-                    reliability.register(self, env)
+                tracked.append(env)
+        reliability = self.system.reliability
+        if tracked and reliability is not None:
+            reliability.register(self, tracked)
         flow = self.system.flow
         if flow is not None:
             metrics.note_queue_depth(

@@ -1,24 +1,25 @@
 """Delivery semantics: acker-driven replay, dedup, and atomic multicast.
 
 The :class:`ReplayCoordinator` implements every delivery guarantee of
-``SystemConfig.delivery`` behind one interface, wiring Storm's XOR
-:class:`~repro.dsps.acker.Acker` into the spout's emission path:
+``SystemConfig.delivery`` behind one interface, tracking completion in
+the acker's :class:`~repro.dsps.acker.PendingTable`:
 
 * **at_least_once** — when a spout emits a one-to-many tuple, the
-  coordinator registers a tuple tree with one edge per destination task;
-  each destination's execution sends an :class:`AckMessage` over the
+  coordinator arms one delivery tree keyed by the root tuple id, over
+  every destination task of the spout's one-to-many edges; each
+  destination's execution sends an :class:`AckMessage` over the
   control plane to the acker's machine (real traffic, so ack overhead
   shows up in the fabric counters).  A periodic sweep fails trees older
-  than ``ack_timeout_s`` and replays the *whole* envelope from the spout
+  than ``ack_timeout_s`` and replays the *whole* tree from the spout
   with jittered exponential backoff, up to ``max_replays`` attempts.
   Replays re-execute everywhere (Storm semantics); the set-based metrics
   trackers dedup so duplicates never inflate throughput.
 * **exactly_once** — at-least-once plus a per-destination dedup table:
   a replayed tuple already executed at task T is *acked but not
   re-executed* (the idempotent-execution contract), and replays are
-  *selective* — only the destinations whose acks are missing (the
-  ``acked_tasks`` set) are re-delivered, point-to-point rather than down
-  the multicast tree.  Epoch barriers flow through the spout's
+  *selective* — only the destinations the expired tree still awaited
+  are re-delivered, point-to-point rather than down the multicast
+  tree.  Epoch barriers flow through the spout's
   registration path: every ``epoch_interval_s`` the current epoch
   closes, and once all of a closed epoch's trees have settled the epoch
   commits and its dedup state is garbage-collected.
@@ -41,11 +42,10 @@ lets a crash-interrupted execution be replayed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.dsps.acker import Acker
+from repro.dsps.acker import PendingTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.comm import Envelope
@@ -91,16 +91,24 @@ class CompletionRecord:
 
 @dataclass
 class _PendingTree:
+    root: int
     executor: "ExecutorBase"
-    envelope: "Envelope"
+    #: the spout tuple's one-to-many envelopes, one per edge.
+    envelopes: List["Envelope"]
     registered_at: float
     attempts: int = 0
-    acked_tasks: set = field(default_factory=set)
     #: registration epoch (dedup GC barrier).
     epoch: int = 0
     #: atomic mode: sender task id and per-sender sequence number.
     sender: int = -1
     seq: int = -1
+    #: atomic mode: "pending" until every live destination acked, then
+    #: "stable" until it commits; "aborted" once its budget ran out.
+    status: str = "pending"
+
+    @property
+    def tasks(self) -> List[int]:
+        return [t for env in self.envelopes for t in env.dst_tasks]
 
 
 @dataclass
@@ -158,21 +166,15 @@ class ReplayCoordinator:
             self.home_machine = system.spout_executors[0].machine_id
         else:
             self.home_machine = min(system.workers)
-        # One seeded stream feeds both the acker's edge ids and the
-        # replay-backoff jitter, so a run is deterministic per seed.
+        # The seeded stream feeds the replay-backoff jitter, so a run is
+        # deterministic per seed.
         self._rng = system.rng.stream("acker")
-        self.acker = Acker(
-            now_fn=lambda: self.sim.now,
-            timeout_s=cfg.ack_timeout_s,
-            seed=int(self._rng.integers(0, 2**31)),
-        )
-        self._tree_ids = itertools.count(1)
-        #: acker tree id -> pending bookkeeping.
+        # The first draw is burnt so per-seed jitter matches pinned runs.
+        self._rng.integers(0, 2**31)
+        #: armed trees: root -> destination tasks still owing an ack.
+        self.acker = PendingTable()
+        #: root tuple id -> pending bookkeeping (atomic: until commit).
         self._pending: Dict[int, _PendingTree] = {}
-        #: root tuple id -> tree id, while the tree is pending.
-        self._root_tree: Dict[int, int] = {}
-        #: (root tuple id, destination task) -> (tree id, edge id).
-        self._edges: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self.registered = 0
         self.replays = 0
         self.completions: List[CompletionRecord] = []
@@ -206,10 +208,8 @@ class ReplayCoordinator:
         self._seq_next: Dict[int, int] = {}
         #: sender task -> next sequence number to commit.
         self._commit_next: Dict[int, int] = {}
-        #: sender task -> {seq: tree id} awaiting commit-order release.
-        self._sender_queue: Dict[int, Dict[int, int]] = {}
-        #: tree id -> "stable" | "aborted" (absent = still pending).
-        self._tree_status: Dict[int, str] = {}
+        #: sender task -> {seq: tree} awaiting commit-order release.
+        self._sender_queue: Dict[int, Dict[int, _PendingTree]] = {}
         #: root -> {task: buffered tuple} held back until commit.
         self._held: Dict[int, Dict[int, object]] = {}
         #: root -> tasks whose released copy is still riding the inqueue
@@ -259,30 +259,32 @@ class ReplayCoordinator:
     # ------------------------------------------------------------------
     # spout side
     # ------------------------------------------------------------------
-    def register(self, executor: "ExecutorBase", env: "Envelope") -> None:
-        """Track one accepted one-to-many spout envelope."""
-        tree_id = next(self._tree_ids)
-        root = env.tuple.tuple_id
+    def register(
+        self, executor: "ExecutorBase", envelopes: List["Envelope"]
+    ) -> None:
+        """Track the accepted one-to-many envelopes of one spout tuple
+        as one tree over all of their destination tasks."""
+        root = envelopes[0].tuple.tuple_id
         record = _PendingTree(
+            root=root,
             executor=executor,
-            envelope=env,
+            envelopes=envelopes,
             registered_at=self.sim.now,
             epoch=self._epoch,
         )
-        self._pending[tree_id] = record
-        self._root_tree[root] = tree_id
+        self._pending[root] = record
         self._epoch_roots[self._epoch].append(root)
         self._epoch_open[self._epoch] += 1
         self.registered += 1
         self.system.metrics.note_acker_pending(len(self._pending))
-        tasks = list(env.dst_tasks)
+        tasks = record.tasks
         if self.mode == "atomic":
             sender = executor.task_id
             seq = self._seq_next.get(sender, 0)
             self._seq_next[sender] = seq + 1
             record.sender = sender
             record.seq = seq
-            self._sender_queue.setdefault(sender, {})[seq] = tree_id
+            self._sender_queue.setdefault(sender, {})[seq] = record
             self._commit_next.setdefault(sender, 0)
             # Fail-stop membership: destinations on crashed machines are
             # excused up front — all-or-none is over *live* destinations.
@@ -305,37 +307,19 @@ class ReplayCoordinator:
             tracer.emit(
                 "ack.register",
                 self.sim.now,
-                tree=tree_id,
                 root=root,
-                operator=env.dst_operator,
-                n_dsts=len(env.dst_tasks),
+                operator=",".join(env.dst_operator for env in envelopes),
+                n_dsts=len(record.tasks),
                 epoch=record.epoch,
             )
-        self._register_edges(tree_id, record, tasks)
+        self._arm(record, tasks)
 
-    def _register_edges(
-        self,
-        tree_id: int,
-        record: _PendingTree,
-        tasks: Optional[List[int]] = None,
-    ) -> None:
-        """(Re-)register the tree: edge 0 spout->acker, one edge per
-        destination task, all alive until each destination acks.
-        ``tasks`` restricts the edge set (selective replay, fail-stop
-        exclusions); default is every destination."""
-        root = record.envelope.tuple.tuple_id
-        if tasks is None:
-            tasks = list(record.envelope.dst_tasks)
-        edge0 = self.acker.new_edge_id()
-        self.acker.register(tree_id, edge0)
-        task_edges = {task: self.acker.new_edge_id() for task in tasks}
-        for task, edge in task_edges.items():
-            self._edges[(root, task)] = (tree_id, edge)
-        outcome = self.acker.ack(tree_id, edge0, list(task_edges.values()))
-        if outcome is not None and outcome.completed:
+    def _arm(self, record: _PendingTree, tasks: List[int]) -> None:
+        """(Re-)arm the tree until each of ``tasks`` acks."""
+        if self.acker.arm(record.root, tasks, self.sim.now):
             # Zero live destinations (every machine crashed): the tree is
-            # trivially complete the instant it is registered.
-            self._on_tree_complete(tree_id)
+            # trivially complete the instant it is armed.
+            self._on_tree_complete(record.root)
 
     # ------------------------------------------------------------------
     # bolt side: the delivery gate + execution notification
@@ -352,7 +336,7 @@ class ReplayCoordinator:
         executed = self._executed.get(root)
         if executed is not None and task_id in executed:
             # Idempotent-execution contract: already executed here — ack
-            # again (the replay minted a fresh edge) but do not re-run.
+            # again (the replay re-armed the tree) but do not re-run.
             self.duplicates_suppressed += 1
             self._ack_if_tracked(task_id, root)
             self._trace_dedup(root, task_id)
@@ -368,7 +352,7 @@ class ReplayCoordinator:
             return self._on_delivery_atomic(task_id, tup, root)
         # exactly_once: claim at the decision point so two in-flight
         # copies can never both reach the bolt.
-        if root in self._root_tree or executed is not None:
+        if root in self._pending or executed is not None:
             self._claimed.setdefault(root, set()).add(task_id)
         return "execute"
 
@@ -379,11 +363,10 @@ class ReplayCoordinator:
             # Released (or late) copy of a committed tree: execute once.
             self._claimed.setdefault(root, set()).add(task_id)
             return "execute"
-        tree_id = self._root_tree.get(root)
-        if tree_id is None:
+        if root not in self._pending:
             return "execute"  # untracked stream (no one-to-many tree)
         # Pending tree: buffer the first copy, ack receipt; duplicates
-        # from a whole-tree replay re-ack against the fresh edge.
+        # from a whole-tree replay re-ack the re-armed tree.
         held = self._held.setdefault(root, {})
         if task_id not in held:
             held[task_id] = tup
@@ -394,7 +377,7 @@ class ReplayCoordinator:
         """Called by every bolt execution; no-op for untracked tuples."""
         root = tup.root_id
         tracked = (
-            root in self._root_tree
+            root in self._pending
             or root in self._executed
             or root in self._committed_roots
         )
@@ -419,8 +402,7 @@ class ReplayCoordinator:
         self._ack_if_tracked(task_id, root)
 
     def _ack_if_tracked(self, task_id: int, root: int) -> None:
-        entry = self._edges.get((root, task_id))
-        if entry is None:
+        if not self.acker.awaits(root, task_id):
             return
         machine = self.system.placement.machine_of[task_id]
         if self.system.machine_is_crashed(machine):
@@ -441,35 +423,22 @@ class ReplayCoordinator:
     def _on_control(self, payload) -> None:
         if not isinstance(payload, AckMessage):
             return
-        entry = self._edges.pop((payload.root_id, payload.task_id), None)
-        if entry is None:
-            return  # duplicate/stale ack
-        tree_id, edge = entry
-        record = self._pending.get(tree_id)
-        if record is not None:
-            record.acked_tasks.add(payload.task_id)
-        outcome = self.acker.ack(tree_id, edge)
-        if outcome is not None and outcome.completed:
-            self._on_tree_complete(tree_id)
+        # A duplicate or stale ack is a no-op in the table.
+        if self.acker.ack(payload.root_id, payload.task_id):
+            self._on_tree_complete(payload.root_id)
 
-    def _on_tree_complete(self, tree_id: int) -> None:
+    def _on_tree_complete(self, root: int) -> None:
         """Every (live) destination acked: complete now, or — in atomic
         mode — mark stable and commit in sender order."""
         if self.mode != "atomic":
-            self._on_complete(tree_id)
+            self._on_complete(root)
             return
-        record = self._pending.get(tree_id)
-        if record is None:  # pragma: no cover - defensive
-            return
-        self._tree_status[tree_id] = "stable"
+        record = self._pending[root]
+        record.status = "stable"
         self._pump_commits(record.sender)
 
-    def _on_complete(self, tree_id: int) -> None:
-        record = self._pending.pop(tree_id, None)
-        if record is None:  # pragma: no cover - defensive
-            return
-        root = record.envelope.tuple.tuple_id
-        self._root_tree.pop(root, None)
+    def _on_complete(self, root: int) -> None:
+        record = self._pending.pop(root)
         self.completions.append(
             CompletionRecord(
                 root_id=root,
@@ -501,27 +470,23 @@ class ReplayCoordinator:
         nxt = self._commit_next.get(sender, 0)
         committed_roots: List[int] = []
         while nxt in queue:
-            tree_id = queue[nxt]
-            status = self._tree_status.get(tree_id)
-            if status == "aborted":
+            record = queue[nxt]
+            if record.status == "aborted":
                 del queue[nxt]
-                self._tree_status.pop(tree_id, None)
                 nxt += 1
                 continue
-            if status != "stable":
+            if record.status != "stable":
                 break  # head of line still in flight: hold back commits
             del queue[nxt]
-            self._tree_status.pop(tree_id, None)
-            committed_roots.append(self._commit_tree(tree_id, nxt))
+            committed_roots.append(self._commit_tree(record, nxt))
             nxt += 1
         self._commit_next[sender] = nxt
         if committed_roots:
             self._queue_notice(committed_roots, commit=True)
 
-    def _commit_tree(self, tree_id: int, seq: int) -> int:
-        record = self._pending.pop(tree_id)
-        root = record.envelope.tuple.tuple_id
-        self._root_tree.pop(root, None)
+    def _commit_tree(self, record: _PendingTree, seq: int) -> int:
+        root = record.root
+        del self._pending[root]
         self._committed_roots.add(root)
         self.commits += 1
         self.commit_order.setdefault(record.sender, []).append(seq)
@@ -551,12 +516,11 @@ class ReplayCoordinator:
             )
         return root
 
-    def _abort_tree(self, tree_id: int, record: _PendingTree) -> None:
-        root = record.envelope.tuple.tuple_id
-        self._pending.pop(tree_id, None)
-        self._root_tree.pop(root, None)
+    def _abort_tree(self, record: _PendingTree) -> None:
+        root = record.root
+        del self._pending[root]
         self._aborted_roots.add(root)
-        self._tree_status[tree_id] = "aborted"
+        record.status = "aborted"
         self.aborts += 1
         self.gave_up.append(root)
         self.system.metrics.on_abandoned()
@@ -710,23 +674,18 @@ class ReplayCoordinator:
             pending -= lost
             if not pending:
                 self._in_release.pop(root, None)
-        # Forgive pending edges of tasks on the crashed machine: ack on
-        # their behalf so all-or-none ranges over live destinations only.
-        for (root, task), (tree_id, edge) in list(self._edges.items()):
-            if machine_of[task] != machine:
-                continue
-            if tree_id not in self._pending:
-                continue
-            del self._edges[(root, task)]
+        # Forgive the crashed machine's outstanding destinations, in arm
+        # order: ack on their behalf so all-or-none ranges over live
+        # destinations only.
+        for root, tasks in self.acker.items():
             audit = self._audit.get(root)
-            if audit is not None:
-                audit.excused.add(task)
-            record = self._pending.get(tree_id)
-            if record is not None:
-                record.acked_tasks.add(task)
-            outcome = self.acker.ack(tree_id, edge)
-            if outcome is not None and outcome.completed:
-                self._on_tree_complete(tree_id)
+            for task in tasks:
+                if machine_of[task] != machine:
+                    continue
+                if audit is not None:
+                    audit.excused.add(task)
+                if self.acker.ack(root, task):
+                    self._on_tree_complete(root)
 
     # ------------------------------------------------------------------
     # timeout sweep + replay
@@ -735,8 +694,10 @@ class ReplayCoordinator:
         cfg = self.config
         while True:
             yield self.sim.timeout(cfg.ack_sweep_interval_s)
-            for outcome in self.acker.sweep():
-                self._on_timeout(outcome.root_id)
+            for root, outstanding in self.acker.expired(
+                self.sim.now, cfg.ack_timeout_s
+            ):
+                self._on_timeout(root, outstanding)
             if self.mode == "atomic":
                 self._retry_notices()
 
@@ -756,16 +717,10 @@ class ReplayCoordinator:
         ]:
             self._notice_sent_at.pop(root, None)
 
-    def _on_timeout(self, tree_id: int) -> None:
-        record = self._pending.get(tree_id)
-        if record is None:  # pragma: no cover - defensive
-            return
-        root = record.envelope.tuple.tuple_id
-        # Retire the stale edges; fresh ones are minted on replay.
-        for task in record.envelope.dst_tasks:
-            entry = self._edges.get((root, task))
-            if entry is not None and entry[0] == tree_id:
-                del self._edges[(root, task)]
+    def _on_timeout(self, root: int, outstanding: List[int]) -> None:
+        """The tree expired (and was disarmed) still awaiting
+        ``outstanding``: replay it after a backoff, or give up."""
+        record = self._pending[root]
         record.attempts += 1
         tracer = self.sim.tracer
         if record.attempts > self.config.max_replays:
@@ -777,10 +732,9 @@ class ReplayCoordinator:
                         root=root,
                         attempts=record.attempts - 1,
                     )
-                self._abort_tree(tree_id, record)
+                self._abort_tree(record)
                 return
-            self._pending.pop(tree_id, None)
-            self._root_tree.pop(root, None)
+            del self._pending[root]
             self.gave_up.append(root)
             self.system.metrics.on_abandoned()
             self._settle_epoch(record.epoch)
@@ -820,17 +774,19 @@ class ReplayCoordinator:
                 attempt=record.attempts,
                 backoff_s=backoff,
             )
-        self.sim.process(self._replay(tree_id, record, backoff))
+        self.sim.process(self._replay(record, backoff, outstanding))
 
-    def _replay_tasks(self, record: _PendingTree) -> List[int]:
+    def _replay_tasks(
+        self, record: _PendingTree, outstanding: List[int]
+    ) -> List[int]:
         """The destinations a replay must reach."""
-        tasks = list(record.envelope.dst_tasks)
         if self.mode == "exactly_once":
             # Selective replay: only destinations whose ack is missing.
-            tasks = [t for t in tasks if t not in record.acked_tasks]
-        elif self.mode == "atomic":
+            return outstanding
+        tasks = record.tasks
+        if self.mode == "atomic":
             machine_of = self.system.placement.machine_of
-            audit = self._audit.get(record.envelope.tuple.tuple_id)
+            audit = self._audit.get(record.root)
             excused = audit.excused if audit is not None else set()
             tasks = [
                 t for t in tasks
@@ -839,31 +795,37 @@ class ReplayCoordinator:
             ]
         return tasks
 
-    def _replay(self, tree_id: int, record: _PendingTree, backoff: float):
+    def _replay(
+        self, record: _PendingTree, backoff: float, outstanding: List[int]
+    ):
         if backoff > 0:
             yield self.sim.timeout(backoff)
-        if tree_id not in self._pending:  # pragma: no cover - defensive
-            return
-        tasks = self._replay_tasks(record)
-        self._register_edges(tree_id, record, tasks)
-        if tree_id not in self._pending:
-            return  # zero live destinations: completed at registration
-        env = record.envelope
-        if self.mode == "exactly_once" and set(tasks) != set(env.dst_tasks):
-            # Point repair: re-deliver only the unacked destinations,
-            # bypassing the multicast tree (Envelope.selective).
-            from repro.dsps.comm import Envelope
+        self._arm(record, self._replay_tasks(record, outstanding))
+        if record.root not in self._pending:
+            return  # zero live destinations: completed at arming
+        missing = set(outstanding)
+        for env in record.envelopes:
+            if self.mode == "exactly_once":
+                tasks = [t for t in env.dst_tasks if t in missing]
+                if not tasks:
+                    continue
+                if len(tasks) != len(env.dst_tasks):
+                    # Point repair: re-deliver only the unacked
+                    # destinations, bypassing the multicast tree
+                    # (Envelope.selective).
+                    from repro.dsps.comm import Envelope
 
-            env = Envelope(
-                tuple=env.tuple,
-                dst_operator=env.dst_operator,
-                dst_tasks=tasks,
-                one_to_many=True,
-                selective=True,
-            )
-        # Re-enqueue at the spout; a blocking put applies backpressure
-        # instead of silently dropping the replay when the queue is full.
-        yield record.executor.transfer_queue.put(env)
+                    env = Envelope(
+                        tuple=env.tuple,
+                        dst_operator=env.dst_operator,
+                        dst_tasks=tasks,
+                        one_to_many=True,
+                        selective=True,
+                    )
+            # Re-enqueue at the spout; a blocking put applies
+            # backpressure instead of silently dropping the replay when
+            # the queue is full.
+            yield record.executor.transfer_queue.put(env)
 
     # ------------------------------------------------------------------
     # epoch barriers: close every interval, commit once settled, GC dedup

@@ -25,12 +25,15 @@ Wire protocol (JSON frames; see :mod:`repro.rt.framing`):
   ``SystemConfig.flow`` is on).
 
 **At-least-once** (``config.reliability_enabled``): the spout's host
-tracks every one-to-many spout emit in an :class:`Acker` pending table
-(root id -> destination tasks still owed an execution).  A sweep task
-replays expired entries *selectively* — direct ``data`` frames to just
-the missing tasks — up to ``max_replays`` times, after which the tree is
-abandoned (``metrics.on_abandoned``).  Receivers dedup by tuple id, so
-replays cannot double-execute and the executed multiset stays exact.
+tracks every one-to-many spout emit in its :class:`Acker`, whose
+completion state is the DES acker's
+:class:`~repro.dsps.acker.PendingTable` (root id -> destination tasks
+still owed an execution; a second one-to-many edge of the same tuple
+joins the same root).  A sweep task replays expired roots
+*selectively* — direct ``data`` frames to just the missing tasks — up
+to ``max_replays`` times, after which the root is abandoned
+(``metrics.on_abandoned``).  Receivers dedup by tuple id, so replays
+cannot double-execute and the executed multiset stays exact.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import asyncio
 import contextlib
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dsps.acker import PendingTable
 from repro.dsps.api import TupleContext
 from repro.dsps.grouping import Grouping, make_grouping
 from repro.dsps.tuples import StreamTuple
@@ -250,39 +254,36 @@ class RtSpoutExecutor(RtExecutorBase):
 
 
 class Acker:
-    """Spout-host pending table for at-least-once one-to-many delivery."""
+    """Spout-host acker for at-least-once one-to-many delivery: the
+    shared pending table plus an asyncio sweep that replays or abandons
+    expired roots."""
 
     def __init__(self, host: "WorkerHost"):
         self.host = host
         self.config = host.config
-        #: root id -> [wire tuple, dst operator, outstanding task set,
-        #: deadline (clock seconds), replays so far]
-        self.pending: Dict[int, list] = {}
+        self.table = PendingTable()
+        #: root id -> (wire tuple, replays so far) until it completes or
+        #: is abandoned.
+        self._roots: Dict[int, Tuple[Dict[str, Any], int]] = {}
         self.completed = 0
         self.replays = 0
         self.abandoned = 0
         self._task: Optional[asyncio.Task] = None
 
-    def register(
-        self, wire: Dict[str, Any], dst_operator: str, tasks: Sequence[int]
-    ) -> None:
+    @property
+    def pending(self) -> int:
+        """Roots still owed an ack."""
+        return len(self.table)
+
+    def register(self, wire: Dict[str, Any], tasks: Sequence[int]) -> None:
         root = wire["root_id"]
-        deadline = self.host.clock.now + self.config.ack_timeout_s
-        entry = self.pending.get(root)
-        if entry is None:
-            self.pending[root] = [wire, dst_operator, set(tasks), deadline, 0]
-        else:
-            entry[2].update(tasks)
-        metrics = self.host.runtime.metrics
-        metrics.note_acker_pending(len(self.pending))
+        self._roots.setdefault(root, (wire, 0))
+        self.table.arm(root, tasks, self.host.clock.now)
+        self.host.runtime.metrics.note_acker_pending(len(self.table))
 
     def on_ack(self, root: int, task: int) -> None:
-        entry = self.pending.get(root)
-        if entry is None:
-            return
-        entry[2].discard(task)
-        if not entry[2]:
-            del self.pending[root]
+        if self.table.ack(root, task):
+            del self._roots[root]
             self.completed += 1
 
     def start(self) -> None:
@@ -301,29 +302,32 @@ class Acker:
         while True:
             await asyncio.sleep(cfg.ack_sweep_interval_s)
             now = host.clock.now
-            for root, entry in list(self.pending.items()):
-                wire, dst, outstanding, deadline, replays = entry
-                if deadline > now or not outstanding:
-                    continue
-                if replays >= cfg.max_replays:
-                    del self.pending[root]
+            # Re-arm every expired root before the first send yields, so
+            # ``pending`` never reads empty while a replay is in flight.
+            replays = []
+            for root, outstanding in self.table.expired(now, cfg.ack_timeout_s):
+                wire, attempts = self._roots[root]
+                if attempts >= cfg.max_replays:
+                    del self._roots[root]
                     self.abandoned += 1
                     metrics = host.runtime.metrics
                     metrics.on_abandoned()
                     metrics.multicast.cancel(wire["tuple_id"])
                     metrics.completion.cancel(root)
-                    host.clock.emit("rt.abandon", root=root, replays=replays)
+                    host.clock.emit("rt.abandon", root=root, replays=attempts)
                     continue
-                entry[3] = now + cfg.ack_timeout_s
-                entry[4] = replays + 1
+                self._roots[root] = (wire, attempts + 1)
+                self.table.arm(root, outstanding, now)
                 self.replays += 1
                 host.clock.emit(
                     "rt.replay",
                     root=root,
-                    attempt=replays + 1,
+                    attempt=attempts + 1,
                     outstanding=len(outstanding),
                 )
-                await host.replay(wire, dst, sorted(outstanding))
+                replays.append((wire, sorted(outstanding)))
+            for wire, tasks in replays:
+                await host.replay(wire, tasks)
 
 
 class WorkerHost:
@@ -505,7 +509,7 @@ class WorkerHost:
                 and executor.is_spout
                 and self.acker is not None
             ):
-                self.acker.register(wire, dst, chosen)
+                self.acker.register(wire, chosen)
                 ack_to = self.machine_id
             by_machine: Dict[int, List[int]] = {}
             for task in chosen:
@@ -547,10 +551,9 @@ class WorkerHost:
                         stall_key=executor.operator,
                     )
 
-    async def replay(
-        self, wire: Dict[str, Any], dst: str, tasks: Sequence[int]
-    ) -> None:
-        """Selective retransmission to just the unacked destinations."""
+    async def replay(self, wire: Dict[str, Any], tasks: Sequence[int]) -> None:
+        """Selective retransmission to just the unacked destinations (a
+        root may span several edges, so frames address tasks only)."""
         placement = self.runtime.placement
         by_machine: Dict[int, List[int]] = {}
         for task in tasks:
@@ -563,7 +566,6 @@ class WorkerHost:
                 machine,
                 {
                     "type": "data",
-                    "dst": dst,
                     "tasks": machine_tasks,
                     "ack_to": self.machine_id,
                     "tuple": wire,

@@ -10,13 +10,19 @@ from collections import Counter
 import pytest
 
 from repro.core import create_system, whale_full_config
+from repro.dsps import AllGrouping, Topology
 from repro.dsps.config import DELIVERY_MODES, SystemConfig
 from repro.faults import FaultEvent, FaultSchedule
 from repro.net import Cluster
 from repro.trace import MemoryTracer
 from repro.workloads import PoissonArrivals
 
-from tests._check_util import build_checked_system
+from tests._check_util import (
+    RecordingBolt,
+    SeqSpout,
+    build_checked_system,
+    finite_arrivals,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -213,6 +219,63 @@ def test_atomic_aborts_whole_groups_on_exhausted_budget():
     assert system.metrics.messages_abandoned == coord.aborts
     report = system.checker.finalize()
     assert report.ok, report.summary()
+
+
+# ----------------------------------------------------------------------
+# one tree per root: a spout feeding two one-to-many edges
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("delivery", ["at_least_once", "exactly_once", "atomic"])
+def test_spout_with_two_one_to_many_edges_is_one_tree(delivery):
+    """Both broadcast edges of one spout tuple form a single delivery
+    tree over the union of their destinations: it completes (or, in
+    atomic mode, commits or aborts) once, and nothing is left pending."""
+    n_tuples = 40
+    log = []
+    topo = Topology("two-edges")
+    topo.add_spout("src", SeqSpout)
+    for name in ("left", "right"):
+        topo.add_bolt(
+            name,
+            lambda: RecordingBolt(log),
+            parallelism=4,
+            inputs={"src": AllGrouping()},
+            terminal=True,
+        )
+    system = create_system(
+        topo,
+        _delivery_config(delivery),
+        cluster=Cluster(3, 1, 16),
+        arrivals={"src": finite_arrivals(0.002, n_tuples)},
+        seed=1,
+        fabric_options=dict(LOSSY),
+    )
+    system.attach_checker(mode="strict")
+    system.start()
+    system.sim.run(until=0.3)
+    _drain(system)
+    report = system.checker.finalize()
+    assert report.ok, report.summary()
+    coord = system.reliability
+    assert coord.outstanding == 0
+    assert coord.held_entries == 0
+    tasks = {
+        task
+        for name in ("left", "right")
+        for task in system.placement.tasks_of[name]
+    }
+    assert len(tasks) == 8
+    if delivery == "exactly_once":
+        expected = {(seq, task) for seq in range(1, n_tuples + 1) for task in tasks}
+        assert Counter(log) == Counter(expected)
+    if delivery == "atomic":
+        executed_at = {}
+        for seq, task in log:
+            executed_at.setdefault(seq, set()).add(task)
+        partial = {
+            seq: sorted(at) for seq, at in executed_at.items() if at != tasks
+        }
+        assert not partial, f"roots executed at a strict subset: {partial}"
+        assert len(set(log)) == len(log)
 
 
 # ----------------------------------------------------------------------

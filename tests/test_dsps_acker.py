@@ -1,150 +1,102 @@
-"""Tests for the XOR acker protocol (at-least-once tuple-tree tracking)."""
+"""Tests for the acker's pending table (one-level delivery trees)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dsps.acker import Acker
+from repro.dsps.acker import PendingTable
 
 
-class Clock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-
-def make_acker(timeout=30.0):
-    clock = Clock()
-    return Acker(clock, timeout_s=timeout, seed=1), clock
-
-
-# ----------------------------------------------------------------------
-# basic protocol
-# ----------------------------------------------------------------------
 def test_single_hop_tree_completes():
-    acker, clock = make_acker()
-    edge = acker.new_edge_id()
-    acker.register(root_id=1, first_edge_id=edge)
-    clock.t = 0.5
-    outcome = acker.ack(1, edge)  # leaf: no emissions
-    assert outcome is not None and outcome.completed
-    assert outcome.latency_s == pytest.approx(0.5)
-    assert acker.pending == 0
-
-
-def test_multi_hop_tree_completes_only_at_the_end():
-    acker, _ = make_acker()
-    e1 = acker.new_edge_id()
-    acker.register(1, e1)
-    # Bolt A consumes e1, emits e2 and e3.
-    e2, e3 = acker.new_edge_id(), acker.new_edge_id()
-    assert acker.ack(1, e1, [e2, e3]) is None
-    # Bolt B consumes e2 (leaf).
-    assert acker.ack(1, e2) is None
-    # Bolt C consumes e3 (leaf) -> tree complete.
-    outcome = acker.ack(1, e3)
-    assert outcome is not None and outcome.completed
-    assert outcome.edges_seen == 3
+    table = PendingTable()
+    assert not table.arm(1, [10, 11, 12], now=0.0)
+    assert not table.ack(1, 10)
+    assert not table.ack(1, 12)
+    assert table.awaits(1, 11)
+    assert table.ack(1, 11)  # the last outstanding destination
+    assert len(table) == 0
+    assert not table.awaits(1, 11)
 
 
 def test_out_of_order_acks_still_complete():
-    acker, _ = make_acker()
-    e1 = acker.new_edge_id()
-    acker.register(1, e1)
-    e2, e3 = acker.new_edge_id(), acker.new_edge_id()
-    # Leaves ack before the intermediate bolt (network reordering).
-    assert acker.ack(1, e2) is None
-    assert acker.ack(1, e3) is None
-    outcome = acker.ack(1, e1, [e2, e3])
-    assert outcome is not None and outcome.completed
-
-
-def test_duplicate_root_rejected():
-    acker, _ = make_acker()
-    e = acker.new_edge_id()
-    acker.register(1, e)
-    with pytest.raises(ValueError):
-        acker.register(1, e)
-
-
-def test_zero_edge_ids_rejected():
-    acker, _ = make_acker()
-    with pytest.raises(ValueError):
-        acker.register(1, 0)
-    e = acker.new_edge_id()
-    acker.register(2, e)
-    with pytest.raises(ValueError):
-        acker.ack(2, e, [0])
+    table = PendingTable()
+    table.arm(1, [10, 11, 12], now=0.0)
+    assert not table.ack(1, 12)
+    assert not table.ack(1, 10)
+    assert table.ack(1, 11)
 
 
 def test_late_ack_is_noop():
-    acker, _ = make_acker()
-    e = acker.new_edge_id()
-    acker.register(1, e)
-    acker.ack(1, e)
-    assert acker.ack(1, e) is None  # tree already gone
+    table = PendingTable()
+    table.arm(1, [10, 11], now=0.0)
+    table.arm(2, [10], now=0.0)
+    assert not table.ack(1, 10)
+    assert not table.ack(1, 10)  # duplicate
+    assert not table.ack(1, 99)  # never a destination
+    assert not table.ack(3, 10)  # never armed
+    assert table.items() == [(1, [11]), (2, [10])]
+    assert table.ack(1, 11)
+    assert not table.ack(1, 11)  # late: the key already completed
+    assert table.items() == [(2, [10])]
 
 
-# ----------------------------------------------------------------------
-# failure / timeout
-# ----------------------------------------------------------------------
-def test_explicit_fail():
-    acker, clock = make_acker()
-    e = acker.new_edge_id()
-    acker.register(1, e)
-    clock.t = 2.0
-    outcome = acker.fail(1)
-    assert outcome is not None and not outcome.completed
-    assert acker.pending == 0
-    assert acker.fail(1) is None
+def test_rearm_takes_the_union_of_tasks():
+    table = PendingTable()
+    table.arm(1, [10, 11], now=0.0)
+    table.ack(1, 10)
+    assert not table.arm(1, [11, 20, 21], now=0.0)  # a second edge
+    assert table.items() == [(1, [11, 20, 21])]
+    assert not table.ack(1, 11)
+    assert not table.ack(1, 20)
+    assert table.ack(1, 21)
 
 
 def test_sweep_times_out_old_trees():
-    acker, clock = make_acker(timeout=10.0)
-    acker.register(1, acker.new_edge_id())
-    clock.t = 5.0
-    acker.register(2, acker.new_edge_id())
-    clock.t = 11.0
-    failures = acker.sweep()
-    assert [f.root_id for f in failures] == [1]
-    assert acker.pending == 1
-    assert acker.pending_roots() == [2]
+    table = PendingTable()
+    table.arm(1, [10], now=0.0)
+    table.arm(2, [10, 11], now=5.0)
+    table.arm(3, [12], now=6.0)
+    assert table.expired(now=9.0, timeout=10.0) == []
+    assert table.expired(now=15.0, timeout=10.0) == [(1, [10]), (2, [10, 11])]
+    assert table.items() == [(3, [12])]  # expired keys are disarmed
+    assert not table.ack(1, 10)
 
 
-def test_timeout_validation():
-    with pytest.raises(ValueError):
-        Acker(lambda: 0.0, timeout_s=0.0)
+def test_rearm_moves_the_key_to_the_end_of_arm_order():
+    table = PendingTable()
+    table.arm(1, [10], now=0.0)
+    table.arm(2, [10], now=1.0)
+    table.arm(1, [11], now=2.0)  # re-armed: now the youngest
+    assert [key for key, _ in table.items()] == [2, 1]
+    assert table.expired(now=11.5, timeout=10.0) == [(2, [10])]
+    assert table.expired(now=12.0, timeout=10.0) == [(1, [10, 11])]
 
 
-# ----------------------------------------------------------------------
-# property: arbitrary random trees always complete, exactly at the end
-# ----------------------------------------------------------------------
+def test_empty_arm_completes_at_once():
+    table = PendingTable()
+    assert table.arm(1, [], now=0.0)
+    assert len(table) == 0
+    table.arm(2, [10], now=0.0)
+    assert not table.arm(2, [], now=1.0)  # a live key stays armed
+
+
 @given(
-    fanouts=st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40),
-    seed=st.integers(min_value=0, max_value=1000),
+    n_tasks=st.integers(min_value=1, max_value=12),
+    acks=st.lists(st.integers(min_value=0, max_value=15), max_size=60),
+    data=st.data(),
 )
 @settings(max_examples=100)
-def test_random_tree_completes_exactly_once(fanouts, seed):
-    """Build a random tree: process tuples BFS; each consumed tuple emits
-    ``fanouts[i]`` children.  The acker must report completion exactly
-    when the last pending edge acks, never before."""
-    acker = Acker(lambda: 0.0, seed=seed)
-    root_edge = acker.new_edge_id()
-    acker.register(99, root_edge)
-    frontier = [root_edge]
-    i = 0
+def test_random_tree_completes_exactly_once(n_tasks, acks, data):
+    """Any order of acks — duplicates and strangers included — completes
+    the key exactly once: at the ack that covers its last destination."""
+    table = PendingTable()
+    table.arm(99, range(n_tasks), now=0.0)
+    order = acks + data.draw(st.permutations(range(n_tasks)))
+    seen = set()
     completions = 0
-    while frontier:
-        edge = frontier.pop(0)
-        n_children = fanouts[i % len(fanouts)] if i < len(fanouts) else 0
-        i += 1
-        children = [acker.new_edge_id() for _ in range(n_children)]
-        outcome = acker.ack(99, edge, children)
-        frontier.extend(children)
-        if outcome is not None:
+    for task in order:
+        if table.ack(99, task):
             completions += 1
-            assert not frontier, "completed before all edges were acked"
+            assert seen | {task} >= set(range(n_tasks)), "completed early"
+        seen.add(task)
     assert completions == 1
-    assert acker.pending == 0
+    assert len(table) == 0

@@ -9,16 +9,20 @@ seconds-fast even on a loaded box.
 """
 
 import asyncio
+import time
 from collections import Counter
 
 import pytest
 
+from repro.dsps import AllGrouping, Bolt, Topology
 from repro.dsps.config import SystemConfig
 from repro.rt.relay import plan_relay, tree_edges
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
 from repro.rt.topologies import SENTENCES, Recorder, make_topology
 from repro.trace import MemoryTracer
 from repro.trace.tracer import ALL_CATEGORIES, DEFAULT_CATEGORIES
+
+from tests._check_util import SeqSpout
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +116,58 @@ def test_fanout_at_least_once_with_credits_is_exact():
     for host in runtime.hosts.values():
         for gate in host.gates.values():
             assert gate.max_in_flight <= config.credit_window
+
+
+class _SlowTally(Bolt):
+    """Blocks the event loop 3 ms per execute, so acks outlive a 2 ms
+    ack timeout and the acker's sweep must replay or abandon."""
+
+    def __init__(self, tally: Counter):
+        self.tally = tally
+        self.task_id = None
+
+    def prepare(self, ctx):
+        self.task_id = ctx.task_id
+
+    def execute(self, tup, collector):
+        time.sleep(0.003)
+        self.tally[(tup.values["seq"], self.task_id)] += 1
+
+
+@pytest.mark.parametrize("max_replays", [5, 0])
+def test_acker_replays_or_abandons_late_acks_without_reexecuting(max_replays):
+    """Acks slower than the timeout drive the acker's replay path (with a
+    budget) or its abandon path (without one); receiver dedup keeps
+    every (seq, task) at exactly one execution either way."""
+    budget, parallelism = 20, 4
+    tally: Counter = Counter()
+    topo = Topology("rt-slow-broadcast")
+    topo.add_spout("src", SeqSpout)
+    topo.add_bolt(
+        "sink",
+        lambda: _SlowTally(tally),
+        parallelism=parallelism,
+        inputs={"src": AllGrouping()},
+        terminal=True,
+    )
+    config = SystemConfig(
+        name="rt-slow-acks",
+        backend="asyncio",
+        delivery="at_least_once",
+        ack_timeout_s=0.002,
+        ack_sweep_interval_s=0.001,
+        max_replays=max_replays,
+    )
+    runtime = AsyncRuntime(topo, config, cluster=default_cluster(), seed=4)
+    report = runtime.run(800.0, budget=budget)
+    if max_replays:
+        assert report.replays > 0
+        assert report.abandoned == 0
+    else:
+        assert report.replays == 0
+        assert report.abandoned > 0
+    assert len(tally) == budget * parallelism
+    assert set(tally.values()) == {1}
 
 
 def test_create_runtime_dispatches_on_backend():
