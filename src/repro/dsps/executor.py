@@ -284,20 +284,12 @@ class BoltExecutor(ExecutorBase):
     """Working thread + sending thread around one Bolt instance.
 
     **Batched terminal dispatch** (``SystemConfig.batched_dispatch``): a
-    bolt's working thread is a pure FIFO single-server, so per-tuple
-    completion instants are a deterministic function of arrival instants:
-    ``done = max(now, busy_until) + service``.  A terminal sink feeds
-    nothing downstream, so in untraced runs with no reliability or flow
-    layer it runs in ``"lazy"`` mode: ``accept`` computes that arithmetic
-    directly and no per-tuple events exist at all.  Completed work is
-    *flushed* on the next accept, on a drain timer at the end of each
-    busy period, and at measurement-window boundaries
-    (:meth:`MetricsHub.flush`), with metrics taking the computed
-    completion instants.  Drain timers and the flush hook belong to the
-    hosting :class:`Worker`: sinks that fall due at the same instant
-    share one calendar entry.  A service-scale change re-times every
-    entry that has not started (:meth:`set_service_scale`), so each
-    service is scaled at its own start, as in the working thread.
+    bolt's working thread is a pure FIFO single-server, so completion
+    instants are closed-form: ``done = max(now, busy_until) + service``.
+    A terminal sink feeds nothing downstream, so in untraced runs with no
+    reliability or flow layer it runs in ``"lazy"`` mode, with no
+    per-tuple events: its state lives in a :class:`LazyCohort` shared
+    with the co-located sinks of its operator that move in lockstep.
 
     Every other bolt runs the working thread.  Observable results match
     the working thread up to same-instant tie ordering.  The gate
@@ -309,8 +301,8 @@ class BoltExecutor(ExecutorBase):
         super().__init__(system, task_id)
         self.bolt: Bolt = self.spec.factory()  # type: ignore[assignment]
         self.worker = system.workers[self.machine_id]
-        self._queue_capacity = system.config.executor_queue_capacity
-        self.inqueue: Store = Store(self.sim, capacity=self._queue_capacity)
+        self.inqueue: Store = Store(
+            self.sim, capacity=system.config.executor_queue_capacity)
         #: the thread holds a tuple (not in the inqueue) or has not started
         self._serving = True
         self.processed = 0
@@ -321,31 +313,11 @@ class BoltExecutor(ExecutorBase):
         #: dispatch mode, frozen at first accept:
         #: ``None`` = undecided, then "slow" (the working thread) | "lazy".
         self._mode: Optional[str] = None
-        #: lazy mode's arithmetic FIFO of ``[done, service, tuple,
-        #: unscaled service]``; the head may be in service, everything
-        #: behind it is queued.
-        self._fifo: Deque[list] = deque()
-        self._busy_until = self.sim.now
-        #: lazy mode: a worker drain timer is pending for this executor
-        self._drain_armed = False
+        #: lazy mode: the cohort holding this sink's lazy state
+        self.cohort: Optional[LazyCohort] = None
 
     def halt(self) -> None:
-        super().halt()
-        if self._mode == "lazy":
-            now = self.sim.now
-            self._flush_completed(now, *self.system.metrics.window_bounds())
-            fifo = self._fifo
-            if fifo and fifo[0][0] - fifo[0][1] <= now:
-                # Mid-service head: the CPU was committed at service
-                # start and the crash eats the output; the thread stays
-                # busy until its `done`.
-                done, service, _tup, _base = fifo[0]
-                if service > 0:
-                    self.cpu.charge(service, cats.PROCESSING)
-                self._busy_until = done
-            else:
-                self._busy_until = now
-            fifo.clear()
+        super().halt()  # a worker halts its cohorts itself, once
         self.inqueue.clear()
 
     def start(self) -> None:
@@ -353,12 +325,14 @@ class BoltExecutor(ExecutorBase):
         self.bolt.prepare(self.context())
         self._serve()
 
-    def _pick_mode(self) -> str:
-        # Delivery verdicts and credit grants depend on the state at the
-        # service start, tracers record each execution, and downstream
-        # bolts wait on emissions, so only an untraced terminal sink
-        # without the reliability and flow layers may run lazily.
-        if (
+    def choose_mode(self) -> None:
+        """Freeze the dispatch mode at the first accept.  Delivery
+        verdicts and credit grants depend on the state at the service
+        start, tracers record each execution, and downstream bolts wait
+        on emissions, so only an untraced terminal sink without the
+        reliability and flow layers may run lazily.  All of this
+        worker's undecided sinks of the operator join one cohort."""
+        if not (
             self.system.config.batched_dispatch
             and self.spec.terminal
             and not self._groupings
@@ -366,113 +340,32 @@ class BoltExecutor(ExecutorBase):
             and self.system.flow is None
             and self.sim.tracer is None
         ):
-            return "lazy"
-        return "slow"
+            self._mode = "slow"
+            return
+        LazyCohort([ex for ex in self.worker.executors.values()
+                    if ex.operator == self.operator and ex._mode is None])
 
     def set_service_scale(self, scale: float) -> None:
-        """Gray failure: scale every service that starts from now on.
-
-        The working thread reads the scale at each service start.  A lazy
-        sink realises what is done, leaves its in-service head as it is
-        and re-times every entry behind it from its unscaled service."""
+        """Gray failure: scale every service that starts from now on."""
         self.service_scale = scale
-        if self._mode != "lazy":
-            return
-        now = self.sim.now
-        self._flush_completed(now, *self.system.metrics.window_bounds())
-        fifo = self._fifo
-        if not fifo:
-            return
-        head = fifo[0]
-        start = head[0] - head[1]
-        # An in-service head keeps the scale in force at its start.
-        busy, first = (head[0], 1) if start <= now else (start, 0)
-        for entry in islice(fifo, first, None):
-            entry[1] = service = entry[3] * scale
-            entry[0] = busy = busy + service
-        self._busy_until = busy
+        if self.cohort is not None and self.cohort.scale != scale:
+            self.cohort.set_scale(scale)  # once for the whole machine
 
     def accept(self, tup: StreamTuple) -> bool:
-        """Dispatcher entry point: enqueue a tuple (False = overflow)."""
-        mode = self._mode
-        if mode is None:
-            mode = self._mode = self._pick_mode()
-            if mode == "lazy":
-                self.worker.add_lazy(self)
-        if mode == "slow":
-            ok = self.inqueue.try_put(tup)
-            if not ok:
-                self.system.metrics.on_drop(f"{self.operator}.inqueue")
-            elif not self._serving:
-                self._serve()  # an idle thread takes it at once
-            elif self.inqueue.level > self.inqueue_hwm:
-                self.inqueue_hwm = self.inqueue.level
-            return ok
-        now = self.sim.now
-        fifo = self._fifo
-        if fifo and fifo[0][0] <= now:
-            self._flush_completed(now, *self.system.metrics.window_bounds())
-        if self.halted:
-            # Accepted into a crashed executor: the tuple is absorbed and
-            # dies unprocessed (the working thread takes and discards it
-            # the same way).
-            return True
-        # The head may be in service; everything behind it is queued.
-        depth = len(fifo)
-        if (depth - 1 if depth else 0) >= self._queue_capacity:
+        """Enqueue one copy of a tuple (False = overflow); a lazy sink
+        is carved out of its cohort (packets go per cohort instead)."""
+        if self._mode is None:
+            self.choose_mode()
+        if self.cohort is not None:
+            return self.cohort.carve([self]).accept(tup, [self])
+        ok = self.inqueue.try_put(tup)
+        if not ok:
             self.system.metrics.on_drop(f"{self.operator}.inqueue")
-            return False
-        base = self.bolt.service_time(tup)
-        service = base * self.service_scale
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + service
-        self._busy_until = done
-        fifo.append([done, service, tup, base])
-        if depth > self.inqueue_hwm:  # queued depth with the newcomer in
-            self.inqueue_hwm = depth
-        if not self._drain_armed:
-            self.worker.arm_drain(self, done)
-        return True
-
-    # ------------------------------------------------------------------
-    # lazy-mode machinery
-    # ------------------------------------------------------------------
-    def _flush_completed(self, now: float, start: float, end: float) -> None:
-        """Lazy mode: realise every completion due at or before ``now``,
-        each at its own computed instant; ``start``/``end`` are the
-        measurement window's bounds (:meth:`MetricsHub.window_bounds`),
-        read once by the caller for a whole group of sinks.  Processing
-        CPU is summed in a local in FIFO order (the same float as one
-        charge per tuple) and operator counters are added once."""
-        fifo = self._fifo
-        if not fifo or fifo[0][0] > now:
-            return
-        metrics = self.system.metrics
-        on_executed = metrics.completion.on_executed
-        execute = self.bolt.execute
-        collector = self.collector
-        task_id = self.task_id
-        busy = self.cpu.busy_s
-        spent = busy.get(cats.PROCESSING, 0.0)
-        realised = 0
-        latencies = []
-        while fifo and fifo[0][0] <= now:
-            done, service, tup, _base = fifo.popleft()
-            if service > 0:
-                spent += service
-            execute(tup, collector)
-            realised += 1
-            on_executed(tup.tuple_id, task_id, done)
-            if start <= done <= end:
-                latencies.append(done - tup.created_at)
-        if spent:
-            busy[cats.PROCESSING] = spent
-        self.processed += realised
-        if latencies:
-            metrics.processed[self.operator] += len(latencies)
-            metrics.sink_latencies[self.operator].extend(latencies)
+        elif not self._serving:
+            self._serve()  # an idle thread takes it at once
+        elif self.inqueue.level > self.inqueue_hwm:
+            self.inqueue_hwm = self.inqueue.level
+        return ok
 
     # ------------------------------------------------------------------
     # the working thread
@@ -540,6 +433,148 @@ class BoltExecutor(ExecutorBase):
             )
         if self.spec.terminal:
             metrics.on_sink_latency(self.operator, self.sim.now - tup.created_at)
+
+
+class LazyCohort:
+    """Lazy sinks of one operator on one worker that move in lockstep,
+    sharing a FIFO of ``[done, service, tuple, unscaled service]`` (the
+    head may be in service), busy-until, scale and drain timer.  Work is
+    realised on the next accept, the drain timer and
+    :meth:`MetricsHub.flush`, at its computed instants.  A subset packet
+    or disagreeing service times split a cohort; nothing merges.  Members
+    realise the same services in the same order, so one sequential CPU
+    sum, continued from the first member's ``busy_s``, is each one's.
+    """
+
+    def __init__(self, members: List[BoltExecutor], like=None):
+        first = members[0]
+        self.worker = worker = first.worker
+        self.sim, self.metrics = worker.sim, worker.system.metrics
+        self.operator, self.capacity = first.operator, first.inqueue.capacity
+        if like is None:  # pristine sinks at their first accept
+            self.fifo: Deque[list] = deque()
+            self.busy_until, self.scale = self.sim.now, first.service_scale
+        else:  # a split: entries are re-timed in place, so copy them
+            self.fifo = deque([list(entry) for entry in like.fifo])
+            self.busy_until, self.scale = like.busy_until, like.scale
+        #: instant of the pending worker drain timer, if any
+        self.armed_at: Optional[float] = None
+        self._set_members(members)
+        worker.add_cohort(self)
+
+    def _set_members(self, members: List[BoltExecutor]) -> None:
+        self.members = members
+        self.tasks = [ex.task_id for ex in members]
+        self._executes = [(ex.bolt.execute, ex.collector) for ex in members]
+        for ex in members:
+            ex.cohort, ex._mode = self, "lazy"
+
+    def carve(self, touched: List[BoltExecutor]) -> "LazyCohort":
+        """The cohort of exactly ``touched`` (distinct members): this one
+        or one split off with a copy of its state and drain timer."""
+        if len(touched) == len(self.members):
+            return self
+        new = LazyCohort(touched, like=self)
+        self._set_members([ex for ex in self.members if ex.cohort is self])
+        if self.armed_at is not None:
+            self.worker.arm_drain(new, self.armed_at)
+        return new
+
+    def accept(self, tup: StreamTuple, hosted: List[BoltExecutor]) -> bool:
+        """One copy of ``tup`` per member (``hosted``: the members in
+        packet order); False = the copies overflowed."""
+        now = self.sim.now
+        fifo = self.fifo
+        if fifo and fifo[0][0] <= now:
+            self.flush(now, *self.metrics.window_bounds())
+        if self.worker.crashed:
+            return True  # absorbed by a crashed machine, as by the thread
+        depth = len(fifo)  # the head may be in service
+        if (depth - 1 if depth else 0) >= self.capacity:
+            for _ in hosted:
+                self.metrics.on_drop(f"{self.operator}.inqueue")
+            return False
+        # Once per copy: service_time may be stateful or per instance.
+        bases = [ex.bolt.service_time(tup) for ex in hosted]
+        by_value: dict = {bases[0]: hosted}
+        if bases.count(bases[0]) != len(bases):
+            by_value = {}
+            for ex, base in zip(hosted, bases):
+                by_value.setdefault(base, []).append(ex)
+        for base, members in by_value.items():
+            cohort = self.carve(members)
+            service = base * cohort.scale
+            cohort.busy_until = done = max(cohort.busy_until, now) + service
+            cohort.fifo.append([done, service, tup, base])
+            if depth > members[0].inqueue_hwm:  # queued, newcomer in
+                for ex in members:
+                    ex.inqueue_hwm = depth
+            if cohort.armed_at is None:
+                self.worker.arm_drain(cohort, done)
+        return True
+
+    def flush(self, now: float, start: float, end: float) -> None:
+        """Realise every completion due at ``now``; ``start``/``end`` are
+        the window's bounds (:meth:`MetricsHub.window_bounds`)."""
+        fifo = self.fifo
+        if not fifo or fifo[0][0] > now:
+            return
+        metrics = self.metrics
+        on_executed = metrics.completion.on_executed_all
+        executes, tasks, members = self._executes, self.tasks, self.members
+        spent = members[0].cpu.busy_s.get(cats.PROCESSING, 0.0)
+        realised = 0
+        latencies = []
+        while fifo and fifo[0][0] <= now:
+            done, service, tup, _base = fifo.popleft()
+            if service > 0:
+                spent += service
+            for execute, collector in executes:
+                execute(tup, collector)
+            realised += 1
+            on_executed(tup.tuple_id, tasks, done)
+            if start <= done <= end:
+                latencies.append(done - tup.created_at)
+        for ex in members:
+            if spent:
+                ex.cpu.busy_s[cats.PROCESSING] = spent
+            ex.processed += realised
+        if latencies:  # repetition shares each float among the members
+            metrics.processed[self.operator] += len(latencies) * len(members)
+            metrics.sink_latencies[self.operator].extend(
+                latencies * len(members))
+
+    def halt(self) -> None:
+        """Machine crash: realise what is done, lose everything queued."""
+        now = self.sim.now
+        self.flush(now, *self.metrics.window_bounds())
+        fifo = self.fifo
+        self.busy_until = now
+        if fifo and fifo[0][0] - fifo[0][1] <= now:
+            # Mid-service head: its CPU was committed at its start, the
+            # crash eats the output and the thread stays busy until done.
+            self.busy_until, service = fifo[0][0], fifo[0][1]
+            if service > 0:
+                for ex in self.members:
+                    ex.cpu.charge(service, cats.PROCESSING)
+        fifo.clear()
+
+    def set_scale(self, scale: float) -> None:
+        """Slow node: realise what is done, keep the in-service head and
+        re-time the rest from unscaled services (the drain timer stays)."""
+        self.scale = scale
+        now = self.sim.now
+        self.flush(now, *self.metrics.window_bounds())
+        if not self.fifo:
+            return
+        head = self.fifo[0]
+        start = head[0] - head[1]
+        # An in-service head keeps the scale in force at its start.
+        busy, first = (head[0], 1) if start <= now else (start, 0)
+        for entry in islice(self.fifo, first, None):
+            entry[1] = service = entry[3] * scale
+            entry[0] = busy = busy + service
+        self.busy_until = busy
 
 
 class SpoutExecutor(ExecutorBase):

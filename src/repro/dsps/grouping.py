@@ -453,23 +453,15 @@ class _BoundLocality(Grouping):
 # ----------------------------------------------------------------------
 def inqueue_depth(executor) -> int:
     """Live input-side depth of a bolt executor: the working thread's
-    queue level, or a lazy sink's arithmetic FIFO entries not yet done at
-    ``now`` (spouts and unknown tasks report 0).
-
-    A lazy sink realises finished work lazily, so the head of its FIFO
-    may hold tuples that already executed and only wait to be counted;
-    those are not queued work and must not steer routing."""
+    queue level, or the entries of a lazy sink's cohort still running or
+    waiting at ``now`` (spouts and unknown tasks report 0).  Finished
+    entries only wait to be realised: they must not steer routing."""
     queue = getattr(executor, "inqueue", None)
     depth = queue.level if queue is not None else 0
-    fifo = getattr(executor, "_fifo", None)
-    if fifo:
+    cohort = getattr(executor, "cohort", None)
+    if cohort is not None:
         now = executor.sim.now
-        finished = 0
-        for entry in fifo:  # ascending completion instants
-            if entry[0] > now:
-                break
-            finished += 1
-        depth += len(fifo) - finished
+        depth += sum(1 for entry in cohort.fifo if entry[0] > now)
     return depth
 
 

@@ -161,20 +161,22 @@ class CompletionTracker:
     def on_executed(
         self, root_id: int, destination: int, at: Optional[float] = None
     ) -> None:
+        if root_id in self._pending:
+            self.on_executed_all(
+                root_id, (destination,), self.sim.now if at is None else at)
+
+    def on_executed_all(
+        self, root_id: int, destinations: Iterable[int], at: float
+    ) -> None:
+        """:meth:`on_executed` for a lazy cohort's members at once."""
         entry = self._pending.get(root_id)
-        if entry is None:
-            return
-        created_at, outstanding, _latest = entry
-        if destination not in outstanding:
-            return  # duplicate execution at this instance
-        outstanding.discard(destination)
-        if at is None:
-            at = self.sim.now
-        if at > entry[2]:
-            entry[2] = at
-        if not outstanding:
+        if entry is None or entry[1].isdisjoint(destinations):
+            return  # untracked, or duplicate executions everywhere
+        entry[1].difference_update(destinations)
+        entry[2] = max(entry[2], at)
+        if not entry[1]:
             del self._pending[root_id]
-            self.latencies.append(entry[2] - created_at)
+            self.latencies.append(entry[2] - entry[0])
             self.completed += 1
 
     def cancel(self, root_id: int) -> None:

@@ -13,9 +13,11 @@ arriving meanwhile wait in a FIFO backlog.  Relays and sliced packet
 groups stay generators, driven by the thread itself.
 
 A delivered packet is one unit of work: :meth:`Worker.dispatch` hands
-its tuple to every local destination task in one call.  The worker also
-keeps the drain timers of its batched-dispatch sinks, one calendar entry
-per instant however many co-located sinks fall due then.
+its tuple to every local destination task in one call, and to lazy
+(batched-dispatch) sinks one cohort at a time
+(:class:`~repro.dsps.executor.LazyCohort`).  The worker also keeps the
+cohorts' drain timers, one calendar entry per instant however many
+cohorts fall due then.
 
 Control-plane packets (``kind="control"``) are fanned out to registered
 handlers (the multicast controller, the replay coordinator).  Heartbeat
@@ -37,7 +39,7 @@ from repro.net.cpu import CpuAccount
 from repro.net.message import WireMessage
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dsps.executor import BoltExecutor
+    from repro.dsps.executor import BoltExecutor, LazyCohort
     from repro.dsps.system import DspsSystem
 
 
@@ -80,11 +82,11 @@ class Worker:
         self.messages_received = 0
         self.dispatched = 0
         self.heartbeats_answered = 0
-        #: lazy-mode (batched terminal) executors hosted here; realised
-        #: by this worker's one flush hook
-        self._lazy: List["BoltExecutor"] = []
-        #: drain instant -> lazy executors due then (one calendar entry)
-        self._drains: Dict[float, List["BoltExecutor"]] = {}
+        #: lazy cohorts (batched terminal sinks) hosted here, realised by
+        #: this worker's one flush hook
+        self._cohorts: List["LazyCohort"] = []
+        #: drain instant -> cohorts due then (one calendar entry)
+        self._drains: Dict[float, List["LazyCohort"]] = {}
 
     def start(self) -> None:
         self._next()
@@ -101,6 +103,8 @@ class Worker:
         """Machine crash: everything buffered in this process is lost."""
         self.crashed = True
         self.backlog.clear()
+        for cohort in self._cohorts:
+            cohort.halt()
 
     def on_recover(self) -> None:
         self.crashed = False
@@ -108,82 +112,89 @@ class Worker:
     # ------------------------------------------------------------------
     def dispatch(self, tup: StreamTuple, tasks: Sequence[int]) -> None:
         """Hand one delivered packet's tuple to its local destination
-        tasks.
-
-        The executor map, tracer and flow controller are looked up once
-        per packet and the multicast tracker is updated once.  The
-        per-copy dispatch CPU is summed in a local that starts from the
-        account's total and adds in task order, so ``busy_s`` ends up
-        with the same float as one charge per copy.
-        """
-        executors = self.executors
-        tracer = self.sim.tracer
-        flow = self.system.flow
-        cost = self.system.costs.dispatch_cpu_s
+        tasks (distinct tasks of one operator).  Dispatch CPU is summed in
+        task order from the account's total (the float of one charge per
+        copy); lazy sinks take the packet per (carved) cohort."""
+        try:
+            hosted = [self.executors[task] for task in tasks]
+        except KeyError as missing:
+            raise LookupError(f"task {missing} is not hosted on machine "
+                              f"{self.machine_id}") from None
         busy = self.cpu.busy_s
         spent = busy[cats.DISPATCH]
-        for task in tasks:
-            try:
-                executor = executors[task]
-            except KeyError:
-                raise LookupError(
-                    f"task {task} is not hosted on machine {self.machine_id}"
-                ) from None
+        cost = self.system.costs.dispatch_cpu_s
+        for _ in hosted:
             spent += cost
-            if tracer is not None:
-                tracer.emit(
-                    "worker.dispatch",
-                    self.sim.now,
-                    id=tup.tuple_id,
-                    task=task,
-                    machine=self.machine_id,
-                )
-            executor.accept(tup)
-            if flow is not None:
-                # Return the sender's credit reservation for this copy.
-                flow.on_dispatch(executor)
         busy[cats.DISPATCH] = spent
+        lead = hosted[0]
+        if lead._mode is None:
+            lead.choose_mode()
+        cohort = lead.cohort
+        if cohort is not None and tasks == cohort.tasks:
+            cohort.accept(tup, hosted)
+        elif cohort is not None:
+            touched: Dict["LazyCohort", List["BoltExecutor"]] = {}
+            for executor in hosted:
+                touched.setdefault(executor.cohort, []).append(executor)
+            for cohort, members in touched.items():
+                cohort.carve(members).accept(tup, members)
+        else:
+            tracer = self.sim.tracer
+            flow = self.system.flow
+            for executor in hosted:
+                if tracer is not None:
+                    tracer.emit(
+                        "worker.dispatch",
+                        self.sim.now,
+                        id=tup.tuple_id,
+                        task=executor.task_id,
+                        machine=self.machine_id,
+                    )
+                executor.accept(tup)
+                if flow is not None:
+                    # Return the sender's credit reservation for this copy.
+                    flow.on_dispatch(executor)
         self.dispatched += len(tasks)
         self.system.metrics.multicast.on_receive(tup.tuple_id, tasks)
 
     # ------------------------------------------------------------------
-    # drain timers of lazy-mode (batched terminal) executors
+    # drain timers of lazy cohorts (batched terminal sinks)
     # ------------------------------------------------------------------
-    def add_lazy(self, executor: "BoltExecutor") -> None:
-        """Host a lazy-mode executor: this worker's flush hook (one per
-        worker) realises its completions at window boundaries."""
-        if not self._lazy:
+    def add_cohort(self, cohort: "LazyCohort") -> None:
+        """Host a lazy cohort: this worker's flush hook (one per worker)
+        realises its completions at window boundaries."""
+        if not self._cohorts:
             self.system.metrics.add_flush_hook(self._flush_lazy)
-        self._lazy.append(executor)
+        self._cohorts.append(cohort)
 
     def _flush_lazy(self) -> None:
         now = self.sim.now
         start, end = self.system.metrics.window_bounds()
-        for executor in self._lazy:
-            executor._flush_completed(now, start, end)
+        for cohort in self._cohorts:
+            cohort.flush(now, start, end)
 
-    def arm_drain(self, executor: "BoltExecutor", at: float) -> None:
-        """Realise ``executor``'s completions at ``at`` (its busy-until
+    def arm_drain(self, cohort: "LazyCohort", at: float) -> None:
+        """Realise ``cohort``'s completions at ``at`` (its busy-until
         instant), so the calendar never runs dry while lazy work is
-        logically pending.  Executors due at the same instant share one
+        logically pending.  Cohorts due at the same instant share one
         calendar entry."""
-        executor._drain_armed = True
+        cohort.armed_at = at
         due = self._drains.get(at)
         if due is None:
-            self._drains[at] = [executor]
+            self._drains[at] = [cohort]
             self.sim.schedule_call(at - self.sim.now, lambda: self._drain(at))
         else:
-            due.append(executor)
+            due.append(cohort)
 
     def _drain(self, at: float) -> None:
         now = self.sim.now
         start, end = self.system.metrics.window_bounds()
-        for executor in self._drains.pop(at):
-            executor._drain_armed = False
-            executor._flush_completed(now, start, end)
-            if executor._fifo:
+        for cohort in self._drains.pop(at):
+            cohort.armed_at = None
+            cohort.flush(now, start, end)
+            if cohort.fifo:
                 # Still busy: the next drain is due when it goes idle.
-                self.arm_drain(executor, executor._busy_until)
+                self.arm_drain(cohort, cohort.busy_until)
 
     # ------------------------------------------------------------------
     # the receive thread

@@ -15,7 +15,7 @@ ordering, which multiset comparison is deliberately blind to.
 
 The working thread is reachable two ways for a sink, and both are
 covered here: ``batched_dispatch=False`` in the config, and attaching a
-tracer or invariant checker (the gate in ``BoltExecutor._pick_mode``
+tracer or invariant checker (the gate in ``BoltExecutor.choose_mode``
 refuses lazy dispatch under instrumentation so every execution is
 traced).
 """
@@ -222,6 +222,10 @@ def _fanout_observables(system):
 def test_des_fanout_observables_match_pinned_values():
     system, _steps = _run_small_fanout()
     assert {ex._mode for ex in system.operator_executors("matching")} == {"lazy"}
+    # Every packet reached all 16 replicas of a worker, so each worker's
+    # sinks stayed one cohort: the per-packet path was taken throughout.
+    for worker in system.workers.values():
+        assert [len(c.members) for c in worker._cohorts] == [16]
     got = _fanout_observables(system)
     expected = json.loads(PINNED_FANOUT.read_text())
     assert set(got) == set(expected)
@@ -278,6 +282,46 @@ def test_finished_batched_work_is_not_queue_depth():
     system.metrics.flush()
     assert sink.processed == 3
     assert inqueue_depth(sink) == 0
+
+
+class _PickySink(Bolt):
+    """20 us, except 50 us at the task a tuple names in ``slow_at``."""
+
+    def prepare(self, ctx):
+        self._task_id = ctx.task_id
+
+    def service_time(self, tup):
+        return 50e-6 if tup.values.get("slow_at") == self._task_id else 20e-6
+
+
+def test_cohorts_split_exactly_the_touched_members():
+    topo = Topology("split")
+    topo.add_spout("src", _Requests)
+    topo.add_bolt("sink", _PickySink, parallelism=4,
+                  inputs={"src": AllGrouping()}, terminal=True)
+    system = DspsSystem(topo, storm_config(), cluster=Cluster(1, 1, 16))
+    worker = system.workers[0]
+    sinks = system.operator_executors("sink")
+    for ex in sinks:
+        ex.bolt.prepare(ex.context())
+    t0, t1, t2, t3 = (ex.task_id for ex in sinks)
+
+    def packet(tasks, **values):
+        worker.dispatch(
+            StreamTuple(stream="src", values=values, payload_bytes=10), tasks)
+        return sorted((c.tasks, len(c.fifo)) for c in worker._cohorts)
+
+    assert packet([t0, t1, t2, t3]) == [([t0, t1, t2, t3], 1)]
+    # A packet to a strict subset splits off the touched members.
+    assert packet([t1, t2]) == [([t0, t3], 1), ([t1, t2], 2)]
+    # Members that disagree on a service time split by value.
+    assert packet([t1, t2], slow_at=t2) == [([t0, t3], 1), ([t1], 3), ([t2], 3)]
+    assert [inqueue_depth(ex) for ex in sinks] == [1, 3, 3, 1]
+    system.sim.run(until=1e-3)
+    system.metrics.flush()
+    assert [ex.processed for ex in sinks] == [1, 3, 3, 1]
+    assert sinks[2].cpu.busy_s[cats.PROCESSING] == 20e-6 + 20e-6 + 50e-6
+    assert [inqueue_depth(ex) for ex in sinks] == [0, 0, 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +387,109 @@ def test_slow_node_scales_each_service_at_its_start():
         assert sorted(fm.sink_latencies[op]) == sorted(sm.sink_latencies[op])
     for task, ex in fast.executors.items():
         if not ex.is_spout:
-            assert ex.inqueue.level == 0 and not ex._fifo  # drained
+            assert inqueue_depth(ex) == 0  # drained
+            assert ex.processed == slow.executors[task].processed, task
             assert (ex.cpu.busy_s[cats.PROCESSING]
                     == slow.executors[task].cpu.busy_s[cats.PROCESSING]), task
+
+
+# ----------------------------------------------------------------------
+# A cohort that diverges: co-located lazy sinks share one FIFO while they
+# move in lockstep.  Single-task (shuffle) packets interleave with full
+# (all-grouped) ones, replicas disagree on some service times, and a
+# slow node and a crash hit whole machines, so cohorts split every way
+# they can; the results must still be the working thread's.
+# ----------------------------------------------------------------------
+class _NumberedSpout(Spout):
+    def __init__(self):
+        self.n = 0
+
+    def next_tuple(self):
+        self.n += 1
+        return {"n": self.n}, None, 100
+
+
+class _DisagreeingSink(Bolt):
+    """20/40/60 us by task index and tuple number; logs every execution."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def prepare(self, ctx):
+        self._task_index = ctx.task_index
+        self._task_id = ctx.task_id
+
+    def service_time(self, tup):
+        return 20e-6 * (1 + (self._task_index + tup.values["n"]) % 3)
+
+    def execute(self, tup, collector):
+        self._log.append((tup.source_operator, tup.values["n"], self._task_id))
+
+
+DIVERGING_FAULTS = {
+    "no_fault": lambda: None,
+    "slow_and_crash": lambda: FaultSchedule([
+        FaultEvent.slow_node(0.02, 1, 3.0, 0.02),
+        FaultEvent.crash(0.03, 2),
+        FaultEvent.recover(0.05, 2),
+    ]),
+}
+
+
+def _run_diverging(batched, capacity, faults):
+    log = []
+    topo = Topology("diverging")
+    topo.add_spout("a", _NumberedSpout)
+    topo.add_spout("b", _NumberedSpout)
+    topo.add_bolt("sink", lambda: _DisagreeingSink(log), parallelism=12,
+                  inputs={"a": AllGrouping(), "b": ShuffleGrouping()},
+                  terminal=True)
+    system = create_system(
+        topo,
+        whale_full_config(adaptive=False, batched_dispatch=batched,
+                          executor_queue_capacity=capacity),
+        cluster=Cluster(3, 1, 16),
+        arrivals={
+            "a": PoissonArrivals(6000.0, np.random.default_rng(31)),
+            "b": PoissonArrivals(6000.0, np.random.default_rng(32)),
+        },
+        seed=31,
+        fault_schedule=DIVERGING_FAULTS[faults](),
+    )
+    sim = system.sim
+    system.start()
+    system.metrics.open_window()
+    sim.run(until=0.08)
+    system.metrics.close_window()
+    for spout in system.spout_executors:
+        spout.stop()
+    sim.run(until=0.3)
+    system.metrics.flush()
+    return system, log
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("faults", sorted(DIVERGING_FAULTS))
+@pytest.mark.parametrize("capacity", [2, 1000])
+def test_diverging_cohorts_match_the_working_thread(capacity, faults):
+    fast, fast_log = _run_diverging(True, capacity, faults)
+    slow, slow_log = _run_diverging(False, capacity, faults)
+    assert _modes(fast) == {"lazy"} and _modes(slow) == {"slow"}
+    assert len(fast_log) > 1000
+    assert Counter(fast_log) == Counter(slow_log)
+    fm, sm = fast.metrics, slow.metrics
+    assert sorted(fm.completion.latencies) == sorted(sm.completion.latencies)
+    assert sorted(fm.sink_latencies["sink"]) == sorted(sm.sink_latencies["sink"])
+    assert fm.dropped == sm.dropped
+    if capacity == 2:
+        assert sum(fm.dropped.values()) > 0
+    for task, ex in fast.executors.items():
+        if not ex.is_spout:
+            twin = slow.executors[task]
+            assert ex.processed == twin.processed, task
+            assert (ex.cpu.busy_s[cats.PROCESSING]
+                    == twin.cpu.busy_s[cats.PROCESSING]), task
+            assert inqueue_depth(ex) == 0 == inqueue_depth(twin), task
 
 
 # ----------------------------------------------------------------------
