@@ -13,8 +13,10 @@ seeded workloads (the ``sim-predicts-real`` claim).
 
 Layout:
 
-* :mod:`repro.rt.framing`    — length-prefixed JSON wire codec;
-* :mod:`repro.rt.transport`  — asyncio framed connections + credit gates;
+* :mod:`repro.rt.framing`    — length-prefixed JSON wire codec (single
+  and batch frames);
+* :mod:`repro.rt.transport`  — asyncio framed connections (one batch
+  frame per peer per loop turn) + credit gates;
 * :mod:`repro.rt.relay`      — d*-ary relay-tree planning;
 * :mod:`repro.rt.bridge`     — the WallClock that lets a stock
   ``MetricsHub``/tracer serve both backends;

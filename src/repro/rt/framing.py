@@ -10,6 +10,11 @@ host allocate gigabytes), and a payload that is not valid JSON raises
 the same :class:`FrameError` so the connection handler has one failure
 path.
 
+A frame carries one message or a *batch*, ``{"type": "batch", "m":
+[...]}``, that the sender coalesced from one loop turn's messages (see
+:mod:`repro.rt.transport`).  The decoder flattens batches, so its caller
+sees the same message sequence whichever way the sender framed it.
+
 The codec is deliberately synchronous (bytes in, messages out) so it is
 property-testable without an event loop; :mod:`repro.rt.transport` wraps
 it in asyncio streams.
@@ -56,12 +61,16 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 
 
 class FrameDecoder:
-    """Incremental frame decoder (partial-read safe).
+    """Incremental frame decoder (partial-read safe) that flattens batch
+    frames.
 
     >>> dec = FrameDecoder()
-    >>> data = encode_frame({"type": "hello"}) + encode_frame({"n": 1})
+    >>> data = encode_frame({"type": "hello"}) + encode_frame(
+    ...     {"type": "batch", "m": [{"n": 1}, {"n": 2}]})
     >>> [m for chunk in (data[:3], data[3:]) for m in dec.feed(chunk)]
-    [{'type': 'hello'}, {'n': 1}]
+    [{'type': 'hello'}, {'n': 1}, {'n': 2}]
+    >>> dec.frames_decoded
+    2
     """
 
     def __init__(self, limit: int = DEFAULT_FRAME_LIMIT):
@@ -93,8 +102,17 @@ class FrameDecoder:
             payload = bytes(self._buffer[: self._need])
             del self._buffer[: self._need]
             self._need = None
-            out.append(decode_payload(payload))
             self.frames_decoded += 1
+            message = decode_payload(payload)
+            if message.get("type") != "batch":
+                out.append(message)
+                continue
+            batch = message.get("m")
+            if not isinstance(batch, list) or not all(
+                isinstance(m, dict) for m in batch
+            ):
+                raise FrameError("batch frame must carry a list of JSON objects")
+            out.extend(batch)
         return out
 
     @property

@@ -330,8 +330,15 @@ class AsyncRuntime(RuntimeBackend):
         self.clock.emit("rt.drain", processed=last, timed_out=timed_out)
 
     async def shutdown(self) -> None:
+        """Stop every host, then raise the first error one of them met."""
+        errors = []
         for host in self.hosts.values():
-            await host.stop()
+            try:
+                await host.stop()
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     # ------------------------------------------------------------------
     async def _run(

@@ -8,25 +8,48 @@ of the receiver-driven credit flow control the DES models in
 port (``port 0``): the rt backend never claims a fixed port, so smoke
 runs and CI jobs can overlap freely.
 
+**Worker-oriented writes.**  A :class:`FramedConnection` pays the
+transport cost once per peer per loop turn, not once per message:
+:meth:`~FramedConnection.send` appends to an outbox, and the first
+message queued in a turn schedules one flush with ``loop.call_soon``.
+The flush encodes the whole outbox as one ``{"type": "batch", "m":
+[...]}`` frame (a lone message goes bare) and makes one
+``writer.write``; a batch over the frame limit is halved until every
+frame fits, in order.  The receiving :class:`~repro.rt.framing.
+FrameDecoder` flattens batches, so handlers still see one message at a
+time in per-connection FIFO order.  A message that alone exceeds the
+limit is never written: it raises :class:`~repro.rt.framing.FrameError`
+from the ``send``/``close`` that flushes it, or, when the deferred flush
+hit it, from every later ``send`` and from ``close``.  An outbox that
+reaches :data:`OUTBOX_LIMIT` flushes at once and awaits ``drain()``, so
+a sender that never yields still feels the transport's high-water mark.
+
 **Credit semantics.**  When ``SystemConfig.flow`` is on, each outbound
 connection carries at most ``credit_window`` unacknowledged *data-plane*
-frames (``data``/``relay``); the receiver returns one ``credit`` grant
-per such frame once it has enqueued the work into its local executor
-queues, so a slow consumer propagates backpressure to the sender instead
-of growing an unbounded socket buffer.  Control frames (``ack``,
-``credit`` itself, ``hello``) never consume credits — exactly the
-data/control split of the simulated fabric.  Stall time spent waiting
-for a credit is reported to the caller so it can feed
-``MetricsHub.add_credit_stall`` — the same accounting the DES keeps.
+messages (``data``/``relay``); the receiver grants one credit per such
+message with :meth:`~FramedConnection.grant` once it has enqueued the
+work into its local executor queues, and each flush carries one
+``credit`` message with the summed grant.  A slow consumer thus
+propagates backpressure to the sender instead of growing an unbounded
+socket buffer.  Control messages (``ack``, ``credit`` itself,
+``hello``) never consume credits — exactly the data/control split of
+the simulated fabric.  Stall time spent waiting for a credit is
+reported to the caller so it can feed ``MetricsHub.add_credit_stall`` —
+the same accounting the DES keeps.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Any, AsyncIterator, Awaitable, Callable, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, encode_frame
+from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, FrameError, encode_frame
+
+#: queued messages at which :meth:`FramedConnection.send` flushes at once
+#: and awaits the writer's ``drain()``.
+OUTBOX_LIMIT = 256
 
 
 class FramedConnection:
@@ -43,18 +66,77 @@ class FramedConnection:
         self.limit = limit
         self._decoder = FrameDecoder(limit)
         #: messages decoded but not yet handed out by :meth:`recv`.
-        self._ready: list = []
-        # One frame must hit the socket atomically even when several
-        # executor tasks share the connection.
-        self._send_lock = asyncio.Lock()
+        self._ready: deque = deque()
+        #: messages queued for the next flush, and credits granted since
+        #: the last one.
+        self._outbox: List[Dict[str, Any]] = []
+        self._credits = 0
+        self._flush_scheduled = False
+        #: why a flush refused a message too big to write; raised by
+        #: every later ``send``/``grant`` and by ``close``.
+        self._error: Optional[FrameError] = None
+        self._closed = False
         self.frames_sent = 0
 
     async def send(self, message: Dict[str, Any]) -> None:
-        frame = encode_frame(message, self.limit)
-        async with self._send_lock:
-            self.writer.write(frame)
+        """Queue one message for this loop turn's frame."""
+        self._check_open()
+        self._outbox.append(message)
+        if len(self._outbox) >= OUTBOX_LIMIT:
+            self._flush()
             await self.writer.drain()
-            self.frames_sent += 1
+        else:
+            self._schedule_flush()
+
+    def grant(self, n: int = 1) -> None:
+        """Return ``n`` credits to the peer with the next flush."""
+        self._check_open()
+        self._credits += n
+        self._schedule_flush()
+
+    def _check_open(self) -> None:
+        if self._error is not None:
+            raise self._error
+        if self._closed:
+            raise ConnectionError("write on a closed connection")
+
+    def _schedule_flush(self) -> None:
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._deferred_flush)
+
+    def _deferred_flush(self) -> None:
+        self._flush_scheduled = False
+        with contextlib.suppress(FrameError):  # kept in ``_error``
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write every queued message and the summed credit grant."""
+        messages, self._outbox = self._outbox, []
+        if self._credits:
+            messages.append({"type": "credit", "n": self._credits})
+            self._credits = 0
+        if not messages:
+            return
+        try:
+            self._write(messages)
+        except FrameError as exc:
+            self._error = exc
+            raise
+
+    def _write(self, messages: List[Dict[str, Any]]) -> None:
+        if len(messages) == 1:
+            frame = encode_frame(messages[0], self.limit)
+        else:
+            try:
+                frame = encode_frame({"type": "batch", "m": messages}, self.limit)
+            except FrameError:
+                half = len(messages) // 2
+                self._write(messages[:half])
+                self._write(messages[half:])
+                return
+        self.writer.write(frame)
+        self.frames_sent += 1
 
     async def recv(self) -> Optional[Dict[str, Any]]:
         """The next message, or ``None`` once the peer closed cleanly."""
@@ -63,7 +145,7 @@ class FramedConnection:
             if not data:
                 return None
             self._ready.extend(self._decoder.feed(data))
-        return self._ready.pop(0)
+        return self._ready.popleft()
 
     async def messages(self) -> AsyncIterator[Dict[str, Any]]:
         """Iterate messages until EOF or connection reset."""
@@ -81,11 +163,20 @@ class FramedConnection:
         return self._decoder.frames_decoded
 
     async def close(self) -> None:
+        """Write everything queued, then close; raises the
+        :class:`FrameError` of a message that could not be written."""
+        if self._closed:
+            return
+        self._closed = True
         try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+            if self._error is None:
+                self._flush()
+        finally:
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                self.writer.close()
+                await self.writer.wait_closed()
+        if self._error is not None:
+            raise self._error
 
 
 async def dial(
@@ -130,9 +221,9 @@ class CreditGate:
 
     ``window=None`` disables flow control (every acquire is free) —
     the rt translation of ``SystemConfig.flow = False``.  Otherwise at
-    most ``window`` data frames may be in flight; :meth:`acquire` parks
-    the sender until the receiver grants credit back and returns the
-    seconds it stalled, mirroring the DES's
+    most ``window`` data-plane messages may be in flight; :meth:`acquire`
+    parks the sender until the receiver grants credit back and returns
+    the seconds it stalled, mirroring the DES's
     ``metrics.add_credit_stall`` accounting.
     """
 
@@ -141,7 +232,7 @@ class CreditGate:
             raise ValueError(f"credit window must be >= 1, got {window}")
         self.window = window
         self.in_flight = 0
-        #: high-water mark of concurrently unacknowledged data frames —
+        #: high-water mark of concurrently unacknowledged data messages —
         #: the invariant the transport tests pin (never exceeds window).
         self.max_in_flight = 0
         self._has_credit = asyncio.Event()
@@ -165,7 +256,7 @@ class CreditGate:
         return stalled
 
     def grant(self, n: int = 1) -> None:
-        """The receiver acknowledged ``n`` data frames."""
+        """The receiver acknowledged ``n`` data messages."""
         if self.window is None:
             return
         self.in_flight = max(0, self.in_flight - n)

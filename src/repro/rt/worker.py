@@ -9,20 +9,24 @@ connection (:mod:`repro.rt.transport`), while tuples for co-located
 tasks are enqueued directly (the same local short-circuit both Storm
 and the simulated worker-oriented path take).
 
-Wire protocol (JSON frames; see :mod:`repro.rt.framing`):
+Wire protocol (JSON messages; see :mod:`repro.rt.framing`).  Every
+message a host sends one peer in one loop turn leaves as one ``batch``
+frame and one socket write (:mod:`repro.rt.transport`), so the transport
+cost is paid once per destination worker, not once per message:
 
 * ``hello``  — connection preamble naming the dialing machine;
 * ``data``   — a tuple for an explicit task list on the receiving
-  machine (one frame per machine: worker-oriented batching);
+  machine (one message per machine: worker-oriented batching);
 * ``relay``  — a one-to-many tuple plus the subtree of machines the
   receiver must keep forwarding to (Whale's d*-ary relay tree, planned
-  hop-by-hop with :func:`repro.rt.relay.plan_relay`); the receiver
-  delivers to all of its co-located destination tasks;
+  hop-by-hop with :func:`repro.rt.relay.plan_relay`, so the source sends
+  at most d* relay messages per emit); the receiver delivers to all of
+  its co-located destination tasks;
 * ``ack``    — a destination task finished executing a tracked spout
   tuple (sent to the spout's host, consumed by its :class:`Acker`);
-* ``credit`` — receiver-driven flow control: one grant per data-plane
-  frame, returned once the work is enqueued (only when
-  ``SystemConfig.flow`` is on).
+* ``credit`` — receiver-driven flow control: one credit per data-plane
+  message, granted once the work is enqueued and coalesced into one
+  ``credit`` message per flush (only when ``SystemConfig.flow`` is on).
 
 **At-least-once** (``config.reliability_enabled``): the spout's host
 tracks every one-to-many spout emit in its :class:`Acker`, whose
@@ -30,7 +34,7 @@ completion state is the DES acker's
 :class:`~repro.dsps.acker.PendingTable` (root id -> destination tasks
 still owed an execution; a second one-to-many edge of the same tuple
 joins the same root).  A sweep task replays expired roots
-*selectively* — direct ``data`` frames to just the missing tasks — up
+*selectively* — direct ``data`` messages to just the missing tasks — up
 to ``max_replays`` times, after which the root is abandoned
 (``metrics.on_abandoned``).  Receivers dedup by tuple id, so replays
 cannot double-execute and the executed multiset stays exact.
@@ -411,19 +415,24 @@ class WorkerHost:
             self.acker.start()
 
     async def stop(self) -> None:
+        """Tear the host down, then raise the first error an executor or
+        connection met (a bolt task that died, a message over the frame
+        limit), so a broken run fails loudly without leaking sockets."""
         self.clock.emit("rt.shutdown", machine=self.machine_id)
         if self.acker is not None:
             await self.acker.stop()
-        for ex in self.executors.values():
-            await ex.stop()
+        errors = await asyncio.gather(
+            *(ex.stop() for ex in self.executors.values()), return_exceptions=True
+        )
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         self._reader_tasks.clear()
-        for conn in self.peers.values():
-            await conn.close()
+        errors += await asyncio.gather(
+            *(conn.close() for conn in self.peers.values()), return_exceptions=True
+        )
         self.peers.clear()
         if self.server is not None:
             self.server.close()
@@ -433,6 +442,9 @@ class WorkerHost:
             operator = getattr(ex, "bolt", None) or getattr(ex, "spout", None)
             if operator is not None:
                 operator.close()
+        for error in errors:
+            if error is not None:
+                raise error
 
     async def restart(self) -> None:
         """Bounce this worker: fresh operator and grouping instances,
@@ -520,8 +532,8 @@ class WorkerHost:
             if not by_machine:
                 continue
             if grouping.one_to_many:
-                # Whale's relay tree: the source sends at most d* frames;
-                # receivers forward the subtree hop by hop.
+                # Whale's relay tree: the source sends at most d* relay
+                # messages; receivers forward the subtree hop by hop.
                 members = sorted(by_machine)
                 d_star = self.config.d_star or 3
                 for child, subtree in plan_relay(members, d_star):
@@ -537,7 +549,7 @@ class WorkerHost:
                         stall_key=executor.operator,
                     )
             else:
-                # Worker-oriented batching: one frame per machine.
+                # Worker-oriented batching: one message per machine.
                 for machine, tasks in sorted(by_machine.items()):
                     await self.send(
                         machine,
@@ -553,7 +565,7 @@ class WorkerHost:
 
     async def replay(self, wire: Dict[str, Any], tasks: Sequence[int]) -> None:
         """Selective retransmission to just the unacked destinations (a
-        root may span several edges, so frames address tasks only)."""
+        root may span several edges, so messages address tasks only)."""
         placement = self.runtime.placement
         by_machine: Dict[int, List[int]] = {}
         for task in tasks:
@@ -576,8 +588,8 @@ class WorkerHost:
     async def send(
         self, machine: int, message: Dict[str, Any], stall_key: str = "rt"
     ) -> None:
-        """Send one frame to a peer, honouring the credit window for
-        data-plane frames and feeding stall time into the metrics hub."""
+        """Send one message to a peer, honouring the credit window for
+        data-plane messages and feeding stall time into the metrics hub."""
         conn = self.peers[machine]
         if message["type"] in ("data", "relay"):
             stalled = await self.gates[machine].acquire()
@@ -630,18 +642,18 @@ class WorkerHost:
                     message["tuple"], message["tasks"], message["ack_to"]
                 )
                 if flow:
-                    await conn.send({"type": "credit", "n": 1})
+                    conn.grant(1)
             elif mtype == "relay":
                 await self._on_relay(message)
                 if flow:
-                    await conn.send({"type": "credit", "n": 1})
+                    conn.grant(1)
             elif mtype == "ack":
                 if self.acker is not None:
                     self.acker.on_ack(message["root"], message["task"])
             elif mtype == "hello":
                 continue
             else:  # pragma: no cover - protocol hygiene
-                raise ValueError(f"unknown frame type {mtype!r}")
+                raise ValueError(f"unknown message type {mtype!r}")
 
     async def _on_relay(self, message: Dict[str, Any]) -> None:
         """Deliver a relayed tuple locally and forward its subtree."""
@@ -677,7 +689,7 @@ class WorkerHost:
         gate = self.gates[machine]
         async for message in conn.messages():
             if message["type"] == "credit":
-                gate.grant(message.get("n", 1))
+                gate.grant(message["n"])
 
     # ------------------------------------------------------------------
     @property

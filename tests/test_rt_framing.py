@@ -119,3 +119,45 @@ def test_round_trip_survives_arbitrary_chunking(messages, chunk):
         out.extend(decoder.feed(blob[i : i + chunk]))
     assert out == messages
     assert decoder.pending_bytes == 0
+
+
+# ----------------------------------------------------------------------
+# batch frames: flattened exactly once, in order
+# ----------------------------------------------------------------------
+def test_batch_frame_flattens_and_counts_one_frame():
+    messages = [{"type": "ack", "root": r, "task": 3} for r in range(4)]
+    decoder = FrameDecoder()
+    assert decoder.feed(encode_frame({"type": "batch", "m": messages})) == messages
+    assert decoder.frames_decoded == 1
+
+
+def test_malformed_batch_frame_rejected():
+    decoder = FrameDecoder()
+    with pytest.raises(FrameError):
+        decoder.feed(encode_frame({"type": "batch", "m": [1, 2]}))
+
+
+_singles = _messages.filter(lambda m: m.get("type") != "batch")
+_frames = st.lists(
+    st.one_of(
+        _singles,
+        st.lists(_singles, max_size=4).map(lambda ms: {"type": "batch", "m": ms}),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frames, st.integers(min_value=1, max_value=7))
+def test_batch_and_single_frames_flatten_under_arbitrary_chunking(frames, chunk):
+    expected = []
+    for frame in frames:
+        expected.extend(frame["m"] if frame.get("type") == "batch" else [frame])
+    blob = b"".join(encode_frame(f) for f in frames)
+    decoder = FrameDecoder()
+    out = []
+    for i in range(0, len(blob), chunk):
+        out.extend(decoder.feed(blob[i : i + chunk]))
+    assert out == expected
+    assert decoder.frames_decoded == len(frames)
+    assert decoder.pending_bytes == 0

@@ -16,6 +16,7 @@ import pytest
 
 from repro.dsps import AllGrouping, Bolt, Topology
 from repro.dsps.config import SystemConfig
+from repro.rt.framing import FrameError
 from repro.rt.relay import plan_relay, tree_edges
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
 from repro.rt.topologies import SENTENCES, Recorder, make_topology
@@ -87,6 +88,28 @@ def test_word_count_end_to_end_on_asyncio_backend():
     assert recorder.executed == _expected_word_multiset(budget)
     assert report.executed_total == recorder.total
     assert report.goodput_tps > 0
+
+
+def test_message_over_the_frame_limit_fails_the_run():
+    """A tuple too big for ``rt_frame_limit_bytes`` is never written and
+    fails the run with the FrameError, after a full teardown."""
+    recorder = Recorder()
+    runtime = AsyncRuntime(
+        make_topology("word_count", parallelism=4, recorder=recorder),
+        SystemConfig(
+            name="rt-oversize",
+            backend="asyncio",
+            rt_frame_limit_bytes=64,
+            rt_drain_timeout_s=1.0,
+        ),
+        cluster=default_cluster(),
+        seed=3,
+        recorder=recorder,
+    )
+    with pytest.raises(FrameError, match="exceeds the 64-byte limit"):
+        runtime.run(800.0, budget=10)
+    for host in runtime.hosts.values():
+        assert host.server is None and not host.peers
 
 
 def test_fanout_at_least_once_with_credits_is_exact():

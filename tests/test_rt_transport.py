@@ -11,12 +11,20 @@ import asyncio
 
 import pytest
 
-from repro.rt.transport import CreditGate, FramedConnection, dial, serve
+from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameError, encode_frame
+from repro.rt.transport import (
+    OUTBOX_LIMIT,
+    CreditGate,
+    FramedConnection,
+    dial,
+    serve,
+)
 
 
 def test_echo_over_real_sockets():
     """dial/serve round-trip: what goes in one end comes out the other,
-    framed, in order."""
+    in order, and the five messages of one loop turn leave as one
+    frame each way."""
 
     async def scenario():
         seen = []
@@ -41,8 +49,8 @@ def test_echo_over_real_sockets():
     seen, echoes, conn = asyncio.run(scenario())
     assert [m["seq"] for m in seen] == list(range(5))
     assert [m["echo"] for m in echoes] == list(range(5))
-    assert conn.frames_sent == 5
-    assert conn.frames_received == 5
+    assert conn.frames_sent == 1
+    assert conn.frames_received == 1
 
 
 def test_recv_returns_none_on_clean_eof():
@@ -63,6 +71,125 @@ def test_recv_returns_none_on_clean_eof():
     first, second = asyncio.run(scenario())
     assert first == {"bye": 1}
     assert second is None
+
+
+async def _collecting_server(limit: int = DEFAULT_FRAME_LIMIT):
+    """A server whose handler records every message it receives and
+    sets ``done`` when it stops, at EOF or on a bad frame."""
+    seen = []
+    done = asyncio.Event()
+
+    async def handler(conn: FramedConnection):
+        try:
+            async for message in conn.messages():
+                seen.append(message)
+        finally:
+            done.set()
+
+    server, port = await serve(handler, limit)
+    return server, port, seen, done
+
+
+def test_burst_over_the_limit_is_split_into_frames_within_it():
+    """One loop turn's burst bigger than the frame limit still arrives
+    intact and in order, in several frames; the receiving decoder, on
+    the same limit, rejects any frame over it."""
+    limit = 256
+    total = 50
+
+    async def scenario():
+        server, port, seen, done = await _collecting_server(limit)
+        conn = await dial(port, limit)
+        for seq in range(total):
+            await conn.send({"type": "data", "seq": seq})
+        await conn.close()
+        await done.wait()
+        server.close()
+        await server.wait_closed()
+        return seen, conn
+
+    seen, conn = asyncio.run(scenario())
+    assert [m["seq"] for m in seen] == list(range(total))
+    assert 1 < conn.frames_sent < total
+
+
+def test_oversized_message_raises_and_is_never_written():
+    """A message over the limit on its own cannot be split: the turn's
+    flush writes what precedes it, and the FrameError reaches the next
+    ``send`` and ``close`` instead of the loop's exception log."""
+    limit = 64
+
+    async def scenario():
+        server, port, seen, done = await _collecting_server(limit)
+        conn = await dial(port, limit)
+        await conn.send({"seq": 0})
+        await conn.send({"blob": "x" * 200})
+        await asyncio.sleep(0)  # this turn's flush runs
+        with pytest.raises(FrameError):
+            await conn.send({"seq": 1})
+        with pytest.raises(FrameError):
+            await conn.close()
+        await done.wait()
+        server.close()
+        await server.wait_closed()
+        return seen
+
+    assert asyncio.run(scenario()) == [{"seq": 0}]
+
+
+def test_close_writes_the_outbox_and_later_sends_raise():
+    async def scenario():
+        server, port, seen, done = await _collecting_server()
+        conn = await dial(port)
+        await conn.send({"seq": 0})
+        await conn.close()
+        with pytest.raises(ConnectionError):
+            await conn.send({"seq": 1})
+        await done.wait()
+        server.close()
+        await server.wait_closed()
+        return seen
+
+    assert asyncio.run(scenario()) == [{"seq": 0}]
+
+
+def test_send_blocks_on_a_peer_that_never_reads():
+    """A sender that never yields on its own still parks once the
+    socket buffers and the transport's high-water mark fill, and the
+    bytes the transport buffers stay within one full outbox of it."""
+    message = {"type": "data", "blob": "x" * 4096}
+    total = 20_000  # ~80 MB: far beyond what the kernel buffers absorb
+
+    async def scenario():
+        release = asyncio.Event()
+
+        async def handler(conn: FramedConnection):
+            await release.wait()  # never reads
+
+        server, port = await serve(handler)
+        conn = await dial(port)
+        sent = 0
+
+        async def flood():
+            nonlocal sent
+            for _ in range(total):
+                await conn.send(message)
+                sent += 1
+
+        with pytest.raises(asyncio.TimeoutError):
+            await asyncio.wait_for(flood(), timeout=0.5)
+        transport = conn.writer.transport
+        buffered = transport.get_write_buffer_size()
+        high_water = transport.get_write_buffer_limits()[1]
+        transport.abort()
+        release.set()
+        server.close()
+        await server.wait_closed()
+        return sent, buffered, high_water
+
+    sent, buffered, high_water = asyncio.run(scenario())
+    assert sent < total
+    assert buffered <= high_water + OUTBOX_LIMIT * len(encode_frame(message))
 
 
 # ----------------------------------------------------------------------
@@ -151,3 +278,28 @@ def test_credit_window_enforced_under_slow_consumer():
     # 10 frames through a window of 2 at 10ms/grant: the sender *must*
     # have spent real time parked waiting for credits.
     assert stalled > 0.0
+
+
+def test_credit_grants_of_one_turn_fold_into_one_message():
+    """The receiver grants one credit per data message; the grants of
+    one loop turn travel back as a single summed ``credit`` message."""
+
+    async def scenario():
+        async def handler(conn: FramedConnection):
+            async for message in conn.messages():
+                if message["type"] == "data":
+                    conn.grant(1)
+
+        server, port = await serve(handler)
+        conn = await dial(port)
+        for seq in range(5):
+            await conn.send({"type": "data", "seq": seq})
+        credit = await conn.recv()
+        await conn.close()
+        server.close()
+        await server.wait_closed()
+        return credit, conn
+
+    credit, conn = asyncio.run(scenario())
+    assert credit == {"type": "credit", "n": 5}
+    assert conn.frames_received == 1
