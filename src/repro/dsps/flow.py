@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Deque, Dict, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from repro.dsps.grouping import inqueue_depth
 from repro.sim.events import Event
@@ -108,16 +108,28 @@ class FlowController:
     # ------------------------------------------------------------------
     def credits_available(self, env: "Envelope") -> bool:
         """Would a send of ``env`` fit every live destination's window?"""
+        return self._blocking_task(env) is None
+
+    def _blocking_task(
+        self, env: "Envelope", hint: Optional[int] = None
+    ) -> Optional[int]:
+        """A live destination of ``env`` whose window is full, or ``None``.
+
+        ``hint`` (the destination that blocked the last check) is tried
+        first: a woken sender usually finds it still full and goes back
+        to sleep without scanning every destination."""
         window = self.config.credit_window
         system = self.system
         machine_of = system.placement.machine_of
-        for task in env.dst_tasks:
+        in_flight = self.in_flight
+        tasks = env.dst_tasks if hint is None else (hint, *env.dst_tasks)
+        for task in tasks:
             if system.machine_is_crashed(machine_of[task]):
                 continue  # fail-stop: dead destinations need no credit
             depth = inqueue_depth(system.executors.get(task))
-            if depth + self.in_flight[task] >= window:
-                return False
-        return True
+            if depth + in_flight[task] >= window:
+                return task
+        return None
 
     def acquire_send_credit(self, executor: "ExecutorBase", env: "Envelope"):
         """Block the sending thread until ``env`` has credit everywhere.
@@ -127,7 +139,8 @@ class FlowController:
         lands in the destination's input queue.
         """
         waited_from = None
-        while not self.credits_available(env):
+        blocked = self._blocking_task(env)
+        while blocked is not None:
             if executor.halted:
                 return  # crashed mid-stall: the envelope dies unsent
             if waited_from is None:
@@ -135,6 +148,7 @@ class FlowController:
             ev = self.sim.event()
             self._credit_waiters.append(ev)
             yield ev
+            blocked = self._blocking_task(env, blocked)
         if executor.halted:
             return
         now = self.sim.now

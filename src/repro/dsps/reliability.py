@@ -7,11 +7,13 @@ the acker's :class:`~repro.dsps.acker.PendingTable`:
 * **at_least_once** — when a spout emits a one-to-many tuple, the
   coordinator arms one delivery tree keyed by the root tuple id, over
   every destination task of the spout's one-to-many edges; each
-  destination's execution sends an :class:`AckMessage` over the
-  control plane to the acker's machine (real traffic, so ack overhead
-  shows up in the fabric counters).  A periodic sweep fails trees older
-  than ``ack_timeout_s`` and replays the *whole* tree from the spout
-  with jittered exponential backoff, up to ``max_replays`` attempts.
+  destination's execution acks the tree.  Acks are worker-oriented:
+  everything one machine acks at one simulated instant travels as one
+  :class:`AckMessage` over the control plane to the acker's machine
+  (real traffic, so ack overhead shows up in the fabric counters).  A
+  periodic sweep fails trees older than ``ack_timeout_s`` and replays
+  the *whole* tree from the spout with jittered exponential backoff,
+  up to ``max_replays`` attempts.
   Replays re-execute everywhere (Storm semantics); the set-based metrics
   trackers dedup so duplicates never inflate throughput.
 * **exactly_once** — at-least-once plus a per-destination dedup table:
@@ -53,14 +55,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.system import DspsSystem
 
 
+#: wire bytes each ``(root, task)`` pair after the first adds to an
+#: :class:`AckMessage`: an 8-byte root id plus a 4-byte task id
+#: (``CostModel.dst_id_bytes``); ``control_message_bytes`` covers the
+#: header and the first pair.
+ACK_PAIR_BYTES = 12
+
+
 @dataclass(frozen=True)
 class AckMessage:
-    """Control-plane payload: destination ``task_id`` acknowledged the
-    tuple rooted at ``root_id`` (execution ack in at-least/exactly-once
-    modes, receipt ack in atomic mode)."""
+    """Control-plane payload: the ``(root_id, task_id)`` pairs that tasks
+    on one machine acknowledged at one instant, in ack order (execution
+    acks in at-least/exactly-once modes, receipt acks in atomic mode).
+    One message per (machine, instant), as commit notices are."""
 
-    root_id: int
-    task_id: int
+    acks: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,9 @@ class ReplayCoordinator:
         self.replays = 0
         self.completions: List[CompletionRecord] = []
         self.gave_up: List[int] = []
+        #: source machine -> ``(root, task)`` acks of this instant, in
+        #: first-ack order; flushed as one AckMessage per machine.
+        self._ack_outbox: Dict[int, List[Tuple[int, int]]] = {}
 
         # --- dedup / idempotent-execution state (reliable modes) ---------
         #: root -> tasks that *completed* an execution (durable: survives
@@ -407,10 +419,23 @@ class ReplayCoordinator:
         machine = self.system.placement.machine_of[task_id]
         if self.system.machine_is_crashed(machine):
             return  # execution raced the crash; the ack dies with it
-        self.system.control_post(
-            machine, self.home_machine, AckMessage(root, task_id),
-            self.system.workers[machine].cpu,
-        )
+        if not self._ack_outbox:
+            self.sim.schedule_call(0.0, self._flush_acks)
+        self._ack_outbox.setdefault(machine, []).append((root, task_id))
+
+    def _flush_acks(self) -> None:
+        """Send each machine's acks of this instant as one AckMessage."""
+        outbox, self._ack_outbox = self._ack_outbox, {}
+        system = self.system
+        header = system.serialization.control_message_bytes()
+        for machine, acks in outbox.items():
+            if system.machine_is_crashed(machine):
+                continue  # crashed after buffering: the acks die with it
+            system.transport.post(
+                machine, self.home_machine, AckMessage(tuple(acks)),
+                header + ACK_PAIR_BYTES * (len(acks) - 1),
+                system.workers[machine].cpu, kind="control",
+            )
 
     def _trace_dedup(self, root: int, task_id: int) -> None:
         tracer = self.sim.tracer
@@ -423,9 +448,10 @@ class ReplayCoordinator:
     def _on_control(self, payload) -> None:
         if not isinstance(payload, AckMessage):
             return
-        # A duplicate or stale ack is a no-op in the table.
-        if self.acker.ack(payload.root_id, payload.task_id):
-            self._on_tree_complete(payload.root_id)
+        for root, task in payload.acks:
+            # A duplicate or stale pair is a no-op in the table.
+            if self.acker.ack(root, task):
+                self._on_tree_complete(root)
 
     def _on_tree_complete(self, root: int) -> None:
         """Every (live) destination acked: complete now, or — in atomic
