@@ -10,9 +10,11 @@ wall clock, so the rt backend constructs a *stock* ``MetricsHub`` on a
 differential harness compares like with like.
 
 Trace records from the real runtime use the registered ``rt.`` category
-(``rt.listen``, ``rt.send``, ``rt.ack``, ...) with wall-clock ``t``
-values relative to the run start, streamed to the same JSONL format the
-DES emits — ``python -m repro.trace PATH`` summarizes either.
+with wall-clock ``t`` values relative to the run start, streamed to the
+same JSONL format the DES emits — ``python -m repro.trace PATH``
+summarizes either.  The kinds rt emits are lifecycle events, not
+per-tuple ones: ``rt.listen``, ``rt.connect``, ``rt.replay``,
+``rt.abandon``, ``rt.restart``, ``rt.shutdown`` and ``rt.drain``.
 """
 
 from __future__ import annotations

@@ -19,10 +19,13 @@ frame fits, in order.  The receiving :class:`~repro.rt.framing.
 FrameDecoder` flattens batches, so handlers still see one message at a
 time in per-connection FIFO order.  A message that alone exceeds the
 limit is never written: it raises :class:`~repro.rt.framing.FrameError`
-from the ``send``/``close`` that flushes it, or, when the deferred flush
-hit it, from every later ``send`` and from ``close``.  An outbox that
-reaches :data:`OUTBOX_LIMIT` flushes at once and awaits ``drain()``, so
-a sender that never yields still feels the transport's high-water mark.
+from the ``send``/``post``/``close`` that flushes it, or, when the
+deferred flush hit it, from every later ``send``/``post`` and from
+``close``.  An outbox that reaches :data:`OUTBOX_LIMIT` flushes at once;
+``send`` then also awaits ``drain()``, so a data-plane sender that never
+yields still feels the transport's high-water mark.  Its synchronous
+twin :meth:`~FramedConnection.post` never awaits ``drain()``: it carries
+only ``acks``, whose volume one loop turn's executions bound.
 
 **Credit semantics.**  When ``SystemConfig.flow`` is on, each outbound
 connection carries at most ``credit_window`` unacknowledged *data-plane*
@@ -31,7 +34,7 @@ message with :meth:`~FramedConnection.grant` once it has enqueued the
 work into its local executor queues, and each flush carries one
 ``credit`` message with the summed grant.  A slow consumer thus
 propagates backpressure to the sender instead of growing an unbounded
-socket buffer.  Control messages (``ack``, ``credit`` itself,
+socket buffer.  Control messages (``acks``, ``credit`` itself,
 ``hello``) never consume credits — exactly the data/control split of
 the simulated fabric.  Stall time spent waiting for a credit is
 reported to the caller so it can feed ``MetricsHub.add_credit_stall`` —
@@ -47,8 +50,8 @@ from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional
 
 from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, FrameError, encode_frame
 
-#: queued messages at which :meth:`FramedConnection.send` flushes at once
-#: and awaits the writer's ``drain()``.
+#: queued messages at which :meth:`FramedConnection.post` flushes at once
+#: (and :meth:`FramedConnection.send` also awaits the writer's ``drain()``).
 OUTBOX_LIMIT = 256
 
 
@@ -79,14 +82,22 @@ class FramedConnection:
         self.frames_sent = 0
 
     async def send(self, message: Dict[str, Any]) -> None:
-        """Queue one message for this loop turn's frame."""
+        """Queue one message for this loop turn's frame; a send that
+        fills the outbox also awaits the writer's ``drain()``."""
+        if self.post(message):
+            await self.writer.drain()
+
+    def post(self, message: Dict[str, Any]) -> bool:
+        """Queue one message without ever awaiting ``drain()`` (control
+        traffic only); returns whether it filled the outbox, which was
+        then flushed at once."""
         self._check_open()
         self._outbox.append(message)
         if len(self._outbox) >= OUTBOX_LIMIT:
             self._flush()
-            await self.writer.drain()
-        else:
-            self._schedule_flush()
+            return True
+        self._schedule_flush()
+        return False
 
     def grant(self, n: int = 1) -> None:
         """Return ``n`` credits to the peer with the next flush."""

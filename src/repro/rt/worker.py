@@ -22,11 +22,22 @@ cost is paid once per destination worker, not once per message:
   hop-by-hop with :func:`repro.rt.relay.plan_relay`, so the source sends
   at most d* relay messages per emit); the receiver delivers to all of
   its co-located destination tasks;
-* ``ack``    — a destination task finished executing a tracked spout
-  tuple (sent to the spout's host, consumed by its :class:`Acker`);
+* ``acks``   — ``{"a": [root, task, root, task, ...]}``: the tracked
+  spout tuples the sender's tasks executed this loop turn, in order (one
+  message per acker host per turn, posted without awaiting ``drain()``;
+  the spout host's :class:`Acker` applies the pairs in order);
 * ``credit`` — receiver-driven flow control: one credit per data-plane
   message, granted once the work is enqueued and coalesced into one
   ``credit`` message per flush (only when ``SystemConfig.flow`` is on).
+
+**Receive side**, paid per message, not per copy: a ``data`` or
+``relay`` message is decoded once (a relay forwards the wire dict it
+received), and :meth:`WorkerHost.deliver_local` enqueues that one
+:class:`StreamTuple` for every local task, after one dedup pass and one
+tracker update; the emitting host hands co-located tasks the emitted
+tuple itself.  Tasks share the object, as the DES's ``Worker.dispatch``
+shares one across a packet's tasks: **bolts must not mutate their
+input.**
 
 **At-least-once** (``config.reliability_enabled``): the spout's host
 tracks every one-to-many spout emit in its :class:`Acker`, whose
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dsps.acker import PendingTable
@@ -83,22 +95,53 @@ def tuple_from_wire(wire: Dict[str, Any]) -> StreamTuple:
 
 
 class _InQueue:
-    """Bounded executor input queue exposing the DES ``Store`` surface
-    (``.level``) so :func:`repro.dsps.grouping.inqueue_depth` and the
-    load-adaptive grouping read rt executors unmodified."""
+    """Bounded FIFO executor input queue exposing the DES ``Store``
+    surface (``.level``) so :func:`repro.dsps.grouping.inqueue_depth`
+    and the load-adaptive grouping read rt executors unmodified.
+
+    One getter (the task's bolt loop) and a FIFO of puts parked on a
+    full queue; each ``get`` pops, then admits the oldest parked item.
+    ``get`` pops only after it wakes, so a bolt task cancelled by
+    ``stop``/``restart`` leaves its item to the replacement."""
 
     def __init__(self, capacity: int):
-        self._q: asyncio.Queue = asyncio.Queue(maxsize=capacity)
+        self.capacity = capacity
+        self._items: deque = deque()
+        self._getter: Optional[asyncio.Future] = None
+        #: (future, item) of puts waiting for room, oldest first.
+        self._putters: deque = deque()
 
     @property
     def level(self) -> int:
-        return self._q.qsize()
+        return len(self._items)
 
     async def put(self, item: Any) -> None:
-        await self._q.put(item)
+        if len(self._items) < self.capacity:
+            self._items.append(item)
+            getter = self._getter
+            if getter is not None and not getter.done():
+                getter.set_result(None)
+            return
+        future = asyncio.get_running_loop().create_future()
+        self._putters.append((future, item))
+        await future
 
     async def get(self) -> Any:
-        return await self._q.get()
+        items = self._items
+        while not items:
+            self._getter = asyncio.get_running_loop().create_future()
+            try:
+                await self._getter
+            finally:
+                self._getter = None
+        item = items.popleft()
+        putters = self._putters
+        while putters and len(items) < self.capacity:
+            future, parked = putters.popleft()
+            if not future.done():  # a cancelled put never happened
+                items.append(parked)
+                future.set_result(None)
+        return item
 
 
 class _BufferingCollector:
@@ -158,6 +201,8 @@ class RtBoltExecutor(RtExecutorBase):
         super().__init__(host, task_id)
         self.bolt = self.spec.factory()
         self.inqueue = _InQueue(host.config.executor_queue_capacity)
+        #: ``MetricsHub.queue_depth_hwm`` key of the inqueue.
+        self.depth_key = f"{self.operator}[{task_id}].inqueue"
         self.bolt.prepare(self.context())
 
     def rebuild(self) -> None:
@@ -175,8 +220,7 @@ class RtBoltExecutor(RtExecutorBase):
         host = self.host
         metrics = self.system.metrics
         while True:
-            wire, ack_to = await self.inqueue.get()
-            tup = tuple_from_wire(wire)
+            tup, ack_to = await self.inqueue.get()
             collector = _BufferingCollector()
             self.bolt.execute(tup, collector)
             self.processed += 1
@@ -206,7 +250,7 @@ class RtBoltExecutor(RtExecutorBase):
                     )
                 await host.route(derived, self)
             if ack_to is not None:
-                await host.send_ack(ack_to, tup.root_id, self.task_id)
+                host.send_ack(ack_to, tup.root_id, self.task_id)
 
 
 class RtSpoutExecutor(RtExecutorBase):
@@ -363,6 +407,9 @@ class WorkerHost:
         #: possible, i.e. a reliability mode is on — TCP never duplicates
         #: on its own, and unbounded growth would hurt duration-mode runs)
         self._seen: Dict[int, Set[int]] = {}
+        #: acker machine -> this turn's remote acks, flat
+        #: ``[root, task, root, task, ...]`` (see :meth:`send_ack`).
+        self._acks: Dict[int, List[int]] = {}
         self.acker: Optional[Acker] = (
             Acker(self)
             if self.config.reliability_enabled and self._hosts_spout()
@@ -528,7 +575,7 @@ class WorkerHost:
                 by_machine.setdefault(placement.machine_of[task], []).append(task)
             local = by_machine.pop(self.machine_id, None)
             if local:
-                await self.deliver_local(wire, local, ack_to)
+                await self.deliver_local(tup, local, ack_to)
             if not by_machine:
                 continue
             if grouping.one_to_many:
@@ -572,7 +619,7 @@ class WorkerHost:
             by_machine.setdefault(placement.machine_of[task], []).append(task)
         local = by_machine.pop(self.machine_id, None)
         if local:
-            await self.deliver_local(wire, local, self.machine_id)
+            await self.deliver_local(tuple_from_wire(wire), local, self.machine_id)
         for machine, machine_tasks in sorted(by_machine.items()):
             await self.send(
                 machine,
@@ -597,38 +644,54 @@ class WorkerHost:
                 self.runtime.metrics.add_credit_stall(stall_key, stalled)
         await conn.send(message)
 
-    async def send_ack(self, ack_to: int, root: int, task: int) -> None:
+    def send_ack(self, ack_to: int, root: int, task: int) -> None:
+        """Ack one execution to the acker on ``ack_to``: directly when it
+        is this host, else folded into the one ``acks`` message that
+        :meth:`_flush_acks` posts to that peer at the end of this turn."""
         if ack_to == self.machine_id:
             if self.acker is not None:
                 self.acker.on_ack(root, task)
             return
-        await self.send(ack_to, {"type": "ack", "root": root, "task": task})
+        if not self._acks:
+            asyncio.get_running_loop().call_soon(self._flush_acks)
+        self._acks.setdefault(ack_to, []).extend((root, task))
+
+    def _flush_acks(self) -> None:
+        acks, self._acks = self._acks, {}
+        for machine, pairs in acks.items():
+            self.peers[machine].post({"type": "acks", "a": pairs})
 
     # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
     async def deliver_local(
         self,
-        wire: Dict[str, Any],
+        tup: StreamTuple,
         tasks: Sequence[int],
         ack_to: Optional[int],
     ) -> None:
-        """Enqueue one tuple into local executor queues (dedup-guarded
-        when replays are possible)."""
+        """Enqueue one tuple object for every local task (after the dedup
+        guard when replays are possible), with one tracker update for
+        the whole group."""
         metrics = self.runtime.metrics
-        dedup = self.config.reliability_enabled
+        tuple_id = tup.tuple_id
+        if self.config.reliability_enabled:
+            fresh = []
+            for task in tasks:
+                seen = self._seen.setdefault(task, set())
+                if tuple_id not in seen:
+                    seen.add(tuple_id)
+                    fresh.append(task)
+            if not fresh:
+                return
+            tasks = fresh
+        metrics.multicast.on_receive(tuple_id, tasks)
+        item = (tup, ack_to)
         for task in tasks:
             executor = self.executors[task]
-            if dedup:
-                seen = self._seen.setdefault(task, set())
-                if wire["tuple_id"] in seen:
-                    continue
-                seen.add(wire["tuple_id"])
-            metrics.multicast.on_receive(wire["tuple_id"], (task,))
-            metrics.note_queue_depth(
-                f"{executor.operator}[{task}].inqueue", executor.inqueue.level
-            )
-            await executor.inqueue.put((wire, ack_to))
+            inqueue = executor.inqueue
+            await inqueue.put(item)
+            metrics.note_queue_depth(executor.depth_key, inqueue.level)
 
     # ------------------------------------------------------------------
     # inbound handlers
@@ -639,7 +702,9 @@ class WorkerHost:
             mtype = message["type"]
             if mtype == "data":
                 await self.deliver_local(
-                    message["tuple"], message["tasks"], message["ack_to"]
+                    tuple_from_wire(message["tuple"]),
+                    message["tasks"],
+                    message["ack_to"],
                 )
                 if flow:
                     conn.grant(1)
@@ -647,9 +712,12 @@ class WorkerHost:
                 await self._on_relay(message)
                 if flow:
                     conn.grant(1)
-            elif mtype == "ack":
-                if self.acker is not None:
-                    self.acker.on_ack(message["root"], message["task"])
+            elif mtype == "acks":
+                acker = self.acker
+                if acker is not None:
+                    pairs = iter(message["a"])
+                    for root, task in zip(pairs, pairs):
+                        acker.on_ack(root, task)
             elif mtype == "hello":
                 continue
             else:  # pragma: no cover - protocol hygiene
@@ -663,7 +731,7 @@ class WorkerHost:
         placement = self.runtime.placement
         local = placement.colocated_tasks(dst, self.machine_id)
         if local:
-            await self.deliver_local(wire, local, ack_to)
+            await self.deliver_local(tuple_from_wire(wire), local, ack_to)
         subtree = message["subtree"]
         if not subtree:
             return

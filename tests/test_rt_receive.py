@@ -1,0 +1,350 @@
+"""The rt receive path: the lean per-task inqueue, one decode and one
+tracker update per message, and one ``acks`` message per peer per loop
+turn.
+
+The inqueue tests drive ``_InQueue`` on a bare event loop; the rest set
+up a real :class:`~repro.rt.runtime.AsyncRuntime` (localhost sockets on
+ephemeral ports) and poke one host at a time.
+"""
+
+import asyncio
+
+import pytest
+
+import repro.rt.worker as rt_worker
+from repro.dsps import AllGrouping, Bolt, Topology
+from repro.dsps.config import SystemConfig
+from repro.dsps.tuples import StreamTuple
+from repro.rt.runtime import AsyncRuntime, default_cluster
+from repro.rt.topologies import make_topology
+from repro.rt.worker import _InQueue, tuple_to_wire
+
+from tests._check_util import SeqSpout
+
+
+# ----------------------------------------------------------------------
+# _InQueue
+# ----------------------------------------------------------------------
+def _get(q):
+    return asyncio.wait_for(q.get(), timeout=1.0)
+
+
+def test_inqueue_is_fifo_and_level_counts_queued_items():
+    async def scenario():
+        q = _InQueue(8)
+        levels = []
+        for item in "abcde":
+            await q.put(item)
+            levels.append(q.level)
+        got = [await _get(q) for _ in range(5)]
+        return levels, got, q.level
+
+    levels, got, level = asyncio.run(scenario())
+    assert levels == [1, 2, 3, 4, 5]
+    assert got == list("abcde")
+    assert level == 0
+
+
+def test_put_at_capacity_blocks_and_putters_enter_in_arrival_order():
+    async def scenario():
+        q = _InQueue(2)
+        await q.put("a")
+        await q.put("b")
+        putters = [asyncio.create_task(q.put(item)) for item in "cde"]
+        await asyncio.sleep(0)
+        blocked = [not p.done() for p in putters]
+        level_full = q.level
+        trace = []
+        for _ in range(5):
+            trace.append((await _get(q), q.level))
+            await asyncio.sleep(0)
+            trace.append([p.done() for p in putters])
+        return blocked, level_full, trace
+
+    blocked, level_full, trace = asyncio.run(scenario())
+    assert blocked == [True, True, True]
+    assert level_full == 2
+    # each get admits exactly the oldest parked put, so the queue stays
+    # full while putters wait and the items leave in arrival order
+    assert trace == [
+        ("a", 2), [True, False, False],
+        ("b", 2), [True, True, False],
+        ("c", 2), [True, True, True],
+        ("d", 1), [True, True, True],
+        ("e", 0), [True, True, True],
+    ]
+
+
+def test_cancelled_parked_put_never_happens():
+    async def scenario():
+        q = _InQueue(1)
+        await q.put("a")
+        doomed = asyncio.create_task(q.put("lost"))
+        later = asyncio.create_task(q.put("b"))
+        await asyncio.sleep(0)
+        doomed.cancel()
+        await asyncio.gather(doomed, return_exceptions=True)
+        got = [await _get(q), await _get(q)]
+        await asyncio.wait_for(later, timeout=1.0)
+        return got, q.level
+
+    got, level = asyncio.run(scenario())
+    assert got == ["a", "b"]
+    assert level == 0
+
+
+def test_getter_cancelled_while_waiting_loses_no_item():
+    async def scenario():
+        q = _InQueue(4)
+        getter = asyncio.create_task(q.get())
+        await asyncio.sleep(0)
+        getter.cancel()
+        await asyncio.gather(getter, return_exceptions=True)
+        await q.put("x")
+        return getter.cancelled(), q.level, await _get(q)
+
+    cancelled, level, item = asyncio.run(scenario())
+    assert cancelled
+    assert level == 1
+    assert item == "x"
+
+
+def test_getter_cancelled_after_its_wake_loses_no_item():
+    """A bolt task woken by a put but cancelled (``stop``/``restart``)
+    before it ran leaves the item queued for its replacement."""
+
+    async def scenario():
+        q = _InQueue(4)
+        getter = asyncio.create_task(q.get())
+        await asyncio.sleep(0)
+        await q.put("x")  # wakes the getter...
+        getter.cancel()  # ...which is cancelled before it resumes
+        await asyncio.gather(getter, return_exceptions=True)
+        level = q.level
+        replacement = await _get(q)
+        return getter.cancelled(), level, replacement
+
+    cancelled, level, item = asyncio.run(scenario())
+    assert cancelled
+    assert level == 1
+    assert item == "x"
+
+
+# ----------------------------------------------------------------------
+# runtime fixtures
+# ----------------------------------------------------------------------
+class _Keep(Bolt):
+    """Records every input object it executes, with its task."""
+
+    def __init__(self, log):
+        self.log = log
+        self.task_id = None
+
+    def prepare(self, ctx):
+        self.task_id = ctx.task_id
+
+    def execute(self, tup, collector):
+        self.log.append((self.task_id, tup))
+
+
+def _broadcast_runtime(log, delivery="at_least_once") -> AsyncRuntime:
+    topo = Topology("rt-receive")
+    topo.add_spout("src", SeqSpout)
+    topo.add_bolt(
+        "sink",
+        lambda: _Keep(log),
+        parallelism=8,
+        inputs={"src": AllGrouping()},
+        terminal=True,
+    )
+    config = SystemConfig(name="rt-receive", backend="asyncio", delivery=delivery)
+    return AsyncRuntime(topo, config, cluster=default_cluster(), seed=1)
+
+
+async def _until(predicate, timeout=2.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        if loop.time() > deadline:
+            raise AssertionError("condition not reached in time")
+        await asyncio.sleep(0.001)
+
+
+def _spout_host(runtime):
+    return next(
+        h for h in runtime.hosts.values()
+        if any(ex.is_spout for ex in h.executors.values())
+    )
+
+
+# ----------------------------------------------------------------------
+# acks: one message per peer per loop turn
+# ----------------------------------------------------------------------
+def test_remote_acks_of_one_turn_reach_the_acker_as_one_message_in_order():
+    async def scenario():
+        runtime = _broadcast_runtime([])
+        await runtime.setup()
+        try:
+            spout = _spout_host(runtime)
+            other = next(h for h in runtime.hosts.values() if h is not spout)
+            conn = other.peers[spout.machine_id]
+            posted = []
+            real_post = conn.post
+
+            def post(message):
+                posted.append(message)
+                return real_post(message)
+
+            conn.post = post
+            applied = []
+            spout.acker.on_ack = lambda root, task: applied.append((root, task))
+            frames_before = conn.frames_sent  # the ``hello`` preamble
+            for root, task in [(11, 1), (12, 2), (11, 3), (13, 1)]:
+                other.send_ack(spout.machine_id, root, task)
+            assert posted == []  # folded until the end of the turn
+            await _until(lambda: len(applied) == 4)
+            return posted, applied, conn.frames_sent - frames_before
+        finally:
+            await runtime.shutdown()
+
+    posted, applied, frames = asyncio.run(scenario())
+    assert posted == [{"type": "acks", "a": [11, 1, 12, 2, 11, 3, 13, 1]}]
+    assert applied == [(11, 1), (12, 2), (11, 3), (13, 1)]
+    assert frames == 1
+
+
+def test_local_ack_goes_straight_to_the_acker_and_never_touches_the_wire():
+    async def scenario():
+        runtime = _broadcast_runtime([])
+        await runtime.setup()
+        try:
+            spout = _spout_host(runtime)
+            written = []
+            for conn in spout.peers.values():
+                conn.writer.write = written.append
+            applied = []
+            spout.acker.on_ack = lambda root, task: applied.append((root, task))
+            spout.send_ack(spout.machine_id, 21, 5)
+            synchronous = list(applied)
+            await asyncio.sleep(0.01)
+            return synchronous, spout._acks, written
+        finally:
+            await runtime.shutdown()
+
+    synchronous, buffered, written = asyncio.run(scenario())
+    assert synchronous == [(21, 5)]
+    assert buffered == {}
+    assert written == []
+
+
+# ----------------------------------------------------------------------
+# decode once, one tracker update per message
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mtype", ["data", "relay"])
+def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypatch):
+    decoded = []
+    real_decode = rt_worker.tuple_from_wire
+
+    def counting_decode(wire):
+        decoded.append(wire["tuple_id"])
+        return real_decode(wire)
+
+    monkeypatch.setattr(rt_worker, "tuple_from_wire", counting_decode)
+
+    async def scenario():
+        log = []
+        runtime = _broadcast_runtime(log)
+        await runtime.setup()
+        try:
+            received = []
+            multicast = runtime.metrics.multicast
+            real_receive = multicast.on_receive
+
+            def counting_receive(tuple_id, tasks):
+                received.append((tuple_id, list(tasks)))
+                return real_receive(tuple_id, tasks)
+
+            multicast.on_receive = counting_receive
+            placement = runtime.placement
+            target, local = max(
+                (
+                    (m, placement.colocated_tasks("sink", m))
+                    for m in runtime.hosts
+                ),
+                key=lambda item: len(item[1]),
+            )
+            assert len(local) >= 2
+            sender = next(m for m in runtime.hosts if m != target)
+            tup = StreamTuple(stream="src", values={"seq": 7}, source_operator="src")
+            message = {"type": mtype, "dst": "sink", "ack_to": None,
+                       "tuple": tuple_to_wire(tup)}
+            if mtype == "data":
+                message["tasks"] = list(local)
+            else:
+                message["subtree"] = []
+            await runtime.hosts[sender].send(target, message)
+            await _until(lambda: len(log) == len(local))
+            # a duplicate is decoded, then filtered before any tracking
+            await runtime.hosts[sender].send(target, dict(message))
+            await _until(lambda: len(decoded) == 2)
+            await asyncio.sleep(0.01)
+            return tup.tuple_id, local, log, received
+        finally:
+            await runtime.shutdown()
+
+    tuple_id, local, log, received = asyncio.run(scenario())
+    assert decoded == [tuple_id, tuple_id]
+    assert received == [(tuple_id, list(local))]
+    assert sorted(task for task, _ in log) == sorted(local)
+    # every co-located task executed the one decoded object
+    assert len({id(tup) for _, tup in log}) == 1
+
+
+def test_emitting_host_hands_local_tasks_the_emitted_tuple(monkeypatch):
+    """No wire round trip on the emitting host: co-located destination
+    tasks execute the spout's own tuple object."""
+    decoded = []
+    real_decode = rt_worker.tuple_from_wire
+    monkeypatch.setattr(
+        rt_worker, "tuple_from_wire", lambda wire: decoded.append(1) or real_decode(wire)
+    )
+    log = []
+    runtime = _broadcast_runtime(log, delivery="at_most_once")
+    runtime.run(200.0, budget=3)
+    spout_machine = _spout_host(runtime).machine_id
+    local = set(runtime.placement.colocated_tasks("sink", spout_machine))
+    assert local
+    by_seq = {}
+    for task, tup in log:
+        by_seq.setdefault(tup.values["seq"], []).append((task, tup))
+    assert sorted(by_seq) == [1, 2, 3]
+    for copies in by_seq.values():
+        assert len(copies) == 8
+        local_objs = {id(tup) for task, tup in copies if task in local}
+        assert len(local_objs) == 1
+    # one decode per remote sink host per tuple, none for the local copies
+    remote_hosts = {
+        runtime.placement.machine_of[task]
+        for task in runtime.placement.tasks_of["sink"]
+    } - {spout_machine}
+    assert len(decoded) == 3 * len(remote_hosts)
+
+
+# ----------------------------------------------------------------------
+# inqueue high-water mark
+# ----------------------------------------------------------------------
+def test_inqueue_hwm_counts_the_tuple_being_enqueued():
+    """The HWM reads the depth after the put, as the DES reads it after
+    the copy joined: a light run that queued 80 tuples reports at least
+    one per task, never 0."""
+    runtime = AsyncRuntime(
+        make_topology("fanout", parallelism=8),
+        SystemConfig(name="rt-hwm", backend="asyncio"),
+        cluster=default_cluster(),
+        seed=1,
+    )
+    report = runtime.run(50.0, budget=10)
+    assert report.processed == {"match": 80}
+    hwm = runtime.metrics.queue_depth_hwm
+    for task in runtime.placement.tasks_of["match"]:
+        assert hwm[f"match[{task}].inqueue"] >= 1, task

@@ -192,6 +192,29 @@ def test_send_blocks_on_a_peer_that_never_reads():
     assert buffered <= high_water + OUTBOX_LIMIT * len(encode_frame(message))
 
 
+def test_post_queues_without_awaiting_and_flushes_at_the_outbox_limit():
+    """``post`` is synchronous: below the limit it leaves the turn's
+    flush to the loop; the post that fills the outbox writes it at once,
+    without awaiting ``drain()``; both reach the peer in order."""
+
+    async def scenario():
+        server, port, seen, done = await _collecting_server()
+        conn = await dial(port)
+        flushed = [conn.post({"seq": seq}) for seq in range(OUTBOX_LIMIT + 1)]
+        frames_in_turn = conn.frames_sent
+        await conn.close()
+        await done.wait()
+        server.close()
+        await server.wait_closed()
+        return flushed, frames_in_turn, conn.frames_sent, seen
+
+    flushed, frames_in_turn, frames_total, seen = asyncio.run(scenario())
+    assert flushed == [False] * (OUTBOX_LIMIT - 1) + [True, False]
+    assert frames_in_turn == 1
+    assert frames_total == 2
+    assert [m["seq"] for m in seen] == list(range(OUTBOX_LIMIT + 1))
+
+
 # ----------------------------------------------------------------------
 # credit gate
 # ----------------------------------------------------------------------
