@@ -6,8 +6,8 @@
   Section 5.1.
 * :mod:`repro.bench.report` — renders rows/series in the paper's units.
 * :mod:`repro.bench.experiments` — one function per table/figure of the
-  paper; ``python -m repro.exp`` schedules them and the ``benchmarks/``
-  directory wraps them in pytest-benchmark entry points.
+  paper; ``python -m repro.exp`` schedules them and checks their shape
+  against the paper's claims (:mod:`repro.exp.claims`).
 """
 
 from repro.bench.runner import (

@@ -1,10 +1,10 @@
 """One function per table/figure of the paper's evaluation.
 
 Each returns one or more :class:`~repro.bench.report.Table`\\ s whose rows
-mirror what the paper plots.  The ``benchmarks/`` directory wraps these
-in pytest-benchmark entry points; ``python -m repro.exp run fig13_14``
+mirror what the paper plots.  ``python -m repro.exp run fig13_14``
 runs one through the cached, parallel suite (see
-:mod:`repro.exp.registry`).
+:mod:`repro.exp.registry`) and ``python -m repro.exp verify`` judges its
+shape (see :mod:`repro.exp.claims`).
 
 Scales: the cluster is the paper's (30 machines x 16 cores) for the
 parallelism sweeps; rates are the maximum sustainable rates of *our*

@@ -591,8 +591,8 @@ def ablation_delivery_semantics(
 # ----------------------------------------------------------------------
 # overload: flash crowd + crash, with and without the flow layer
 # ----------------------------------------------------------------------
-#: receiver credit window used by the overload ablation (exported so the
-#: claim check can bound the flow-on queue depths against it).
+#: receiver credit window used by the overload ablation; its table
+#: reports it per row so the claim check can bound queue depths by it.
 OVERLOAD_CREDIT_WINDOW = 32
 
 

@@ -1,8 +1,8 @@
 """Rendering experiment output in the paper's units.
 
-Tables render to aligned ASCII; every benchmark writes its rendering to
-``benchmarks/results/<figure>.txt`` as well as stdout, so EXPERIMENTS.md
-can cite exact reproduced numbers.
+Tables render to aligned ASCII.  ``python -m repro.exp run`` writes each
+figure's rendering and its JSON form under ``benchmarks/results/``, so
+EXPERIMENTS.md can cite exact reproduced numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 def _jsonify(value: Any) -> Any:
@@ -82,9 +82,8 @@ class Table:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def save(self, name: str, directory: Optional[str] = None) -> str:
+    def save(self, name: str, directory: str) -> str:
         """Write the rendering to ``<directory>/<name>.txt``; returns path."""
-        directory = directory or default_results_dir()
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -112,9 +111,8 @@ class Table:
             table.note(note)
         return table
 
-    def save_json(self, name: str, directory: Optional[str] = None) -> str:
+    def save_json(self, name: str, directory: str) -> str:
         """Write :meth:`to_dict` to ``<directory>/<name>.json``; returns path."""
-        directory = directory or default_results_dir()
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -138,9 +136,3 @@ class Series:
     def as_rows(self) -> List[Sequence[Any]]:
         return list(zip(self.x, self.y))
 
-
-def default_results_dir() -> str:
-    """benchmarks/results/ relative to the repository root."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(root, "benchmarks", "results")

@@ -113,15 +113,14 @@ def create_system(
     ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`) injects
     machine crashes/recoveries at the scheduled sim times.
     """
-    # Restart the process-global id streams (tuples, wire messages,
-    # channels) so a run's trace is bit-identical for a given seed no
-    # matter how many systems were built earlier in the same process.
+    # Restart the process-global id streams (tuples, wire messages) so a
+    # run's trace is bit-identical for a given seed no matter how many
+    # systems were built earlier in the same process.
     from repro.dsps import tuples as _tuples
-    from repro.net import channel as _channel, message as _message
+    from repro.net import message as _message
 
     _tuples.reset_ids()
     _message.reset_ids()
-    _channel.reset_ids()
     system = DspsSystem(
         topology,
         config,

@@ -18,10 +18,13 @@ from repro.exp.registry import ExperimentSpec, assemble, select
 from repro.exp.scheduler import PointOutcome, ProgressFn, run_points
 from repro.exp.store import ResultStore
 
-def default_results_dir(smoke: bool = False) -> str:
-    from repro.bench.report import default_results_dir as base
 
-    return os.path.join(base(), "smoke") if smoke else base()
+def default_results_dir(smoke: bool = False) -> str:
+    """``benchmarks/results/`` (``.../smoke/`` for smoke sweeps)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
+    base = os.path.join(root, "benchmarks", "results")
+    return os.path.join(base, "smoke") if smoke else base
 
 
 def build_tasks(

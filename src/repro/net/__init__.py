@@ -18,7 +18,6 @@ model on top of the DES kernel:
 """
 
 from repro.net.costs import CostModel
-from repro.net.channel import Channel, ChannelError, ChannelManager
 from repro.net.cluster import Cluster, Machine
 from repro.net.cpu import CpuAccount
 from repro.net.fabric import Fabric, NicPort
@@ -31,9 +30,6 @@ from repro.net.rnic import Rnic, WorkRequest
 from repro.net.slicing import StreamSlicer
 
 __all__ = [
-    "Channel",
-    "ChannelError",
-    "ChannelManager",
     "Cluster",
     "CostModel",
     "CpuAccount",

@@ -19,7 +19,6 @@ record kind          emitted by
                      :class:`repro.net.rdma.RdmaTransport` send
 ``net.deliver``      :class:`repro.net.fabric.Fabric` delivery
 ``net.lost``         fabric fault injection
-``chan.send/deliver``  :class:`repro.net.channel.Channel`
 ``tuple.emit``       :class:`repro.dsps.executor.ExecutorBase`
 ``mc.register``      executor, when a one-to-many tuple enters the
                      measurement window (carries destination task ids)

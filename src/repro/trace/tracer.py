@@ -27,7 +27,6 @@ ALL_CATEGORIES = frozenset(
         "sim",
         "queue",
         "net",
-        "chan",
         "tuple",
         "mc",
         "worker",

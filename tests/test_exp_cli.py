@@ -3,6 +3,7 @@
 import json
 import os
 
+from repro.exp.claims import CLAIMS
 from repro.exp.cli import main
 from repro.exp.registry import REGISTRY, ExperimentSpec
 from repro.exp.store import ResultStore
@@ -83,7 +84,16 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     _populate_all(store)
     assert main(["verify", "--smoke", "--store", store_dir]) == 0
     out = capsys.readouterr().out
-    assert "11 PASS, 0 FAIL, 0 SKIP" in out
+    full_only = [c.name for c in CLAIMS if c.full_size_only]
+    assert f"{len(CLAIMS) - len(full_only)} PASS, 0 FAIL, 0 SKIP" in out
+    # a smoke verify names the full-size-only claims it did not evaluate
+    assert ("full-size-only, not evaluated on smoke tables: "
+            + ", ".join(full_only)) in out
+    for name in full_only:
+        assert f"PASS {name}" not in out and f"SKIP {name}" in out
+    # the full sweeps of the other experiments are absent -> exit 2
+    assert main(["verify", "--full", "--store", store_dir]) == 2
+    capsys.readouterr()
 
     # contradicting data flips the exit code to 1
     _put(store, "fig13_14", _endtoend_tables(3_000.0, 2_000.0, 1_000.0))

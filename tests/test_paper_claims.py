@@ -1,8 +1,8 @@
 """The paper's in-text numeric claims, verified against our models.
 
 These are the checkable statements scattered through Sections 3-4 (not
-the measured figures — those live in ``benchmarks/``): worked examples,
-closed-form ratios, and protocol properties.
+the measured figures — those are claims in ``repro.exp.claims``):
+worked examples, closed-form ratios, and protocol properties.
 """
 
 
