@@ -3,7 +3,12 @@
 The matching bolts have a downstream edge and the aggregators are
 terminal sinks, so these runs exercise every bolt dispatch mode an
 untraced run without reliability or flow can take, with and without a
-machine crash.  ``tests/data/des_batched_small.json`` holds what the
+machine crash.  Two runs cover the multicast data plane's other paths:
+``rdmc`` relays instance-level packets down a binomial tree over
+``("t", task)`` endpoints, and ``whale_adaptive`` drives the request
+spout hard enough that the controller switches d* inside the horizon,
+so the source pauses on the switch and sends its control messages over
+the transport.  ``tests/data/des_batched_small.json`` holds what the
 simulator computes for each run; a change to the dispatch machinery
 that is not meant to move simulated results must reproduce every value
 bit for bit.
@@ -29,6 +34,7 @@ import pytest
 from repro.apps import ride_hailing_topology
 from repro.core import create_system, whale_full_config, whale_woc_rdma_config
 from repro.dsps import storm_config
+from repro.dsps.presets import rdmc_config
 from repro.faults import FaultEvent, FaultSchedule
 from repro.net import Cluster
 from repro.workloads import PoissonArrivals
@@ -40,6 +46,10 @@ SEED = 3
 PARALLELISM = 12
 N_MACHINES = 4
 REQUEST_RATE = 4000.0
+#: ``whale_adaptive`` only: fills the source's transfer queue past the
+#: warning waterline within two monitor intervals
+ADAPTIVE_REQUEST_RATE = 50000.0
+ADAPTIVE_MONITOR_INTERVAL_S = 0.02
 DRIVER_RATE = 1000.0
 HORIZON_S = 0.1
 DRAIN_S = 0.1
@@ -50,6 +60,10 @@ CONFIGS = {
     "whale_full": lambda: whale_full_config(adaptive=False),
     "whale_woc_rdma": whale_woc_rdma_config,
     "storm": storm_config,
+    "rdmc": rdmc_config,
+    "whale_adaptive": lambda: whale_full_config(
+        adaptive=True, monitor_interval_s=ADAPTIVE_MONITOR_INTERVAL_S
+    ),
 }
 FAULTS = {
     "no_fault": lambda: None,
@@ -64,6 +78,10 @@ RUNS = [(config, fault) for config in CONFIGS for fault in FAULTS]
 def run_pinned(config_name, fault_name):
     """Run one pinned scenario to idle; returns the system."""
     rng = np.random.default_rng(SEED)
+    request_rate = (
+        ADAPTIVE_REQUEST_RATE if config_name == "whale_adaptive"
+        else REQUEST_RATE
+    )
     system = create_system(
         ride_hailing_topology(
             PARALLELISM, n_drivers=2000, compute_real_matches=False
@@ -71,7 +89,7 @@ def run_pinned(config_name, fault_name):
         CONFIGS[config_name](),
         cluster=Cluster(N_MACHINES, 1, 16),
         arrivals={
-            "requests": PoissonArrivals(REQUEST_RATE, rng),
+            "requests": PoissonArrivals(request_rate, rng),
             "driver_locations": PoissonArrivals(DRIVER_RATE, rng),
         },
         seed=SEED,
@@ -116,6 +134,12 @@ def observables(system):
         "messages_received": [
             system.workers[m].messages_received for m in sorted(system.workers)
         ],
+        "switches": [
+            [controller.service.src_task, record.time, record.old_d_star,
+             record.new_d_star]
+            for controller in system.controllers
+            for record in controller.history
+        ],
     }
 
 
@@ -131,6 +155,13 @@ def test_batched_run_matches_pinned_values(config_name, fault_name):
     assert set(got["busy_s"]) == set(expected["busy_s"])
     for name, busy in expected["busy_s"].items():
         assert got["busy_s"][name] == busy, name
+
+
+@pytest.mark.parametrize("fault_name", list(FAULTS))
+def test_adaptive_run_switches_inside_the_horizon(fault_name):
+    """The pinned adaptive runs must keep exercising a paused source."""
+    switches = observables(run_pinned("whale_adaptive", fault_name))["switches"]
+    assert any(time < HORIZON_S for _task, time, _old, _new in switches)
 
 
 def _regenerate():
