@@ -14,6 +14,7 @@ shapes are comparable (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -30,7 +31,8 @@ from repro.core import (
 from repro.dsps import rdma_storm_config, storm_config
 from repro.dsps.presets import rdmc_config
 from repro.net import Cluster, CostModel, CpuAccount, Fabric, RdmaTransport, Verb
-from repro.sim import Simulator
+from repro.net.cpu import OTHER
+from repro.sim import Simulator, each
 from repro.workloads import (
     DriverLocationGenerator,
     DynamicRateArrivals,
@@ -618,31 +620,46 @@ def fig29_30_verbs(
             name="ib",
         )
         transport = RdmaTransport(sim, fabric, costs, data_verb=verb)
-        inbox = transport.bind_inbox(1)
         cpu = CpuAccount(sim, "sender")
+        recv_cpu = CpuAccount(sim, "receiver")
         latencies: List[float] = []
         send_times: Dict[int, float] = {}
+        inbox: deque = deque()
+        finished_at = [0.0]
 
-        def sender(sim):
-            for i in range(count):
-                send_times[i] = sim.now
-                yield from transport.send(0, 1, i, payload_bytes, cpu, verb=verb)
+        def send(i: int, then) -> None:
+            send_times[i] = sim.now
+
+            def sent() -> None:
                 if pace_s > 0:
-                    yield sim.timeout(pace_s)
+                    sim.schedule_call(pace_s, then)
+                else:
+                    then()
 
-        def receiver(sim):
-            recv_cpu = CpuAccount(sim, "receiver")
-            for _ in range(count):
-                msg = yield inbox.get()
-                if msg.recv_cpu_s > 0:
-                    yield from recv_cpu.work(msg.recv_cpu_s)
+            transport.send(0, 1, i, payload_bytes, cpu, verb=verb, then=sent)
+
+        def receive(msg) -> None:
+            """The receiver thread: FIFO, one receive CPU wait each."""
+            inbox.append(msg)
+            if len(inbox) == 1:
+                serve()
+
+        def serve() -> None:
+            msg = inbox[0]
+
+            def received() -> None:
+                inbox.popleft()
                 latencies.append(sim.now - send_times[msg.payload])
+                finished_at[0] = sim.now
+                if inbox:
+                    serve()
 
-        sim.process(sender(sim))
-        done = sim.process(receiver(sim))
-        start = sim.now
-        sim.run(until=done)
-        return sim.now - start, latencies
+            recv_cpu.spend(msg.recv_cpu_s, OTHER, received)
+
+        fabric.bind(1, receive)
+        each(range(count), send, lambda: None)
+        sim.run()
+        return finished_at[0], latencies
 
     for verb in (Verb.SEND, Verb.WRITE, Verb.READ):
         # Throughput: saturated open-loop stream.

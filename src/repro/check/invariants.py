@@ -217,7 +217,7 @@ def _queue_conservation(ctx: CheckContext) -> None:
                 f"{q.capacity}",
                 queue=q.name,
             )
-        waiting = len(q._putters)
+        waiting = len(q.waiting)
         if q.offered != q.accepted + q.dropped + waiting:
             ctx.fail(
                 f"offered {q.offered} != accepted {q.accepted} + dropped "

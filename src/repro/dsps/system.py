@@ -358,19 +358,25 @@ class DspsSystem:
     def control_send(
         self, src_machine: int, dst_machine: int, payload, cpu_account
     ):
-        """Send one control message (generator)."""
-        size = self.serialization.control_message_bytes()
-        yield from self.transport.send(
-            src_machine, dst_machine, payload, size, cpu_account, kind="control"
+        """Send one control message from a control-plane process
+        (``yield from``): the process resumes where the transport's
+        ``send`` continues its sender."""
+        sent = self.sim.event()
+        self.control_post(
+            src_machine, dst_machine, payload, cpu_account, then=sent.resolve
         )
+        yield sent
 
     def control_post(
-        self, src_machine: int, dst_machine: int, payload, cpu_account
+        self, src_machine: int, dst_machine: int, payload, cpu_account,
+        then=None,
     ) -> None:
-        """Send one control message without blocking the caller."""
+        """Send one control message; ``then()`` (if given) runs where the
+        sender's thread continues."""
         size = self.serialization.control_message_bytes()
-        self.transport.post(
-            src_machine, dst_machine, payload, size, cpu_account, kind="control"
+        self.transport.send(
+            src_machine, dst_machine, payload, size, cpu_account,
+            kind="control", then=then,
         )
 
     # ------------------------------------------------------------------

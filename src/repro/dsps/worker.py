@@ -8,9 +8,11 @@ relaying to cascading endpoints all run on this thread, exactly like the
 "specialized receiving thread" + dispatcher of Section 4.
 
 The thread is a chain of scheduled callbacks: one calendar entry at the
-end of a message's receive (+ deserialize) CPU finishes it; messages
-arriving meanwhile wait in a FIFO backlog.  Relays and sliced packet
-groups stay generators, driven by the thread itself.
+end of a message's receive (+ deserialize) CPU starts its dispatch and
+relay, and the thread takes the next message when the relay's sends are
+done; messages arriving meanwhile wait in a FIFO backlog.  A sliced
+packet group deserializes its packets one after another, each ending in
+its own calendar entry.
 
 A delivered packet is one unit of work: :meth:`Worker.dispatch` hands
 its tuple to every local destination task in one call, and to lazy
@@ -30,13 +32,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional, Sequence,
+    TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Sequence,
 )
 
 from repro.dsps.tuples import StreamTuple
 from repro.net import cpu as cats
 from repro.net.cpu import CpuAccount
 from repro.net.message import WireMessage
+from repro.sim.engine import each
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.executor import BoltExecutor, LazyCohort
@@ -89,7 +92,7 @@ class Worker:
         self._drains: Dict[float, List["LazyCohort"]] = {}
 
     def start(self) -> None:
-        self._next()
+        self._take_messages()
 
     # ------------------------------------------------------------------
     def add_control_handler(self, handler: Callable) -> None:
@@ -202,50 +205,73 @@ class Worker:
     def _on_message(self, msg: WireMessage) -> None:
         self.backlog.append(msg)
         if not self._busy:
-            self._next()
+            self._take_messages()
 
-    def _next(self, msg: Optional[WireMessage] = None) -> None:
-        """Take messages until one makes the thread wait (its continuation
-        calls back here); a take waits like the working thread's."""
+    def _take_messages(self) -> None:
+        """Run the thread until the backlog is empty: each message is
+        taken once the previous one is done."""
         self._busy = True
-        while True:
-            if msg is None:
-                if not self.backlog:
-                    self._busy = False
-                    return
-                msg = self.backlog.popleft()
-                if self.sim.peek() <= self.sim.now:
-                    self.sim.schedule_call(0.0, lambda: self._next(msg))
-                    return
-            if not self.crashed:  # else it raced the crash and dies here
-                self.messages_received += 1
-                if self._receive(msg):
-                    return
-            msg = None
+        each(self._backlog(), self._take, self._go_idle)
 
-    def _receive(self, msg: WireMessage) -> bool:
-        """Start one message; ``True`` while the thread waits on it."""
+    def _backlog(self) -> Iterator[WireMessage]:
+        while self.backlog:
+            yield self.backlog.popleft()
+
+    def _go_idle(self) -> None:
+        self._busy = False
+
+    def _take(self, msg: WireMessage, then: Callable[[], None]) -> None:
+        """A take waits like the working thread's."""
+        if self.sim.peek() <= self.sim.now:
+            self.sim.schedule_call(0.0, lambda: self._receive(msg, then))
+        else:
+            self._receive(msg, then)
+
+    def _receive(self, msg: WireMessage, then: Callable[[], None]) -> None:
+        """Receive one message, then run ``then()``."""
+        if self.crashed:
+            then()  # it raced the crash and dies here
+            return
+        self.messages_received += 1
         cpu = self.cpu
         payload = msg.payload
         recv = msg.recv_cpu_s
         if recv > 0:
             cpu.charge(recv, cats.NETWORK)
         if msg.kind == "control":
-            wait, finish = recv, lambda: self._control(payload)
+            wait = recv
+
+            def finish() -> None:
+                self._control(payload)
+                then()
         elif (deser := getattr(payload, "deserialize_cpu_s", None)) is None:
             # PacketGroup (sliced WR): its packets charge their
             # deserialization one by one.
-            wait, finish = recv, lambda: payload.deliver(self)
+            wait = recv
+
+            def finish() -> None:
+                each(payload.packets, self.deliver, then)
         else:
             # Fused receive + deserialize: two CPU categories, one wait.
             if deser > 0:
                 cpu.charge(deser, cats.DESERIALIZATION)
-            wait, finish = recv + deser, lambda: payload.arrive(self)
+            wait = recv + deser
+
+            def finish() -> None:
+                payload.arrive(self, then)
         if wait > 0:
-            self.sim.schedule_call(wait, lambda: self._resume(finish()))
-            return True
-        steps = finish()
-        return steps is not None and self._drive(steps)
+            self.sim.schedule_call(wait, finish)
+        else:
+            finish()
+
+    def deliver(self, packet, then: Callable[[], None]) -> None:
+        """Deserialize, dispatch and relay one packet on this worker's
+        thread, then run ``then()``."""
+        self.cpu.spend(
+            packet.deserialize_cpu_s,
+            cats.DESERIALIZATION,
+            lambda: packet.arrive(self, then),
+        )
 
     def _control(self, payload) -> None:
         if isinstance(payload, HeartbeatPing):
@@ -253,19 +279,6 @@ class Worker:
         else:
             for handler in self._control_handlers:
                 handler(payload)
-
-    def _drive(self, steps: Iterator) -> bool:
-        """Advance a relay or packet-group generator; ``True`` while it waits."""
-        for event in steps:
-            if event.callbacks is not None:
-                event.callbacks.append(lambda _ev: self._resume(steps))
-                return True
-        return False
-
-    def _resume(self, steps: Optional[Iterator]) -> None:
-        """Continue after a wait: finish ``steps``, then take the next message."""
-        if steps is None or not self._drive(steps):
-            self._next()
 
     def _answer_heartbeat(self, ping: HeartbeatPing) -> None:
         if self.crashed:

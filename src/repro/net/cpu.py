@@ -1,9 +1,10 @@
 """Per-thread CPU time accounting.
 
 Every simulated thread (executor, receive thread, spout, relay) owns a
-:class:`CpuAccount`.  All CPU-consuming work flows through
-:meth:`CpuAccount.work`, which both advances simulated time and attributes
-the busy time to a category.  This is what lets the reproduction draw the
+:class:`CpuAccount`.  All CPU-consuming work is attributed to a category
+through it: :meth:`CpuAccount.spend` charges the work and continues the
+thread's callback chain when it is done, :meth:`CpuAccount.charge` only
+attributes time a caller waits out itself.  This is what lets the reproduction draw the
 paper's Fig. 2c (upstream vs downstream utilization) and Fig. 2d (CPU-time
 breakdown into serialization vs packet processing) without any external
 profiler.
@@ -12,7 +13,7 @@ profiler.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterator
+from typing import TYPE_CHECKING, Callable, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -36,23 +37,25 @@ class CpuAccount:
         self.busy_s: Dict[str, float] = defaultdict(float)
         self._started = sim.now
 
-    def work(self, duration_s: float, category: str = OTHER) -> Iterator:
-        """Consume ``duration_s`` of CPU, attributed to ``category``.
-
-        Use as ``yield from account.work(dt, cpu.SERIALIZATION)`` inside a
-        process.  Zero-duration work is recorded but does not yield.
-        """
+    def spend(
+        self, duration_s: float, category: str, then: Callable[[], None]
+    ) -> None:
+        """Consume ``duration_s`` of CPU, attributed to ``category``, then
+        run ``then()``: one calendar entry at the end of the work, or at
+        once when it takes no time (still recorded)."""
         if duration_s < 0:
             raise ValueError(f"negative CPU work: {duration_s}")
         self.busy_s[category] += duration_s
         if duration_s > 0:
-            yield self.sim.timeout(duration_s)
+            self.sim.schedule_call(duration_s, then)
+        else:
+            then()
 
     def charge(self, duration_s: float, category: str = OTHER) -> None:
         """Attribute CPU time without advancing the clock.
 
-        For costs already covered by another yield (e.g. work performed
-        while a different account's timeout is pending).
+        For costs the caller waits out itself (e.g. a receive thread
+        fusing receive and deserialization into one wait).
         """
         if duration_s < 0:
             raise ValueError(f"negative CPU charge: {duration_s}")

@@ -3,7 +3,7 @@
 To avoid registering/recycling RNIC memory regions per message, Whale
 registers one continuous address space and runs head/tail pointers over
 it; a region is reused after the RNIC coordinator consumes it.  We model
-exactly that: a byte-capacity ring where ``alloc`` blocks while the ring
+exactly that: a byte-capacity ring where ``alloc`` waits while the ring
 lacks contiguous-free space and ``free`` returns space in FIFO order.
 
 The FIFO discipline matters: RDMA consumers (and Whale's sequential-access
@@ -13,16 +13,16 @@ readers) complete in post order, so the tail only ever advances in order.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Tuple
 
-from repro.sim.events import Event, SimulationError, already_done
+from repro.sim.events import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
 class RingMemoryRegion:
-    """A registered ring buffer with blocking allocation."""
+    """A registered ring buffer with waiting allocation."""
 
     def __init__(self, sim: "Simulator", capacity_bytes: int):
         if capacity_bytes <= 0:
@@ -34,7 +34,7 @@ class RingMemoryRegion:
         self._used = 0
         #: FIFO of outstanding region sizes (post order == completion order).
         self._regions: Deque[int] = deque()
-        self._waiters: Deque[Tuple[Event, int]] = deque()
+        self._waiters: Deque[Tuple[Callable[[], None], int]] = deque()
         # stats
         self.allocs = 0
         self.frees = 0
@@ -56,8 +56,10 @@ class RingMemoryRegion:
         return len(self._regions)
 
     # ------------------------------------------------------------------
-    def alloc(self, nbytes: int) -> Event:
-        """Reserve ``nbytes``; the event triggers when space is available."""
+    def alloc(self, nbytes: int, then: Callable[[], None]) -> None:
+        """Reserve ``nbytes``, then run ``then()``: at once when the ring
+        has room and nobody waits, else one calendar entry after the
+        grant (waiters are served FIFO)."""
         if nbytes <= 0:
             raise SimulationError(f"alloc size must be positive, got {nbytes}")
         if nbytes > self.capacity_bytes:
@@ -66,14 +68,11 @@ class RingMemoryRegion:
                 f"{self.capacity_bytes} B"
             )
         if not self._waiters and self._used + nbytes <= self.capacity_bytes:
-            # Uncontended: grant inline with an already-processed event,
-            # so the allocating process resumes without a queue trip.
             self._grant(nbytes)
-            return already_done(self.sim)
-        ev = Event(self.sim)
+            then()
+            return
         self.alloc_stalls += 1
-        self._waiters.append((ev, nbytes))
-        return ev
+        self._waiters.append((then, nbytes))
 
     def reset(self) -> None:
         """Forget every outstanding region (fault injection: the RNIC of
@@ -83,13 +82,7 @@ class RingMemoryRegion:
         """
         self._regions.clear()
         self._used = 0
-        while self._waiters:
-            ev, want = self._waiters[0]
-            if self._used + want > self.capacity_bytes:
-                break
-            self._waiters.popleft()
-            self._grant(want)
-            ev.succeed()
+        self._admit_waiters()
 
     def free_oldest(self) -> int:
         """Release the oldest outstanding region; returns its size."""
@@ -98,17 +91,20 @@ class RingMemoryRegion:
         nbytes = self._regions.popleft()
         self._used -= nbytes
         self.frees += 1
-        # Admit as many waiters as now fit (they stay FIFO).
+        self._admit_waiters()
+        return nbytes
+
+    # ------------------------------------------------------------------
+    def _admit_waiters(self) -> None:
+        """Grant as many waiters as now fit (they stay FIFO)."""
         while self._waiters:
-            ev, want = self._waiters[0]
+            then, want = self._waiters[0]
             if self._used + want > self.capacity_bytes:
                 break
             self._waiters.popleft()
             self._grant(want)
-            ev.succeed()
-        return nbytes
+            self.sim.schedule_call(0.0, then)
 
-    # ------------------------------------------------------------------
     def _grant(self, nbytes: int) -> None:
         self._used += nbytes
         self._regions.append(nbytes)

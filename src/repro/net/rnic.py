@@ -9,23 +9,21 @@ the RNIC coordinator".
 
 The service pipeline is an arithmetic FIFO server (like
 :class:`~repro.net.fabric.NicPort`): completion instants are computed at
-admission and one timeout is scheduled per WR, instead of a drain process
-doing a queue hand-off plus a timeout per WR.  Uncontended posts return an
-already-processed event, so the posting process resumes inline with zero
-event-queue traffic.
+admission and one calendar entry is scheduled per WR.  An uncontended
+post continues its sender's chain at once; a post that finds the WR
+queue full continues one calendar entry after its admission.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from repro.net.costs import CostModel
 from repro.net.fabric import Fabric
 from repro.net.message import WireMessage
 from repro.net.ring import RingMemoryRegion
-from repro.sim.events import Event, already_done
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -63,31 +61,31 @@ class Rnic:
         #: admitted WRs: the head with ``start <= now`` is in DMA service.
         self._pending: Deque[list] = deque()
         #: posts blocked on a full WR queue, FIFO.
-        self._waiters: Deque[Tuple[Event, WorkRequest]] = deque()
+        self._waiters: Deque[
+            Tuple[Optional[Callable[[], None]], WorkRequest]
+        ] = deque()
         self._busy_until = sim.now
         self.wrs_posted = 0
         self.wrs_completed = 0
 
     # ------------------------------------------------------------------
-    def post(self, wr: WorkRequest):
-        """Post a work request; returns the queue-admission event."""
+    def post(
+        self, wr: WorkRequest, then: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Post a work request; ``then()`` (if given) runs once it is
+        admitted to the WR queue: at once, or one calendar entry after a
+        full queue admits it."""
         self.wrs_posted += 1
         if wr.ring_bytes > 0:
             wr.message.on_delivered = self._recycle
         # The old Store-backed queue held up to ``depth`` WRs *behind* the
         # one in service, so total unfinished admits up to depth + 1.
         if self._waiters or len(self._pending) > self._depth:
-            ev = Event(self.sim)
-            self._waiters.append((ev, wr))
-            return ev
+            self._waiters.append((then, wr))
+            return
         self._admit(wr)
-        return already_done(self.sim)
-
-    @property
-    def queue_depth(self) -> int:
-        """WRs queued behind the one in DMA service."""
-        n = len(self._pending)
-        return n - 1 if n else 0
+        if then is not None:
+            then()
 
     def reset(self) -> int:
         """Crash handling: drop queued work requests and re-register the
@@ -95,9 +93,8 @@ class Rnic:
 
         The WR in DMA service, if any, still completes into the fabric
         (matching the old drain loop, whose in-flight WR was already past
-        the queue); blocked posters are admitted dead — their WRs are
-        dropped but the post event succeeds, as with the old
-        ``Store.clear`` contract.
+        the queue); waiting posters are admitted dead — their WRs are
+        dropped but their senders continue.
         """
         now = self.sim.now
         pending = self._pending
@@ -111,10 +108,11 @@ class Rnic:
             entry[_WR].message.on_delivered = None
             dropped += 1
         while self._waiters:
-            ev, wr = self._waiters.popleft()
+            then, wr = self._waiters.popleft()
             wr.message.on_delivered = None
             dropped += 1
-            ev.succeed()
+            if then is not None:
+                self.sim.schedule_call(0.0, then)
         if zombie is not None:
             pending.append(zombie)
             self._busy_until = zombie[_DONE]
@@ -146,9 +144,10 @@ class Rnic:
         self.fabric.send(entry[_WR].message)
         self.wrs_completed += 1
         while self._waiters and len(self._pending) <= self._depth:
-            ev, wr = self._waiters.popleft()
+            then, wr = self._waiters.popleft()
             self._admit(wr)
-            ev.succeed()
+            if then is not None:
+                self.sim.schedule_call(0.0, then)
 
     def _recycle(self, _msg: WireMessage) -> None:
         if self.ring.outstanding:

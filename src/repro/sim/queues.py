@@ -18,8 +18,9 @@ everything the monitors and the evaluation need:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Optional, Tuple
 
 from repro.sim.resources import Store
 
@@ -55,8 +56,12 @@ class QueueStats:
 class TransferQueue(Store):
     """Bounded FIFO with waterline statistics.
 
-    Items are stored as ``(enqueue_time, payload)`` internally; ``get``
-    returns only the payload.
+    Items are stored as ``(enqueue_time, payload)`` internally;
+    ``try_get`` returns only the payload.  Besides the refusing
+    ``try_put``, :meth:`offer` is the blocking put of a callback chain
+    (a replay must not lose its envelope to a full queue): offers wait
+    FIFO for a slot, and a slot freed by ``try_get`` or ``evict`` admits
+    the oldest one.
     """
 
     def __init__(
@@ -82,6 +87,8 @@ class TransferQueue(Store):
         #: items evicted by a shed policy (``evict``) to make room for a
         #: newcomer — accepted items that never reached a consumer
         self.shed = 0
+        #: offers waiting for a slot: ``((enqueue_time, payload), then)``
+        self.waiting: Deque[Tuple[Tuple[float, Any], Callable[[], None]]] = deque()
         self._area = 0.0  # integral of length over time
         self._created = sim.now
         self._last_change = sim.now
@@ -119,10 +126,6 @@ class TransferQueue(Store):
     # ------------------------------------------------------------------
     # timestamped wrappers
     # ------------------------------------------------------------------
-    def put(self, item: Any):
-        self.offered += 1
-        return super().put((self.sim.now, item))
-
     def try_put(self, item: Any) -> bool:
         self.offered += 1
         ok = super().try_put((self.sim.now, item))
@@ -138,23 +141,38 @@ class TransferQueue(Store):
                 )
         return ok
 
-    def get(self):
-        ev = super().get()
-        return _unwrap(ev)
+    def offer(self, item: Any, then: Callable[[], None]) -> bool:
+        """Blocking put.  Returns ``True`` when ``item`` entered at once;
+        the caller then continues by itself.  Otherwise the offer waits
+        for a slot (offers only wait on a full queue), and ``then()``
+        runs one calendar entry after the item enters, or after
+        :meth:`clear` drops it."""
+        self.offered += 1
+        stamped = (self.sim.now, item)
+        if super().try_put(stamped):
+            return True
+        self.waiting.append((stamped, then))
+        return False
 
     def try_get(self) -> Tuple[bool, Any]:
         ok, item = super().try_get()
         if not ok:
             return False, None
+        if self.waiting:
+            self._admit_offer()
         return True, item[1]
+
+    def _admit_offer(self) -> None:
+        stamped, then = self.waiting.popleft()
+        super().try_put(stamped)
+        self.sim.schedule_call(0.0, then)
 
     def evict(self, index: int = 0) -> Any:
         """Remove and return the payload at ``index`` without serving a
         consumer — the shed policies' victim ejection.
 
         The evicted item counts as ``shed`` (not ``dequeued``); the freed
-        slot admits the longest-waiting blocked putter, mirroring
-        ``Store._release``.
+        slot admits the oldest waiting offer, as ``try_get`` does.
         """
         if not self.items:
             raise IndexError("evict() from an empty queue")
@@ -162,11 +180,8 @@ class TransferQueue(Store):
         _enq_time, payload = self.items[index]
         del self.items[index]
         self.shed += 1
-        if self._putters and len(self.items) < self.capacity:
-            ev, pending = self._putters.popleft()
-            self.items.append(pending)
-            self._on_put(pending)
-            ev.succeed()
+        if self.waiting:
+            self._admit_offer()
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
@@ -178,13 +193,16 @@ class TransferQueue(Store):
         return payload
 
     def clear(self) -> list:
-        # Blocked putters' items never passed _on_put; per the Store
-        # contract they count as accepted-then-lost, so fold them into
-        # ``accepted`` before everything lands in ``cleared``.
+        # Waiting offers never passed _on_put; they count as
+        # accepted-then-lost, so fold them into ``accepted`` before
+        # everything lands in ``cleared``.  Their chains go on.
         self._integrate()
-        waiting = len(self._putters)
         lost = super().clear()
-        self.accepted += waiting
+        waiting, self.waiting = self.waiting, deque()
+        for stamped, then in waiting:
+            lost.append(stamped)
+            self.sim.schedule_call(0.0, then)
+        self.accepted += len(waiting)
         self.cleared += len(lost)
         return lost
 
@@ -213,25 +231,3 @@ class TransferQueue(Store):
             shed=self.shed,
         )
 
-
-def _unwrap(event):
-    """Chain a Store.get event through a proxy whose value is the payload.
-
-    Both the already-triggered and the still-pending branches go through
-    the proxy.  The old already-triggered shortcut rewrote
-    ``event._value`` in place, which corrupted the original event for
-    every other reader — a second unwrap saw the bare payload instead of
-    the ``(enqueue_time, payload)`` pair and unwrapped garbage, as did
-    any callback reading ``.value`` directly.
-    """
-    proxy = event.sim.event()
-
-    def _forward(ev):
-        if ev._ok:
-            proxy.succeed(ev._value[1])
-        else:
-            ev.defuse()
-            proxy.fail(ev._value)
-
-    event.callbacks.append(_forward)
-    return proxy

@@ -1,9 +1,10 @@
 """Shared resources: the bounded FIFO store.
 
 :class:`Store` is the building block for every queue in the system model
-(executor send/receive queues, NIC work-request queues, ...).  ``put`` and
-``get`` return events so processes block naturally when a store is full or
-empty.
+(executor incoming and transfer queues).  Its operations never block:
+``try_put`` refuses when the store is full and ``try_get`` reports an
+empty store, so the thread that owns a queue decides what waiting means
+(an idle thread is restarted by whoever hands it work).
 """
 
 from __future__ import annotations
@@ -12,19 +13,14 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Tuple
 
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
 class Store:
-    """A FIFO buffer with bounded capacity.
-
-    ``put(item)`` blocks (i.e. the returned event stays untriggered) while
-    the store is full; ``get()`` blocks while it is empty.  Waiters are
-    served in FIFO order.
-    """
+    """A FIFO buffer with bounded capacity."""
 
     def __init__(self, sim: "Simulator", capacity: float = math.inf):
         if capacity <= 0:
@@ -32,8 +28,6 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
 
     # ------------------------------------------------------------------
     @property
@@ -46,53 +40,27 @@ class Store:
         return len(self.items) >= self.capacity
 
     # ------------------------------------------------------------------
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the event triggers once the item is accepted."""
-        ev = Event(self.sim)
-        if len(self.items) < self.capacity and not self._putters:
-            self._accept(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
     def try_put(self, item: Any) -> bool:
-        """Non-blocking put: returns ``False`` (rejecting) if full."""
-        if len(self.items) < self.capacity and not self._putters:
-            self._accept(item)
+        """Insert ``item``; returns ``False`` (rejecting it) if full."""
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+            self._on_put(item)
             return True
         return False
 
-    def get(self) -> Event:
-        """Remove the oldest item; the event's value is the item."""
-        ev = Event(self.sim)
-        if self.items:
-            ev.succeed(self._release())
-        else:
-            self._getters.append(ev)
-        return ev
-
     def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
+        """Remove the oldest item: ``(True, item)`` or ``(False, None)``."""
         if self.items:
-            return True, self._release()
+            item = self.items.popleft()
+            self._on_get(item)
+            return True, item
         return False, None
 
     def clear(self) -> list:
         """Drop every buffered item (fault injection: a crashed machine
-        loses its queues); returns the dropped items.
-
-        Pending blocked putters are unblocked and their items dropped too
-        — from the sender's view the item was accepted and then lost,
-        exactly like handing a message to a NIC that dies.  Blocked
-        getters stay blocked (the queue is now empty).
-        """
+        loses its queues); returns the dropped items."""
         dropped = list(self.items)
         self.items.clear()
-        while self._putters:
-            ev, pending = self._putters.popleft()
-            dropped.append(pending)
-            ev.succeed()
         return dropped
 
     # ------------------------------------------------------------------
@@ -103,22 +71,3 @@ class Store:
 
     def _on_get(self, item: Any) -> None:
         """Called whenever an item physically leaves the buffer."""
-
-    # ------------------------------------------------------------------
-    def _accept(self, item: Any) -> None:
-        self.items.append(item)
-        self._on_put(item)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(self._release())
-
-    def _release(self) -> Any:
-        item = self.items.popleft()
-        self._on_get(item)
-        # Freed a slot: admit the longest-waiting putter, if any.
-        if self._putters and len(self.items) < self.capacity:
-            ev, pending = self._putters.popleft()
-            self.items.append(pending)
-            self._on_put(pending)
-            ev.succeed()
-        return item

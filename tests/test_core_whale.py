@@ -150,12 +150,8 @@ def test_queue_monitor_scale_up_on_fast_drain():
     mon = QueueMonitor(q, warning_waterline=50, t_down=0.4, t_up=0.5)
     mon.sample()
 
-    def drain(sim):
-        for _ in range(30):
-            yield q.get()
-
-    sim.process(drain(sim))
-    sim.run()
+    for _ in range(30):
+        q.try_get()
     # dL = 30 drop from l'=40 -> 0.75 >= T_up
     assert mon.sample().action == "scale_up"
 
@@ -196,19 +192,16 @@ def test_queue_monitor_no_scale_up_while_above_waterline():
 
     def drain(n):
         for _ in range(n):
-            yield q.get()
+            q.try_get()
 
-    sim.process(drain(40))
-    sim.run()
+    drain(40)
     # dL = -40 from l' = 100 (ratio 0.4 >= T_up) but l = 60 >= l_w.
     assert mon.sample().action == "hold"
-    sim.process(drain(10))
-    sim.run()
+    drain(10)
     # l = 50 == l_w: still suppressed — the drain must land strictly
     # below the waterline before scale-up is considered.
     assert mon.sample().action == "hold"
-    sim.process(drain(30))
-    sim.run()
+    drain(30)
     # l = 20 < l_w and dL = -30 from l' = 50 -> ratio 0.6 >= T_up.
     assert mon.sample().action == "scale_up"
 

@@ -445,7 +445,7 @@ def test_link_flap_degrades_then_repromotes_to_rdma():
 # with a machine that crashes before the flush, keep atomic commit order,
 # and conserve pairs between the sending machines and the acker.
 class _AckWire:
-    """Records every AckMessage posted (``(now, src, payload, size)``) and
+    """Records every AckMessage sent (``(now, src, payload, size)``) and
     every one the acker's machine receives (``(now, payload)``)."""
 
     def __init__(self, system):
@@ -453,14 +453,14 @@ class _AckWire:
         self.posted = []
         self.delivered = []
         transport = system.transport
-        post = transport.post
+        send = transport.send
 
-        def recording_post(src, dst, payload, size, cpu, kind="data"):
+        def recording_send(src, dst, payload, size, cpu, **kwargs):
             if isinstance(payload, AckMessage):
                 self.posted.append((system.sim.now, src, payload, size))
-            post(src, dst, payload, size, cpu, kind=kind)
+            send(src, dst, payload, size, cpu, **kwargs)
 
-        transport.post = recording_post
+        transport.send = recording_send
         home = system.workers[system.reliability.home_machine]
         home.add_control_handler(self._on_control)
 

@@ -201,8 +201,8 @@ def test_evict_conserves_and_admits_waiting_putter():
     q = TransferQueue(sim, capacity=2, name="t")
     assert q.try_put("a") and q.try_put("b")
     got = {}
-    ev = q.put("c")  # blocks: queue full
-    ev.callbacks.append(lambda e: got.setdefault("put", True))
+    # blocks: queue full
+    assert not q.offer("c", lambda: got.setdefault("put", True))
     victim = q.evict(0)
     assert victim == "a"
     sim.run(until=0.01)

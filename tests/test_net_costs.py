@@ -47,14 +47,13 @@ def test_rdma_cheaper_than_tcp():
 def test_cpu_work_advances_time_and_accrues():
     sim = Simulator()
     acct = CpuAccount(sim, "t0")
-
-    def proc(sim):
-        yield from acct.work(2.0, cats.SERIALIZATION)
-        yield from acct.work(3.0, cats.NETWORK)
-
-    sim.process(proc(sim))
+    done = []
+    acct.spend(
+        2.0, cats.SERIALIZATION,
+        lambda: acct.spend(3.0, cats.NETWORK, lambda: done.append(sim.now)),
+    )
     sim.run()
-    assert sim.now == 5.0
+    assert done == [5.0]
     assert acct.busy_s[cats.SERIALIZATION] == 2.0
     assert acct.busy_s[cats.NETWORK] == 3.0
     assert acct.total_busy_s == 5.0
@@ -63,7 +62,10 @@ def test_cpu_work_advances_time_and_accrues():
 def test_cpu_zero_work_records_without_yield():
     sim = Simulator()
     acct = CpuAccount(sim, "t0")
-    list(acct.work(0.0, cats.OTHER))  # exhaust generator: must not yield
+    done = []
+    acct.spend(0.0, cats.OTHER, lambda: done.append(sim.now))
+    assert done == [0.0]  # continued at once, no calendar entry
+    assert sim.peek() == float("inf")
     assert acct.busy_s[cats.OTHER] == 0.0
 
 
@@ -71,7 +73,7 @@ def test_cpu_negative_work_rejected():
     sim = Simulator()
     acct = CpuAccount(sim, "t0")
     with pytest.raises(ValueError):
-        list(acct.work(-1.0))
+        acct.spend(-1.0, cats.OTHER, lambda: None)
     with pytest.raises(ValueError):
         acct.charge(-1.0)
 

@@ -12,7 +12,7 @@ from repro.net import (
     Verb,
     WireMessage,
 )
-from repro.sim import Simulator
+from repro.sim import Simulator, each
 
 
 def make_fabric(sim, n_machines=4, n_racks=1, bandwidth=1e9, latency=50e-6):
@@ -143,25 +143,19 @@ def test_tcp_send_charges_sender_cpu_and_sets_recv_cpu():
     costs = CostModel()
     fabric = make_fabric(sim)
     tcp = TcpTransport(sim, fabric, costs)
-    inbox = tcp.bind_inbox(1)
+    inbox = []
+    fabric.bind(1, inbox.append)
     cpu = CpuAccount(sim, "sender")
+    sent_at = []
 
-    def sender(sim):
-        yield from tcp.send(0, 1, "hello", 200, cpu)
-
-    sim.process(sender(sim))
+    tcp.send(0, 1, "hello", 200, cpu, then=lambda: sent_at.append(sim.now))
     sim.run()
     assert cpu.total_busy_s == pytest.approx(costs.tcp_send_cpu_s)
-    assert inbox.level == 1
-    ok, msg = inbox.try_get()
-    assert ok and msg.payload == "hello"
+    # The sender continues once the kernel send path is paid.
+    assert sent_at == [pytest.approx(costs.tcp_send_cpu_s)]
+    [msg] = inbox
+    assert msg.payload == "hello"
     assert msg.recv_cpu_s == costs.tcp_recv_cpu_s
-
-
-def test_tcp_bind_inbox_idempotent():
-    sim = Simulator()
-    tcp = TcpTransport(sim, make_fabric(sim), CostModel())
-    assert tcp.bind_inbox(2) is tcp.bind_inbox(2)
 
 
 # ----------------------------------------------------------------------
@@ -172,13 +166,9 @@ def test_rdma_send_cheaper_for_sender_than_tcp():
     costs = CostModel()
     fabric = make_fabric(sim, bandwidth=56e9, latency=1.5e-6)
     rdma = RdmaTransport(sim, fabric, costs)
-    rdma.bind_inbox(1)
+    fabric.bind(1, lambda _msg: None)
     cpu = CpuAccount(sim, "sender")
-
-    def sender(sim):
-        yield from rdma.send(0, 1, "x", 200, cpu)
-
-    sim.process(sender(sim))
+    rdma.send(0, 1, "x", 200, cpu)
     sim.run()
     assert cpu.total_busy_s < costs.tcp_send_cpu_s / 3
 
@@ -201,21 +191,27 @@ def test_rdma_verbs_profiles_ordering():
     assert write.receiver_cpu_s < send.receiver_cpu_s
 
 
+def send_in_turn(transport, cpu, messages, then=lambda: None):
+    """Send ``(dst, payload, size)`` messages from machine 0, each once
+    the previous send's continuation ran."""
+    each(
+        messages,
+        lambda m, k: transport.send(0, m[0], m[1], m[2], cpu, then=k),
+        then,
+    )
+
+
 def test_rdma_delivery_and_ring_recycling():
     sim = Simulator()
     costs = CostModel()
     fabric = make_fabric(sim, bandwidth=56e9, latency=1.5e-6)
     rdma = RdmaTransport(sim, fabric, costs, ring_capacity_bytes=1024)
-    inbox = rdma.bind_inbox(1)
+    inbox = []
+    fabric.bind(1, inbox.append)
     cpu = CpuAccount(sim, "sender")
-
-    def sender(sim):
-        for i in range(10):
-            yield from rdma.send(0, 1, i, 512, cpu)
-
-    sim.process(sender(sim))
+    send_in_turn(rdma, cpu, [(1, i, 512) for i in range(10)])
     sim.run()
-    assert inbox.level == 10
+    assert [msg.payload for msg in inbox] == list(range(10))
     ring = rdma.rnics[0].ring
     assert ring.used_bytes == 0  # everything recycled
     assert ring.allocs == 10 and ring.frees == 10
@@ -227,16 +223,12 @@ def test_rdma_ring_backpressure_blocks_sender():
     # Tiny ring: one message in flight at a time.
     fabric = make_fabric(sim, bandwidth=1e6, latency=1e-3)  # slow wire
     rdma = RdmaTransport(sim, fabric, costs, ring_capacity_bytes=600)
-    rdma.bind_inbox(1)
+    fabric.bind(1, lambda _msg: None)
     cpu = CpuAccount(sim, "sender")
     done_at = []
-
-    def sender(sim):
-        yield from rdma.send(0, 1, "a", 512, cpu)
-        yield from rdma.send(0, 1, "b", 512, cpu)  # must wait for recycle
-        done_at.append(sim.now)
-
-    sim.process(sender(sim))
+    # The second send must wait for the first region's recycle.
+    send_in_turn(rdma, cpu, [(1, "a", 512), (1, "b", 512)],
+                 then=lambda: done_at.append(sim.now))
     sim.run()
     # Second alloc waited for the first delivery (~512*8/1e6 + 1e-3 > 5ms).
     assert done_at[0] > 4e-3
@@ -245,14 +237,12 @@ def test_rdma_ring_backpressure_blocks_sender():
 
 def test_rdma_loopback_skips_rnic():
     sim = Simulator()
-    rdma = RdmaTransport(sim, make_fabric(sim), CostModel())
-    inbox = rdma.bind_inbox(0)
+    fabric = make_fabric(sim)
+    rdma = RdmaTransport(sim, fabric, CostModel())
+    inbox = []
+    fabric.bind(0, inbox.append)
     cpu = CpuAccount(sim, "sender")
-
-    def sender(sim):
-        yield from rdma.send(0, 0, "local", 100, cpu)
-
-    sim.process(sender(sim))
+    rdma.send(0, 0, "local", 100, cpu)
     sim.run()
-    assert inbox.level == 1
+    assert len(inbox) == 1
     assert rdma.rnics[0].wrs_posted == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Cluster, CostModel, CpuAccount, Fabric, RdmaTransport, WireMessage
-from repro.sim import Simulator
+from repro.sim import Simulator, each
 
 
 def make_fabric(sim, n_machines=4, n_racks=1, **kwargs):
@@ -67,14 +67,13 @@ def test_loss_still_recycles_ring_regions():
         sim, cluster, 56e9, 1.5e-6, loss_probability=0.5, loss_seed=3
     )
     rdma = RdmaTransport(sim, fabric, costs, ring_capacity_bytes=2048)
-    rdma.bind_inbox(1)
+    fabric.bind(1, lambda _msg: None)
     cpu = CpuAccount(sim, "s")
-
-    def sender(sim):
-        for i in range(50):
-            yield from rdma.send(0, 1, i, 512, cpu)
-
-    sim.process(sender(sim))
+    each(
+        range(50),
+        lambda i, k: rdma.send(0, 1, i, 512, cpu, then=k),
+        lambda: None,
+    )
     sim.run()
     assert fabric.messages_lost > 0
     assert rdma.rnics[0].ring.used_bytes == 0  # no leak despite losses

@@ -9,11 +9,15 @@ from repro.sim import Simulator, SimulationError
 # ----------------------------------------------------------------------
 # RingMemoryRegion
 # ----------------------------------------------------------------------
+def _granted():
+    pass
+
+
 def test_ring_alloc_free_cycle():
     sim = Simulator()
     ring = RingMemoryRegion(sim, 1000)
-    ring.alloc(400)
-    ring.alloc(400)
+    ring.alloc(400, _granted)
+    ring.alloc(400, _granted)
     assert ring.used_bytes == 800
     assert ring.free_bytes == 200
     assert ring.free_oldest() == 400
@@ -25,18 +29,15 @@ def test_ring_alloc_blocks_until_free():
     ring = RingMemoryRegion(sim, 100)
     grants = []
 
-    def producer(sim):
-        yield ring.alloc(80)
-        grants.append(("first", sim.now))
-        yield ring.alloc(80)
+    def second():
         grants.append(("second", sim.now))
 
-    def consumer(sim):
-        yield sim.timeout(5.0)
-        ring.free_oldest()
+    def first():
+        grants.append(("first", sim.now))
+        ring.alloc(80, second)
 
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
+    ring.alloc(80, first)
+    sim.schedule_call(5.0, ring.free_oldest)
     sim.run()
     assert grants == [("first", 0.0), ("second", 5.0)]
     assert ring.alloc_stalls == 1
@@ -46,19 +47,10 @@ def test_ring_fifo_waiters():
     sim = Simulator()
     ring = RingMemoryRegion(sim, 100)
     order = []
-
-    def want(sim, name, size):
-        yield ring.alloc(size)
-        order.append(name)
-
-    def seed(sim):
-        yield ring.alloc(100)
-        yield sim.timeout(1.0)
-        ring.free_oldest()
-
-    sim.process(seed(sim))
-    sim.process(want(sim, "a", 60))
-    sim.process(want(sim, "b", 40))
+    ring.alloc(100, _granted)
+    ring.alloc(60, lambda: order.append("a"))
+    ring.alloc(40, lambda: order.append("b"))
+    sim.schedule_call(1.0, ring.free_oldest)
     sim.run()
     assert order == ["a", "b"]
 
@@ -67,9 +59,9 @@ def test_ring_oversized_alloc_rejected():
     sim = Simulator()
     ring = RingMemoryRegion(sim, 100)
     with pytest.raises(SimulationError):
-        ring.alloc(101)
+        ring.alloc(101, _granted)
     with pytest.raises(SimulationError):
-        ring.alloc(0)
+        ring.alloc(0, _granted)
 
 
 def test_ring_free_without_outstanding_rejected():
@@ -82,9 +74,9 @@ def test_ring_free_without_outstanding_rejected():
 def test_ring_peak_used_tracked():
     sim = Simulator()
     ring = RingMemoryRegion(sim, 1000)
-    ring.alloc(700)
+    ring.alloc(700, _granted)
     ring.free_oldest()
-    ring.alloc(100)
+    ring.alloc(100, _granted)
     assert ring.peak_used == 700
 
 

@@ -70,26 +70,6 @@ def test_run_until_past_raises():
         sim.run(until=5.0)
 
 
-def test_run_until_event_returns_value():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-        return 42
-
-    p = sim.process(proc(sim))
-    assert sim.run(until=p) == 42
-    assert sim.now == 1.0
-
-
-def test_run_until_event_never_triggering_raises():
-    sim = Simulator()
-    ev = sim.event()
-    sim.timeout(1.0)
-    with pytest.raises(SimulationError):
-        sim.run(until=ev)
-
-
 def test_event_double_trigger_rejected():
     sim = Simulator()
     ev = sim.event()

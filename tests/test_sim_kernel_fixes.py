@@ -1,12 +1,9 @@
-"""Regression tests for two simulation-kernel bugfixes.
+"""Regression tests for simulation-kernel bugfixes.
 
-1. ``TransferQueue._unwrap`` used to rewrite ``event._value`` in place on
-   the already-triggered branch, corrupting the event for every other
-   reader.
+1. The transfer queue hands out payloads, never its internal
+   ``(enqueue_time, payload)`` pairs, and keeps its wait statistics.
 2. ``Simulator.step()`` used to abandon an event's remaining callbacks
    when one raised, stranding sibling waiters mid-event.
-
-Each test here fails against the pre-fix kernel.
 """
 
 from __future__ import annotations
@@ -15,67 +12,17 @@ import math
 
 import pytest
 
-from repro.sim import Simulator, TransferQueue, already_done
+from repro.sim import Simulator, TransferQueue
 
 
 # ---------------------------------------------------------------------------
-# 1. _unwrap must not mutate the underlying Store.get event
+# 1. payloads, not (enqueue_time, payload) pairs
 # ---------------------------------------------------------------------------
-def test_unwrap_preserves_underlying_event_value():
-    sim = Simulator()
-    q = TransferQueue(sim, capacity=4, name="q")
-    q.put("payload")
-
-    ev = TransferQueue.__mro__[1].get(q)  # raw Store.get event
-    assert ev.triggered
-    from repro.sim.queues import _unwrap
-
-    p1 = _unwrap(ev)
-    p2 = _unwrap(ev)
-    sim.run()
-    # Both unwraps see the payload; the raw event still holds the
-    # (enqueue_time, payload) pair it was triggered with.
-    assert p1.value == "payload"
-    assert p2.value == "payload"
-    assert ev.value == (0.0, "payload")
-
-
-def test_double_get_waiters_each_receive_their_item():
-    sim = Simulator()
-    q = TransferQueue(sim, capacity=8, name="q")
-    got = []
-
-    def consumer():
-        while True:
-            item = yield q.get()
-            got.append((sim.now, item))
-
-    sim.process(consumer())
-
-    def producer():
-        yield sim.timeout(1.0)
-        q.put("a")
-        yield sim.timeout(1.0)
-        q.put("b")
-
-    sim.process(producer())
-    sim.run()
-    assert got == [(1.0, "a"), (2.0, "b")]
-
-
 def test_immediate_get_returns_payload_not_pair():
     sim = Simulator()
     q = TransferQueue(sim, capacity=4, name="q")
-    q.put("x")
-    seen = []
-
-    def consumer():
-        item = yield q.get()
-        seen.append(item)
-
-    sim.process(consumer())
-    sim.run()
-    assert seen == ["x"]
+    q.try_put("x")
+    assert q.try_get() == (True, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +89,14 @@ def test_step_exception_does_not_strand_sibling_process():
     assert resumed == [0.0]
 
 
-def test_already_done_yields_inline():
+def test_resolved_event_yields_inline():
     sim = Simulator()
     seen = []
+    done = sim.event()
+    done.resolve(42)
 
     def proc():
-        value = yield already_done(sim, 42)
+        value = yield done
         seen.append((sim.now, value))
 
     sim.process(proc())
@@ -155,17 +104,26 @@ def test_already_done_yields_inline():
     assert seen == [(0.0, 42)]
 
 
-def test_transfer_queue_stats_survive_unwrap():
+def test_resolve_resumes_a_waiting_process_in_the_callers_step():
+    sim = Simulator()
+    gate = sim.event()
+    seen = []
+
+    def proc():
+        seen.append((yield gate))
+
+    sim.process(proc())
+    sim.run()  # the process now waits on the gate
+    sim.schedule_call(1.0, lambda: (gate.resolve("go"), seen.append("after")))
+    sim.run()
+    assert seen == ["go", "after"]
+
+
+def test_transfer_queue_stats_survive_take():
     sim = Simulator()
     q = TransferQueue(sim, capacity=2, name="q")
-
-    def flow():
-        q.put("a")
-        yield sim.timeout(0.5)
-        item = yield q.get()
-        assert item == "a"
-
-    sim.process(flow())
+    q.try_put("a")
+    sim.schedule_call(0.5, lambda: q.try_get())
     sim.run()
     s = q.stats()
     assert s.dequeued == 1

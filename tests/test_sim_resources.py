@@ -12,61 +12,47 @@ from repro.sim import Simulator, SimulationError, Store, TransferQueue
 def test_store_fifo_order():
     sim = Simulator()
     store = Store(sim)
-    out = []
-
-    def producer(sim):
-        for i in range(3):
-            yield store.put(i)
-
-    def consumer(sim):
-        for _ in range(3):
-            item = yield store.get()
-            out.append(item)
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
+    for i in range(3):
+        assert store.try_put(i)
+    out = [store.try_get()[1] for _ in range(3)]
     assert out == [0, 1, 2]
 
 
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    out = []
-
-    def consumer(sim):
-        item = yield store.get()
-        out.append((sim.now, item))
-
-    def producer(sim):
-        yield sim.timeout(5.0)
-        yield store.put("late")
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert out == [(5.0, "late")]
-
-
 def test_store_put_blocks_when_full():
+    """The transfer queue's blocking put (offer) waits for a free slot."""
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    q = TransferQueue(sim, capacity=1)
     times = []
 
-    def producer(sim):
-        yield store.put("a")
-        times.append(sim.now)
-        yield store.put("b")
-        times.append(sim.now)
+    def put_b():
+        times.append(("b", sim.now))
 
-    def consumer(sim):
-        yield sim.timeout(3.0)
-        yield store.get()
+    assert q.offer("a", lambda: times.append(("a", sim.now)))
+    assert not q.offer("b", put_b)  # full: waits for a slot
+    assert q.stats().offered == 2 and q.stats().accepted == 1
 
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
+    def take():
+        assert q.try_get() == (True, "a")  # frees the slot: b enters
+
+    sim.schedule_call(3.0, take)
     sim.run()
-    assert times == [0.0, 3.0]
+    assert times == [("b", 3.0)]
+    assert q.try_get() == (True, "b")
+    assert q.stats().accepted == 2
+
+
+def test_transfer_queue_clear_drops_waiting_offers():
+    sim = Simulator()
+    q = TransferQueue(sim, capacity=1)
+    resumed = []
+    q.try_put("a")
+    q.offer("b", lambda: resumed.append(sim.now))
+    assert len(q.clear()) == 2
+    sim.run()
+    assert resumed == [0.0]  # the offer's chain goes on
+    s = q.stats()
+    assert s.offered == s.accepted + s.dropped
+    assert s.accepted == s.dequeued + s.cleared
 
 
 def test_store_try_put_respects_capacity():
@@ -109,35 +95,8 @@ def test_store_level_and_full():
 def test_transfer_queue_returns_payload_not_timestamp():
     sim = Simulator()
     q = TransferQueue(sim, capacity=10)
-    out = []
-
-    def flow(sim):
-        yield q.put("tuple-1")
-        item = yield q.get()
-        out.append(item)
-
-    sim.process(flow(sim))
-    sim.run()
-    assert out == ["tuple-1"]
-
-
-def test_transfer_queue_deferred_get_unwraps():
-    sim = Simulator()
-    q = TransferQueue(sim)
-    out = []
-
-    def consumer(sim):
-        item = yield q.get()
-        out.append((sim.now, item))
-
-    def producer(sim):
-        yield sim.timeout(2.0)
-        yield q.put("late")
-
-    sim.process(consumer(sim))
-    sim.process(producer(sim))
-    sim.run()
-    assert out == [(2.0, "late")]
+    q.try_put("tuple-1")
+    assert q.try_get() == (True, "tuple-1")
 
 
 def test_transfer_queue_drop_counting():
@@ -156,13 +115,8 @@ def test_transfer_queue_drop_counting():
 def test_transfer_queue_wait_time_measured():
     sim = Simulator()
     q = TransferQueue(sim)
-
-    def flow(sim):
-        yield q.put("x")
-        yield sim.timeout(4.0)
-        yield q.get()
-
-    sim.process(flow(sim))
+    q.try_put("x")
+    sim.schedule_call(4.0, q.try_get)
     sim.run()
     stats = q.stats()
     assert stats.total_wait_time == pytest.approx(4.0)
@@ -172,28 +126,18 @@ def test_transfer_queue_wait_time_measured():
 def test_transfer_queue_max_length():
     sim = Simulator()
     q = TransferQueue(sim)
-
-    def flow(sim):
-        for i in range(5):
-            yield q.put(i)
-        for _ in range(5):
-            yield q.get()
-
-    sim.process(flow(sim))
-    sim.run()
+    for i in range(5):
+        q.try_put(i)
+    for _ in range(5):
+        q.try_get()
     assert q.stats().max_length == 5
 
 
 def test_transfer_queue_time_avg_length():
     sim = Simulator()
     q = TransferQueue(sim)
-
-    def flow(sim):
-        yield q.put("x")  # length 1 from t=0
-        yield sim.timeout(10.0)
-        yield q.get()  # length 0 afterwards
-
-    sim.process(flow(sim))
+    q.try_put("x")  # length 1 from t=0
+    sim.schedule_call(10.0, q.try_get)  # length 0 afterwards
     sim.run(until=20.0)
     # length was 1 for 10s then 0; integration points at changes only,
     # so average over [0, 10] is 1.0.
