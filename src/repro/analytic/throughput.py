@@ -24,11 +24,6 @@ class SystemShape:
     parallelism: int  # destination instances of the one-to-many edge
     n_machines: int
     payload_bytes: int
-    #: destination instances co-located with the source (round-robin
-    #: placement puts parallelism / n_machines of them there).
-    @property
-    def tasks_per_machine(self) -> float:
-        return self.parallelism / self.n_machines
 
     @property
     def remote_machines(self) -> int:

@@ -196,15 +196,6 @@ class FaultSchedule:
             (e.time, e.machine) for e in self.events if e.kind == "crash"
         ]
 
-    def machines_touched(self) -> List[int]:
-        out: set = set()
-        for ev in self.events:
-            if ev.machine is not None:
-                out.add(ev.machine)
-            if ev.link is not None:
-                out |= ev.link
-        return sorted(out)
-
     # ------------------------------------------------------------------
     @classmethod
     def single_crash(

@@ -270,9 +270,6 @@ class Fabric:
             for msg in port.resume():
                 self._drop_dead(msg, "crash_egress")
 
-    def link_is_up(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) not in self._links_down
-
     def set_link_up(self, a: int, b: int, up: bool) -> None:
         """Flap the (undirected) link between two machines."""
         if a == b:

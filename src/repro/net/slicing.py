@@ -51,10 +51,6 @@ class StreamSlicer:
 
     # ------------------------------------------------------------------
     @property
-    def buffered_bytes(self) -> int:
-        return self._bytes
-
-    @property
     def buffered_items(self) -> int:
         return len(self._items)
 

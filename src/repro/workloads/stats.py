@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,3 @@ def didi_stats() -> DatasetStats:
 def nasdaq_stats() -> DatasetStats:
     """Nasdaq Stock: 274 M tuples, 6.7 K keys (symbols)."""
     return DatasetStats(name="Nasdaq Stock", n_tuples=274_000_000, n_keys=6_649)
-
-
-def table2_rows() -> List[DatasetStats]:
-    return [didi_stats(), nasdaq_stats()]
