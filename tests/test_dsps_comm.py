@@ -4,7 +4,9 @@ slicing integration, and determinism."""
 import pytest
 
 from repro.core import create_system, whale_full_config, whale_woc_rdma_config
-from repro.dsps import AllGrouping, Bolt, Spout, Topology, storm_config
+from repro.dsps import (
+    AllGrouping, Bolt, Spout, Topology, rdma_storm_config, storm_config,
+)
 from repro.net import Cluster
 from repro.workloads import ConstantArrivals
 
@@ -50,6 +52,33 @@ def test_storm_sends_one_message_per_remote_instance():
     per_tuple = system.traffic_bytes("data") / emitted
     single = system.serialization.instance_message_bytes(150)
     assert per_tuple == pytest.approx(12 * single, rel=0.1)
+
+
+@pytest.mark.parametrize("make_config", [storm_config, rdma_storm_config])
+def test_coalesced_instance_messages_each_pay_a_receive(make_config):
+    """A machine hosting n destination tasks of one emit receives n
+    instance-oriented messages, coalesced into one wire packet: its
+    worker pays n receives per tuple, as the sender pays n sends."""
+    system = broadcast_system(make_config(), parallelism=8, machines=2)
+    system.start()
+    system.sim.run(until=0.1)
+    for spout in system.spout_executors:
+        spout.stop()
+    system.sim.run(until=0.2)  # drain
+    [spout] = system.spout_executors
+    [remote] = [m for m in system.workers if m != spout.machine_id]
+    worker = system.workers[remote]
+    n = len(worker.executors)
+    assert n >= 2
+    transport = system.transport
+    if make_config is storm_config:
+        per_message = system.costs.tcp_recv_cpu_s
+    else:
+        per_message = transport.profile(transport.data_verb).receiver_cpu_s
+    assert worker.messages_received == spout.emitted > 0
+    assert worker.cpu.busy_s["network"] == pytest.approx(
+        spout.emitted * n * per_message
+    )
 
 
 def test_worker_oriented_sends_one_batch_per_remote_machine():
