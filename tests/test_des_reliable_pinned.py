@@ -229,6 +229,11 @@ def observables(system):
             system.workers[m].heartbeats_answered
             for m in sorted(system.workers)
         ],
+        "repairs": [
+            [r.action, r.machine, r.time, r.n_endpoints, r.n_ops, r.duration_s]
+            for controller in system.controllers
+            for r in controller.repairs
+        ],
     }
 
 
@@ -260,6 +265,18 @@ def _assert_matches(got, expected):
 def test_reliable_run_matches_pinned_values(name):
     system, _steps = run_pinned(name)
     _assert_matches(observables(system), _expected()["runs"][name])
+
+
+@pytest.mark.parametrize(
+    "name", ["atomic", "atomic_flow_faults", "degraded_peer", "exactly_once_flow"]
+)
+def test_pinned_run_repairs_and_reattaches(name):
+    """The pinned ``repairs`` cover the controller's tree repair and
+    reattachment: each of these runs suspects a machine and later hears
+    from it again."""
+    system, _steps = run_pinned(name)
+    actions = [r.action for c in system.controllers for r in c.repairs]
+    assert "repair" in actions and "reattach" in actions
 
 
 def test_reliable_path_calendar_step_budget():
