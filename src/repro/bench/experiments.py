@@ -32,7 +32,7 @@ from repro.dsps import rdma_storm_config, storm_config
 from repro.dsps.presets import rdmc_config
 from repro.net import Cluster, CostModel, CpuAccount, Fabric, RdmaTransport, Verb
 from repro.net.cpu import OTHER
-from repro.sim import Simulator, each
+from repro.sim import Simulator, each, every
 from repro.workloads import (
     DriverLocationGenerator,
     DynamicRateArrivals,
@@ -474,23 +474,21 @@ def fig23_24_dynamic(
         thru_series = Series(f"throughput[{label}]")
         lat_series = Series(f"latency_ms[{label}]")
 
-        def sampler(sim, metrics=None, ts=thru_series, ls=lat_series, s=system):
-            prev_done = 0
-            prev_lat_idx = 0
-            while True:
-                yield s.sim.timeout(sample_s)
-                done = s.metrics.completion.completed
-                ts.add(s.sim.now, (done - prev_done) / sample_s)
-                lats = s.metrics.completion.latencies[prev_lat_idx:]
-                ls.add(
-                    s.sim.now, _ms(float(np.median(lats))) if lats else float("nan")
-                )
-                prev_done = done
-                prev_lat_idx = len(s.metrics.completion.latencies)
+        #: completions and latency samples seen at the previous sample
+        prev = [0, 0]
+
+        def sample(ts=thru_series, ls=lat_series, s=system, prev=prev):
+            done = s.metrics.completion.completed
+            ts.add(s.sim.now, (done - prev[0]) / sample_s)
+            lats = s.metrics.completion.latencies[prev[1]:]
+            ls.add(
+                s.sim.now, _ms(float(np.median(lats))) if lats else float("nan")
+            )
+            prev[:] = [done, len(s.metrics.completion.latencies)]
 
         system.start()
         system.metrics.open_window()
-        system.sim.process(sampler(system.sim))
+        every(system.sim, sample_s, sample)
         system.sim.run(until=total_s)
         system.metrics.close_window()
 

@@ -31,6 +31,7 @@ from repro.multicast import (
     plan_switch,
 )
 from repro.net.cpu import CpuAccount
+from repro.sim.engine import each
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.comm import MulticastService
@@ -90,10 +91,11 @@ class MulticastController:
         self.history: List[SwitchRecord] = []
         self.repairs: List[RepairRecord] = []
         self.detector: "FailureDetector | None" = None
-        #: guards the service's pause event: adaptive switches and
-        #: failure repairs are serialized, never interleaved.
+        #: guards the service's pause: adaptive switches and failure
+        #: repairs are serialized, never interleaved.
         self._switching = False
         self._running = False
+        self._heartbeat_seq = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -101,55 +103,60 @@ class MulticastController:
             raise RuntimeError("controller already started")
         self._running = True
         if self.config.adaptive and self.config.multicast == "nonblocking":
-            self.sim.process(self._loop())
+            self.sim.call_soon(self._loop)
         if self.config.failure_detection:
             self.system.workers[self.service.src_machine].add_control_handler(
                 self._on_control
             )
-            self.sim.process(self._heartbeat_loop())
+            self.sim.call_soon(self._start_heartbeats)
 
     @property
     def d_star(self) -> int:
         return self.service.d_star
 
     # ------------------------------------------------------------------
-    def _loop(self):
+    def _loop(self) -> None:
+        """Wait one monitor interval, then :meth:`_sample`."""
+        self.sim.schedule_call(self.config.monitor_interval_s, self._sample)
+
+    def _sample(self) -> None:
         cfg = self.config
-        while True:
-            yield self.sim.timeout(cfg.monitor_interval_s)
-            lam = self.stream_monitor.observe(
-                self.source.emitted, cfg.monitor_interval_s
+        lam = self.stream_monitor.observe(
+            self.source.emitted, cfg.monitor_interval_s
+        )
+        decision = self.queue_monitor.sample()
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                "monitor.sample",
+                self.sim.now,
+                src_task=self.service.src_task,
+                lam=lam,
+                action=decision.action,
+                queue_len=decision.queue_length,
+                delta=decision.delta,
             )
-            decision = self.queue_monitor.sample()
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "monitor.sample",
-                    self.sim.now,
-                    src_task=self.service.src_task,
-                    lam=lam,
-                    action=decision.action,
-                    queue_len=decision.queue_length,
-                    delta=decision.delta,
-                )
-            te = self.source.te_estimate
-            if te is None or lam <= 0 or decision.action == "hold":
-                continue
-            target = self._target_d_star(lam, te)
-            if tracer is not None:
-                tracer.emit(
-                    "controller.dstar",
-                    self.sim.now,
-                    src_task=self.service.src_task,
-                    lam=lam,
-                    te=te,
-                    target=target,
-                    current=self.service.d_star,
-                )
-            if decision.action == "scale_down" and target < self.service.d_star:
-                yield from self._switch("scale_down", target)
-            elif decision.action == "scale_up" and target > self.service.d_star:
-                yield from self._switch("scale_up", target)
+        te = self.source.te_estimate
+        if te is None or lam <= 0 or decision.action == "hold":
+            self._loop()
+            return
+        target = self._target_d_star(lam, te)
+        if tracer is not None:
+            tracer.emit(
+                "controller.dstar",
+                self.sim.now,
+                src_task=self.service.src_task,
+                lam=lam,
+                te=te,
+                target=target,
+                current=self.service.d_star,
+            )
+        if (
+            decision.action == "scale_down" and target < self.service.d_star
+        ) or (decision.action == "scale_up" and target > self.service.d_star):
+            self._switch(decision.action, target, self._loop)
+        else:
+            self._loop()
 
     def _target_d_star(self, lam: float, te: float) -> int:
         d = max_out_degree(lam, te, self.config.transfer_queue_capacity)
@@ -158,59 +165,47 @@ class MulticastController:
         return max(1, min(d, cap))
 
     # ------------------------------------------------------------------
-    def _switch(self, direction: str, new_d_star: int):
-        if self._switching:
-            return  # a repair/restore holds the pause; skip this round
-        self._switching = True
-        try:
-            yield from self._switch_locked(direction, new_d_star)
-        finally:
-            self._switching = False
+    def _pause(self) -> None:
+        """Hold the source's multicast output (Theorem 4's premise:
+        output rate drops to zero until the structure settles)."""
+        self.service.paused_until = []
 
-    def _switch_locked(self, direction: str, new_d_star: int):
+    def _resume(self) -> None:
+        """Release every send held since :meth:`_pause`, in one entry
+        due now."""
+        waiting = self.service.paused_until
+        self.service.paused_until = None
+
+        def release() -> None:
+            for send in waiting:
+                send()
+
+        self.sim.schedule_call(0.0, release)
+
+    def _switch(self, direction: str, new_d_star: int, then) -> None:
+        """One dynamic switch to ``new_d_star``; ``then()`` when done."""
+        if self._switching:
+            then()  # a repair/restore holds the pause; skip this round
+            return
+        self._switching = True
         service = self.service
         start = self.sim.now
         old_d_star = service.d_star
-        resume = self.sim.event()
-        service.paused_until = resume
+        self._pause()
+        new_tree, plan = plan_switch(service.tree, new_d_star)
         tracer = self.sim.tracer
-        try:
-            new_tree, plan = plan_switch(service.tree, new_d_star)
-            if tracer is not None:
-                tracer.emit(
-                    "switch.begin",
-                    self.sim.now,
-                    src_task=service.src_task,
-                    direction=direction,
-                    old_d_star=old_d_star,
-                    new_d_star=new_d_star,
-                    n_ops=plan.n_ops,
-                )
-            # StatusMessage to every endpoint (multicast over the control
-            # plane; one message per endpoint machine).
-            status = StatusMessage(direction=direction, new_d_star=new_d_star)
-            machines = sorted(
-                {service.machine_of(ep) for ep in service.endpoints}
+        if tracer is not None:
+            tracer.emit(
+                "switch.begin",
+                self.sim.now,
+                src_task=service.src_task,
+                direction=direction,
+                old_d_star=old_d_star,
+                new_d_star=new_d_star,
+                n_ops=plan.n_ops,
             )
-            for machine in machines:
-                if machine == service.src_machine:
-                    continue
-                yield from self.system.control_send(
-                    service.src_machine, machine, status, self.cpu
-                )
-            # ControlMessages to the endpoints that rewire.
-            for msg in plan.control_messages():
-                node = msg.op.node
-                if node not in service.endpoints:  # pragma: no cover
-                    continue
-                machine = service.machine_of(node)
-                if machine == service.src_machine:
-                    continue
-                yield from self.system.control_send(
-                    service.src_machine, machine, msg, self.cpu
-                )
-            # ACK round + channel re-establishment.
-            yield self.sim.timeout(self.config.switch_delay_s)
+
+        def install() -> None:
             service.apply_tree(new_tree)
             service.d_star = new_d_star
             if tracer is not None:
@@ -226,27 +221,38 @@ class MulticastController:
                         old_parent=op.old_parent,
                         new_parent=op.new_parent,
                     )
-        finally:
-            service.paused_until = None
-            resume.succeed()
-        if tracer is not None:
-            tracer.emit(
-                "switch.end",
-                self.sim.now,
-                src_task=service.src_task,
-                direction=direction,
-                new_d_star=new_d_star,
-                duration_s=self.sim.now - start,
+            self._resume()
+            if tracer is not None:
+                tracer.emit(
+                    "switch.end",
+                    self.sim.now,
+                    src_task=service.src_task,
+                    direction=direction,
+                    new_d_star=new_d_star,
+                    duration_s=self.sim.now - start,
+                )
+            self.history.append(
+                SwitchRecord(
+                    time=start,
+                    direction=direction,
+                    old_d_star=old_d_star,
+                    new_d_star=new_d_star,
+                    n_ops=plan.n_ops,
+                    duration_s=self.sim.now - start,
+                )
             )
-        self.history.append(
-            SwitchRecord(
-                time=start,
-                direction=direction,
-                old_d_star=old_d_star,
-                new_d_star=new_d_star,
-                n_ops=plan.n_ops,
-                duration_s=self.sim.now - start,
-            )
+            self._switching = False
+            then()
+
+        def ack_round() -> None:
+            # ACK round + channel re-establishment.
+            self.sim.schedule_call(self.config.switch_delay_s, install)
+
+        # StatusMessage to every endpoint machine, then ControlMessages
+        # to the endpoints that rewire.
+        status = StatusMessage(direction=direction, new_d_star=new_d_star)
+        self._broadcast_status(
+            status, set(), lambda: self._send_plan_ops(plan, set(), ack_round)
         )
 
     # ------------------------------------------------------------------
@@ -259,26 +265,28 @@ class MulticastController:
             - {service.src_machine}
         )
 
-    def _heartbeat_loop(self):
-        cfg = self.config
-        service = self.service
-        machines = self._endpoint_machines()
+    def _start_heartbeats(self) -> None:
         self.detector = FailureDetector(
-            lambda: self.sim.now, machines, cfg.suspicion_timeout_s
+            lambda: self.sim.now,
+            self._endpoint_machines(),
+            self.config.suspicion_timeout_s,
         )
-        seq = 0
-        while True:
-            yield self.sim.timeout(cfg.heartbeat_period_s)
-            seq += 1
-            for machine in machines:
-                yield from self.system.control_send(
-                    service.src_machine,
-                    machine,
-                    HeartbeatPing(reply_to=service.src_machine, seq=seq),
-                    self.cpu,
-                )
-            for machine in self.detector.sweep():
-                yield from self._repair(machine)
+        self._heartbeat_wait()
+
+    def _heartbeat_wait(self) -> None:
+        self.sim.schedule_call(self.config.heartbeat_period_s, self._heartbeat)
+
+    def _heartbeat(self) -> None:
+        """Ping every endpoint machine, then repair the tree around each
+        machine that newly became suspected."""
+        self._heartbeat_seq += 1
+        src = self.service.src_machine
+        ping = HeartbeatPing(reply_to=src, seq=self._heartbeat_seq)
+        self._post_each(
+            [(machine, ping) for machine in self.detector.machines],
+            lambda: each(self.detector.sweep(), self._repair,
+                         self._heartbeat_wait),
+        )
 
     def _on_control(self, payload) -> None:
         """Control-plane handler on the source machine's worker."""
@@ -288,9 +296,9 @@ class MulticastController:
             return
         if self.detector.heard_from(payload.machine):
             # First ack after a suspicion: the machine recovered.
-            self.sim.process(self._restore(payload.machine))
+            self.sim.call_soon(lambda: self._restore(payload.machine))
 
-    def _repair(self, machine: int):
+    def _repair(self, machine: int, then) -> None:
         """Excise every endpoint of a suspected machine (Section 3.4
         primitives), after degrading its channels to the TCP path."""
         service = self.service
@@ -309,41 +317,10 @@ class MulticastController:
                 n_endpoints=len(victims),
             )
         self.system.transport.set_degraded(machine, True)
-        if not victims:
-            return
-        while self._switching:
-            yield self.sim.timeout(self.config.heartbeat_period_s)
-        self._switching = True
-        start = self.sim.now
-        resume = self.sim.event()
-        service.paused_until = resume
-        try:
-            status = StatusMessage(direction="repair", new_d_star=service.d_star)
-            yield from self._broadcast_status(status, skip={machine})
-            yield self.sim.timeout(self.config.switch_delay_s)
-            n_ops = 0
-            for ep in victims:
-                plan = service.detach_endpoint(ep)
-                if plan is None:
-                    continue
-                n_ops += plan.n_ops
-                yield from self._send_plan_ops(plan, skip={machine})
-        finally:
-            service.paused_until = None
-            resume.succeed()
-            self._switching = False
-        self.repairs.append(
-            RepairRecord(
-                time=start,
-                action="repair",
-                machine=machine,
-                n_endpoints=len(victims),
-                n_ops=n_ops,
-                duration_s=self.sim.now - start,
-            )
-        )
+        self._rewire("repair", machine, victims, service.detach_endpoint,
+                     {machine}, then)
 
-    def _restore(self, machine: int):
+    def _restore(self, machine: int) -> None:
         """Reattach a recovered machine's endpoints and lift the TCP
         degraded mode."""
         service = self.service
@@ -361,68 +338,108 @@ class MulticastController:
             for ep in service.endpoints_on_machine(machine)
             if ep not in service.tree
         ]
+        self._rewire("reattach", machine, victims, service.reattach_endpoint,
+                     set(), lambda: None)
+
+    def _rewire(self, action: str, machine: int, victims, edit, skip: set,
+                then) -> None:
+        """Once no switch holds the pause: pause the source, announce
+        ``action``, wait the switching delay, then ``edit`` each victim
+        endpoint out of (or back into) the tree and send its plan's
+        ControlMessages."""
         if not victims:
+            then()
             return
-        while self._switching:
-            yield self.sim.timeout(self.config.heartbeat_period_s)
+        if self._switching:
+            self.sim.schedule_call(
+                self.config.heartbeat_period_s,
+                lambda: self._rewire(action, machine, victims, edit, skip,
+                                     then),
+            )
+            return
         self._switching = True
+        service = self.service
         start = self.sim.now
-        resume = self.sim.event()
-        service.paused_until = resume
-        try:
-            status = StatusMessage(
-                direction="reattach", new_d_star=service.d_star
-            )
-            yield from self._broadcast_status(status, skip=set())
-            yield self.sim.timeout(self.config.switch_delay_s)
-            n_ops = 0
-            for ep in victims:
-                plan = service.reattach_endpoint(ep)
-                if plan is None:
-                    continue
-                n_ops += plan.n_ops
-                yield from self._send_plan_ops(plan, skip=set())
-        finally:
-            service.paused_until = None
-            resume.succeed()
+        self._pause()
+        n_ops = 0
+
+        def rewire_one(ep, k) -> None:
+            nonlocal n_ops
+            plan = edit(ep)
+            if plan is None:
+                k()
+                return
+            n_ops += plan.n_ops
+            self._send_plan_ops(plan, skip, k)
+
+        def done() -> None:
+            self._resume()
             self._switching = False
-        self.repairs.append(
-            RepairRecord(
-                time=start,
-                action="reattach",
-                machine=machine,
-                n_endpoints=len(victims),
-                n_ops=n_ops,
-                duration_s=self.sim.now - start,
+            self.repairs.append(
+                RepairRecord(
+                    time=start,
+                    action=action,
+                    machine=machine,
+                    n_endpoints=len(victims),
+                    n_ops=n_ops,
+                    duration_s=self.sim.now - start,
+                )
             )
+            then()
+
+        def rewire_all() -> None:
+            each(victims, rewire_one, done)
+
+        status = StatusMessage(direction=action, new_d_star=service.d_star)
+        self._broadcast_status(
+            status,
+            skip,
+            lambda: self.sim.schedule_call(
+                self.config.switch_delay_s, rewire_all
+            ),
         )
 
-    def _broadcast_status(self, status: StatusMessage, skip: set):
-        """StatusMessage to every reachable endpoint machine."""
-        service = self.service
-        suspected = self.detector.suspected if self.detector else frozenset()
-        for machine in self._endpoint_machines():
-            if machine in skip or machine in suspected:
-                continue
-            yield from self.system.control_send(
-                service.src_machine, machine, status, self.cpu
-            )
+    def _suspected(self):
+        return self.detector.suspected if self.detector else frozenset()
 
-    def _send_plan_ops(self, plan, skip: set):
+    def _broadcast_status(self, status: StatusMessage, skip: set,
+                          then) -> None:
+        """StatusMessage to every reachable endpoint machine."""
+        suspected = self._suspected()
+        self._post_each(
+            [
+                (machine, status)
+                for machine in self._endpoint_machines()
+                if machine not in skip and machine not in suspected
+            ],
+            then,
+        )
+
+    def _send_plan_ops(self, plan, skip: set, then) -> None:
         """ControlMessages to the endpoints each rewire op touches."""
         service = self.service
-        suspected = self.detector.suspected if self.detector else frozenset()
+        suspected = self._suspected()
+        posts = []
         for msg in plan.control_messages():
             node = msg.op.node
             if node not in service.endpoints:
                 continue
             machine = service.machine_of(node)
             if (
-                machine == service.src_machine
-                or machine in skip
-                or machine in suspected
+                machine != service.src_machine
+                and machine not in skip
+                and machine not in suspected
             ):
-                continue
-            yield from self.system.control_send(
-                service.src_machine, machine, msg, self.cpu
-            )
+                posts.append((machine, msg))
+        self._post_each(posts, then)
+
+    def _post_each(self, posts, then) -> None:
+        """Send each ``(machine, payload)`` control message in turn from
+        the source machine, then ``then()``."""
+        src = self.service.src_machine
+        post = self.system.control_post
+        each(
+            posts,
+            lambda p, k: post(src, p[0], p[1], self.cpu, then=k),
+            then,
+        )

@@ -150,8 +150,9 @@ class MulticastService:
                 self._machine_of_endpoint[ep] = placement.machine_of[task]
         self.src_machine = src_machine
         self.tree = self._build(list(self._tasks_of_endpoint))
-        #: event set while a dynamic switch is in progress (source pauses).
-        self.paused_until = None  # type: Optional[Any]
+        #: while a dynamic switch or repair is in progress, the source's
+        #: held sends (the controller releases them); ``None`` otherwise.
+        self.paused_until: Optional[List[Callable[[], None]]] = None
         self.switch_count = 0
         #: endpoints excised from the tree because their machine is
         #: suspected/crashed; restored on recovery.
@@ -197,12 +198,12 @@ class MulticastService:
     ) -> None:
         """Source side: transmit ``tup`` to the root's direct children."""
         paused = self.paused_until
-        if paused is not None and not paused.processed:
+        if paused is not None:
             # Dynamic switching in progress: output rate drops to zero
             # until the structure settles (Theorem 4's premise).
-            paused.callbacks.append(
-                lambda _ev: self._send_children(SOURCE, executor.cpu, tup,
-                                                True, then)
+            paused.append(
+                lambda: self._send_children(SOURCE, executor.cpu, tup,
+                                            True, then)
             )
             return
         self._send_children(SOURCE, executor.cpu, tup, True, then)

@@ -38,6 +38,7 @@ from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 from repro.dsps.grouping import inqueue_depth
+from repro.sim.engine import every
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.comm import Envelope
@@ -75,19 +76,16 @@ class FlowController:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.sim.process(self._watchdog())
+        every(self.sim, self.config.flow_poll_interval_s, self._watchdog)
 
-    def _watchdog(self):
+    def _watchdog(self) -> None:
         """Fixed-period safety net: re-wakes every waiter (conditions are
         re-checked by the waiters themselves) and heals credit
         reservations leaked by lost messages."""
-        poll = self.config.flow_poll_interval_s
-        while True:
-            yield self.sim.timeout(poll)
-            self._heal_stale_reservations()
-            self._wake(self._credit_waiters)
-            self._wake(self._admission_waiters)
-            self._wake(self._space_waiters)
+        self._heal_stale_reservations()
+        self._wake(self._credit_waiters)
+        self._wake(self._admission_waiters)
+        self._wake(self._space_waiters)
 
     def _wake(self, waiters: Deque[Callable[[], None]]) -> None:
         schedule = self.sim.schedule_call

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.dsps.grouping import inqueue_depth
+from repro.sim.engine import every
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.system import DspsSystem
@@ -118,12 +119,7 @@ class Rebalancer:
         ]
 
     def start(self) -> None:
-        self.system.sim.process(self._loop())
-
-    def _loop(self):
-        while True:
-            yield self.system.sim.timeout(self.interval_s)
-            self.scan()
+        every(self.system.sim, self.interval_s, self.scan)
 
     # ------------------------------------------------------------------
     def _depth(self, task_id: int) -> int:

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.dsps.acker import PendingTable
-from repro.sim.engine import each
+from repro.sim.engine import each, every
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.comm import Envelope
@@ -266,8 +266,8 @@ class ReplayCoordinator:
         if self._started:
             return
         self._started = True
-        self.sim.process(self._sweep_loop())
-        self.sim.process(self._epoch_loop())
+        every(self.sim, self.config.ack_sweep_interval_s, self._sweep)
+        every(self.sim, self.config.epoch_interval_s, self._close_epoch)
 
     # ------------------------------------------------------------------
     # spout side
@@ -717,16 +717,13 @@ class ReplayCoordinator:
     # ------------------------------------------------------------------
     # timeout sweep + replay
     # ------------------------------------------------------------------
-    def _sweep_loop(self):
-        cfg = self.config
-        while True:
-            yield self.sim.timeout(cfg.ack_sweep_interval_s)
-            for root, outstanding in self.acker.expired(
-                self.sim.now, cfg.ack_timeout_s
-            ):
-                self._on_timeout(root, outstanding)
-            if self.mode == "atomic":
-                self._retry_notices()
+    def _sweep(self) -> None:
+        for root, outstanding in self.acker.expired(
+            self.sim.now, self.config.ack_timeout_s
+        ):
+            self._on_timeout(root, outstanding)
+        if self.mode == "atomic":
+            self._retry_notices()
 
     def _retry_notices(self) -> None:
         """Re-send commit/abort notices for roots that still hold
@@ -859,17 +856,14 @@ class ReplayCoordinator:
     # ------------------------------------------------------------------
     # epoch barriers: close every interval, commit once settled, GC dedup
     # ------------------------------------------------------------------
-    def _epoch_loop(self):
-        interval = self.config.epoch_interval_s
-        while True:
-            yield self.sim.timeout(interval)
-            self._epoch += 1
-            self._epoch_roots.setdefault(self._epoch, [])
-            self._epoch_open.setdefault(self._epoch, 0)
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit("epoch.open", self.sim.now, epoch=self._epoch)
-            self._try_commit_epochs()
+    def _close_epoch(self) -> None:
+        self._epoch += 1
+        self._epoch_roots.setdefault(self._epoch, [])
+        self._epoch_open.setdefault(self._epoch, 0)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit("epoch.open", self.sim.now, epoch=self._epoch)
+        self._try_commit_epochs()
 
     def _settle_epoch(self, epoch: int) -> None:
         self._epoch_open[epoch] -= 1

@@ -355,18 +355,6 @@ class DspsSystem:
     # ------------------------------------------------------------------
     # control-plane helper (used by the Whale controller)
     # ------------------------------------------------------------------
-    def control_send(
-        self, src_machine: int, dst_machine: int, payload, cpu_account
-    ):
-        """Send one control message from a control-plane process
-        (``yield from``): the process resumes where the transport's
-        ``send`` continues its sender."""
-        sent = self.sim.event()
-        self.control_post(
-            src_machine, dst_machine, payload, cpu_account, then=sent.resolve
-        )
-        yield sent
-
     def control_post(
         self, src_machine: int, dst_machine: int, payload, cpu_account,
         then=None,

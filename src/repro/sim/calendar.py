@@ -1,16 +1,16 @@
 """Array-backed event calendar (``Simulator(calendar="array")``).
 
 The default :class:`~repro.sim.engine.Simulator` calendar is a binary
-heap of ``(when, key, event)`` tuples driven by :mod:`heapq`.  That boxes
-one tuple per scheduled event; this module provides the alternative the
+heap of ``(when, key, fn)`` tuples driven by :mod:`heapq`.  That boxes
+one tuple per calendar entry; this module provides the alternative the
 roadmap's engine-speedup item calls for: preallocated parallel arrays of
 ``when``/``key`` (a C ``double`` and ``int64`` per slot, no per-event
 tuple) plus an index heap ordering the slots.
 
 The ordering contract is identical to the engine's default calendar:
-events pop in ``(when, key)`` order, where ``key`` packs
-``priority * 2**62 + seq`` — so all URGENT events at an instant precede
-all NORMAL events, FIFO within a priority class.  The two calendars are
+entries pop in ``(when, key)`` order, where ``key`` packs
+``priority * 2**62 + seq`` — so all urgent entries at an instant precede
+all ordinary ones, FIFO within a priority class.  The two calendars are
 interchangeable; ``tests/test_sim_calendar.py`` checks trace-identical
 runs.
 
@@ -31,7 +31,7 @@ class ArrayCalendar:
     """Index-heap over preallocated ``(when, key)`` arrays.
 
     Slots are recycled through a free list, so steady-state scheduling
-    does not allocate beyond the event objects themselves.  The arrays
+    does not allocate beyond the callbacks themselves.  The arrays
     double when full (amortized O(1)).
     """
 

@@ -1,12 +1,13 @@
-"""The simulation engine: a virtual clock over a binary-heap event queue.
+"""The simulation engine: a virtual clock over a binary-heap calendar.
 
-The engine is intentionally minimal and allocation-light: the hot loop is
-``heappop`` + callback dispatch.  Events scheduled at the same instant run
-in FIFO order within a priority class, so runs are fully deterministic.
+The engine is intentionally minimal and allocation-light: a calendar
+entry is a bare callback, and the hot loop is ``heappop`` + call.
+Entries due at the same instant run in FIFO order within a priority
+class, so runs are fully deterministic.
 
 Two calendar implementations back the queue:
 
-* the default :mod:`heapq` heap of ``(when, key, event)`` 3-tuples, where
+* the default :mod:`heapq` heap of ``(when, key, fn)`` 3-tuples, where
   ``key = priority * 2**62 + seq`` packs the priority class and the
   monotonically increasing sequence number into one integer comparison
   (equivalent to the classic ``(when, prio, seq)`` ordering, one tuple
@@ -15,48 +16,27 @@ Two calendar implementations back the queue:
   ``when``/``key`` arrays + index heap), selected with
   ``Simulator(calendar="array")``.
 
-Both produce identical event orderings; see ``tests/test_sim_calendar.py``.
+Both produce identical orderings; see ``tests/test_sim_calendar.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from itertools import count
-from typing import Any, Generator, Optional
+from typing import Callable, Optional
 
-from repro.sim.events import Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.events import SimulationError
 
-#: Priority for ordinary events.
-NORMAL = 1
-#: Priority for urgent events (interrupts, process bootstrap).
-URGENT = 0
-
-#: ``key = priority * _PRIO_STRIDE + seq``: all URGENT events at an
-#: instant precede all NORMAL events, FIFO within each class.  2**62
-#: leaves headroom for ~4.6e18 scheduled events before keys would collide.
+#: ``key = seq + _PRIO_STRIDE`` for ordinary entries (:meth:`schedule_call`)
+#: and ``key = seq`` for urgent ones (:meth:`call_soon`): all urgent
+#: entries at an instant precede all ordinary ones, FIFO within each
+#: class.  2**62 leaves headroom for ~4.6e18 scheduled entries before
+#: keys would collide.
 _PRIO_STRIDE = 1 << 62
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-
-class _Call:
-    """A bare scheduled callback: the allocation-light timer lane.
-
-    Arithmetic fast paths (NIC ports, RNIC pipelines, batched executors)
-    only ever need "run this function at time T" — no waiters, no value,
-    no failure propagation.  A ``_Call`` carries just the function, so
-    the scheduler skips the whole :class:`~repro.sim.events.Event`
-    life-cycle (callbacks list, value slots, triggered bookkeeping) for
-    the hottest event class in a run.  It consumes a sequence number
-    exactly like a :class:`Timeout`, so orderings are unchanged.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
 
 
 class Simulator:
@@ -75,7 +55,6 @@ class Simulator:
         "_queue",
         "_cal",
         "_seq",
-        "_active_count",
         "_tracer",
         "_trace_steps",
     )
@@ -94,7 +73,6 @@ class Simulator:
                 f"unknown calendar {calendar!r} (expected 'heap' or 'array')"
             )
         self._seq = count()
-        self._active_count = 0
         self._tracer = None
         self._trace_steps = False
 
@@ -124,141 +102,71 @@ class Simulator:
     @tracer.setter
     def tracer(self, tracer) -> None:
         self._tracer = tracer
-        # Event dispatch is the hottest loop in the repo; cache whether
-        # the tracer even wants sim.step records.
+        # Dispatch is the hottest loop in the repo; cache whether the
+        # tracer even wants sim.step records.
         self._trace_steps = tracer is not None and tracer.wants("sim.step")
-
-    # ------------------------------------------------------------------
-    # event factories
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers after ``delay`` seconds."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> Process:
-        """Start a new process driving ``generator``."""
-        return Process(self, generator)
 
     # ------------------------------------------------------------------
     # scheduling / execution
     # ------------------------------------------------------------------
-    def _schedule(
-        self, event: Event, delay: float = 0.0, priority: int = NORMAL
-    ) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        key = next(self._seq)
-        if priority:
-            key += _PRIO_STRIDE
-        if self._cal is None:
-            _heappush(self._queue, (self._now + delay, key, event))
-        else:
-            self._cal.push(self._now + delay, key, event)
-
-    def schedule_call(self, delay: float, fn) -> None:
+    def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` to run after ``delay`` seconds.
 
-        The cheap cousin of ``timeout(delay).callbacks.append(...)`` for
-        fire-and-forget timers: nothing can wait on it and an exception
-        from ``fn`` propagates out of :meth:`step` directly.
+        A step that waits schedules its continuation this way; an
+        exception from ``fn`` propagates out of :meth:`step`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         key = next(self._seq) + _PRIO_STRIDE
         if self._cal is None:
-            _heappush(self._queue, (self._now + delay, key, _Call(fn)))
+            _heappush(self._queue, (self._now + delay, key, fn))
         else:
-            self._cal.push(self._now + delay, key, _Call(fn))
+            self._cal.push(self._now + delay, key, fn)
 
-    def call_soon(self, fn) -> None:
+    def call_soon(self, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` at this instant, ahead of every ordinary
-        entry due now (the lane a process bootstrap takes): where the
-        data plane's chains start, so they keep same-instant order."""
+        entry due now: where a chain starts (a thread, a control loop),
+        so it keeps same-instant order."""
         key = next(self._seq)
         if self._cal is None:
-            _heappush(self._queue, (self._now, key, _Call(fn)))
+            _heappush(self._queue, (self._now, key, fn))
         else:
-            self._cal.push(self._now, key, _Call(fn))
+            self._cal.push(self._now, key, fn)
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next calendar entry, or ``inf`` if none."""
         if self._cal is None:
             return self._queue[0][0] if self._queue else float("inf")
         return self._cal.peek_when() if self._cal else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event.
-
-        If a callback raises, the event's *remaining* callbacks still run
-        at the same instant (so sibling waiters are never silently
-        stranded mid-event) and the first exception is then re-raised;
-        exceptions from the remaining callbacks are suppressed in its
-        favor.  This keeps strict-mode invariant violations (and any
-        other callback error) deterministic regardless of callback
-        registration order.
-        """
+        """Run exactly one calendar entry."""
         if self._cal is None:
             queue = self._queue
             if not queue:
                 raise SimulationError(
-                    "step() on an empty event queue: nothing left to simulate "
+                    "step() on an empty calendar: nothing left to simulate "
                     "(use peek() to check, or run() which stops at drain)"
                 )
-            when, _key, event = _heappop(queue)
+            when, _key, fn = _heappop(queue)
         else:
             if not self._cal:
                 raise SimulationError(
-                    "step() on an empty event queue: nothing left to simulate "
+                    "step() on an empty calendar: nothing left to simulate "
                     "(use peek() to check, or run() which stops at drain)"
                 )
-            when, event = self._cal.pop()
+            when, fn = self._cal.pop()
         self._now = when
-        if type(event) is _Call:
-            if self._trace_steps:
-                self._tracer.emit(
-                    "sim.step", when, event="_Call", n_callbacks=1
-                )
-            event.fn()
-            return
         if self._trace_steps:
-            self._tracer.emit(
-                "sim.step",
-                when,
-                event=type(event).__name__,
-                n_callbacks=len(event.callbacks or ()),
-            )
-        callbacks = event.callbacks
-        event.callbacks = None
-        if len(callbacks) == 1:
-            # The overwhelmingly common case: exactly one waiter, no
-            # siblings to strand — let any exception propagate directly.
-            callbacks[0](event)
-        else:
-            pending = iter(callbacks)
-            try:
-                for cb in pending:
-                    cb(event)
-            except BaseException:
-                for cb in pending:
-                    try:
-                        cb(event)
-                    except BaseException:
-                        pass  # the first exception wins
-                raise
-        if not event._ok and not event._defused:
-            # An unhandled failure: surface it instead of losing it.
-            raise event._value
+            self._tracer.emit("sim.step", when, event=fn.__qualname__)
+        fn()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
-        With ``until=None`` run until the event queue drains; otherwise
-        run until simulated time reaches ``until`` (the clock is advanced
-        to exactly ``until`` even if no event lands there).
+        With ``until=None`` run until the calendar drains; otherwise run
+        until simulated time reaches ``until`` (the clock is advanced to
+        exactly ``until`` even if no entry lands there).
         """
         step = self.step
         if until is None:
@@ -285,6 +193,21 @@ class Simulator:
             while cal and cal.peek_when() <= horizon:
                 step()
         self._now = horizon
+
+
+def every(sim: Simulator, interval: float, fn: Callable[[], None]) -> None:
+    """Run ``fn()`` every ``interval`` seconds, the first time one
+    interval from now: a control loop.  Its chain starts in an urgent
+    entry due now (:meth:`Simulator.call_soon`), and each run of ``fn``
+    schedules the next wait.  The entries carry ``fn``'s name, so a
+    ``sim.step`` census tells the loops apart."""
+
+    @functools.wraps(fn)
+    def tick() -> None:
+        fn()
+        sim.schedule_call(interval, tick)
+
+    sim.call_soon(lambda: sim.schedule_call(interval, tick))
 
 
 def each(items, step, then) -> None:

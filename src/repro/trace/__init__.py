@@ -11,8 +11,11 @@ record kind          emitted by
 ==================  ====================================================
 ``manifest``         :class:`JsonlTracer` at creation (config, seed,
                      git rev, schema version)
-``sim.step``         :meth:`repro.sim.engine.Simulator.step` (event
-                     dispatch; high-frequency, excluded by default)
+``sim.step``         :meth:`repro.sim.engine.Simulator.step`, one per
+                     calendar entry; ``event`` is the ``__qualname__``
+                     of the callback it ran (``Worker.deliver``), so
+                     counting by ``event`` is a per-callback step
+                     census (high-frequency, excluded by default)
 ``queue.put/get/drop``  :class:`repro.sim.queues.TransferQueue`
 ``net.serialize``    :class:`repro.dsps.comm.CommEngine` (per message)
 ``net.post``         :class:`repro.net.tcp.TcpTransport` /

@@ -49,7 +49,7 @@ ALL_CATEGORIES = frozenset(
 )
 
 #: Default capture set: everything except the per-event engine firehose
-#: (``sim.step`` fires once per scheduled event and multiplies trace size
+#: (``sim.step`` fires once per calendar entry and multiplies trace size
 #: by an order of magnitude; opt in with ``categories=ALL_CATEGORIES``).
 DEFAULT_CATEGORIES = frozenset(ALL_CATEGORIES - {"sim"})
 

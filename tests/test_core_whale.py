@@ -321,3 +321,38 @@ def test_double_start_rejected():
     controller = system.controllers[0]
     with pytest.raises(RuntimeError):
         controller.start()
+
+
+def test_switch_posts_nothing_to_a_suspected_machine():
+    """A dynamic switch skips the machines the failure detector
+    suspects, as tree repair and reattachment do."""
+    from repro.core.monitor import FailureDetector
+
+    system = adaptive_system(
+        d_star=5,
+        steps=[RateStep(0.0, 500.0), RateStep(0.3, 10_000.0)],
+    )
+    controller = system.controllers[0]
+    service = controller.service
+    suspect = max(
+        service.machine_of(ep)
+        for ep in service.endpoints
+        if service.machine_of(ep) != service.src_machine
+    )
+    clock = [0.0]
+    detector = FailureDetector(lambda: clock[0], [suspect], 0.1)
+    clock[0] = 1.0
+    assert detector.sweep() == [suspect]
+    controller.detector = detector
+    posted = []
+    post = system.control_post
+
+    def recording_post(src, dst, payload, cpu, then=None):
+        posted.append(dst)
+        post(src, dst, payload, cpu, then=then)
+
+    system.control_post = recording_post
+    system.run_measured(warmup_s=0.0, measure_s=1.0)
+    assert controller.history, "no switch to observe"
+    assert posted, "the switch posted no control message"
+    assert suspect not in posted

@@ -34,8 +34,7 @@ def test_multicast_tracker_completes_on_last_receive():
     sim = Simulator()
     hub = MetricsHub(sim)
     hub.multicast.register(1, [10, 11, 12], emit_time=0.0)
-    sim.timeout(2.0)
-    sim.run()
+    sim.run(until=2.0)
     hub.multicast.on_receive(1, [10, 11])  # one packet, two destinations
     assert hub.multicast.completed == 0
     hub.multicast.on_receive(1, [12])
@@ -72,8 +71,7 @@ def test_completion_tracker():
     sim = Simulator()
     hub = MetricsHub(sim)
     hub.completion.register(5, [20, 21], created_at=0.0)
-    sim.timeout(1.5)
-    sim.run()
+    sim.run(until=1.5)
     hub.completion.on_executed(5, 20)
     hub.completion.on_executed(5, 20)  # duplicate execution report
     assert hub.completion.completed == 0
@@ -89,8 +87,7 @@ def test_tracker_register_merges_repeat_registration():
     hub = MetricsHub(sim)
     hub.multicast.register(1, [10], emit_time=1.0)
     hub.multicast.register(1, [11], emit_time=2.0)
-    sim.timeout(3.0)
-    sim.run()
+    sim.run(until=3.0)
     hub.multicast.on_receive(1, [10])
     assert hub.multicast.completed == 0
     hub.multicast.on_receive(1, [11])
@@ -114,11 +111,9 @@ def test_window_gates_recording():
     hub.on_processed("op")  # before window: ignored
     hub.open_window()
     hub.on_processed("op")
-    sim.timeout(2.0)
-    sim.run()
+    sim.run(until=2.0)
     hub.close_window()
-    sim.timeout(1.0)
-    sim.run()
+    sim.run(until=3.0)
     hub.on_processed("op")  # after window: ignored
     assert hub.processed["op"] == 1
     assert hub.throughput("op") == pytest.approx(0.5)

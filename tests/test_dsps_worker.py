@@ -47,16 +47,14 @@ def test_workers_host_only_their_tasks():
 def test_control_messages_ignored_without_handler():
     """A control message with no registered handler is dropped, not a
     crash (non-adaptive systems never install one)."""
+    from repro.net.cpu import CpuAccount
+
     system = make_system()
     system.start()
-
-    def send_control(sim):
-        from repro.net.cpu import CpuAccount
-
-        cpu = CpuAccount(sim, "test")
-        yield from system.control_send(0, 1, {"op": "noop"}, cpu)
-
-    system.sim.process(send_control(system.sim))
+    cpu = CpuAccount(system.sim, "test")
+    system.sim.call_soon(
+        lambda: system.control_post(0, 1, {"op": "noop"}, cpu)
+    )
     system.sim.run(until=0.05)  # must not raise
     assert system.workers[1].messages_received >= 1
 

@@ -82,8 +82,7 @@ def test_cpu_utilization_capped_at_one():
     sim = Simulator()
     acct = CpuAccount(sim, "t0")
     acct.charge(100.0)
-    sim.timeout(10.0)
-    sim.run()
+    sim.run(until=10.0)
     assert acct.utilization() == 1.0
 
 

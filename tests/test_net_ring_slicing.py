@@ -97,13 +97,12 @@ def test_slicer_flushes_at_mms():
     flushed, on_flush = collect_flushes()
     s = StreamSlicer(sim, mms_bytes=100, wtl_s=10.0, on_flush=on_flush)
 
-    def feed(sim):
+    def feed():
         s.add("a", 40)
         s.add("b", 40)
         s.add("c", 40)  # 120 >= 100 -> flush
-        yield sim.timeout(0)
 
-    sim.process(feed(sim))
+    sim.call_soon(feed)
     sim.run(until=1.0)
     assert flushed == [(["a", "b", "c"], 120)]
     assert s.flushes_by_size == 1
@@ -116,17 +115,14 @@ def test_slicer_flushes_on_wtl_timer():
     s = StreamSlicer(sim, mms_bytes=10**6, wtl_s=0.5, on_flush=on_flush)
     stamps = []
 
-    def feed(sim):
-        s.add("only", 10)
-        yield sim.timeout(0)
+    def watch():
+        if flushed:
+            stamps.append(sim.now)
+        else:
+            sim.schedule_call(0.01, watch)
 
-    def watch(sim):
-        while not flushed:
-            yield sim.timeout(0.01)
-        stamps.append(sim.now)
-
-    sim.process(feed(sim))
-    sim.process(watch(sim))
+    sim.call_soon(lambda: s.add("only", 10))
+    sim.call_soon(watch)
     sim.run(until=2.0)
     assert flushed == [(["only"], 10)]
     assert s.flushes_by_timer == 1
@@ -138,12 +134,9 @@ def test_slicer_wtl_measured_from_oldest_item():
     flushed, on_flush = collect_flushes()
     s = StreamSlicer(sim, mms_bytes=10**6, wtl_s=1.0, on_flush=on_flush)
 
-    def feed(sim):
-        s.add("first", 10)
-        yield sim.timeout(0.9)
-        s.add("second", 10)  # does NOT extend the deadline
-
-    sim.process(feed(sim))
+    sim.call_soon(lambda: s.add("first", 10))
+    # does NOT extend the deadline
+    sim.schedule_call(0.9, lambda: s.add("second", 10))
     sim.run(until=5.0)
     assert len(flushed) == 1
     assert flushed[0][0] == ["first", "second"]
@@ -154,12 +147,11 @@ def test_slicer_size_flush_cancels_timer():
     flushed, on_flush = collect_flushes()
     s = StreamSlicer(sim, mms_bytes=50, wtl_s=1.0, on_flush=on_flush)
 
-    def feed(sim):
+    def feed():
         s.add("a", 30)
         s.add("b", 30)  # size flush at t=0
-        yield sim.timeout(0)
 
-    sim.process(feed(sim))
+    sim.call_soon(feed)
     sim.run(until=5.0)
     assert len(flushed) == 1  # no spurious timer flush later
     assert s.flushes_by_timer == 0
@@ -181,13 +173,8 @@ def test_slicer_rearms_for_next_batch():
     flushed, on_flush = collect_flushes()
     s = StreamSlicer(sim, mms_bytes=10**6, wtl_s=0.5, on_flush=on_flush)
 
-    def feed(sim):
-        s.add("a", 10)
-        yield sim.timeout(1.0)  # timer flush at 0.5
-        s.add("b", 10)
-        yield sim.timeout(1.0)  # timer flush at 1.5
-
-    sim.process(feed(sim))
+    sim.call_soon(lambda: s.add("a", 10))  # timer flush at 0.5
+    sim.schedule_call(1.0, lambda: s.add("b", 10))  # timer flush at 1.5
     sim.run(until=5.0)
     assert [items for items, _ in flushed] == [["a"], ["b"]]
     assert s.flushes_by_timer == 2

@@ -1,4 +1,4 @@
-"""The array-backed calendar must order events identically to the heap."""
+"""The array-backed calendar must order entries identically to the heap."""
 
 from __future__ import annotations
 
@@ -52,31 +52,41 @@ def _trace_run(calendar: str):
     rng = random.Random(13)
 
     def worker(name, gaps):
-        for g in gaps:
-            yield sim.timeout(g)
+        def wake():
             log.append((sim.now, name))
+            worker(name, gaps)
+
+        gap = next(gaps, None)
+        if gap is not None:
+            sim.schedule_call(gap, wake)
 
     for w in range(5):
-        gaps = [round(rng.random() * 2, 3) for _ in range(40)]
-        sim.process(worker(f"w{w}", gaps))
+        gaps = iter([round(rng.random() * 2, 3) for _ in range(40)])
+        sim.call_soon(lambda w=w, gaps=gaps: worker(f"w{w}", gaps))
 
     def same_instant():
-        # Many events at the exact same time exercise FIFO tie-breaks.
-        yield sim.timeout(1.0)
+        # Many entries at the exact same time exercise FIFO tie-breaks;
+        # the urgent ones, scheduled last, still run first.
         for i in range(20):
-            ev = sim.event()
-            ev.callbacks.append(lambda _e, i=i: log.append((sim.now, f"tie{i}")))
-            ev.succeed()
-        yield sim.timeout(0.0)
-        log.append((sim.now, "after-ties"))
+            sim.schedule_call(0.0, lambda i=i: log.append((sim.now, f"tie{i}")))
+        for i in range(3):
+            sim.call_soon(lambda i=i: log.append((sim.now, f"urgent{i}")))
+        sim.schedule_call(0.0, lambda: log.append((sim.now, "after-ties")))
 
-    sim.process(same_instant())
+    sim.schedule_call(1.0, same_instant)
     sim.run()
     return log
 
 
 def test_array_calendar_run_identical_to_heap():
-    assert _trace_run("array") == _trace_run("heap")
+    log = _trace_run("heap")
+    assert _trace_run("array") == log
+    at_one = [name for t, name in log if t == 1.0 and not name.startswith("w")]
+    assert at_one == (
+        [f"urgent{i}" for i in range(3)]
+        + [f"tie{i}" for i in range(20)]
+        + ["after-ties"]
+    )
 
 
 def test_argument_selects_calendar():
@@ -92,8 +102,8 @@ def test_unknown_calendar_rejected():
 
 def test_array_calendar_step_and_peek():
     sim = Simulator(calendar="array")
-    sim.timeout(2.0)
-    sim.timeout(1.0)
+    sim.schedule_call(2.0, lambda: None)
+    sim.schedule_call(1.0, lambda: None)
     assert sim.peek() == 1.0
     sim.step()
     assert sim.now == 1.0

@@ -1,8 +1,8 @@
-"""Unit tests for the DES kernel: clock, events, run modes."""
+"""Unit tests for the DES kernel: clock, calendar order, run modes."""
 
 import pytest
 
-from repro.sim import Simulator, SimulationError
+from repro.sim import Simulator, SimulationError, each, every
 
 
 def test_clock_starts_at_zero():
@@ -17,7 +17,7 @@ def test_clock_custom_start():
 
 def test_timeout_advances_clock():
     sim = Simulator()
-    sim.timeout(2.5)
+    sim.schedule_call(2.5, lambda: None)
     sim.run()
     assert sim.now == 2.5
 
@@ -25,15 +25,14 @@ def test_timeout_advances_clock():
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
+        sim.schedule_call(-1.0, lambda: None)
 
 
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
     for delay in (3.0, 1.0, 2.0):
-        ev = sim.timeout(delay, value=delay)
-        ev.callbacks.append(lambda e: order.append(e.value))
+        sim.schedule_call(delay, lambda d=delay: order.append(d))
     sim.run()
     assert order == [1.0, 2.0, 3.0]
 
@@ -42,15 +41,24 @@ def test_same_time_events_fifo():
     sim = Simulator()
     order = []
     for i in range(5):
-        ev = sim.timeout(1.0, value=i)
-        ev.callbacks.append(lambda e: order.append(e.value))
+        sim.schedule_call(1.0, lambda i=i: order.append(i))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
 
+def test_call_soon_runs_ahead_of_ordinary_entries_due_now():
+    sim = Simulator()
+    order = []
+    sim.schedule_call(0.0, lambda: order.append("ordinary"))
+    sim.call_soon(lambda: order.append("urgent 1"))
+    sim.call_soon(lambda: order.append("urgent 2"))
+    sim.run()
+    assert order == ["urgent 1", "urgent 2", "ordinary"]
+
+
 def test_run_until_time_stops_clock_exactly():
     sim = Simulator()
-    sim.timeout(10.0)
+    sim.schedule_call(10.0, lambda: None)
     sim.run(until=4.0)
     assert sim.now == 4.0
 
@@ -58,8 +66,7 @@ def test_run_until_time_stops_clock_exactly():
 def test_run_until_time_processes_boundary_event():
     sim = Simulator()
     hits = []
-    ev = sim.timeout(4.0, value="x")
-    ev.callbacks.append(lambda e: hits.append(e.value))
+    sim.schedule_call(4.0, lambda: hits.append("x"))
     sim.run(until=4.0)
     assert hits == ["x"]
 
@@ -70,55 +77,47 @@ def test_run_until_past_raises():
         sim.run(until=5.0)
 
 
-def test_event_double_trigger_rejected():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed(1)
-    with pytest.raises(SimulationError):
-        ev.succeed(2)
-
-
-def test_event_value_before_trigger_rejected():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(SimulationError):
-        _ = ev.value
-
-
-def test_fail_requires_exception():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(SimulationError):
-        ev.fail("not an exception")
-
-
 def test_unhandled_failure_surfaces_in_step():
     sim = Simulator()
-    ev = sim.event()
-    ev.fail(ValueError("boom"))
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.schedule_call(0.0, boom)
     with pytest.raises(ValueError, match="boom"):
         sim.run()
 
 
 def test_peek_reports_next_event_time():
     sim = Simulator()
-    sim.timeout(7.0)
+    sim.schedule_call(7.0, lambda: None)
     assert sim.peek() == 7.0
     sim.run()
     assert sim.peek() == float("inf")
 
 
-def test_timeout_carries_value():
+def test_each_runs_steps_in_order_then_continues():
     sim = Simulator()
+    log = []
 
-    def proc(sim, out):
-        got = yield sim.timeout(1.0, value="payload")
-        out.append(got)
+    def step(item, k):
+        log.append((sim.now, item))
+        if item % 2:
+            sim.schedule_call(1.0, k)  # a step that waits
+        else:
+            k()  # a step done at once
 
-    out = []
-    sim.process(proc(sim, out))
+    each(range(4), step, lambda: log.append((sim.now, "then")))
     sim.run()
-    assert out == ["payload"]
+    assert log == [(0.0, 0), (0.0, 1), (1.0, 2), (1.0, 3), (2.0, "then")]
+
+
+def test_every_runs_once_per_period():
+    sim = Simulator()
+    ticks = []
+    every(sim, 0.5, lambda: ticks.append(sim.now))
+    sim.run(until=2.0)
+    assert ticks == [0.5, 1.0, 1.5, 2.0]
 
 
 def test_deterministic_interleaving():
@@ -126,14 +125,19 @@ def test_deterministic_interleaving():
         sim = Simulator()
         trace = []
 
-        def worker(sim, name, delay):
-            for _ in range(3):
-                yield sim.timeout(delay)
+        def worker(name, delay, left):
+            def wake():
                 trace.append((sim.now, name))
+                if left > 1:
+                    worker(name, delay, left - 1)
 
-        sim.process(worker(sim, "a", 1.0))
-        sim.process(worker(sim, "b", 1.0))
+            sim.schedule_call(delay, wake)
+
+        sim.call_soon(lambda: worker("a", 1.0, 3))
+        sim.call_soon(lambda: worker("b", 1.0, 3))
         sim.run()
         return trace
 
-    assert build() == build()
+    trace = build()
+    assert trace == build()
+    assert trace == [(t, n) for t in (1.0, 2.0, 3.0) for n in "ab"]

@@ -49,24 +49,30 @@ def test_default_categories_exclude_engine_firehose():
     assert "sim" not in DEFAULT_CATEGORIES
     assert "sim" in ALL_CATEGORIES
     tr = MemoryTracer()  # defaults
-    tr.emit("sim.step", 0.0, event="Event")
+    tr.emit("sim.step", 0.0, event="Worker.deliver")
     assert tr.records == []
     everything = MemoryTracer(categories=None)
-    everything.emit("sim.step", 0.0, event="Event")
+    everything.emit("sim.step", 0.0, event="Worker.deliver")
     assert len(everything.records) == 1
 
 
 def test_sim_step_tracing_opt_in():
     sim = Simulator()
     sim.tracer = MemoryTracer(categories=ALL_CATEGORIES)
-    sim.timeout(0.5)
+
+    def tick():
+        pass
+
+    sim.schedule_call(0.5, tick)
     sim.run()
     steps = [r for r in sim.tracer.records if r["kind"] == "sim.step"]
     assert len(steps) == 1 and steps[0]["t"] == 0.5
+    # Each record names the callback its step ran.
+    assert steps[0]["event"] == tick.__qualname__
     # With default categories the same run records nothing.
     sim2 = Simulator()
     sim2.tracer = MemoryTracer()
-    sim2.timeout(0.5)
+    sim2.schedule_call(0.5, tick)
     sim2.run()
     assert sim2.tracer.records == []
 
