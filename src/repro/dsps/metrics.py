@@ -276,7 +276,8 @@ class MetricsHub:
         if self._window is None:
             return False
         start, end = self._window
-        return self.sim.now >= start and (end is None or self.sim.now <= end)
+        now = self.sim.now  # one clock read: a wall-clock call on rt
+        return now >= start and (end is None or now <= end)
 
     def window_bounds(self) -> Tuple[float, float]:
         """``(start, end)`` such that an explicit instant ``t`` is inside
@@ -298,13 +299,13 @@ class MetricsHub:
     # ------------------------------------------------------------------
     # recording (no-ops outside the window)
     # ------------------------------------------------------------------
-    def on_emit(self, operator: str) -> None:
+    def on_emit(self, operator: str, n: int = 1) -> None:
         if self.in_window:
-            self.emitted[operator] += 1
+            self.emitted[operator] += n
 
-    def on_processed(self, operator: str) -> None:
+    def on_processed(self, operator: str, n: int = 1) -> None:
         if self.in_window:
-            self.processed[operator] += 1
+            self.processed[operator] += n
 
     def on_drop(self, where: str) -> None:
         if self.in_window:
@@ -342,9 +343,9 @@ class MetricsHub:
     def add_credit_stall(self, operator: str, stalled_s: float) -> None:
         self.credit_stall_s[operator] += stalled_s
 
-    def on_sink_latency(self, operator: str, latency_s: float) -> None:
+    def on_sink_latency(self, operator: str, *latencies_s: float) -> None:
         if self.in_window:
-            self.sink_latencies[operator].append(latency_s)
+            self.sink_latencies[operator].extend(latencies_s)
 
     # ------------------------------------------------------------------
     # reporting

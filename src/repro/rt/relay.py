@@ -1,18 +1,24 @@
-"""Relay-based one-to-many fan-out planning (Whale's tree, software
-edition).
+"""Relay-based one-to-many fan-out planning (a d*-ary relay tree).
 
 A one-to-many emit on the real runtime is *worker-oriented*: the tuple
 crosses the wire once per destination **machine**, never once per task,
 and the receiving host's dispatcher fans it out to its local tasks —
 Whale's Section 3.5 batching.  On top of that, the *sender* does not
 dial every destination machine itself: destinations are arranged in a
-d*-ary relay tree and each host forwards the already-decoded frame to at
-most ``d_star`` children, carrying the subtree each child is responsible
-for inside the frame (``RELAY`` messages in
+d*-ary relay tree and each host forwards the already-decoded tuple to
+at most ``d_star`` children, carrying the subtree each child is
+responsible for inside the message (``relay`` messages in
 :mod:`repro.rt.worker`).  That caps the source's per-emit send cost at
-``d_star`` frames — the exact shape the DES's
-:class:`~repro.multicast.tree.MulticastTree` gives the simulated NIC —
-while the total number of wire copies stays ``len(members)``.
+``d_star`` messages while the total number of wire copies stays
+``len(members)``.
+
+The tree is **not** the DES's: each hop splits its members into
+``d_star`` balanced contiguous chunks, whereas the DES builds
+Algorithm 1's non-blocking tree
+(:func:`repro.multicast.build.build_nonblocking_tree`), which finishes
+sooner for the same members and d* (at d* = 3, 6 send units instead of
+7 for 29 machines).  Until rt takes its tree from the same builder,
+the sim-vs-real differential compares two different trees.
 
 Planning is a pure function of the (ordered) member list, so every host
 computes identical trees with no coordination and the differential

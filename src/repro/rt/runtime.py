@@ -307,13 +307,14 @@ class AsyncRuntime(RuntimeBackend):
     async def drain(self) -> None:
         """Wait until in-flight work settles (bounded by
         ``config.rt_drain_timeout_s``): every host idle and the global
-        processed count stable across consecutive polls."""
+        processed count stable across consecutive polls.  A host whose
+        bolt failed ends the wait (``shutdown`` raises the error)."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.rt_drain_timeout_s
         last = -1
         stable = 0
         timed_out = False
-        while True:
+        while all(host.error is None for host in self.hosts.values()):
             busy = any(host.busy for host in self.hosts.values())
             total = sum(ex.processed for ex in self.executors.values())
             if not busy and total == last:

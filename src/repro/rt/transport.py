@@ -15,17 +15,17 @@ message queued in a turn schedules one flush with ``loop.call_soon``.
 The flush encodes the whole outbox as one ``{"type": "batch", "m":
 [...]}`` frame (a lone message goes bare) and makes one
 ``writer.write``; a batch over the frame limit is halved until every
-frame fits, in order.  The receiving :class:`~repro.rt.framing.
-FrameDecoder` flattens batches, so handlers still see one message at a
-time in per-connection FIFO order.  A message that alone exceeds the
-limit is never written: it raises :class:`~repro.rt.framing.FrameError`
-from the ``send``/``post``/``close`` that flushes it, or, when the
-deferred flush hit it, from every later ``send``/``post`` and from
-``close``.  An outbox that reaches :data:`OUTBOX_LIMIT` flushes at once;
-``send`` then also awaits ``drain()``, so a data-plane sender that never
-yields still feels the transport's high-water mark.  Its synchronous
-twin :meth:`~FramedConnection.post` never awaits ``drain()``: it carries
-only ``acks``, whose volume one loop turn's executions bound.
+frame fits, in order.  A message that alone exceeds the limit is
+never written: it raises :class:`~repro.rt.framing.FrameError` from the
+``send``/``post``/``close`` that flushes it, or, when the deferred flush
+hit it, from every later ``send``/``post`` and from ``close``.  An
+outbox that reaches :data:`OUTBOX_LIMIT` flushes at once; ``send`` then
+also awaits ``drain()``, so a sender that never yields still feels the
+transport's high-water mark; its synchronous twin
+:meth:`~FramedConnection.post` only reports the flush, and a worker
+host's task then waits on :meth:`~FramedConnection.drained`.
+:meth:`~FramedConnection.receive` returns the messages one socket read
+completed, batches flattened, in per-connection FIFO order.
 
 **Credit semantics.**  When ``SystemConfig.flow`` is on, each outbound
 connection carries at most ``credit_window`` unacknowledged *data-plane*
@@ -36,17 +36,15 @@ work into its local executor queues, and each flush carries one
 propagates backpressure to the sender instead of growing an unbounded
 socket buffer.  Control messages (``acks``, ``credit`` itself,
 ``hello``) never consume credits — exactly the data/control split of
-the simulated fabric.  Stall time spent waiting for a credit is
-reported to the caller so it can feed ``MetricsHub.add_credit_stall`` —
-the same accounting the DES keeps.
+the simulated fabric.  Stall seconds feed
+``MetricsHub.add_credit_stall``, the same accounting the DES keeps.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from collections import deque
-from typing import Any, AsyncIterator, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, FrameError, encode_frame
 
@@ -68,8 +66,6 @@ class FramedConnection:
         self.writer = writer
         self.limit = limit
         self._decoder = FrameDecoder(limit)
-        #: messages decoded but not yet handed out by :meth:`recv`.
-        self._ready: deque = deque()
         #: messages queued for the next flush, and credits granted since
         #: the last one.
         self._outbox: List[Dict[str, Any]] = []
@@ -149,25 +145,27 @@ class FramedConnection:
         self.writer.write(frame)
         self.frames_sent += 1
 
-    async def recv(self) -> Optional[Dict[str, Any]]:
-        """The next message, or ``None`` once the peer closed cleanly."""
-        while not self._ready:
+    async def receive(self) -> Optional[List[Dict[str, Any]]]:
+        """Await one socket read and return every message it completed
+        (possibly none), in order; ``None`` once the peer closed or
+        reset the connection."""
+        try:
             data = await self.reader.read(65536)
-            if not data:
-                return None
-            self._ready.extend(self._decoder.feed(data))
-        return self._ready.popleft()
+        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+            return None
+        return self._decoder.feed(data) if data else None
 
-    async def messages(self) -> AsyncIterator[Dict[str, Any]]:
-        """Iterate messages until EOF or connection reset."""
-        while True:
-            try:
-                message = await self.recv()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                return
-            if message is None:
-                return
-            yield message
+    def drained(self) -> Optional["asyncio.Future[None]"]:
+        """``None`` while the writer is under its high-water mark, else a
+        future done once ``drain()`` returns."""
+        transport = self.writer.transport
+        if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[1]:
+            return None
+        return asyncio.ensure_future(self._drain_quietly())
+
+    async def _drain_quietly(self) -> None:
+        with contextlib.suppress(ConnectionError):
+            await self.writer.drain()
 
     @property
     def frames_received(self) -> int:
@@ -230,12 +228,11 @@ async def serve(
 class CreditGate:
     """Sender-side credit window for one outbound connection.
 
-    ``window=None`` disables flow control (every acquire is free) —
-    the rt translation of ``SystemConfig.flow = False``.  Otherwise at
-    most ``window`` data-plane messages may be in flight; :meth:`acquire`
-    parks the sender until the receiver grants credit back and returns
-    the seconds it stalled, mirroring the DES's
-    ``metrics.add_credit_stall`` accounting.
+    ``window=None`` disables flow control (every take is free) — the rt
+    translation of ``SystemConfig.flow = False``.  Otherwise at most
+    ``window`` data-plane messages may be in flight; a grant that
+    reopens the window wakes every sender that registered with
+    :meth:`when_granted`, in registration order.
     """
 
     def __init__(self, window: Optional[int]):
@@ -246,30 +243,44 @@ class CreditGate:
         #: high-water mark of concurrently unacknowledged data messages —
         #: the invariant the transport tests pin (never exceeds window).
         self.max_in_flight = 0
-        self._has_credit = asyncio.Event()
-        self._has_credit.set()
+        #: wake-ups of the senders waiting for credit.
+        self._waiters: List[Callable[[], Any]] = []
+
+    def take(self) -> bool:
+        """Take one credit if the window has one (always, when disabled)."""
+        if self.window is None:
+            return True
+        if self.in_flight >= self.window:
+            return False
+        self.in_flight += 1
+        if self.in_flight > self.max_in_flight:
+            self.max_in_flight = self.in_flight
+        return True
+
+    def when_granted(self, wake: Callable[[], Any]) -> None:
+        """Call ``wake()`` at the next grant that reopens the window."""
+        self._waiters.append(wake)
 
     async def acquire(self) -> float:
         """Take one credit, waiting if the window is exhausted; returns
         the wall-clock seconds spent stalled."""
-        if self.window is None:
+        if self.take():
             return 0.0
-        stalled = 0.0
         loop = asyncio.get_running_loop()
-        while self.in_flight >= self.window:
-            t0 = loop.time()
-            self._has_credit.clear()
-            await self._has_credit.wait()
-            stalled += loop.time() - t0
-        self.in_flight += 1
-        if self.in_flight > self.max_in_flight:
-            self.max_in_flight = self.in_flight
-        return stalled
+        t0 = loop.time()
+        while not self.take():
+            granted = loop.create_future()
+            self.when_granted(lambda: granted.done() or granted.set_result(None))
+            await granted
+        return loop.time() - t0
 
     def grant(self, n: int = 1) -> None:
-        """The receiver acknowledged ``n`` data messages."""
+        """The receiver acknowledged ``n`` data messages; every waiting
+        sender retries."""
         if self.window is None:
             return
         self.in_flight = max(0, self.in_flight - n)
-        if self.in_flight < self.window:
-            self._has_credit.set()
+        if self.in_flight < self.window and self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for wake in waiters:
+                wake()

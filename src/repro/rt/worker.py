@@ -12,16 +12,18 @@ and the simulated worker-oriented path take).
 Wire protocol (JSON messages; see :mod:`repro.rt.framing`).  Every
 message a host sends one peer in one loop turn leaves as one ``batch``
 frame and one socket write (:mod:`repro.rt.transport`), so the transport
-cost is paid once per destination worker, not once per message:
+cost is paid once per destination worker, not once per message.  A
+tuple travels as the positional list of its eight fields
+(:func:`tuple_to_wire`):
 
 * ``hello``  — connection preamble naming the dialing machine;
 * ``data``   — a tuple for an explicit task list on the receiving
   machine (one message per machine: worker-oriented batching);
 * ``relay``  — a one-to-many tuple plus the subtree of machines the
-  receiver must keep forwarding to (Whale's d*-ary relay tree, planned
-  hop-by-hop with :func:`repro.rt.relay.plan_relay`, so the source sends
-  at most d* relay messages per emit); the receiver delivers to all of
-  its co-located destination tasks;
+  receiver must keep forwarding to (planned hop by hop with
+  :func:`repro.rt.relay.plan_relay`, so the source sends at most d*
+  relay messages per emit); the receiver delivers to all of its
+  co-located destination tasks;
 * ``acks``   — ``{"a": [root, task, root, task, ...]}``: the tracked
   spout tuples the sender's tasks executed this loop turn, in order (one
   message per acker host per turn, posted without awaiting ``drain()``;
@@ -30,14 +32,21 @@ cost is paid once per destination worker, not once per message:
   message, granted once the work is enqueued and coalesced into one
   ``credit`` message per flush (only when ``SystemConfig.flow`` is on).
 
-**Receive side**, paid per message, not per copy: a ``data`` or
-``relay`` message is decoded once (a relay forwards the wire dict it
-received), and :meth:`WorkerHost.deliver_local` enqueues that one
-:class:`StreamTuple` for every local task, after one dedup pass and one
-tracker update; the emitting host hands co-located tasks the emitted
-tuple itself.  Tasks share the object, as the DES's ``Worker.dispatch``
-shares one across a packet's tasks: **bolts must not mutate their
-input.**
+**One dispatcher per host.**  A bolt task is a bounded FIFO
+(:class:`_InQueue`) and a plan, not an asyncio task.  Enqueuing marks it
+runnable; one ``loop.call_soon`` drain per host runs the runnable bolts
+synchronously, FIFO per task, on one clock read.  Routing only plans
+(the emit's local enqueues and peer sends, in order) and
+:meth:`WorkerHost.advance` carries plans out.  A step without credit,
+into a full queue or behind a backlogged writer parks *only its sender*
+until the grant, the pop or the ``drain()``; parking the whole
+dispatcher would deadlock hosts whose tasks wait on each other's
+credits.  An inbound connection handles each socket read's messages
+synchronously.  A ``data`` or ``relay`` message is decoded once, and its
+one :class:`StreamTuple` goes to every local task after one dedup pass
+and one tracker update (the emitting host hands co-located tasks the
+emitted tuple itself), so tasks share the object, as in the DES's
+``Worker.dispatch``: **bolts must not mutate their input.**
 
 **At-least-once** (``config.reliability_enabled``): the spout's host
 tracks every one-to-many spout emit in its :class:`Acker`, whose
@@ -55,8 +64,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dsps.acker import PendingTable
 from repro.dsps.api import TupleContext
@@ -66,116 +76,99 @@ from repro.rt.relay import plan_relay
 from repro.rt.transport import CreditGate, FramedConnection, dial, serve
 
 
-def tuple_to_wire(tup: StreamTuple) -> Dict[str, Any]:
-    """Serialize a tuple for the framed transport (JSON-safe fields)."""
-    return {
-        "stream": tup.stream,
-        "values": tup.values,
-        "key": tup.key,
-        "payload_bytes": tup.payload_bytes,
-        "created_at": tup.created_at,
-        "source_operator": tup.source_operator,
-        "tuple_id": tup.tuple_id,
-        "root_id": tup.root_id,
-    }
+def tuple_to_wire(tup: StreamTuple) -> List[Any]:
+    """Serialize a tuple for the framed transport: its eight fields,
+    JSON-safe, in :class:`StreamTuple` order."""
+    return [tup.stream, tup.values, tup.key, tup.payload_bytes, tup.created_at,
+            tup.source_operator, tup.tuple_id, tup.root_id]
 
 
-def tuple_from_wire(wire: Dict[str, Any]) -> StreamTuple:
+def tuple_from_wire(wire: Sequence[Any]) -> StreamTuple:
     """Rebuild a :class:`StreamTuple` from its wire form."""
-    return StreamTuple(
-        stream=wire["stream"],
-        values=wire["values"],
-        key=wire["key"],
-        payload_bytes=wire["payload_bytes"],
-        created_at=wire["created_at"],
-        source_operator=wire["source_operator"],
-        tuple_id=wire["tuple_id"],
-        root_id=wire["root_id"],
-    )
+    return StreamTuple(*wire)
 
 
 class _InQueue:
-    """Bounded FIFO executor input queue exposing the DES ``Store``
-    surface (``.level``) so :func:`repro.dsps.grouping.inqueue_depth`
-    and the load-adaptive grouping read rt executors unmodified.
-
-    One getter (the task's bolt loop) and a FIFO of puts parked on a
-    full queue; each ``get`` pops, then admits the oldest parked item.
-    ``get`` pops only after it wakes, so a bolt task cancelled by
-    ``stop``/``restart`` leaves its item to the replacement."""
+    """Bounded FIFO input queue of one task, exposing the DES ``Store``
+    surface (``.level``, ``.capacity``) that ``inqueue_depth``, the
+    load-adaptive grouping and the checker read.  :meth:`push` refuses a
+    full queue; a :meth:`pop` wakes every sender that registered with
+    :meth:`when_room`, and they retry in arrival order (a cancelled one
+    never enqueues)."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: deque = deque()
-        self._getter: Optional[asyncio.Future] = None
-        #: (future, item) of puts waiting for room, oldest first.
-        self._putters: deque = deque()
+        self.items: deque = deque()
+        self._waiters: List[Callable[[], None]] = []
 
     @property
     def level(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
-    async def put(self, item: Any) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            getter = self._getter
-            if getter is not None and not getter.done():
-                getter.set_result(None)
-            return
-        future = asyncio.get_running_loop().create_future()
-        self._putters.append((future, item))
-        await future
+    def push(self, item: Any) -> bool:
+        if len(self.items) >= self.capacity:
+            return False
+        self.items.append(item)
+        return True
 
-    async def get(self) -> Any:
-        items = self._items
-        while not items:
-            self._getter = asyncio.get_running_loop().create_future()
-            try:
-                await self._getter
-            finally:
-                self._getter = None
-        item = items.popleft()
-        putters = self._putters
-        while putters and len(items) < self.capacity:
-            future, parked = putters.popleft()
-            if not future.done():  # a cancelled put never happened
-                items.append(parked)
-                future.set_result(None)
+    def when_room(self, wake: Callable[[], None]) -> None:
+        self._waiters.append(wake)
+
+    def pop(self) -> Any:
+        item = self.items.popleft()
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for wake in waiters:
+                wake()
         return item
 
 
-class _BufferingCollector:
-    """Collects a bolt's synchronous emits; the executor loop routes
-    them asynchronously after ``execute`` returns."""
+class _Sender:
+    """Carries out a *plan*: the ordered steps of its emits, each a local
+    enqueue ``(executor, item)`` or a send ``(machine, message)``.  When
+    :meth:`WorkerHost.advance` meets a step that must wait, the sender
+    parks with the rest of its plan until :meth:`wake`.  This base wakes
+    a coroutine awaiting :meth:`park`; a bolt task overrides
+    :meth:`wake` to rejoin its host's dispatcher instead."""
 
-    def __init__(self) -> None:
-        self.emissions: List[tuple] = []
+    def __init__(self, host: "WorkerHost", stall_key: str):
+        self.host = host
+        #: ``MetricsHub.credit_stall_s`` key its credit stalls feed.
+        self.stall_key = stall_key
+        self.plan: deque = deque()
+        #: when the sender parked on a credit gate (``time.monotonic``).
+        self.stalled_at: Optional[float] = None
+        self._woken: Optional[asyncio.Future] = None
 
-    def emit(self, stream, values, key=None, payload_bytes=None, anchor=None):
-        self.emissions.append((stream, values, key, payload_bytes, anchor))
+    def wake(self) -> None:
+        woken = self._woken
+        if woken is not None and not woken.done():
+            woken.set_result(None)
 
-    def drain(self) -> List[tuple]:
-        out, self.emissions = self.emissions, []
-        return out
+    def park(self) -> asyncio.Future:
+        """A future :meth:`wake` completes (coroutine senders run
+        ``while not host.advance(sender): await sender.park()``)."""
+        self._woken = asyncio.get_running_loop().create_future()
+        return self._woken
 
 
-class RtExecutorBase:
+class RtExecutorBase(_Sender):
     """Shared surface of rt executors (what bound groupings consume)."""
 
     is_spout = False
 
     def __init__(self, host: "WorkerHost", task_id: int):
-        self.host = host
+        operator = host.runtime.placement.operator_of[task_id]
+        super().__init__(host, operator)
         #: the runtime — exposes ``.metrics/.placement/.cluster/
         #: .executors`` exactly like ``DspsSystem`` for bound groupings.
         self.system = host.runtime
         self.task_id = task_id
-        self.operator = self.system.placement.operator_of[task_id]
+        self.operator = operator
         self.machine_id = host.machine_id
-        self.spec = self.system.topology.operators[self.operator]
+        self.spec = self.system.topology.operators[operator]
         self.emitted = 0
         self.processed = 0
-        self._task: Optional[asyncio.Task] = None
 
     def context(self) -> TupleContext:
         return TupleContext(
@@ -186,16 +179,10 @@ class RtExecutorBase:
             machine_id=self.machine_id,
         )
 
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._task
-            self._task = None
-
 
 class RtBoltExecutor(RtExecutorBase):
-    """One bolt task: an asyncio loop over a bounded input queue."""
+    """One bolt task: a bounded input queue its host's dispatcher drains,
+    and the collector its bolt emits into."""
 
     def __init__(self, host: "WorkerHost", task_id: int):
         super().__init__(host, task_id)
@@ -203,6 +190,9 @@ class RtBoltExecutor(RtExecutorBase):
         self.inqueue = _InQueue(host.config.executor_queue_capacity)
         #: ``MetricsHub.queue_depth_hwm`` key of the inqueue.
         self.depth_key = f"{self.operator}[{task_id}].inqueue"
+        #: on the host's runnable list / waiting for a wake-up; the clock
+        #: read of the drain running it.
+        self.runnable, self.parked, self._now = False, False, 0.0
         self.bolt.prepare(self.context())
 
     def rebuild(self) -> None:
@@ -213,44 +203,57 @@ class RtBoltExecutor(RtExecutorBase):
         self.bolt = self.spec.factory()
         self.bolt.prepare(self.context())
 
-    def start(self) -> None:
-        self._task = asyncio.create_task(self._run(), name=f"bolt-{self.task_id}")
+    def wake(self) -> None:
+        self.parked = False
+        self.host.ready(self)
 
-    async def _run(self) -> None:
+    def run(self, now: float) -> None:
+        """Finish the parked plan, then execute queued tuples in FIFO
+        order until the queue is empty or a step must wait; metrics are
+        booked once per run, at the drain's clock read ``now``."""
         host = self.host
+        self._now = now
         metrics = self.system.metrics
-        while True:
-            tup, ack_to = await self.inqueue.get()
-            collector = _BufferingCollector()
-            self.bolt.execute(tup, collector)
-            self.processed += 1
-            metrics.on_processed(self.operator)
-            metrics.completion.on_executed(tup.tuple_id, self.task_id)
-            if self.spec.terminal:
-                metrics.on_sink_latency(
-                    self.operator, host.clock.now - tup.created_at
-                )
-            for stream, values, key, payload_bytes, anchor in collector.drain():
-                if anchor is not None:
-                    derived = anchor.derive(
-                        stream=self.operator,
-                        values=values,
-                        key=key,
-                        payload_bytes=payload_bytes,
-                        source_operator=self.operator,
-                    )
-                else:
-                    derived = StreamTuple(
-                        stream=self.operator,
-                        values=values,
-                        key=key,
-                        payload_bytes=payload_bytes or 128,
-                        created_at=host.clock.now,
-                        source_operator=self.operator,
-                    )
-                await host.route(derived, self)
-            if ack_to is not None:
-                host.send_ack(ack_to, tup.root_id, self.task_id)
+        on_executed = metrics.completion.on_executed
+        execute = self.bolt.execute
+        task_id = self.task_id
+        queue = self.inqueue
+        terminal = self.spec.terminal
+        latencies: List[float] = []
+        executed, emitted = 0, self.emitted
+        try:
+            while True:
+                if self.plan and not host.advance(self):
+                    self.parked = True
+                    return
+                if not queue.items:
+                    return
+                tup, ack_to = queue.pop()
+                execute(tup, self)
+                executed += 1
+                on_executed(tup.tuple_id, task_id, now)
+                if terminal:
+                    latencies.append(now - tup.created_at)
+                if ack_to is not None:
+                    host.send_ack(ack_to, tup.root_id, task_id)
+        finally:
+            if executed:
+                self.processed += executed
+                metrics.on_processed(self.operator, executed)
+                metrics.on_sink_latency(self.operator, *latencies)
+            if self.emitted > emitted:
+                metrics.on_emit(self.operator, self.emitted - emitted)
+
+    def emit(self, stream, values, key=None, payload_bytes=None, anchor=None):
+        """The bolt's collector: plan the emit at once (an anchored one
+        derives from its anchor's root)."""
+        self.emitted += 1
+        if anchor is not None:
+            tup = anchor.derive(self.operator, values, key, payload_bytes, self.operator)
+        else:
+            tup = StreamTuple(self.operator, values, key, payload_bytes or 128,
+                              self._now, self.operator)
+        self.host.route(tup, self)
 
 
 class RtSpoutExecutor(RtExecutorBase):
@@ -276,6 +279,8 @@ class RtSpoutExecutor(RtExecutorBase):
         out; returns the number of tuples emitted."""
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
+        host = self.host
+        metrics = self.system.metrics
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         i = 0
@@ -292,10 +297,13 @@ class RtSpoutExecutor(RtExecutorBase):
                 values=values,
                 key=key,
                 payload_bytes=payload_bytes,
-                created_at=self.host.clock.now,
+                created_at=host.clock.now,
                 source_operator=self.operator,
             )
-            await self.host.route(tup, self)
+            metrics.on_emit(self.operator)
+            host.route(tup, self)
+            while not host.advance(self):
+                await self.park()
             i += 1
         self.emitted = i
         return i
@@ -312,10 +320,12 @@ class Acker:
         self.table = PendingTable()
         #: root id -> (wire tuple, replays so far) until it completes or
         #: is abandoned.
-        self._roots: Dict[int, Tuple[Dict[str, Any], int]] = {}
+        self._roots: Dict[int, Tuple[List[Any], int]] = {}
         self.completed = 0
         self.replays = 0
         self.abandoned = 0
+        #: carries out the replays (credit stalls feed ``"acker"``).
+        self.sender = _Sender(host, "acker")
         self._task: Optional[asyncio.Task] = None
 
     @property
@@ -323,8 +333,8 @@ class Acker:
         """Roots still owed an ack."""
         return len(self.table)
 
-    def register(self, wire: Dict[str, Any], tasks: Sequence[int]) -> None:
-        root = wire["root_id"]
+    def register(self, wire: List[Any], tasks: Sequence[int]) -> None:
+        root = wire[7]  # the root id
         self._roots.setdefault(root, (wire, 0))
         self.table.arm(root, tasks, self.host.clock.now)
         self.host.runtime.metrics.note_acker_pending(len(self.table))
@@ -350,9 +360,8 @@ class Acker:
         while True:
             await asyncio.sleep(cfg.ack_sweep_interval_s)
             now = host.clock.now
-            # Re-arm every expired root before the first send yields, so
+            # Re-arm every expired root before the first send can wait, so
             # ``pending`` never reads empty while a replay is in flight.
-            replays = []
             for root, outstanding in self.table.expired(now, cfg.ack_timeout_s):
                 wire, attempts = self._roots[root]
                 if attempts >= cfg.max_replays:
@@ -360,7 +369,7 @@ class Acker:
                     self.abandoned += 1
                     metrics = host.runtime.metrics
                     metrics.on_abandoned()
-                    metrics.multicast.cancel(wire["tuple_id"])
+                    metrics.multicast.cancel(wire[6])  # the tuple id
                     metrics.completion.cancel(root)
                     host.clock.emit("rt.abandon", root=root, replays=attempts)
                     continue
@@ -373,9 +382,9 @@ class Acker:
                     attempt=attempts + 1,
                     outstanding=len(outstanding),
                 )
-                replays.append((wire, sorted(outstanding)))
-            for wire, tasks in replays:
-                await host.replay(wire, tasks)
+                host.replay(self.sender.plan, wire, sorted(outstanding))
+            while not host.advance(self.sender):
+                await self.sender.park()
 
 
 class WorkerHost:
@@ -386,13 +395,20 @@ class WorkerHost:
         self.machine_id = machine_id
         self.config = runtime.config
         self.clock = runtime.clock
+        topology, placement = runtime.topology, runtime.placement
         #: local task id -> executor.
         self.executors: Dict[int, RtExecutorBase] = {}
-        for task_id in runtime.placement.tasks_on_machine(machine_id):
-            operator = runtime.placement.operator_of[task_id]
-            kind = runtime.topology.operators[operator].kind
+        for task_id in placement.tasks_on_machine(machine_id):
+            kind = topology.operators[placement.operator_of[task_id]].kind
             cls = RtSpoutExecutor if kind == "spout" else RtBoltExecutor
             self.executors[task_id] = cls(self, task_id)
+        #: per operator: the bolts consuming it, and its tasks on this
+        #: machine (read on every route and relay hop).
+        self._downstream = {op: [spec.name for spec in topology.downstream_of(op)]
+                            for op in topology.operators}
+        self._colocated = {op: placement.colocated_tasks(op, machine_id)
+                           for op in topology.operators}
+        self._d_star = self.config.d_star or 3
         #: per-host grouping instance per edge (built from the
         #: prototype's :meth:`~repro.dsps.grouping.Grouping.spec`).
         self._edges: Dict[Tuple[str, str], Grouping] = {}
@@ -406,10 +422,16 @@ class WorkerHost:
         #: per-task tuple-id dedup sets (only maintained when replays are
         #: possible, i.e. a reliability mode is on — TCP never duplicates
         #: on its own, and unbounded growth would hurt duration-mode runs)
-        self._seen: Dict[int, Set[int]] = {}
+        self._seen: Dict[int, Set[int]] = {task: set() for task in self.executors}
         #: acker machine -> this turn's remote acks, flat
         #: ``[root, task, root, task, ...]`` (see :meth:`send_ack`).
         self._acks: Dict[int, List[int]] = {}
+        #: bolt tasks the next drain runs, in the order they became
+        #: runnable; ``_drain_armed`` while a drain is scheduled.
+        self._runnable: deque = deque()
+        self._drain_armed = False
+        #: the first exception a bolt raised; :meth:`stop` raises it.
+        self.error: Optional[Exception] = None
         self.acker: Optional[Acker] = (
             Acker(self)
             if self.config.reliability_enabled and self._hosts_spout()
@@ -437,7 +459,7 @@ class WorkerHost:
         return self.port
 
     async def connect(self, ports: Dict[int, int]) -> None:
-        """Dial every other host (full mesh) and start executor loops."""
+        """Dial every other host (full mesh) and start the acker."""
         window = self.config.credit_window if self.config.flow else None
         for machine, port in sorted(ports.items()):
             if machine == self.machine_id:
@@ -455,29 +477,25 @@ class WorkerHost:
             self.clock.emit(
                 "rt.connect", src=self.machine_id, dst=machine, port=port
             )
-        for ex in self.executors.values():
-            if isinstance(ex, RtBoltExecutor):
-                ex.start()
         if self.acker is not None:
             self.acker.start()
 
     async def stop(self) -> None:
-        """Tear the host down, then raise the first error an executor or
-        connection met (a bolt task that died, a message over the frame
-        limit), so a broken run fails loudly without leaking sockets."""
+        """Tear the host down, then raise the first error a bolt or a
+        connection met (an exception in ``execute``, a message over the
+        frame limit), so a broken run fails loudly without leaking
+        sockets."""
         self.clock.emit("rt.shutdown", machine=self.machine_id)
+        self._runnable.clear()
         if self.acker is not None:
             await self.acker.stop()
-        errors = await asyncio.gather(
-            *(ex.stop() for ex in self.executors.values()), return_exceptions=True
-        )
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
             with contextlib.suppress(asyncio.CancelledError):
                 await task
         self._reader_tasks.clear()
-        errors += await asyncio.gather(
+        errors = await asyncio.gather(
             *(conn.close() for conn in self.peers.values()), return_exceptions=True
         )
         self.peers.clear()
@@ -489,7 +507,7 @@ class WorkerHost:
             operator = getattr(ex, "bolt", None) or getattr(ex, "spout", None)
             if operator is not None:
                 operator.close()
-        for error in errors:
+        for error in [self.error, *errors]:
             if error is not None:
                 raise error
 
@@ -497,8 +515,8 @@ class WorkerHost:
         """Bounce this worker: fresh operator and grouping instances,
         with routing state carried across via ``export_state`` /
         ``import_state`` (the satellite-1 contract).  Connections,
-        queues, and dedup bookkeeping survive — this models a graceful
-        worker restart, not a crash."""
+        queues, parked plans and dedup bookkeeping survive — this models
+        a graceful worker restart, not a crash."""
         self.restarts += 1
         self._edge_restore = {
             key: inst.export_state() for key, inst in self._edges.items()
@@ -510,9 +528,7 @@ class WorkerHost:
         self._bound.clear()
         for ex in self.executors.values():
             if isinstance(ex, RtBoltExecutor):
-                await ex.stop()
                 ex.rebuild()
-                ex.start()
         self.clock.emit("rt.restart", machine=self.machine_id)
 
     # ------------------------------------------------------------------
@@ -545,104 +561,125 @@ class WorkerHost:
         return bound
 
     # ------------------------------------------------------------------
+    # the dispatcher
+    # ------------------------------------------------------------------
+    def ready(self, executor: RtBoltExecutor) -> None:
+        """Mark a bolt task runnable unless it is parked (the first one
+        schedules the drain)."""
+        if executor.runnable or executor.parked:
+            return
+        executor.runnable = True
+        self._runnable.append(executor)
+        if not self._drain_armed:
+            self._drain_armed = True
+            asyncio.get_running_loop().call_soon(self._drain)
+
+    def _drain(self) -> None:
+        """Run every runnable task, including those made runnable on the
+        way, on one clock read."""
+        now = self.clock.now
+        runnable = self._runnable
+        while runnable:
+            executor = runnable.popleft()
+            executor.runnable = False
+            try:
+                executor.run(now)
+            except Exception as exc:
+                executor.parked = True  # a failed task runs no more
+                self.error = self.error or exc
+        self._drain_armed = False
+
+    def advance(self, sender: _Sender) -> bool:
+        """Carry out ``sender``'s plan in order.  Returns False when a
+        step must wait — no credit, a full local queue, a writer above
+        its high-water mark — after registering the sender's wake-up
+        with what it waits on; the step and the rest stay planned."""
+        plan = sender.plan
+        metrics = self.runtime.metrics
+        while plan:
+            target, payload = plan[0]
+            if target.__class__ is int:
+                gate = self.gates[target]
+                if not gate.take():
+                    if sender.stalled_at is None:
+                        sender.stalled_at = time.monotonic()
+                    gate.when_granted(sender.wake)
+                    return False
+                if sender.stalled_at is not None:
+                    stalled = time.monotonic() - sender.stalled_at
+                    metrics.add_credit_stall(sender.stall_key, stalled)
+                    sender.stalled_at = None
+                plan.popleft()
+                conn = self.peers[target]
+                if conn.post(payload):
+                    drained = conn.drained()
+                    if drained is not None:
+                        drained.add_done_callback(lambda _: sender.wake())
+                        return False
+            else:
+                queue = target.inqueue
+                if not queue.push(payload):
+                    queue.when_room(sender.wake)
+                    return False
+                plan.popleft()
+                metrics.note_queue_depth(target.depth_key, queue.level)
+                self.ready(target)
+        return True
+
+    # ------------------------------------------------------------------
     # emission / routing
     # ------------------------------------------------------------------
-    async def route(self, tup: StreamTuple, executor: RtExecutorBase) -> None:
-        """Route one emitted tuple through every downstream edge."""
+    def route(self, tup: StreamTuple, executor: RtExecutorBase) -> None:
+        """Plan one emitted tuple through every downstream edge: its
+        local enqueues and peer sends join the emitter's plan, in order,
+        for :meth:`advance` (the emitter counts the emit)."""
         runtime = self.runtime
         metrics = runtime.metrics
         placement = runtime.placement
-        metrics.on_emit(executor.operator)
-        executor.emitted += 1
+        machine_of = placement.machine_of
+        plan = executor.plan
         wire = tuple_to_wire(tup)
-        for spec in runtime.topology.downstream_of(executor.operator):
-            dst = spec.name
+        for dst in self._downstream[executor.operator]:
             grouping = self.grouping_for(executor, dst)
             chosen = grouping.choose(tup, placement.tasks_of[dst])
             ack_to = None
-            if grouping.one_to_many and metrics.in_window:
-                metrics.multicast.register(tup.tuple_id, chosen, self.clock.now)
-                metrics.completion.register(tup.tuple_id, chosen, tup.created_at)
-            if (
-                grouping.one_to_many
-                and executor.is_spout
-                and self.acker is not None
-            ):
-                self.acker.register(wire, chosen)
-                ack_to = self.machine_id
+            if grouping.one_to_many:
+                if metrics.in_window:
+                    metrics.multicast.register(tup.tuple_id, chosen, self.clock.now)
+                    metrics.completion.register(tup.tuple_id, chosen, tup.created_at)
+                if executor.is_spout and self.acker is not None:
+                    self.acker.register(wire, chosen)
+                    ack_to = self.machine_id
             by_machine: Dict[int, List[int]] = {}
             for task in chosen:
-                by_machine.setdefault(placement.machine_of[task], []).append(task)
+                by_machine.setdefault(machine_of[task], []).append(task)
             local = by_machine.pop(self.machine_id, None)
             if local:
-                await self.deliver_local(tup, local, ack_to)
+                self._plan_local(plan, tup, local, ack_to)
             if not by_machine:
                 continue
             if grouping.one_to_many:
-                # Whale's relay tree: the source sends at most d* relay
-                # messages; receivers forward the subtree hop by hop.
-                members = sorted(by_machine)
-                d_star = self.config.d_star or 3
-                for child, subtree in plan_relay(members, d_star):
-                    await self.send(
-                        child,
-                        {
-                            "type": "relay",
-                            "dst": dst,
-                            "subtree": subtree,
-                            "ack_to": ack_to,
-                            "tuple": wire,
-                        },
-                        stall_key=executor.operator,
-                    )
+                self._plan_relay(plan, sorted(by_machine), dst, ack_to, wire)
             else:
                 # Worker-oriented batching: one message per machine.
                 for machine, tasks in sorted(by_machine.items()):
-                    await self.send(
-                        machine,
-                        {
-                            "type": "data",
-                            "dst": dst,
-                            "tasks": tasks,
-                            "ack_to": ack_to,
-                            "tuple": wire,
-                        },
-                        stall_key=executor.operator,
-                    )
+                    plan.append((machine, {"type": "data", "dst": dst, "tasks": tasks,
+                                           "ack_to": ack_to, "tuple": wire}))
 
-    async def replay(self, wire: Dict[str, Any], tasks: Sequence[int]) -> None:
-        """Selective retransmission to just the unacked destinations (a
-        root may span several edges, so messages address tasks only)."""
+    def replay(self, plan: deque, wire: List[Any], tasks: Sequence[int]) -> None:
+        """Plan a selective retransmission to just the unacked
+        destinations (a root may span several edges, so messages address
+        tasks only)."""
         placement = self.runtime.placement
         by_machine: Dict[int, List[int]] = {}
         for task in tasks:
             by_machine.setdefault(placement.machine_of[task], []).append(task)
         local = by_machine.pop(self.machine_id, None)
         if local:
-            await self.deliver_local(tuple_from_wire(wire), local, self.machine_id)
+            self._plan_local(plan, tuple_from_wire(wire), local, self.machine_id)
         for machine, machine_tasks in sorted(by_machine.items()):
-            await self.send(
-                machine,
-                {
-                    "type": "data",
-                    "tasks": machine_tasks,
-                    "ack_to": self.machine_id,
-                    "tuple": wire,
-                },
-                stall_key="acker",
-            )
-
-    async def send(
-        self, machine: int, message: Dict[str, Any], stall_key: str = "rt"
-    ) -> None:
-        """Send one message to a peer, honouring the credit window for
-        data-plane messages and feeding stall time into the metrics hub."""
-        conn = self.peers[machine]
-        if message["type"] in ("data", "relay"):
-            stalled = await self.gates[machine].acquire()
-            if stalled > 0:
-                self.runtime.metrics.add_credit_stall(stall_key, stalled)
-        await conn.send(message)
+            plan.append((machine, {"type": "data", "tasks": machine_tasks,
+                                   "ack_to": self.machine_id, "tuple": wire}))
 
     def send_ack(self, ack_to: int, root: int, task: int) -> None:
         """Ack one execution to the acker on ``ack_to``: directly when it
@@ -664,90 +701,74 @@ class WorkerHost:
     # ------------------------------------------------------------------
     # delivery
     # ------------------------------------------------------------------
-    async def deliver_local(
-        self,
-        tup: StreamTuple,
-        tasks: Sequence[int],
-        ack_to: Optional[int],
-    ) -> None:
-        """Enqueue one tuple object for every local task (after the dedup
-        guard when replays are possible), with one tracker update for
-        the whole group."""
-        metrics = self.runtime.metrics
+    def _plan_local(self, plan: deque, tup: StreamTuple, tasks: Sequence[int],
+                    ack_to: Optional[int]) -> None:
+        """Plan one enqueue of the one tuple object per local task (after
+        the dedup guard when replays are possible), with one tracker
+        update for the whole group."""
         tuple_id = tup.tuple_id
         if self.config.reliability_enabled:
-            fresh = []
-            for task in tasks:
-                seen = self._seen.setdefault(task, set())
-                if tuple_id not in seen:
-                    seen.add(tuple_id)
-                    fresh.append(task)
-            if not fresh:
+            seen = self._seen
+            tasks = [task for task in tasks if tuple_id not in seen[task]]
+            if not tasks:
                 return
-            tasks = fresh
-        metrics.multicast.on_receive(tuple_id, tasks)
+            for task in tasks:
+                seen[task].add(tuple_id)
+        self.runtime.metrics.multicast.on_receive(tuple_id, tasks)
         item = (tup, ack_to)
-        for task in tasks:
-            executor = self.executors[task]
-            inqueue = executor.inqueue
-            await inqueue.put(item)
-            metrics.note_queue_depth(executor.depth_key, inqueue.level)
+        executors = self.executors
+        plan.extend([(executors[task], item) for task in tasks])
 
     # ------------------------------------------------------------------
     # inbound handlers
     # ------------------------------------------------------------------
     async def _handle_inbound(self, conn: FramedConnection) -> None:
+        """Handle the messages of each socket read synchronously; await
+        only when a step must wait, which stops reading this connection
+        and withholds the credits of the messages behind it."""
         flow = self.config.flow
-        async for message in conn.messages():
-            mtype = message["type"]
-            if mtype == "data":
-                await self.deliver_local(
-                    tuple_from_wire(message["tuple"]),
-                    message["tasks"],
-                    message["ack_to"],
-                )
-                if flow:
-                    conn.grant(1)
-            elif mtype == "relay":
-                await self._on_relay(message)
-                if flow:
-                    conn.grant(1)
-            elif mtype == "acks":
-                acker = self.acker
-                if acker is not None:
-                    pairs = iter(message["a"])
-                    for root, task in zip(pairs, pairs):
-                        acker.on_ack(root, task)
-            elif mtype == "hello":
-                continue
-            else:  # pragma: no cover - protocol hygiene
-                raise ValueError(f"unknown message type {mtype!r}")
+        sender = _Sender(self, f"relay@m{self.machine_id}")
+        plan = sender.plan
+        while (messages := await conn.receive()) is not None:
+            credits = 0
+            for message in messages:
+                mtype = message["type"]
+                if mtype == "data":
+                    self._plan_local(plan, tuple_from_wire(message["tuple"]),
+                                     message["tasks"], message["ack_to"])
+                elif mtype == "relay":  # deliver locally, forward the subtree
+                    wire, dst, ack_to = message["tuple"], message["dst"], message["ack_to"]
+                    local = self._colocated[dst]
+                    if local:
+                        self._plan_local(plan, tuple_from_wire(wire), local, ack_to)
+                    self._plan_relay(plan, message["subtree"], dst, ack_to, wire)
+                elif mtype == "acks":
+                    acker = self.acker
+                    if acker is not None:
+                        pairs = iter(message["a"])
+                        for root, task in zip(pairs, pairs):
+                            acker.on_ack(root, task)
+                    continue
+                elif mtype == "hello":
+                    continue
+                else:  # pragma: no cover - protocol hygiene
+                    raise ValueError(f"unknown message type {mtype!r}")
+                while not self.advance(sender):
+                    if flow and credits:  # the messages before this one
+                        conn.grant(credits)
+                        credits = 0
+                    await sender.park()
+                credits += 1
+            if flow and credits:
+                conn.grant(credits)
 
-    async def _on_relay(self, message: Dict[str, Any]) -> None:
-        """Deliver a relayed tuple locally and forward its subtree."""
-        wire = message["tuple"]
-        dst = message["dst"]
-        ack_to = message["ack_to"]
-        placement = self.runtime.placement
-        local = placement.colocated_tasks(dst, self.machine_id)
-        if local:
-            await self.deliver_local(tuple_from_wire(wire), local, ack_to)
-        subtree = message["subtree"]
-        if not subtree:
-            return
-        d_star = self.config.d_star or 3
-        for child, rest in plan_relay(subtree, d_star):
-            await self.send(
-                child,
-                {
-                    "type": "relay",
-                    "dst": dst,
-                    "subtree": rest,
-                    "ack_to": ack_to,
-                    "tuple": wire,
-                },
-                stall_key=f"relay@m{self.machine_id}",
-            )
+    def _plan_relay(self, plan: deque, members: List[int], dst: str,
+                    ack_to: Optional[int], wire: List[Any]) -> None:
+        """Whale's relay tree: at most d* ``relay`` messages, each
+        carrying the subtree its child forwards to, hop by hop."""
+        for child, subtree in plan_relay(members, self._d_star):
+            plan.append((child, {"type": "relay", "dst": dst, "subtree": subtree,
+                                 "ack_to": ack_to, "tuple": wire}))
 
     async def _read_outbound(
         self, machine: int, conn: FramedConnection
@@ -755,14 +776,15 @@ class WorkerHost:
         """Consume the return direction of an outbound connection
         (credit grants)."""
         gate = self.gates[machine]
-        async for message in conn.messages():
-            if message["type"] == "credit":
-                gate.grant(message["n"])
+        while (messages := await conn.receive()) is not None:
+            for message in messages:
+                if message["type"] == "credit":
+                    gate.grant(message["n"])
 
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
         """Work still pending on this host (drain condition input)."""
-        if any(ex.inqueue.level > 0 for ex in self.executors.values()):
+        if any(ex.inqueue.level or ex.plan for ex in self.executors.values()):
             return True
         return self.acker is not None and bool(self.acker.pending)

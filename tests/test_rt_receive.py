@@ -1,10 +1,11 @@
-"""The rt receive path: the lean per-task inqueue, one decode and one
-tracker update per message, and one ``acks`` message per peer per loop
-turn.
+"""The rt receive path: the per-task inqueue, the host dispatcher's
+task parking, one decode and one tracker update per message, and one
+``acks`` message per peer per loop turn.
 
-The inqueue tests drive ``_InQueue`` on a bare event loop; the rest set
-up a real :class:`~repro.rt.runtime.AsyncRuntime` (localhost sockets on
-ephemeral ports) and poke one host at a time.
+The inqueue tests drive ``_InQueue`` and parked coroutine senders on a
+bare event loop; the rest set up a real
+:class:`~repro.rt.runtime.AsyncRuntime` (localhost sockets on ephemeral
+ports) and poke one host at a time.
 """
 
 import asyncio
@@ -15,9 +16,10 @@ import repro.rt.worker as rt_worker
 from repro.dsps import AllGrouping, Bolt, Topology
 from repro.dsps.config import SystemConfig
 from repro.dsps.tuples import StreamTuple
+from repro.net.cluster import Cluster
 from repro.rt.runtime import AsyncRuntime, default_cluster
 from repro.rt.topologies import make_topology
-from repro.rt.worker import _InQueue, tuple_to_wire
+from repro.rt.worker import _InQueue, _Sender, tuple_to_wire
 
 from tests._check_util import SeqSpout
 
@@ -25,51 +27,56 @@ from tests._check_util import SeqSpout
 # ----------------------------------------------------------------------
 # _InQueue
 # ----------------------------------------------------------------------
-def _get(q):
-    return asyncio.wait_for(q.get(), timeout=1.0)
+async def _put(q, sender, item):
+    """Enqueue ``item`` as a coroutine sender does: push, else register
+    the sender's wake-up and park until a pop frees room."""
+    while not q.push(item):
+        q.when_room(sender.wake)
+        await sender.park()
+
+
+def _sender():
+    return _Sender(None, "test")
 
 
 def test_inqueue_is_fifo_and_level_counts_queued_items():
-    async def scenario():
-        q = _InQueue(8)
-        levels = []
-        for item in "abcde":
-            await q.put(item)
-            levels.append(q.level)
-        got = [await _get(q) for _ in range(5)]
-        return levels, got, q.level
-
-    levels, got, level = asyncio.run(scenario())
+    q = _InQueue(8)
+    levels = []
+    for item in "abcde":
+        assert q.push(item)
+        levels.append(q.level)
+    got = [q.pop() for _ in range(5)]
     assert levels == [1, 2, 3, 4, 5]
     assert got == list("abcde")
-    assert level == 0
+    assert q.level == 0
 
 
 def test_put_at_capacity_blocks_and_putters_enter_in_arrival_order():
     async def scenario():
         q = _InQueue(2)
-        await q.put("a")
-        await q.put("b")
-        putters = [asyncio.create_task(q.put(item)) for item in "cde"]
+        assert q.push("a") and q.push("b")
+        refused = not q.push("x")
+        putters = [asyncio.create_task(_put(q, _sender(), item)) for item in "cde"]
         await asyncio.sleep(0)
         blocked = [not p.done() for p in putters]
         level_full = q.level
         trace = []
         for _ in range(5):
-            trace.append((await _get(q), q.level))
+            trace.append((q.pop(), q.level))
             await asyncio.sleep(0)
             trace.append([p.done() for p in putters])
-        return blocked, level_full, trace
+        return refused, blocked, level_full, trace
 
-    blocked, level_full, trace = asyncio.run(scenario())
+    refused, blocked, level_full, trace = asyncio.run(scenario())
+    assert refused  # the capacity bound
     assert blocked == [True, True, True]
     assert level_full == 2
-    # each get admits exactly the oldest parked put, so the queue stays
-    # full while putters wait and the items leave in arrival order
+    # each pop wakes every parked putter; they retry in arrival order,
+    # so the oldest takes the slot and the items leave in arrival order
     assert trace == [
-        ("a", 2), [True, False, False],
-        ("b", 2), [True, True, False],
-        ("c", 2), [True, True, True],
+        ("a", 1), [True, False, False],
+        ("b", 1), [True, True, False],
+        ("c", 1), [True, True, True],
         ("d", 1), [True, True, True],
         ("e", 0), [True, True, True],
     ]
@@ -78,14 +85,15 @@ def test_put_at_capacity_blocks_and_putters_enter_in_arrival_order():
 def test_cancelled_parked_put_never_happens():
     async def scenario():
         q = _InQueue(1)
-        await q.put("a")
-        doomed = asyncio.create_task(q.put("lost"))
-        later = asyncio.create_task(q.put("b"))
+        q.push("a")
+        doomed = asyncio.create_task(_put(q, _sender(), "lost"))
+        later = asyncio.create_task(_put(q, _sender(), "b"))
         await asyncio.sleep(0)
         doomed.cancel()
         await asyncio.gather(doomed, return_exceptions=True)
-        got = [await _get(q), await _get(q)]
+        got = [q.pop()]
         await asyncio.wait_for(later, timeout=1.0)
+        got.append(q.pop())
         return got, q.level
 
     got, level = asyncio.run(scenario())
@@ -93,41 +101,26 @@ def test_cancelled_parked_put_never_happens():
     assert level == 0
 
 
-def test_getter_cancelled_while_waiting_loses_no_item():
-    async def scenario():
-        q = _InQueue(4)
-        getter = asyncio.create_task(q.get())
-        await asyncio.sleep(0)
-        getter.cancel()
-        await asyncio.gather(getter, return_exceptions=True)
-        await q.put("x")
-        return getter.cancelled(), q.level, await _get(q)
-
-    cancelled, level, item = asyncio.run(scenario())
-    assert cancelled
-    assert level == 1
-    assert item == "x"
-
-
-def test_getter_cancelled_after_its_wake_loses_no_item():
-    """A bolt task woken by a put but cancelled (``stop``/``restart``)
-    before it ran leaves the item queued for its replacement."""
+def test_putter_cancelled_after_its_wake_holds_up_no_one():
+    """A parked put woken by a pop but cancelled (teardown) before it
+    resumed leaves the slot to the putter behind it."""
 
     async def scenario():
-        q = _InQueue(4)
-        getter = asyncio.create_task(q.get())
+        q = _InQueue(1)
+        q.push("a")
+        doomed = asyncio.create_task(_put(q, _sender(), "lost"))
+        later = asyncio.create_task(_put(q, _sender(), "b"))
         await asyncio.sleep(0)
-        await q.put("x")  # wakes the getter...
-        getter.cancel()  # ...which is cancelled before it resumes
-        await asyncio.gather(getter, return_exceptions=True)
-        level = q.level
-        replacement = await _get(q)
-        return getter.cancelled(), level, replacement
+        first = q.pop()  # wakes both putters...
+        doomed.cancel()  # ...and the first is cancelled before it resumes
+        await asyncio.gather(doomed, return_exceptions=True)
+        await asyncio.wait_for(later, timeout=1.0)
+        return doomed.cancelled(), [first, q.pop()], q.level
 
-    cancelled, level, item = asyncio.run(scenario())
+    cancelled, got, level = asyncio.run(scenario())
     assert cancelled
-    assert level == 1
-    assert item == "x"
+    assert got == ["a", "b"]
+    assert level == 0
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +168,60 @@ def _spout_host(runtime):
         h for h in runtime.hosts.values()
         if any(ex.is_spout for ex in h.executors.values())
     )
+
+
+# ----------------------------------------------------------------------
+# the dispatcher: a stall parks only its task
+# ----------------------------------------------------------------------
+class _Forward(Bolt):
+    def execute(self, tup, collector):
+        collector.emit("out", tup.values, anchor=tup)
+
+
+def test_parked_task_runs_no_input_until_woken():
+    """A task whose plan meets a full local queue parks with the rest of
+    its plan: input arriving meanwhile leaves it parked, and the slot a
+    pop frees resumes it, plan first, then its queue in FIFO order."""
+    log = []
+    topo = Topology("rt-park")
+    topo.add_spout("src", SeqSpout)
+    topo.add_bolt("first", _Forward, parallelism=1, inputs={"src": "shuffle"})
+    topo.add_bolt("second", lambda: _Keep(log), parallelism=1,
+                  inputs={"first": "shuffle"}, terminal=True)
+    config = SystemConfig(name="rt-park", backend="asyncio", executor_queue_capacity=1)
+    runtime = AsyncRuntime(topo, config, cluster=Cluster(1, 1, 4), seed=1)
+
+    def item(seq):
+        return StreamTuple(stream="src", values={"seq": seq}, source_operator="src"), None
+
+    async def scenario():
+        await runtime.setup()
+        try:
+            (host,) = runtime.hosts.values()
+            first, second = (
+                host.executors[runtime.placement.tasks_of[op][0]]
+                for op in ("first", "second")
+            )
+            assert second.inqueue.push(item(0))  # full, and not runnable
+            first.inqueue.push(item(1))
+            host.ready(first)
+            await asyncio.sleep(0)
+            parked = (first.parked, len(first.plan), first.inqueue.level)
+            first.inqueue.push(item(2))
+            host.ready(first)
+            await asyncio.sleep(0)
+            still = (first.parked, first.inqueue.level, len(log))
+            host.ready(second)
+            await _until(lambda: len(log) == 3)
+            return parked, still, [tup.values["seq"] for _, tup in log], first
+        finally:
+            await runtime.shutdown()
+
+    parked, still, seqs, first = asyncio.run(scenario())
+    assert parked == (True, 1, 0)
+    assert still == (True, 1, 0)
+    assert seqs == [0, 1, 2]
+    assert not first.parked and not first.plan and first.processed == 2
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +293,7 @@ def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypa
     real_decode = rt_worker.tuple_from_wire
 
     def counting_decode(wire):
-        decoded.append(wire["tuple_id"])
+        decoded.append(wire[6])  # the positional wire tuple's id
         return real_decode(wire)
 
     monkeypatch.setattr(rt_worker, "tuple_from_wire", counting_decode)
@@ -282,10 +329,11 @@ def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypa
                 message["tasks"] = list(local)
             else:
                 message["subtree"] = []
-            await runtime.hosts[sender].send(target, message)
+            conn = runtime.hosts[sender].peers[target]
+            await conn.send(message)
             await _until(lambda: len(log) == len(local))
             # a duplicate is decoded, then filtered before any tracking
-            await runtime.hosts[sender].send(target, dict(message))
+            await conn.send(dict(message))
             await _until(lambda: len(decoded) == 2)
             await asyncio.sleep(0.01)
             return tup.tuple_id, local, log, received

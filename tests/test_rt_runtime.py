@@ -141,6 +141,124 @@ def test_fanout_at_least_once_with_credits_is_exact():
             assert gate.max_in_flight <= config.credit_window
 
 
+class _HotSplit(Bolt):
+    """Splits each tick into five keyed words: a hot key three times
+    plus two keys that spread over every count task."""
+
+    def execute(self, tup, collector):
+        seq = tup.values["seq"]
+        for word in ("hot", "hot", "hot", f"w{seq % 16}", f"v{seq % 11}"):
+            collector.emit("words", {"word": word, "seq": seq}, key=word,
+                           payload_bytes=32, anchor=tup)
+
+
+class _WordTally(Bolt):
+    """Terminal (word, seq) tally."""
+
+    def __init__(self, tally: Counter):
+        self.tally = tally
+
+    def execute(self, tup, collector):
+        self.tally[(tup.values["word"], tup.values["seq"])] += 1
+
+
+def test_crossed_credit_stalls_do_not_deadlock():
+    """Split tasks on every host send to count tasks on every other host
+    through one-credit windows into two-slot queues, so hosts stall on
+    each other's credits while their own count queues are full.  A stall
+    must park only the task that lacks credit: the run completes with
+    the exact (word, seq) multiset inside every bound."""
+    budget, capacity, window = 80, 2, 1
+    tally: Counter = Counter()
+    topo = Topology("rt-crossed-stalls")
+    topo.add_spout("src", SeqSpout)
+    topo.add_bolt("split", _HotSplit, parallelism=8, inputs={"src": "shuffle"})
+    topo.add_bolt("count", lambda: _WordTally(tally), parallelism=8,
+                  inputs={"split": "fields"}, terminal=True)
+    config = SystemConfig(
+        name="rt-crossed-stalls",
+        backend="asyncio",
+        flow=True,
+        credit_window=window,
+        executor_queue_capacity=capacity,
+        rt_drain_timeout_s=10.0,
+    )
+    runtime = AsyncRuntime(topo, config, cluster=default_cluster(), seed=6)
+    assert len(runtime.cluster) >= 4
+
+    async def scenario():
+        await runtime.setup()
+        try:
+            runtime.clock.start()
+            runtime.metrics.open_window()
+            await runtime.drive(4000.0, budget=budget)
+            await runtime.drain()
+        finally:
+            await runtime.shutdown()
+
+    asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+    expected: Counter = Counter()
+    for seq in range(1, budget + 1):
+        for word in ("hot", "hot", "hot", f"w{seq % 16}", f"v{seq % 11}"):
+            expected[(word, seq)] += 1
+    assert tally == expected
+    for host in runtime.hosts.values():
+        for gate in host.gates.values():
+            # every directed host pair carried data, never over the window
+            assert gate.max_in_flight == window
+    depths = {
+        key: depth for key, depth in runtime.metrics.queue_depth_hwm.items()
+        if key.endswith(".inqueue")
+    }
+    assert depths and max(depths.values()) <= capacity
+    assert sum(runtime.metrics.credit_stall_s.values()) > 0
+
+
+class _Faulty(Bolt):
+    """Raises when it executes tick 3."""
+
+    def execute(self, tup, collector):
+        if tup.values["seq"] == 3:
+            raise RuntimeError("bolt failed on seq 3")
+
+
+def test_bolt_error_fails_the_run_and_leaves_nothing_behind():
+    """A bolt that raises in ``execute`` fails ``AsyncRuntime.run`` with
+    that exception, after a teardown that leaves no listener, connection
+    or task behind."""
+
+    def runtime():
+        topo = Topology("rt-faulty")
+        topo.add_spout("src", SeqSpout)
+        topo.add_bolt("sink", _Faulty, parallelism=4,
+                      inputs={"src": AllGrouping()}, terminal=True)
+        config = SystemConfig(name="rt-faulty", backend="asyncio",
+                              rt_drain_timeout_s=2.0)
+        return AsyncRuntime(topo, config, cluster=default_cluster(), seed=7)
+
+    failed = runtime()
+    with pytest.raises(RuntimeError, match="bolt failed on seq 3"):
+        failed.run(800.0, budget=10)
+    for host in failed.hosts.values():
+        assert host.server is None and not host.peers
+
+    async def scenario():
+        phased = runtime()
+        with pytest.raises(RuntimeError, match="bolt failed on seq 3"):
+            await phased._run(800.0, 10, None)
+        current = asyncio.current_task()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 2.0
+        while any(t is not current and not t.done() for t in asyncio.all_tasks()):
+            assert loop.time() < deadline, asyncio.all_tasks()
+            await asyncio.sleep(0.001)
+        return phased
+
+    phased = asyncio.run(scenario())
+    for host in phased.hosts.values():
+        assert host.server is None and not host.peers
+
+
 class _SlowTally(Bolt):
     """Blocks the event loop 3 ms per execute, so acks outlive a 2 ms
     ack timeout and the acker's sweep must replay or abandon."""

@@ -30,17 +30,18 @@ def test_echo_over_real_sockets():
         seen = []
 
         async def handler(conn: FramedConnection):
-            async for message in conn.messages():
-                seen.append(message)
-                await conn.send({"echo": message["seq"]})
+            while (messages := await conn.receive()) is not None:
+                for message in messages:
+                    seen.append(message)
+                    await conn.send({"echo": message["seq"]})
 
         server, port = await serve(handler)
         conn = await dial(port)
         echoes = []
         for seq in range(5):
             await conn.send({"type": "data", "seq": seq})
-        for _ in range(5):
-            echoes.append(await conn.recv())
+        while len(echoes) < 5:
+            echoes.extend(await conn.receive())
         await conn.close()
         server.close()
         await server.wait_closed()
@@ -53,7 +54,11 @@ def test_echo_over_real_sockets():
     assert conn.frames_received == 1
 
 
-def test_recv_returns_none_on_clean_eof():
+def test_receive_returns_none_on_clean_eof():
+    """Each ``receive`` hands back the messages one socket read
+    completed (a read may end inside a frame, so possibly none), then
+    ``None`` once the peer closed."""
+
     async def scenario():
         async def handler(conn: FramedConnection):
             await conn.send({"bye": 1})
@@ -61,16 +66,18 @@ def test_recv_returns_none_on_clean_eof():
 
         server, port = await serve(handler)
         conn = await dial(port)
-        first = await conn.recv()
-        second = await conn.recv()
+        received = []
+        while (messages := await conn.receive()) is not None:
+            received.extend(messages)
+        after_eof = await conn.receive()
         await conn.close()
         server.close()
         await server.wait_closed()
-        return first, second
+        return received, after_eof
 
-    first, second = asyncio.run(scenario())
-    assert first == {"bye": 1}
-    assert second is None
+    received, after_eof = asyncio.run(scenario())
+    assert received == [{"bye": 1}]
+    assert after_eof is None
 
 
 async def _collecting_server(limit: int = DEFAULT_FRAME_LIMIT):
@@ -81,8 +88,8 @@ async def _collecting_server(limit: int = DEFAULT_FRAME_LIMIT):
 
     async def handler(conn: FramedConnection):
         try:
-            async for message in conn.messages():
-                seen.append(message)
+            while (messages := await conn.receive()) is not None:
+                seen.extend(messages)
         finally:
             done.set()
 
@@ -192,6 +199,45 @@ def test_send_blocks_on_a_peer_that_never_reads():
     assert buffered <= high_water + OUTBOX_LIMIT * len(encode_frame(message))
 
 
+def test_drained_waits_only_above_the_high_water_mark():
+    """A synchronous sender's back-pressure: ``drained`` is None while
+    the writer is under its high-water mark, and after a flushing
+    ``post`` into a peer that does not read, a future that completes
+    once the peer reads again."""
+    message = {"type": "data", "blob": "x" * 4096}
+
+    async def scenario():
+        release = asyncio.Event()
+
+        async def handler(conn: FramedConnection):
+            await release.wait()
+            while await conn.receive() is not None:
+                pass
+
+        server, port = await serve(handler)
+        conn = await dial(port)
+        idle = conn.drained()
+        waits = None
+        for _ in range(20_000):
+            if conn.post(message):
+                waits = conn.drained()
+                if waits is not None:
+                    break
+        parked = waits is not None and not waits.done()
+        release.set()
+        await asyncio.wait_for(waits, timeout=10.0)
+        after = conn.drained()
+        await conn.close()
+        server.close()
+        await server.wait_closed()
+        return idle, parked, after
+
+    idle, parked, after = asyncio.run(scenario())
+    assert idle is None
+    assert parked
+    assert after is None
+
+
 def test_post_queues_without_awaiting_and_flushes_at_the_outbox_limit():
     """``post`` is synchronous: below the limit it leaves the turn's
     flush to the loop; the post that fills the outbox writes it at once,
@@ -256,6 +302,23 @@ def test_credit_gate_blocks_until_grant():
     assert gate.max_in_flight == 1
 
 
+def test_grant_wakes_every_waiting_sender_once():
+    """``take`` never waits; a sender it refuses registers a wake-up,
+    and the grant that reopens the window calls each registered one
+    once, in registration order."""
+    gate = CreditGate(1)
+    woken = []
+    assert gate.take()
+    assert not gate.take()
+    gate.when_granted(lambda: woken.append("a"))
+    gate.when_granted(lambda: woken.append("b"))
+    gate.grant(1)
+    gate.grant(1)
+    assert woken == ["a", "b"]
+    assert gate.in_flight == 0 and gate.max_in_flight == 1
+    assert CreditGate(None).take()
+
+
 def test_credit_window_enforced_under_slow_consumer():
     """End-to-end over real sockets: a consumer that grants credit
     slowly must cap the sender at ``window`` unacknowledged data frames
@@ -268,19 +331,21 @@ def test_credit_window_enforced_under_slow_consumer():
         received = []
 
         async def handler(conn: FramedConnection):
-            async for message in conn.messages():
-                received.append(message)
-                await asyncio.sleep(0.01)  # slow consumer
-                await conn.send({"type": "credit", "n": 1})
+            while (messages := await conn.receive()) is not None:
+                for message in messages:
+                    received.append(message)
+                    await asyncio.sleep(0.01)  # slow consumer
+                    await conn.send({"type": "credit", "n": 1})
 
         server, port = await serve(handler)
         conn = await dial(port)
         gate = CreditGate(window)
 
         async def credit_reader():
-            async for message in conn.messages():
-                if message["type"] == "credit":
-                    gate.grant(message["n"])
+            while (messages := await conn.receive()) is not None:
+                for message in messages:
+                    if message["type"] == "credit":
+                        gate.grant(message["n"])
 
         reader = asyncio.create_task(credit_reader())
         stalled = 0.0
@@ -309,15 +374,19 @@ def test_credit_grants_of_one_turn_fold_into_one_message():
 
     async def scenario():
         async def handler(conn: FramedConnection):
-            async for message in conn.messages():
-                if message["type"] == "data":
-                    conn.grant(1)
+            while (messages := await conn.receive()) is not None:
+                for message in messages:
+                    if message["type"] == "data":
+                        conn.grant(1)
 
         server, port = await serve(handler)
         conn = await dial(port)
         for seq in range(5):
             await conn.send({"type": "data", "seq": seq})
-        credit = await conn.recv()
+        credits = []
+        while not credits:
+            credits.extend(await conn.receive())
+        (credit,) = credits
         await conn.close()
         server.close()
         await server.wait_closed()
