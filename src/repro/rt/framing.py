@@ -14,6 +14,8 @@ A frame carries one message or a *batch*, ``{"type": "batch", "m":
 [...]}``, that the sender coalesced from one loop turn's messages (see
 :mod:`repro.rt.transport`).  The decoder flattens batches, so its caller
 sees the same message sequence whichever way the sender framed it.
+Data-plane tuples travel as *runs* (:func:`run_message`); a malformed
+run, or a value JSON cannot carry, is a :class:`FrameError` too.
 
 The codec is deliberately synchronous (bytes in, messages out) so it is
 property-testable without an event loop; :mod:`repro.rt.transport` wraps
@@ -24,13 +26,16 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional
+from itertools import repeat
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 #: struct format of the length prefix (4-byte big-endian unsigned).
 PREFIX = struct.Struct("!I")
 
 #: default frame-size cap; ``SystemConfig.rt_frame_limit_bytes`` overrides.
 DEFAULT_FRAME_LIMIT = 1 << 20
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
 
 class FrameError(ValueError):
@@ -39,7 +44,10 @@ class FrameError(ValueError):
 
 def encode_frame(message: Dict[str, Any], limit: int = DEFAULT_FRAME_LIMIT) -> bytes:
     """Serialize one message to a length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    try:
+        payload = _encode(message).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"unencodable message: {exc}") from exc
     if len(payload) > limit:
         raise FrameError(
             f"frame of {len(payload)} bytes exceeds the {limit}-byte limit"
@@ -58,6 +66,36 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
             f"frame payload must be a JSON object, got {type(message).__name__}"
         )
     return message
+
+
+def run_message(header: Sequence[Any], tasks: List[Any],
+                wires: Sequence[Sequence[Any]]) -> Dict[str, Any]:
+    """Rows sharing ``header``, ``(type, dst, ack_to[, subtree])``, as one
+    message: its fields, the rows' ``tasks`` (``data`` only) and their
+    wire tuples field-major as 8 ``cols`` (a lone one as ``row``)."""
+    message = {"type": header[0], "dst": header[1], "ack_to": header[2]}
+    if len(header) > 3:
+        message["subtree"] = header[3]
+    if tasks[0] is not None:
+        message["tasks"] = tasks
+    if len(wires) > 1:
+        message["cols"] = list(zip(*wires))
+    else:  # eight one-element columns cost more to encode and decode
+        message["row"] = wires[0]
+    return message
+
+
+def run_rows(message: Dict[str, Any], tasks: Any = None) -> Iterator[Any]:
+    """The ``(tasks, wire)`` rows of a run, in order (``tasks`` for rows
+    without their own); fields of unequal length are a FrameError."""
+    per_row = message.get("tasks")
+    try:
+        wires = [message["row"]] if "row" in message else list(zip(*message["cols"], strict=True))
+    except ValueError as exc:
+        raise FrameError(f"malformed run: {exc}") from None
+    if not wires or len(wires[0]) != 8 or per_row is not None and len(per_row) != len(wires):
+        raise FrameError(f"malformed run of {len(wires)} rows")
+    return zip(repeat(tasks) if per_row is None else per_row, wires)
 
 
 class FrameDecoder:
@@ -99,7 +137,7 @@ class FrameDecoder:
                     )
             if len(self._buffer) < self._need:
                 break
-            payload = bytes(self._buffer[: self._need])
+            payload = self._buffer[: self._need]
             del self._buffer[: self._need]
             self._need = None
             self.frames_decoded += 1

@@ -10,29 +10,30 @@ runs and CI jobs can overlap freely.
 
 **Worker-oriented writes.**  A :class:`FramedConnection` pays the
 transport cost once per peer per loop turn, not once per message:
-:meth:`~FramedConnection.send` appends to an outbox, and the first
-message queued in a turn schedules one flush with ``loop.call_soon``.
-The flush encodes the whole outbox as one ``{"type": "batch", "m":
-[...]}`` frame (a lone message goes bare) and makes one
-``writer.write``; a batch over the frame limit is halved until every
-frame fits, in order.  A message that alone exceeds the limit is
-never written: it raises :class:`~repro.rt.framing.FrameError` from the
-``send``/``post``/``close`` that flushes it, or, when the deferred flush
-hit it, from every later ``send``/``post`` and from ``close``.  An
-outbox that reaches :data:`OUTBOX_LIMIT` flushes at once; ``send`` then
-also awaits ``drain()``, so a sender that never yields still feels the
-transport's high-water mark; its synchronous twin
-:meth:`~FramedConnection.post` only reports the flush, and a worker
-host's task then waits on :meth:`~FramedConnection.drained`.
+:meth:`~FramedConnection.send`/:meth:`~FramedConnection.post` queue a
+control message, and :meth:`~FramedConnection.post_row` a data-plane
+row onto the outbox's last *run* when that has the same header, else
+onto a new one (so FIFO order holds).  The first entry queued in a turn
+schedules one flush with ``loop.call_soon``, which encodes the outbox
+as one ``{"type": "batch", "m": [...]}`` frame (a lone entry goes bare)
+and makes one ``writer.write``; a batch over the frame limit is halved,
+and a lone run split by rows, until every frame fits, in order.  A row
+or message over the limit on its own, or holding a value JSON cannot
+carry, is never written: it raises :class:`~repro.rt.framing.FrameError`
+from the call that flushes it, or, when the deferred flush hit it, from
+every later call and from ``close``.  An outbox of :data:`OUTBOX_LIMIT`
+rows and messages flushes at once; ``send`` then also awaits
+``drain()``, so a sender that never yields still feels the transport's
+high-water mark; ``post``/``post_row`` only report the flush, and a
+worker host's task then waits on :meth:`~FramedConnection.drained`.
 :meth:`~FramedConnection.receive` returns the messages one socket read
 completed, batches flattened, in per-connection FIFO order.
 
 **Credit semantics.**  When ``SystemConfig.flow`` is on, each outbound
-connection carries at most ``credit_window`` unacknowledged *data-plane*
-messages (``data``/``relay``); the receiver grants one credit per such
-message with :meth:`~FramedConnection.grant` once it has enqueued the
-work into its local executor queues, and each flush carries one
-``credit`` message with the summed grant.  A slow consumer thus
+connection carries at most ``credit_window`` unacknowledged data-plane
+rows; the receiver owes one credit per row once the work is in its
+local executor queues and grants them once per half window and before
+it parks, one summed ``credit`` message per flush.  A slow consumer thus
 propagates backpressure to the sender instead of growing an unbounded
 socket buffer.  Control messages (``acks``, ``credit`` itself,
 ``hello``) never consume credits — exactly the data/control split of
@@ -46,10 +47,10 @@ import asyncio
 import contextlib
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, FrameError, encode_frame
+from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, FrameError, encode_frame, run_message
 
-#: queued messages at which :meth:`FramedConnection.post` flushes at once
-#: (and :meth:`FramedConnection.send` also awaits the writer's ``drain()``).
+#: queued rows and messages at which the outbox flushes at once (and
+#: :meth:`FramedConnection.send` also awaits the writer's ``drain()``).
 OUTBOX_LIMIT = 256
 
 
@@ -66,13 +67,14 @@ class FramedConnection:
         self.writer = writer
         self.limit = limit
         self._decoder = FrameDecoder(limit)
-        #: messages queued for the next flush, and credits granted since
-        #: the last one.
-        self._outbox: List[Dict[str, Any]] = []
+        #: control messages and runs (``[header, tasks, wires]``) queued for
+        #: the next flush, rows and messages queued, credits granted.
+        self._outbox: List[Any] = []
+        self._queued = 0
         self._credits = 0
         self._flush_scheduled = False
-        #: why a flush refused a message too big to write; raised by
-        #: every later ``send``/``grant`` and by ``close``.
+        #: why a flush refused a message it could not write; raised by
+        #: every later ``send``/``post``/``grant`` and by ``close``.
         self._error: Optional[FrameError] = None
         self._closed = False
         self.frames_sent = 0
@@ -84,12 +86,28 @@ class FramedConnection:
             await self.writer.drain()
 
     def post(self, message: Dict[str, Any]) -> bool:
-        """Queue one message without ever awaiting ``drain()`` (control
-        traffic only); returns whether it filled the outbox, which was
-        then flushed at once."""
+        """Queue one control message without ever awaiting ``drain()``;
+        returns whether it filled the outbox, which was then flushed at
+        once."""
         self._check_open()
         self._outbox.append(message)
-        if len(self._outbox) >= OUTBOX_LIMIT:
+        return self._queued_one()
+
+    def post_row(self, header: Tuple[Any, ...], tasks: Any, wire: Any) -> bool:
+        """Queue a data-plane row onto the last run when it has this
+        header, else onto a new one; returns what :meth:`post` returns."""
+        self._check_open()
+        last = self._outbox[-1] if self._outbox else None
+        if last.__class__ is list and last[0] == header:
+            last[1].append(tasks)
+            last[2].append(wire)
+        else:
+            self._outbox.append([header, [tasks], [wire]])
+        return self._queued_one()
+
+    def _queued_one(self) -> bool:
+        self._queued += 1
+        if self._queued >= OUTBOX_LIMIT:
             self._flush()
             return True
         self._schedule_flush()
@@ -118,30 +136,34 @@ class FramedConnection:
             self._flush()
 
     def _flush(self) -> None:
-        """Write every queued message and the summed credit grant."""
-        messages, self._outbox = self._outbox, []
+        """Write every queued entry and the summed credit grant."""
+        entries, self._outbox, self._queued = self._outbox, [], 0
         if self._credits:
-            messages.append({"type": "credit", "n": self._credits})
+            entries.append({"type": "credit", "n": self._credits})
             self._credits = 0
-        if not messages:
+        if not entries:
             return
         try:
-            self._write(messages)
+            self._write(entries)
         except FrameError as exc:
             self._error = exc
             raise
 
-    def _write(self, messages: List[Dict[str, Any]]) -> None:
-        if len(messages) == 1:
-            frame = encode_frame(messages[0], self.limit)
-        else:
-            try:
-                frame = encode_frame({"type": "batch", "m": messages}, self.limit)
-            except FrameError:
-                half = len(messages) // 2
-                self._write(messages[:half])
-                self._write(messages[half:])
-                return
+    def _write(self, entries: List[Any]) -> None:
+        m = [run_message(*e) if e.__class__ is list else e for e in entries]
+        try:
+            frame = encode_frame(m[0] if len(m) == 1 else {"type": "batch", "m": m}, self.limit)
+        except FrameError:
+            if len(entries) == 1:  # split a lone run by rows
+                if entries[0].__class__ is not list or len(entries[0][2]) < 2:
+                    raise
+                header, tasks, wires = entries[0]
+                h = len(wires) // 2
+                entries = [[header, tasks[:h], wires[:h]], [header, tasks[h:], wires[h:]]]
+            half = len(entries) // 2
+            self._write(entries[:half])
+            self._write(entries[half:])
+            return
         self.writer.write(frame)
         self.frames_sent += 1
 
@@ -166,10 +188,6 @@ class FramedConnection:
     async def _drain_quietly(self) -> None:
         with contextlib.suppress(ConnectionError):
             await self.writer.drain()
-
-    @property
-    def frames_received(self) -> int:
-        return self._decoder.frames_decoded
 
     async def close(self) -> None:
         """Write everything queued, then close; raises the
@@ -230,7 +248,7 @@ class CreditGate:
 
     ``window=None`` disables flow control (every take is free) — the rt
     translation of ``SystemConfig.flow = False``.  Otherwise at most
-    ``window`` data-plane messages may be in flight; a grant that
+    ``window`` data-plane rows may be in flight; a grant that
     reopens the window wakes every sender that registered with
     :meth:`when_granted`, in registration order.
     """
@@ -240,7 +258,7 @@ class CreditGate:
             raise ValueError(f"credit window must be >= 1, got {window}")
         self.window = window
         self.in_flight = 0
-        #: high-water mark of concurrently unacknowledged data messages —
+        #: high-water mark of concurrently unacknowledged data rows —
         #: the invariant the transport tests pin (never exceeds window).
         self.max_in_flight = 0
         #: wake-ups of the senders waiting for credit.
@@ -275,7 +293,7 @@ class CreditGate:
         return loop.time() - t0
 
     def grant(self, n: int = 1) -> None:
-        """The receiver acknowledged ``n`` data messages; every waiting
+        """The receiver acknowledged ``n`` data rows; every waiting
         sender retries."""
         if self.window is None:
             return

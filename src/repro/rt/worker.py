@@ -9,28 +9,30 @@ connection (:mod:`repro.rt.transport`), while tuples for co-located
 tasks are enqueued directly (the same local short-circuit both Storm
 and the simulated worker-oriented path take).
 
-Wire protocol (JSON messages; see :mod:`repro.rt.framing`).  Every
-message a host sends one peer in one loop turn leaves as one ``batch``
-frame and one socket write (:mod:`repro.rt.transport`), so the transport
-cost is paid once per destination worker, not once per message.  A
-tuple travels as the positional list of its eight fields
-(:func:`tuple_to_wire`):
+Wire protocol (JSON messages; see :mod:`repro.rt.framing`).  Everything
+a host sends one peer in one loop turn leaves as one ``batch`` frame and
+one socket write (:mod:`repro.rt.transport`), so the transport cost is
+paid once per destination worker, not once per message.  Each data-plane
+send is a *row* — a header plus ``(tasks, wire)``, the tuple as the
+positional list of its eight fields (:func:`tuple_to_wire`) — and
+consecutive rows with one header travel as one field-major *run*:
 
 * ``hello``  — connection preamble naming the dialing machine;
-* ``data``   — a tuple for an explicit task list on the receiving
-  machine (one message per machine: worker-oriented batching);
-* ``relay``  — a one-to-many tuple plus the subtree of machines the
-  receiver must keep forwarding to (planned hop by hop with
-  :func:`repro.rt.relay.plan_relay`, so the source sends at most d*
-  relay messages per emit); the receiver delivers to all of its
-  co-located destination tasks;
+* ``data``   — header ``("data", dst, ack_to)``: a tuple for the row's
+  task list on the receiving machine (one row per machine:
+  worker-oriented batching; a replay's ``dst`` is ``None``);
+* ``relay``  — header ``("relay", dst, ack_to, subtree)``: a one-to-many
+  tuple plus the subtree of machines the receiver must keep forwarding
+  to (planned hop by hop with :func:`repro.rt.relay.plan_relay`, so the
+  source sends at most d* relay rows per emit); the receiver delivers
+  to all of its co-located destination tasks;
 * ``acks``   — ``{"a": [root, task, root, task, ...]}``: the tracked
   spout tuples the sender's tasks executed this loop turn, in order (one
   message per acker host per turn, posted without awaiting ``drain()``;
   the spout host's :class:`Acker` applies the pairs in order);
-* ``credit`` — receiver-driven flow control: one credit per data-plane
-  message, granted once the work is enqueued and coalesced into one
-  ``credit`` message per flush (only when ``SystemConfig.flow`` is on).
+* ``credit`` — receiver-driven flow control: one credit per row once
+  the work is enqueued, granted per half window and before the receiver
+  parks (only when ``SystemConfig.flow`` is on).
 
 **One dispatcher per host.**  A bolt task is a bounded FIFO
 (:class:`_InQueue`) and a plan, not an asyncio task.  Enqueuing marks it
@@ -42,11 +44,11 @@ into a full queue or behind a backlogged writer parks *only its sender*
 until the grant, the pop or the ``drain()``; parking the whole
 dispatcher would deadlock hosts whose tasks wait on each other's
 credits.  An inbound connection handles each socket read's messages
-synchronously.  A ``data`` or ``relay`` message is decoded once, and its
-one :class:`StreamTuple` goes to every local task after one dedup pass
-and one tracker update (the emitting host hands co-located tasks the
-emitted tuple itself), so tasks share the object, as in the DES's
-``Worker.dispatch``: **bolts must not mutate their input.**
+synchronously.  A row is decoded once, and its one :class:`StreamTuple`
+goes to every local task after one dedup pass and one tracker update
+(the emitting host hands co-located tasks the emitted tuple itself), so
+tasks share the object, as in the DES's ``Worker.dispatch``: **bolts
+must not mutate their input.**  A connection's error fails the run.
 
 **At-least-once** (``config.reliability_enabled``): the spout's host
 tracks every one-to-many spout emit in its :class:`Acker`, whose
@@ -54,7 +56,7 @@ completion state is the DES acker's
 :class:`~repro.dsps.acker.PendingTable` (root id -> destination tasks
 still owed an execution; a second one-to-many edge of the same tuple
 joins the same root).  A sweep task replays expired roots
-*selectively* — direct ``data`` messages to just the missing tasks — up
+*selectively* — ``data`` rows to just the missing tasks — up
 to ``max_replays`` times, after which the root is abandoned
 (``metrics.on_abandoned``).  Receivers dedup by tuple id, so replays
 cannot double-execute and the executed multiset stays exact.
@@ -72,6 +74,7 @@ from repro.dsps.acker import PendingTable
 from repro.dsps.api import TupleContext
 from repro.dsps.grouping import Grouping, make_grouping
 from repro.dsps.tuples import StreamTuple
+from repro.rt.framing import FrameError, run_rows
 from repro.rt.relay import plan_relay
 from repro.rt.transport import CreditGate, FramedConnection, dial, serve
 
@@ -453,7 +456,7 @@ class WorkerHost:
     async def start(self) -> int:
         """Bind the host's listener; returns the ephemeral port."""
         self.server, self.port = await serve(
-            self._handle_inbound, self.config.rt_frame_limit_bytes
+            self._read, self.config.rt_frame_limit_bytes
         )
         self.clock.emit("rt.listen", machine=self.machine_id, port=self.port)
         return self.port
@@ -470,7 +473,7 @@ class WorkerHost:
             self.gates[machine] = CreditGate(window)
             self._reader_tasks.append(
                 asyncio.create_task(
-                    self._read_outbound(machine, conn),
+                    self._read(conn, self.gates[machine]),
                     name=f"out-m{self.machine_id}-m{machine}",
                 )
             )
@@ -483,17 +486,15 @@ class WorkerHost:
     async def stop(self) -> None:
         """Tear the host down, then raise the first error a bolt or a
         connection met (an exception in ``execute``, a message over the
-        frame limit), so a broken run fails loudly without leaking
-        sockets."""
+        frame limit, a corrupt inbound frame), so a broken run fails
+        loudly without leaking sockets."""
         self.clock.emit("rt.shutdown", machine=self.machine_id)
         self._runnable.clear()
         if self.acker is not None:
             await self.acker.stop()
         for task in self._reader_tasks:
             task.cancel()
-        for task in self._reader_tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        await asyncio.gather(*self._reader_tasks, return_exceptions=True)
         self._reader_tasks.clear()
         errors = await asyncio.gather(
             *(conn.close() for conn in self.peers.values()), return_exceptions=True
@@ -611,7 +612,7 @@ class WorkerHost:
                     sender.stalled_at = None
                 plan.popleft()
                 conn = self.peers[target]
-                if conn.post(payload):
+                if conn.post_row(*payload):
                     drained = conn.drained()
                     if drained is not None:
                         drained.add_done_callback(lambda _: sender.wake())
@@ -661,14 +662,14 @@ class WorkerHost:
             if grouping.one_to_many:
                 self._plan_relay(plan, sorted(by_machine), dst, ack_to, wire)
             else:
-                # Worker-oriented batching: one message per machine.
+                # Worker-oriented batching: one row per machine.
+                header = ("data", dst, ack_to)
                 for machine, tasks in sorted(by_machine.items()):
-                    plan.append((machine, {"type": "data", "dst": dst, "tasks": tasks,
-                                           "ack_to": ack_to, "tuple": wire}))
+                    plan.append((machine, (header, tasks, wire)))
 
     def replay(self, plan: deque, wire: List[Any], tasks: Sequence[int]) -> None:
         """Plan a selective retransmission to just the unacked
-        destinations (a root may span several edges, so messages address
+        destinations (a root may span several edges, so its rows address
         tasks only)."""
         placement = self.runtime.placement
         by_machine: Dict[int, List[int]] = {}
@@ -678,8 +679,7 @@ class WorkerHost:
         if local:
             self._plan_local(plan, tuple_from_wire(wire), local, self.machine_id)
         for machine, machine_tasks in sorted(by_machine.items()):
-            plan.append((machine, {"type": "data", "tasks": machine_tasks,
-                                   "ack_to": self.machine_id, "tuple": wire}))
+            plan.append((machine, (("data", None, self.machine_id), machine_tasks, wire)))
 
     def send_ack(self, ack_to: int, root: int, task: int) -> None:
         """Ack one execution to the acker on ``ack_to``: directly when it
@@ -720,66 +720,70 @@ class WorkerHost:
         plan.extend([(executors[task], item) for task in tasks])
 
     # ------------------------------------------------------------------
-    # inbound handlers
+    # connection readers
     # ------------------------------------------------------------------
-    async def _handle_inbound(self, conn: FramedConnection) -> None:
-        """Handle the messages of each socket read synchronously; await
+    async def _read(self, conn: FramedConnection, gate: Optional[CreditGate] = None) -> None:
+        """Read a connection until EOF; its error (a corrupt frame, an
+        unknown type, a malformed run) fails the run as a bolt's does."""
+        try:
+            await self._handle(conn, gate)
+        except Exception as exc:
+            self.error = self.error or exc
+
+    async def _handle(self, conn: FramedConnection, gate: Optional[CreditGate]) -> None:
+        """Handle each socket read's messages synchronously (rows and acks
+        in; on an outbound connection, credit grants for ``gate``); await
         only when a step must wait, which stops reading this connection
-        and withholds the credits of the messages behind it."""
-        flow = self.config.flow
+        and withholds the credits of the rows behind it.  With flow on, a
+        row owes a credit; owed credits carry across reads and are granted
+        at half the window and before parking: a sender waits only with a
+        full window in flight, so they reach it unless this handler parks."""
+        flow, threshold = int(self.config.flow), max(1, self.config.credit_window // 2)
         sender = _Sender(self, f"relay@m{self.machine_id}")
         plan = sender.plan
+        owed = 0
         while (messages := await conn.receive()) is not None:
-            credits = 0
             for message in messages:
                 mtype = message["type"]
-                if mtype == "data":
-                    self._plan_local(plan, tuple_from_wire(message["tuple"]),
-                                     message["tasks"], message["ack_to"])
-                elif mtype == "relay":  # deliver locally, forward the subtree
-                    wire, dst, ack_to = message["tuple"], message["dst"], message["ack_to"]
-                    local = self._colocated[dst]
-                    if local:
-                        self._plan_local(plan, tuple_from_wire(wire), local, ack_to)
-                    self._plan_relay(plan, message["subtree"], dst, ack_to, wire)
-                elif mtype == "acks":
-                    acker = self.acker
-                    if acker is not None:
+                if mtype == "credit":
+                    gate.grant(message["n"])
+                    continue
+                if mtype == "acks":
+                    if self.acker is not None:
                         pairs = iter(message["a"])
                         for root, task in zip(pairs, pairs):
-                            acker.on_ack(root, task)
+                            self.acker.on_ack(root, task)
                     continue
-                elif mtype == "hello":
+                if mtype == "hello":
                     continue
-                else:  # pragma: no cover - protocol hygiene
-                    raise ValueError(f"unknown message type {mtype!r}")
-                while not self.advance(sender):
-                    if flow and credits:  # the messages before this one
-                        conn.grant(credits)
-                        credits = 0
-                    await sender.park()
-                credits += 1
-            if flow and credits:
-                conn.grant(credits)
+                dst, ack_to = message["dst"], message["ack_to"]
+                if mtype == "data":
+                    local, subtree = None, None
+                elif mtype == "relay":  # deliver locally, forward the subtree
+                    local, subtree = self._colocated[dst], message["subtree"]
+                else:
+                    raise FrameError(f"unknown message type {mtype!r}")
+                for tasks, wire in run_rows(message, local):
+                    if tasks:
+                        self._plan_local(plan, tuple_from_wire(wire), tasks, ack_to)
+                    if subtree:
+                        self._plan_relay(plan, subtree, dst, ack_to, wire)
+                    while not self.advance(sender):
+                        if owed:  # the rows before this one
+                            conn.grant(owed)
+                            owed = 0
+                        await sender.park()
+                    owed += flow
+                    if owed == threshold:
+                        conn.grant(owed)
+                        owed = 0
 
     def _plan_relay(self, plan: deque, members: List[int], dst: str,
-                    ack_to: Optional[int], wire: List[Any]) -> None:
-        """Whale's relay tree: at most d* ``relay`` messages, each
-        carrying the subtree its child forwards to, hop by hop."""
+                    ack_to: Optional[int], wire: Sequence[Any]) -> None:
+        """Whale's relay tree: at most d* ``relay`` rows, each carrying
+        the subtree its child forwards to, hop by hop."""
         for child, subtree in plan_relay(members, self._d_star):
-            plan.append((child, {"type": "relay", "dst": dst, "subtree": subtree,
-                                 "ack_to": ack_to, "tuple": wire}))
-
-    async def _read_outbound(
-        self, machine: int, conn: FramedConnection
-    ) -> None:
-        """Consume the return direction of an outbound connection
-        (credit grants)."""
-        gate = self.gates[machine]
-        while (messages := await conn.receive()) is not None:
-            for message in messages:
-                if message["type"] == "credit":
-                    gate.grant(message["n"])
+            plan.append((child, (("relay", dst, ack_to, subtree), None, wire)))
 
     # ------------------------------------------------------------------
     @property

@@ -1,8 +1,12 @@
 """API hygiene: every public package exports what it promises, every
-module is documented, and the package imports cleanly in any order."""
+module is documented, the package imports cleanly in any order, and it
+imports nothing beyond the standard library and numpy."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +91,23 @@ def test_no_import_cycles_from_leaves():
 
 def test_version_exposed():
     assert repro.__version__ == "1.0.0"
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    """The benchmark and CI environments install numpy and nothing else
+    (``pyproject.toml``'s ``dependencies``), so any other import fails
+    there even when it works on a developer's machine."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+    root = Path(repro.__file__).parent
+    outside = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.relative_to(root)}:{node.lineno}: {name}"
+                        for name in names if name.split(".")[0] not in allowed]
+    assert not outside, outside

@@ -21,6 +21,8 @@ from repro.rt.framing import (
     FrameError,
     decode_payload,
     encode_frame,
+    run_message,
+    run_rows,
 )
 
 
@@ -77,6 +79,51 @@ def test_oversized_declared_length_rejected_before_payload():
 def test_encode_rejects_oversized_message():
     with pytest.raises(FrameError):
         encode_frame({"blob": "x" * 100}, limit=32)
+
+
+def test_encode_names_a_value_json_cannot_carry():
+    """A set (or a circular reference) is a FrameError naming the
+    problem, not a bare TypeError; NaN keeps the stdlib's encoding."""
+    with pytest.raises(FrameError, match="set"):
+        encode_frame({"values": {"tags": {1, 2}}})
+    loop = []
+    loop.append(loop)
+    with pytest.raises(FrameError, match="Circular"):
+        encode_frame({"values": loop})
+    (message,) = FrameDecoder().feed(encode_frame({"x": float("nan")}))
+    assert message["x"] != message["x"]
+
+
+def test_run_is_field_major_and_walks_back_into_rows():
+    wires = [["s", {"n": n}, None, 8, 0.5, "s", n, n] for n in range(3)]
+    data = run_message(("data", "sink", 2), [[1], [2, 3], [4]], wires)
+    assert data == {"type": "data", "dst": "sink", "ack_to": 2,
+                    "tasks": [[1], [2, 3], [4]], "cols": [tuple(c) for c in zip(*wires)]}
+    (decoded,) = FrameDecoder().feed(encode_frame(data))
+    assert [(tasks, list(wire)) for tasks, wire in run_rows(decoded)] == list(
+        zip([[1], [2, 3], [4]], wires))
+    relay = run_message(("relay", "sink", None, [5]), [None] * 3, wires)
+    assert relay["subtree"] == [5] and "tasks" not in relay
+    assert [tasks for tasks, _ in run_rows(relay, [9])] == [[9]] * 3
+    # one row travels as its wire tuple, not as eight one-element columns
+    single = run_message(("data", "sink", 2), [[1]], wires[:1])
+    assert single["row"] == wires[0] and "cols" not in single
+    assert [(tasks, list(wire)) for tasks, wire in run_rows(single)] == [([1], wires[0])]
+
+
+@pytest.mark.parametrize("break_run", [
+    lambda m: m["cols"][3].pop(),  # a short column
+    lambda m: m["tasks"].pop(),  # fewer task lists than rows
+    lambda m: m["cols"].pop(),  # seven columns
+    lambda m: m.update(row=m["cols"][0], tasks=[[1]]),  # one row of three fields
+])
+def test_malformed_run_is_a_frame_error_not_a_truncation(break_run):
+    wires = [["s", {"n": n}, None, 8, 0.5, "s", n, n] for n in range(3)]
+    (run,) = FrameDecoder().feed(encode_frame(
+        run_message(("data", "sink", None), [[1]] * 3, wires)))
+    break_run(run)
+    with pytest.raises(FrameError):
+        list(run_rows(run))
 
 
 def test_decode_payload_rejects_garbage_and_non_objects():

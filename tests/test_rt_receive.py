@@ -285,7 +285,7 @@ def test_local_ack_goes_straight_to_the_acker_and_never_touches_the_wire():
 
 
 # ----------------------------------------------------------------------
-# decode once, one tracker update per message
+# decode once, one tracker update per row
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mtype", ["data", "relay"])
 def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypatch):
@@ -323,17 +323,15 @@ def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypa
             assert len(local) >= 2
             sender = next(m for m in runtime.hosts if m != target)
             tup = StreamTuple(stream="src", values={"seq": 7}, source_operator="src")
-            message = {"type": mtype, "dst": "sink", "ack_to": None,
-                       "tuple": tuple_to_wire(tup)}
             if mtype == "data":
-                message["tasks"] = list(local)
+                row = (("data", "sink", None), list(local), tuple_to_wire(tup))
             else:
-                message["subtree"] = []
+                row = (("relay", "sink", None, []), None, tuple_to_wire(tup))
             conn = runtime.hosts[sender].peers[target]
-            await conn.send(message)
+            conn.post_row(*row)
             await _until(lambda: len(log) == len(local))
             # a duplicate is decoded, then filtered before any tracking
-            await conn.send(dict(message))
+            conn.post_row(*row)
             await _until(lambda: len(decoded) == 2)
             await asyncio.sleep(0.01)
             return tup.tuple_id, local, log, received

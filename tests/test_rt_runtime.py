@@ -16,10 +16,14 @@ import pytest
 
 from repro.dsps import AllGrouping, Bolt, Topology
 from repro.dsps.config import SystemConfig
-from repro.rt.framing import FrameError
+from repro.dsps.tuples import StreamTuple
+from repro.net.cluster import Cluster
+from repro.rt.framing import FrameError, run_message
 from repro.rt.relay import plan_relay, tree_edges
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
 from repro.rt.topologies import SENTENCES, Recorder, make_topology
+from repro.rt.transport import CreditGate, FramedConnection
+from repro.rt.worker import _Sender, tuple_to_wire
 from repro.trace import MemoryTracer
 from repro.trace.tracer import ALL_CATEGORIES, DEFAULT_CATEGORIES
 
@@ -257,6 +261,214 @@ def test_bolt_error_fails_the_run_and_leaves_nothing_behind():
     phased = asyncio.run(scenario())
     for host in phased.hosts.values():
         assert host.server is None and not host.peers
+
+
+# ----------------------------------------------------------------------
+# errors on the wire fail the run
+# ----------------------------------------------------------------------
+class _TaggedSpout(SeqSpout):
+    """SeqSpout whose values carry a set, which JSON cannot encode."""
+
+    def next_tuple(self):
+        values, key, payload_bytes = super().next_tuple()
+        return {**values, "tags": {1, 2}}, key, payload_bytes
+
+
+class _Forward(Bolt):
+    def execute(self, tup, collector):
+        collector.emit("out", tup.values, key=tup.values["seq"], anchor=tup)
+
+
+class _Log(Bolt):
+    """Terminal: appends ``(seq, task)`` per execution."""
+
+    def __init__(self, log):
+        self.log = log
+        self.task_id = None
+
+    def prepare(self, ctx):
+        self.task_id = ctx.task_id
+
+    def execute(self, tup, collector):
+        self.log.append((tup.values["seq"], self.task_id))
+
+
+def test_value_json_cannot_carry_fails_the_run():
+    """A tuple value the codec cannot encode fails the run with a
+    FrameError naming the type, instead of silently losing the peer's
+    outbox."""
+    topo = Topology("rt-unencodable")
+    topo.add_spout("src", _TaggedSpout)
+    topo.add_bolt("mid", _Forward, parallelism=4, inputs={"src": "shuffle"})
+    topo.add_bolt("sink", lambda: _Log([]), parallelism=4,
+                  inputs={"mid": "fields"}, terminal=True)
+    config = SystemConfig(name="rt-unencodable", backend="asyncio",
+                          rt_drain_timeout_s=2.0)
+    runtime = AsyncRuntime(topo, config, cluster=default_cluster(), seed=8)
+    with pytest.raises(FrameError, match="set"):
+        runtime.run(800.0, budget=20)
+    for host in runtime.hosts.values():
+        assert host.server is None and not host.peers
+
+
+def _fails_the_run(inject, match):
+    """Run word_count on four hosts with ``inject(runtime)`` applied
+    after setup: ``drain`` stops, ``shutdown`` raises a FrameError
+    matching ``match``, and no listener, connection or task remains."""
+    runtime = AsyncRuntime(
+        make_topology("word_count", parallelism=4),
+        SystemConfig(name="rt-wire-error", backend="asyncio", rt_drain_timeout_s=30.0),
+        cluster=default_cluster(),
+        seed=9,
+    )
+
+    async def scenario():
+        await runtime.setup()
+        inject(runtime)
+        runtime.clock.start()
+        runtime.metrics.open_window()
+        loop = asyncio.get_running_loop()
+        await runtime.drive(800.0, budget=24)
+        t0 = loop.time()
+        await runtime.drain()
+        drain_s = loop.time() - t0
+        with pytest.raises(FrameError, match=match):
+            await runtime.shutdown()
+        current = asyncio.current_task()
+        deadline = loop.time() + 2.0
+        while any(t is not current and not t.done() for t in asyncio.all_tasks()):
+            assert loop.time() < deadline, asyncio.all_tasks()
+            await asyncio.sleep(0.001)
+        return drain_s
+
+    assert asyncio.run(scenario()) < 10.0
+    for host in runtime.hosts.values():
+        assert host.server is None and not host.peers
+
+
+def test_corrupt_inbound_frame_fails_the_run():
+    def inject(runtime):
+        runtime.hosts[0].peers[1].writer.write(b"\x00\x00\x00\x05hello")
+
+    _fails_the_run(inject, "undecodable frame payload")
+
+
+def test_run_with_a_short_column_fails_the_run():
+    def inject(runtime):
+        wire = ["split", {"seq": 0}, None, 64, 0.0, "split", 1, 1]
+        run = run_message(("data", "count", None), [[1], [1]], [wire, wire])
+        run["cols"][2] = run["cols"][2][:1]
+        runtime.hosts[0].peers[1].post(run)
+
+    _fails_the_run(inject, "malformed run")
+
+
+# ----------------------------------------------------------------------
+# half-window credit grants
+# ----------------------------------------------------------------------
+def _two_host_sink(log, window, capacity=4096):
+    topo = Topology("rt-half-window")
+    topo.add_spout("src", SeqSpout)
+    topo.add_bolt("sink", lambda: _Log(log), parallelism=4,
+                  inputs={"src": "shuffle"}, terminal=True)
+    config = SystemConfig(name="rt-half-window", backend="asyncio", flow=True,
+                          credit_window=window, executor_queue_capacity=capacity)
+    return AsyncRuntime(topo, config, cluster=Cluster(2, 1, 4), seed=10)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 64])
+def test_sender_parked_on_a_full_window_is_always_woken(window):
+    """A sender that fills the window parks; the receiver's half-window
+    grants always wake it, and no gate ever exceeds the window."""
+    log = []
+    runtime = _two_host_sink(log, window)
+    rows = 4 * window + 1
+
+    async def scenario():
+        await runtime.setup()
+        try:
+            src, dst = runtime.hosts.values()
+            task = runtime.placement.colocated_tasks("sink", dst.machine_id)[0]
+            sender = _Sender(src, "test")
+            for seq in range(rows):
+                wire = tuple_to_wire(StreamTuple("src", {"seq": seq}, source_operator="src"))
+                sender.plan.append((dst.machine_id, (("data", "sink", None), [task], wire)))
+            parks = 0
+            while not src.advance(sender):
+                parks += 1
+                await sender.park()
+            while len(log) < rows:
+                await asyncio.sleep(0.001)
+            return parks, src.gates[dst.machine_id]
+        finally:
+            await runtime.shutdown()
+
+    parks, gate = asyncio.run(asyncio.wait_for(scenario(), timeout=10.0))
+    assert parks >= 1
+    assert gate.max_in_flight == window
+    assert sorted(seq for seq, _ in log) == list(range(rows))
+    for host in runtime.hosts.values():
+        for other in host.gates.values():
+            assert other.max_in_flight <= window
+
+
+def test_credit_messages_are_one_per_half_window_plus_parks(monkeypatch):
+    """On two hosts running word_count both ways, each receiver sends
+    at most ceil(rows / threshold) credit messages plus one per park of
+    its inbound handler."""
+    window = 8
+    threshold = window // 2
+    rows, credits, parks = Counter(), Counter(), Counter()
+    real_post_row, real_grant, real_park = (
+        FramedConnection.post_row, CreditGate.grant, _Sender.park)
+
+    def post_row(conn, *row):
+        rows[id(conn)] += 1
+        return real_post_row(conn, *row)
+
+    def grant(gate, n=1):
+        credits[id(gate)] += 1
+        return real_grant(gate, n)
+
+    def park(sender):
+        parks[sender.stall_key] += 1
+        return real_park(sender)
+
+    monkeypatch.setattr(FramedConnection, "post_row", post_row)
+    monkeypatch.setattr(CreditGate, "grant", grant)
+    monkeypatch.setattr(_Sender, "park", park)
+    budget = 120
+    recorder = Recorder()
+    runtime = AsyncRuntime(
+        make_topology("word_count", parallelism=4, recorder=recorder),
+        SystemConfig(name="rt-credit-messages", backend="asyncio", flow=True,
+                     credit_window=window, executor_queue_capacity=4),
+        cluster=Cluster(2, 1, 4),
+        seed=11,
+        recorder=recorder,
+    )
+
+    async def scenario():
+        await runtime.setup()
+        try:
+            runtime.clock.start()
+            await runtime.drive(4000.0, budget=budget)
+            await runtime.drain()
+            hosts = list(runtime.hosts.values())
+            return [
+                (rows[id(src.peers[dst.machine_id])],
+                 credits[id(src.gates[dst.machine_id])],
+                 parks[f"relay@m{dst.machine_id}"])
+                for src in hosts for dst in hosts if src is not dst
+            ]
+        finally:
+            await runtime.shutdown()
+
+    pairs = asyncio.run(scenario())
+    assert recorder.executed == _expected_word_multiset(budget)
+    for n_rows, n_credits, n_parks in pairs:
+        assert n_rows > 0
+        assert n_credits <= -(-n_rows // threshold) + n_parks
 
 
 class _SlowTally(Bolt):

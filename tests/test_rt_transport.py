@@ -11,7 +11,13 @@ import asyncio
 
 import pytest
 
-from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameError, encode_frame
+from repro.rt.framing import (
+    DEFAULT_FRAME_LIMIT,
+    FrameError,
+    encode_frame,
+    run_message,
+    run_rows,
+)
 from repro.rt.transport import (
     OUTBOX_LIMIT,
     CreditGate,
@@ -51,7 +57,7 @@ def test_echo_over_real_sockets():
     assert [m["seq"] for m in seen] == list(range(5))
     assert [m["echo"] for m in echoes] == list(range(5))
     assert conn.frames_sent == 1
-    assert conn.frames_received == 1
+    assert conn._decoder.frames_decoded == 1
 
 
 def test_receive_returns_none_on_clean_eof():
@@ -394,4 +400,82 @@ def test_credit_grants_of_one_turn_fold_into_one_message():
 
     credit, conn = asyncio.run(scenario())
     assert credit == {"type": "credit", "n": 5}
-    assert conn.frames_received == 1
+    assert conn._decoder.frames_decoded == 1
+
+
+# ----------------------------------------------------------------------
+# rows and runs
+# ----------------------------------------------------------------------
+def _wire(seq):
+    """A positional wire tuple (the eight StreamTuple fields)."""
+    return ["src", {"seq": seq}, None, 64, 0.0, "src", seq, seq]
+
+
+def _rows_of(messages):
+    """``(type, dst, seq)`` per row of the received runs, in order."""
+    return [
+        (m["type"], m["dst"], wire[1]["seq"])
+        for m in messages if m["type"] in ("data", "relay")
+        for _, wire in run_rows(m)
+    ]
+
+
+def test_interleaved_rows_and_control_messages_keep_posting_order():
+    """Only consecutive rows with one header merge into a run: a header
+    change or a control message in between starts a new one, and the
+    peer sees every row and message in posting order."""
+    data_a, data_b = ("data", "a", None), ("data", "b", None)
+    relay = ("relay", "a", 0, [5, 6])
+
+    async def scenario():
+        server, port, seen, done = await _collecting_server()
+        conn = await dial(port)
+        conn.post_row(data_a, [1], _wire(0))
+        conn.post_row(data_a, [2, 3], _wire(1))
+        conn.post_row(relay, None, _wire(2))
+        conn.post_row(relay, None, _wire(3))
+        conn.post({"type": "acks", "a": [7, 1]})
+        conn.post_row(data_a, [1], _wire(4))
+        conn.post_row(data_b, [1], _wire(5))
+        conn.post_row(("data", "a", 0), [1], _wire(6))
+        await conn.close()
+        await done.wait()
+        server.close()
+        await server.wait_closed()
+        return seen, conn
+
+    seen, conn = asyncio.run(scenario())
+    assert conn.frames_sent == 1
+    assert [m["type"] for m in seen] == ["data", "relay", "acks", "data", "data", "data"]
+    assert [len(list(run_rows(m))) for m in seen if m["type"] != "acks"] == [2, 2, 1, 1, 1]
+    assert seen[0]["tasks"] == [[1], [2, 3]]
+    assert seen[1]["subtree"] == [5, 6] and "tasks" not in seen[1]
+    assert [m["ack_to"] for m in seen if m["type"] == "data"] == [None, None, None, 0]
+    assert _rows_of(seen) == [
+        ("data", "a", 0), ("data", "a", 1), ("relay", "a", 2), ("relay", "a", 3),
+        ("data", "a", 4), ("data", "b", 5), ("data", "a", 6),
+    ]
+
+
+def test_run_over_the_frame_limit_is_split_by_rows():
+    """A frame limit that fits every row but not their run delivers
+    every row, in order, in several frames and without a FrameError."""
+    limit, total = 256, 40
+    header = ("data", "sink", None)
+
+    async def scenario():
+        server, port, seen, done = await _collecting_server(limit)
+        conn = await dial(port, limit)
+        for seq in range(total):
+            conn.post_row(header, [seq % 4], _wire(seq))
+        await conn.close()
+        await done.wait()
+        server.close()
+        await server.wait_closed()
+        return seen, conn
+
+    seen, conn = asyncio.run(scenario())
+    assert len(encode_frame(run_message(header, [[0]], [_wire(total)]))) <= limit
+    assert [seq for _, _, seq in _rows_of(seen)] == list(range(total))
+    assert [tasks for m in seen for tasks in m["tasks"]] == [[s % 4] for s in range(total)]
+    assert 1 < conn.frames_sent < total
