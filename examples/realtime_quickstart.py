@@ -74,6 +74,8 @@ def run_on(backend: str) -> Counter:
     config = SystemConfig(
         name="realtime-quickstart",
         backend=backend,
+        worker_oriented=True,  # Whale: one copy per destination worker,
+        multicast="nonblocking",  # relayed down Algorithm 1's tree
         delivery="at_least_once",  # exercise the acker on both engines
         flow=True,  # receiver-driven credits
         credit_window=16,

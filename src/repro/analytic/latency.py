@@ -13,11 +13,7 @@ from __future__ import annotations
 import math
 
 from repro.dsps.config import SystemConfig
-from repro.multicast.build import (
-    build_binomial_tree,
-    build_nonblocking_tree,
-    build_sequential_tree,
-)
+from repro.multicast.build import build_tree
 from repro.multicast.capability import completion_time_units
 from repro.net.rdma import VerbProfile
 from repro.net.serialization import SerializationModel
@@ -82,15 +78,7 @@ def multicast_latency_estimate(
 ) -> float:
     """Expected time from tuple production until the last endpoint
     receives it: source queueing wait + critical-path relay hops."""
-    endpoints = list(range(n_endpoints))
-    if structure == "sequential":
-        tree = build_sequential_tree(endpoints)
-    elif structure == "binomial":
-        tree = build_binomial_tree(endpoints)
-    elif structure == "nonblocking":
-        tree = build_nonblocking_tree(endpoints, d_star=d_star)
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
+    tree = build_tree(structure, range(n_endpoints), d_star)
     hops = completion_time_units(tree)
     hop = per_hop_time(config, payload_bytes, batch_ids=batch_ids)
     d0 = max(1, tree.out_degree(tree.root))

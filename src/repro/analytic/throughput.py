@@ -57,7 +57,7 @@ def source_service_time(config: SystemConfig, shape: SystemShape) -> float:
             endpoints = m
             per_batch = n / m
             d0 = min(
-                config.d_star or 3
+                config.d_star
                 if config.multicast == "nonblocking"
                 else binomial_out_degree(endpoints),
                 binomial_out_degree(endpoints),
@@ -67,7 +67,7 @@ def source_service_time(config: SystemConfig, shape: SystemShape) -> float:
             )
             return d0 * (serialize + send_cpu) + dispatch
         d0 = min(
-            config.d_star or 3
+            config.d_star
             if config.multicast == "nonblocking"
             else binomial_out_degree(n),
             binomial_out_degree(n),

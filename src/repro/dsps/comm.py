@@ -32,16 +32,13 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
 from repro.multicast import (
     MulticastTree,
     SOURCE,
-    build_binomial_tree,
-    build_nonblocking_tree,
-    build_sequential_tree,
+    build_tree,
     plan_reattach,
     plan_repair,
 )
@@ -149,7 +146,7 @@ class MulticastService:
                 self._tasks_of_endpoint[ep] = [task]
                 self._machine_of_endpoint[ep] = placement.machine_of[task]
         self.src_machine = src_machine
-        self.tree = self._build(list(self._tasks_of_endpoint))
+        self.tree = build_tree(structure, list(self._tasks_of_endpoint), d_star)
         #: while a dynamic switch or repair is in progress, the source's
         #: held sends (the controller releases them); ``None`` otherwise.
         self.paused_until: Optional[List[Callable[[], None]]] = None
@@ -159,16 +156,6 @@ class MulticastService:
         self._detached: set = set()
         self.repair_count = 0
         self.reattach_count = 0
-
-    # ------------------------------------------------------------------
-    def _build(self, endpoints: Sequence[Any]) -> MulticastTree:
-        if self.structure == "sequential":
-            return build_sequential_tree(endpoints)
-        if self.structure == "binomial":
-            return build_binomial_tree(endpoints)
-        if self.structure == "nonblocking":
-            return build_nonblocking_tree(endpoints, d_star=self.d_star)
-        raise ValueError(f"unknown structure {self.structure!r}")
 
     # ------------------------------------------------------------------
     @property

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
+from repro.multicast.build import STRUCTURES
 from repro.net.costs import CostModel
 from repro.net.rdma import Verb
 
@@ -48,8 +49,8 @@ class SystemConfig:
     #: multicast structure for one-to-many streams:
     #: "sequential" | "binomial" | "nonblocking"
     multicast: str = "sequential"
-    #: initial d* for the nonblocking structure (None = derive from model)
-    d_star: Optional[int] = 3
+    #: initial d* for the nonblocking structure
+    d_star: int = 3
     #: queue-based self-adjusting mechanism (Section 3.3) on/off
     adaptive: bool = False
     #: MMS/WTL stream slicing on the RDMA data path (Section 4)
@@ -191,7 +192,7 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.transport not in ("tcp", "rdma"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.multicast not in ("sequential", "binomial", "nonblocking"):
+        if self.multicast not in STRUCTURES:
             raise ValueError(f"unknown multicast structure {self.multicast!r}")
         if self.transfer_queue_capacity < 1:
             raise ValueError("transfer queue capacity must be >= 1")
@@ -199,8 +200,8 @@ class SystemConfig:
             raise ValueError("stream slicing requires the RDMA transport")
         if not 0 < self.warning_waterline_fraction < 1:
             raise ValueError("warning waterline must be a fraction in (0,1)")
-        if self.d_star is not None and self.d_star < 1:
-            raise ValueError(f"d_star must be >= 1, got {self.d_star}")
+        if not isinstance(self.d_star, int) or self.d_star < 1:
+            raise ValueError(f"d_star must be an int >= 1, got {self.d_star!r}")
         if self.ack_timeout_s <= 0:
             raise ValueError("ack timeout must be positive")
         if self.ack_sweep_interval_s <= 0:

@@ -144,7 +144,7 @@ class DspsSystem:
                             src_task=src_task,
                             dst_operator=bolt.name,
                             structure=config.multicast,
-                            d_star=config.d_star or 3,
+                            d_star=config.d_star,
                             worker_level=config.worker_oriented,
                         )
 

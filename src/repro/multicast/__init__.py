@@ -30,6 +30,7 @@ from repro.multicast.build import (
     build_binomial_tree,
     build_nonblocking_tree,
     build_sequential_tree,
+    build_tree,
 )
 from repro.multicast.capability import (
     capability_series,
@@ -78,6 +79,7 @@ __all__ = [
     "build_binomial_tree",
     "build_nonblocking_tree",
     "build_sequential_tree",
+    "build_tree",
     "capability_series",
     "completion_time_units",
     "max_affordable_input_rate",

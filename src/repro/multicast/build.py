@@ -8,12 +8,14 @@ degenerates to the classic binomial multicast tree (RDMC); with the list
 of destinations attached entirely to the source it degenerates to Storm's
 sequential multicast.  All three builders return the same
 :class:`~repro.multicast.tree.MulticastTree` type so the relay machinery
-and the analytics are structure-agnostic.
+and the analytics are structure-agnostic; :func:`build_tree` picks one
+by its ``SystemConfig.multicast`` name for every caller (the DES's
+multicast service, the latency model and the rt backend's relay hops).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.multicast.model import binomial_out_degree
 from repro.multicast.tree import SOURCE, MulticastTree, Node
@@ -102,3 +104,27 @@ def build_sequential_tree(
         # All on layer 1 structurally; transmission order = list order.
         tree.add(dst, parent=root, layer=1)
     return tree
+
+
+#: ``SystemConfig.multicast`` name -> builder over ``(endpoints, d_star)``.
+_BUILDERS: Dict[str, Callable[[Sequence[Node], int], MulticastTree]] = {
+    "sequential": lambda endpoints, d_star: build_sequential_tree(endpoints),
+    "binomial": lambda endpoints, d_star: build_binomial_tree(endpoints),
+    "nonblocking": build_nonblocking_tree,
+}
+
+#: the multicast structure names :func:`build_tree` understands.
+STRUCTURES = tuple(_BUILDERS)
+
+
+def build_tree(
+    structure: str, endpoints: Sequence[Node], d_star: int
+) -> MulticastTree:
+    """The ``structure`` multicast tree from :data:`SOURCE` over
+    ``endpoints`` (``d_star`` caps out-degrees of the nonblocking tree
+    only)."""
+    try:
+        builder = _BUILDERS[structure]
+    except KeyError:
+        raise ValueError(f"unknown structure {structure!r}") from None
+    return builder(endpoints, d_star)

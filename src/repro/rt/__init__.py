@@ -17,10 +17,11 @@ Layout:
   and batch frames);
 * :mod:`repro.rt.transport`  — asyncio framed connections (one batch
   frame per peer per loop turn) + credit gates;
-* :mod:`repro.rt.relay`      — d*-ary relay-tree planning;
 * :mod:`repro.rt.bridge`     — the WallClock that lets a stock
   ``MetricsHub``/tracer serve both backends;
-* :mod:`repro.rt.worker`     — per-machine hosts, executors, the acker;
+* :mod:`repro.rt.worker`     — per-machine hosts, executors, the acker,
+  and the relay tree (the DES's multicast tree, via
+  :func:`repro.multicast.build.build_tree`);
 * :mod:`repro.rt.runtime`    — ``RuntimeBackend`` + the two backends;
 * :mod:`repro.rt.topologies` — deterministic named example topologies;
 * :mod:`repro.rt.differential` — the sim-vs-real harness;
@@ -35,7 +36,6 @@ from repro.rt.framing import (
     decode_payload,
     encode_frame,
 )
-from repro.rt.relay import plan_relay, tree_edges
 from repro.rt.runtime import (
     AsyncRuntime,
     RunReport,
@@ -78,9 +78,7 @@ __all__ = [
     "dial",
     "encode_frame",
     "make_topology",
-    "plan_relay",
     "serve",
-    "tree_edges",
     "tuple_from_wire",
     "tuple_to_wire",
 ]

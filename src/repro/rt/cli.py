@@ -21,7 +21,8 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.dsps.config import BACKENDS, SystemConfig
+from repro.dsps.config import BACKENDS
+from repro.rt.differential import differential_config
 from repro.rt.runtime import (
     RT_DELIVERY_MODES,
     RunReport,
@@ -114,7 +115,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif duration is None and budget is None:
         budget = 240
 
-    config = SystemConfig(
+    config = differential_config(
         name=f"rt-{args.topology}",
         backend=args.backend,
         delivery=args.delivery,

@@ -38,9 +38,11 @@ GOODPUT_RATIO_BAND = (0.5, 2.0)
 
 
 def differential_config(**overrides) -> SystemConfig:
-    """The shared config both backends run under (at-least-once, so the
-    rt acker/dedup path is exercised, not just bypassed)."""
-    base = SystemConfig(name="sim-vs-real", delivery="at_least_once")
+    """The shared config both backends run under: worker-oriented, which
+    rt always is, over Whale's nonblocking relay tree, and at-least-once,
+    so the rt acker/dedup path is exercised, not just bypassed."""
+    base = SystemConfig(name="sim-vs-real", delivery="at_least_once",
+                        worker_oriented=True, multicast="nonblocking")
     return base.with_overrides(**overrides) if overrides else base
 
 

@@ -70,12 +70,12 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 
 def run_message(header: Sequence[Any], tasks: List[Any],
                 wires: Sequence[Sequence[Any]]) -> Dict[str, Any]:
-    """Rows sharing ``header``, ``(type, dst, ack_to[, subtree])``, as one
+    """Rows sharing ``header``, ``(type, dst, ack_to[, src])``, as one
     message: its fields, the rows' ``tasks`` (``data`` only) and their
     wire tuples field-major as 8 ``cols`` (a lone one as ``row``)."""
     message = {"type": header[0], "dst": header[1], "ack_to": header[2]}
     if len(header) > 3:
-        message["subtree"] = header[3]
+        message["src"] = header[3]
     if tasks[0] is not None:
         message["tasks"] = tasks
     if len(wires) > 1:

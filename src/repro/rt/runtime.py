@@ -56,8 +56,9 @@ RT_DELIVERY_MODES = ("at_most_once", "at_least_once")
 
 def default_cluster() -> Cluster:
     """The small symmetric cluster both backends default to (4 machines
-    keeps an rt run at 4 sockets-servers while still exercising relay
-    forwarding, which needs >= d*+1 hosts)."""
+    keeps an rt run at 4 socket servers).  A one-to-many edge from one of
+    its machines to all four forwards along relay hops only at d* = 1: at
+    d* >= 2 the source reaches the other three itself."""
     return Cluster(n_machines=4, n_racks=1, cores=4)
 
 

@@ -21,11 +21,14 @@ consecutive rows with one header travel as one field-major *run*:
 * ``data``   — header ``("data", dst, ack_to)``: a tuple for the row's
   task list on the receiving machine (one row per machine:
   worker-oriented batching; a replay's ``dst`` is ``None``);
-* ``relay``  — header ``("relay", dst, ack_to, subtree)``: a one-to-many
-  tuple plus the subtree of machines the receiver must keep forwarding
-  to (planned hop by hop with :func:`repro.rt.relay.plan_relay`, so the
-  source sends at most d* relay rows per emit); the receiver delivers
-  to all of its co-located destination tasks;
+* ``relay``  — header ``("relay", dst, ack_to, src)``: a one-to-many
+  tuple from source machine ``src``.  The receiver delivers it to all of
+  its co-located destination tasks and forwards it to its own children
+  in the ``(dst, src)`` relay tree (:func:`relay_tree`): the DES's
+  worker-level ``SystemConfig.multicast`` tree over the machines hosting
+  ``dst``, with the source machine's endpoint folded into the root.
+  Every host builds that tree once per ``(dst, src)``, so a row names
+  no members and a hop plans nothing;
 * ``acks``   — ``{"a": [root, task, root, task, ...]}``: the tracked
   spout tuples the sender's tasks executed this loop turn, in order (one
   message per acker host per turn, posted without awaiting ``drain()``;
@@ -74,8 +77,9 @@ from repro.dsps.acker import PendingTable
 from repro.dsps.api import TupleContext
 from repro.dsps.grouping import Grouping, make_grouping
 from repro.dsps.tuples import StreamTuple
+from repro.multicast.build import build_tree
+from repro.multicast.tree import SOURCE
 from repro.rt.framing import FrameError, run_rows
-from repro.rt.relay import plan_relay
 from repro.rt.transport import CreditGate, FramedConnection, dial, serve
 
 
@@ -89,6 +93,19 @@ def tuple_to_wire(tup: StreamTuple) -> List[Any]:
 def tuple_from_wire(wire: Sequence[Any]) -> StreamTuple:
     """Rebuild a :class:`StreamTuple` from its wire form."""
     return StreamTuple(*wire)
+
+
+def relay_tree(structure: str, machines: Sequence[int], source: int,
+               d_star: int) -> Dict[int, List[int]]:
+    """The ``structure`` tree the DES's worker-level multicast service
+    builds over ``machines``, as ``{machine: children in send order}``,
+    with ``source``'s endpoint folded into the root: the source machine
+    delivers to its own tasks locally, sends to the root's children and
+    then to its endpoint's, and no machine sends back to it."""
+    tree = build_tree(structure, machines, d_star)
+    children = {m: [c for c in tree.children(m) if c != source] for m in machines}
+    children[source] = [c for c in tree.children(SOURCE) if c != source] + children.get(source, [])
+    return children
 
 
 class _InQueue:
@@ -406,12 +423,13 @@ class WorkerHost:
             cls = RtSpoutExecutor if kind == "spout" else RtBoltExecutor
             self.executors[task_id] = cls(self, task_id)
         #: per operator: the bolts consuming it, and its tasks on this
-        #: machine (read on every route and relay hop).
+        #: machine (read on every route and relay hop); per ``(dst, source
+        #: machine)``: this machine's children in the relay tree.
         self._downstream = {op: [spec.name for spec in topology.downstream_of(op)]
                             for op in topology.operators}
         self._colocated = {op: placement.colocated_tasks(op, machine_id)
                            for op in topology.operators}
-        self._d_star = self.config.d_star or 3
+        self._relay_children: Dict[Tuple[str, int], List[int]] = {}
         #: per-host grouping instance per edge (built from the
         #: prototype's :meth:`~repro.dsps.grouping.Grouping.spec`).
         self._edges: Dict[Tuple[str, str], Grouping] = {}
@@ -651,21 +669,22 @@ class WorkerHost:
                 if executor.is_spout and self.acker is not None:
                     self.acker.register(wire, chosen)
                     ack_to = self.machine_id
+                # every task: the local ones, the rest down the relay tree
+                local = self._colocated[dst]
+                if local:
+                    self._plan_local(plan, tup, local, ack_to)
+                self._relay_rows(plan, dst, ack_to, self.machine_id, wire)
+                continue
             by_machine: Dict[int, List[int]] = {}
             for task in chosen:
                 by_machine.setdefault(machine_of[task], []).append(task)
             local = by_machine.pop(self.machine_id, None)
             if local:
                 self._plan_local(plan, tup, local, ack_to)
-            if not by_machine:
-                continue
-            if grouping.one_to_many:
-                self._plan_relay(plan, sorted(by_machine), dst, ack_to, wire)
-            else:
-                # Worker-oriented batching: one row per machine.
-                header = ("data", dst, ack_to)
-                for machine, tasks in sorted(by_machine.items()):
-                    plan.append((machine, (header, tasks, wire)))
+            # Worker-oriented batching: one row per machine.
+            header = ("data", dst, ack_to)
+            for machine, tasks in sorted(by_machine.items()):
+                plan.append((machine, (header, tasks, wire)))
 
     def replay(self, plan: deque, wire: List[Any], tasks: Sequence[int]) -> None:
         """Plan a selective retransmission to just the unacked
@@ -758,16 +777,16 @@ class WorkerHost:
                     continue
                 dst, ack_to = message["dst"], message["ack_to"]
                 if mtype == "data":
-                    local, subtree = None, None
-                elif mtype == "relay":  # deliver locally, forward the subtree
-                    local, subtree = self._colocated[dst], message["subtree"]
+                    local, src = None, None
+                elif mtype == "relay":  # deliver locally, forward down the tree
+                    local, src = self._colocated[dst], message["src"]
                 else:
                     raise FrameError(f"unknown message type {mtype!r}")
                 for tasks, wire in run_rows(message, local):
                     if tasks:
                         self._plan_local(plan, tuple_from_wire(wire), tasks, ack_to)
-                    if subtree:
-                        self._plan_relay(plan, subtree, dst, ack_to, wire)
+                    if src is not None:
+                        self._relay_rows(plan, dst, ack_to, src, wire)
                     while not self.advance(sender):
                         if owed:  # the rows before this one
                             conn.grant(owed)
@@ -778,12 +797,18 @@ class WorkerHost:
                         conn.grant(owed)
                         owed = 0
 
-    def _plan_relay(self, plan: deque, members: List[int], dst: str,
-                    ack_to: Optional[int], wire: Sequence[Any]) -> None:
-        """Whale's relay tree: at most d* ``relay`` rows, each carrying
-        the subtree its child forwards to, hop by hop."""
-        for child, subtree in plan_relay(members, self._d_star):
-            plan.append((child, (("relay", dst, ack_to, subtree), None, wire)))
+    def _relay_rows(self, plan: deque, dst: str, ack_to: Optional[int],
+                    src: int, wire: Sequence[Any]) -> None:
+        """Whale's relay tree: one ``relay`` row to each of this machine's
+        children in the ``(dst, src)`` tree (built on first use)."""
+        children = self._relay_children.get((dst, src))
+        if children is None:
+            tree = relay_tree(self.config.multicast, self.runtime.placement.machines_hosting(dst),
+                              src, self.config.d_star)
+            children = self._relay_children[(dst, src)] = tree[self.machine_id]
+        header = ("relay", dst, ack_to, src)
+        for child in children:
+            plan.append((child, (header, None, wire)))
 
     # ------------------------------------------------------------------
     @property

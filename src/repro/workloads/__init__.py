@@ -19,9 +19,8 @@ from repro.workloads.arrivals import (
 from repro.workloads.ridehailing import (
     DriverLocationGenerator,
     PassengerRequestGenerator,
-    RideHailingWorkload,
 )
-from repro.workloads.stocks import StockExchangeWorkload, StockOrderGenerator
+from repro.workloads.stocks import StockOrderGenerator
 from repro.workloads.stats import DatasetStats, didi_stats, nasdaq_stats
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "PassengerRequestGenerator",
     "PoissonArrivals",
     "RateStep",
-    "RideHailingWorkload",
-    "StockExchangeWorkload",
     "StockOrderGenerator",
     "didi_stats",
     "nasdaq_stats",

@@ -13,7 +13,6 @@ Records are plain dicts; payload sizes model the serialized trace record
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -87,18 +86,3 @@ class PassengerRequestGenerator:
             "lat": float(lat),
             "lon": float(lon),
         }
-
-
-@dataclass
-class RideHailingWorkload:
-    """Bundle of both streams with a shared RNG and matched cardinalities."""
-
-    rng: np.random.Generator
-    n_drivers: int = 60_000
-    n_passengers: int = 500_000
-    drivers: DriverLocationGenerator = field(init=False)
-    requests: PassengerRequestGenerator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.drivers = DriverLocationGenerator(self.rng, self.n_drivers)
-        self.requests = PassengerRequestGenerator(self.rng, self.n_passengers)

@@ -10,7 +10,6 @@ matching operator sees realistic bid/ask crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -63,15 +62,3 @@ class StockOrderGenerator:
             "quantity": int(self.rng.integers(1, 1_000)),
             "valid": bool(self.rng.random() > 0.02),  # 2% violate trade rules
         }
-
-
-@dataclass
-class StockExchangeWorkload:
-    """Bundle with the paper's symbol cardinality."""
-
-    rng: np.random.Generator
-    n_symbols: int = N_SYMBOLS
-    orders: StockOrderGenerator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.orders = StockOrderGenerator(self.rng, self.n_symbols)

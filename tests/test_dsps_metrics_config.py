@@ -143,6 +143,8 @@ def test_config_validation():
         SystemConfig(name="x", warning_waterline_fraction=1.5)
     with pytest.raises(ValueError):
         SystemConfig(name="x", d_star=0)
+    with pytest.raises(ValueError, match="d_star must be an int"):
+        SystemConfig(name="x", d_star=None)
 
 
 def test_config_waterline_derived():

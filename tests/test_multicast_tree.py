@@ -10,6 +10,7 @@ from repro.multicast import (
     build_binomial_tree,
     build_nonblocking_tree,
     build_sequential_tree,
+    build_tree,
     binomial_out_degree,
 )
 from repro.multicast.tree import TreeError
@@ -164,6 +165,8 @@ def test_builders_reject_bad_input():
         build_nonblocking_tree([1], d_star=0)
     with pytest.raises(ValueError):
         build_sequential_tree([])
+    with pytest.raises(ValueError, match="unknown structure 'ring'"):
+        build_tree("ring", [1, 2], d_star=3)
 
 
 @given(

@@ -102,8 +102,8 @@ def test_run_is_field_major_and_walks_back_into_rows():
     (decoded,) = FrameDecoder().feed(encode_frame(data))
     assert [(tasks, list(wire)) for tasks, wire in run_rows(decoded)] == list(
         zip([[1], [2, 3], [4]], wires))
-    relay = run_message(("relay", "sink", None, [5]), [None] * 3, wires)
-    assert relay["subtree"] == [5] and "tasks" not in relay
+    relay = run_message(("relay", "sink", None, 5), [None] * 3, wires)
+    assert relay["src"] == 5 and "tasks" not in relay
     assert [tasks for tasks, _ in run_rows(relay, [9])] == [[9]] * 3
     # one row travels as its wire tuple, not as eight one-element columns
     single = run_message(("data", "sink", 2), [[1]], wires[:1])

@@ -326,7 +326,9 @@ def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypa
             if mtype == "data":
                 row = (("data", "sink", None), list(local), tuple_to_wire(tup))
             else:
-                row = (("relay", "sink", None, []), None, tuple_to_wire(tup))
+                # the default sequential tree: the source sends to every
+                # machine itself, so the target forwards nothing
+                row = (("relay", "sink", None, sender), None, tuple_to_wire(tup))
             conn = runtime.hosts[sender].peers[target]
             conn.post_row(*row)
             await _until(lambda: len(log) == len(local))

@@ -1,4 +1,4 @@
-"""The rt backend end-to-end: relay planning, real-socket topology
+"""The rt backend end-to-end: the relay tree, real-socket topology
 runs, trace reach, and worker-restart grouping state handoff.
 
 The end-to-end tests run whole topologies over real localhost TCP
@@ -16,14 +16,16 @@ import pytest
 
 from repro.dsps import AllGrouping, Bolt, Topology
 from repro.dsps.config import SystemConfig
+from repro.dsps.scheduler import schedule
+from repro.dsps.system import DspsSystem
 from repro.dsps.tuples import StreamTuple
+from repro.multicast import SOURCE
 from repro.net.cluster import Cluster
 from repro.rt.framing import FrameError, run_message
-from repro.rt.relay import plan_relay, tree_edges
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
 from repro.rt.topologies import SENTENCES, Recorder, make_topology
 from repro.rt.transport import CreditGate, FramedConnection
-from repro.rt.worker import _Sender, tuple_to_wire
+from repro.rt.worker import _Sender, relay_tree, tuple_to_wire
 from repro.trace import MemoryTracer
 from repro.trace.tracer import ALL_CATEGORIES, DEFAULT_CATEGORIES
 
@@ -31,36 +33,88 @@ from tests._check_util import SeqSpout
 
 
 # ----------------------------------------------------------------------
-# relay planning (pure units)
+# the relay tree is the DES's worker-level tree
 # ----------------------------------------------------------------------
-def test_plan_relay_empty_and_degenerate():
-    assert plan_relay([], 3) == []
-    assert plan_relay([7], 3) == [(7, [])]
-    with pytest.raises(ValueError):
-        plan_relay([1, 2], 0)
+def _des_relay_edges(config, cluster, parallelism):
+    """Machine-level ``(parent, child)`` edges of the DES's worker-level
+    multicast tree on the fanout topology's one-to-many edge, with the
+    source machine's endpoint folded into SOURCE: its children are the
+    source's, and the edge into it is gone."""
+    system = DspsSystem(make_topology("fanout", parallelism),
+                        config.with_overrides(backend="sim", worker_oriented=True),
+                        cluster=cluster)
+    (spout,) = system.placement.tasks_of["ticks"]
+    service = system.multicast_service(spout, "match")
+    source = ("w", service.src_machine)
+    tree = service.tree
+    return {
+        (service.src_machine if parent in (SOURCE, source) else service.machine_of(parent),
+         service.machine_of(child))
+        for parent in tree.bfs() for child in tree.children(parent) if child != source
+    }
 
 
-def test_plan_relay_partitions_members_exactly_once():
-    members = list(range(10, 27))
-    branches = plan_relay(members, 3)
-    assert len(branches) == 3  # at most d* direct children
-    covered = [m for child, rest in branches for m in [child, *rest]]
-    assert sorted(covered) == members  # no loss, no duplication
-    sizes = [1 + len(rest) for _, rest in branches]
-    assert max(sizes) - min(sizes) <= 1  # balanced subtrees
+@pytest.mark.parametrize("structure", ["nonblocking", "binomial"])
+@pytest.mark.parametrize("d_star", [1, 2, 3])
+@pytest.mark.parametrize("n_hosts", [4, 8])
+def test_relay_tree_is_the_des_tree_with_the_source_folded_in(structure, d_star, n_hosts):
+    """rt's relay edges are the DES's worker-level tree edges for the
+    same config, bar the edges the folded source endpoint removes."""
+    cluster = Cluster(n_hosts, 1, 16)
+    config = SystemConfig(name="rt-relay-tree", multicast=structure, d_star=d_star)
+    placement = schedule(make_topology("fanout", 16), cluster)
+    (spout,) = placement.tasks_of["ticks"]
+    tree = relay_tree(structure, placement.machines_hosting("match"),
+                      placement.machine_of[spout], d_star)
+    edges = {(parent, child) for parent, children in tree.items() for child in children}
+    assert edges == _des_relay_edges(config, cluster, 16)
 
 
-def test_plan_relay_d_star_one_is_a_chain():
-    branches = plan_relay([1, 2, 3, 4], 1)
-    assert branches == [(1, [2, 3, 4])]
+@pytest.mark.parametrize("n_hosts, d_star", [(8, 3), (4, 1)])
+def test_relay_rows_cross_exactly_the_des_edges(n_hosts, d_star, monkeypatch):
+    """On real sockets every connection carries one relay row per tick
+    along each edge of the DES's tree (source endpoint folded in) and
+    none elsewhere: at 8 hosts and d* = 3 machines 1 and 2 forward, and
+    at 4 hosts and d* = 1 the tree is a chain.  The executed multiset is
+    exact under at-least-once."""
+    budget, parallelism = 12, 16
+    relay_rows = Counter()
+    real_post_row = FramedConnection.post_row
 
+    def post_row(conn, header, tasks, wire):
+        if header[0] == "relay":
+            relay_rows[id(conn)] += 1
+        return real_post_row(conn, header, tasks, wire)
 
-def test_tree_edges_reaches_every_member():
-    members = list(range(1, 14))
-    edges = tree_edges(0, members, 3)
-    reached = [dst for dsts in edges.values() for dst in dsts]
-    assert sorted(reached) == members  # every member exactly once
-    assert all(len(dsts) <= 3 for dsts in edges.values())  # degree bound
+    monkeypatch.setattr(FramedConnection, "post_row", post_row)
+    cluster = Cluster(n_hosts, 1, 16)
+    config = SystemConfig(name="rt-relay-hops", backend="asyncio",
+                          delivery="at_least_once", worker_oriented=True,
+                          multicast="nonblocking", d_star=d_star)
+    recorder = Recorder()
+    runtime = AsyncRuntime(make_topology("fanout", parallelism, recorder), config,
+                           cluster=cluster, seed=5, recorder=recorder)
+
+    async def scenario():
+        await runtime.setup()
+        try:
+            runtime.clock.start()
+            await runtime.drive(800.0, budget=budget)
+            await runtime.drain()
+            return {
+                (src, dst): relay_rows[id(conn)]
+                for src, host in runtime.hosts.items()
+                for dst, conn in host.peers.items() if relay_rows[id(conn)]
+            }
+        finally:
+            await runtime.shutdown()
+
+    rows = asyncio.run(scenario())
+    edges = _des_relay_edges(config, cluster, parallelism)
+    assert rows == {edge: budget for edge in edges}
+    assert {parent for parent, _ in edges} - {0}  # some hop forwards
+    assert recorder.executed == Counter(
+        {("match", repr({"seq": seq})): parallelism for seq in range(budget)})
 
 
 # ----------------------------------------------------------------------
@@ -116,8 +170,9 @@ def test_message_over_the_frame_limit_fails_the_run():
         assert host.server is None and not host.peers
 
 
-def test_fanout_at_least_once_with_credits_is_exact():
-    """One-to-many over the relay tree with the acker and flow control
+@pytest.mark.parametrize("multicast", ["sequential", "binomial", "nonblocking"])
+def test_fanout_at_least_once_with_credits_is_exact(multicast):
+    """One-to-many over each relay tree with the acker and flow control
     on: every tick reaches every instance exactly once."""
     budget, parallelism = 20, 8
     recorder = Recorder()
@@ -127,6 +182,8 @@ def test_fanout_at_least_once_with_credits_is_exact():
         delivery="at_least_once",
         flow=True,
         credit_window=4,
+        multicast=multicast,
+        d_star=1,
     )
     runtime = AsyncRuntime(
         make_topology("fanout", parallelism=parallelism, recorder=recorder),
@@ -136,8 +193,8 @@ def test_fanout_at_least_once_with_credits_is_exact():
         recorder=recorder,
     )
     report = runtime.run(800.0, budget=budget)
-    assert recorder.total == budget * parallelism
-    assert all(n == parallelism for n in recorder.executed.values())
+    assert recorder.executed == Counter(
+        {("match", repr({"seq": seq})): parallelism for seq in range(budget)})
     assert report.abandoned == 0
     # every host's credit gates stayed within the window
     for host in runtime.hosts.values():

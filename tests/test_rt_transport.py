@@ -425,7 +425,7 @@ def test_interleaved_rows_and_control_messages_keep_posting_order():
     change or a control message in between starts a new one, and the
     peer sees every row and message in posting order."""
     data_a, data_b = ("data", "a", None), ("data", "b", None)
-    relay = ("relay", "a", 0, [5, 6])
+    relay = ("relay", "a", 0, 5)
 
     async def scenario():
         server, port, seen, done = await _collecting_server()
@@ -449,7 +449,7 @@ def test_interleaved_rows_and_control_messages_keep_posting_order():
     assert [m["type"] for m in seen] == ["data", "relay", "acks", "data", "data", "data"]
     assert [len(list(run_rows(m))) for m in seen if m["type"] != "acks"] == [2, 2, 1, 1, 1]
     assert seen[0]["tasks"] == [[1], [2, 3]]
-    assert seen[1]["subtree"] == [5, 6] and "tasks" not in seen[1]
+    assert seen[1]["src"] == 5 and "tasks" not in seen[1]
     assert [m["ack_to"] for m in seen if m["type"] == "data"] == [None, None, None, 0]
     assert _rows_of(seen) == [
         ("data", "a", 0), ("data", "a", 1), ("relay", "a", 2), ("relay", "a", 3),
