@@ -20,6 +20,10 @@ Three mechanisms, matching the paper's design space:
 Stream slicing (MMS/WTL, Section 4) wraps the RDMA data path when
 enabled: serialized messages to the same machine are buffered and posted
 as a single work request.
+
+Every send of one tuple by one thread — the source's, a relay hop's, an
+emit's per-machine legs — walks its legs in one loop (:class:`_Legs`),
+sliced or not.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from repro.multicast import (
 )
 from repro.net import cpu as cats
 from repro.net.slicing import StreamSlicer
-from repro.sim.engine import each
 from repro.dsps.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,22 +80,15 @@ class Envelope:
 class Packet:
     """One data packet for one machine: a Whale WorkerMessage (the item
     serialized once + dstIds), or coalesced instance-oriented messages
-    (one independently-serialized message per task in ``dst_tasks``)."""
+    (one independently-serialized message per task in ``dst_tasks``).
+    The receiving worker dispatches it and, when ``relay`` is set,
+    forwards it to the endpoint's children."""
 
     tuple: StreamTuple
     dst_tasks: List[int]
     deserialize_cpu_s: float  # total for all messages
     #: relay coordinates: (service, endpoint id) when part of a multicast.
     relay: Optional[Tuple["MulticastService", Any]] = None
-
-    def arrive(self, worker: "Worker", then: Callable[[], None]) -> None:
-        """Dispatch the deserialized packet, then relay it, if relayed."""
-        worker.dispatch(self.tuple, self.dst_tasks)
-        if self.relay is None:
-            then()
-            return
-        service, endpoint = self.relay
-        service.relay_from(worker, endpoint, self.tuple, then)
 
 
 @dataclass
@@ -188,43 +184,33 @@ class MulticastService:
         if paused is not None:
             # Dynamic switching in progress: output rate drops to zero
             # until the structure settles (Theorem 4's premise).
-            paused.append(
-                lambda: self._send_children(SOURCE, executor.cpu, tup,
-                                            True, then)
-            )
+            paused.append(lambda: self._source_sends(executor, tup, then))
             return
-        self._send_children(SOURCE, executor.cpu, tup, True, then)
+        self._source_sends(executor, tup, then)
 
     def relay_from(
         self, worker: "Worker", endpoint: Any, tup: StreamTuple,
         then: Callable[[], None],
-    ) -> None:
-        """Relay side: forward already-serialized bytes to children."""
-        if endpoint not in self.tree:
+    ) -> bool:
+        """Relay side: forward already-serialized bytes to children.
+        True when every send was done at once; otherwise ``then()`` runs
+        from the entry where the last one is."""
+        tree = self.tree
+        if endpoint not in tree:
             # Stale in-flight packet: the endpoint was repaired out of
             # the tree while this message was on the wire.  Local
             # dispatch already happened; nothing left to relay.
-            then()
-            return
-        self._send_children(endpoint, worker.cpu, tup, False, then)
+            return True
+        return _Legs(
+            self.system.comm, worker.cpu, self._machine_of_endpoint[endpoint],
+            tup, False, self, tree.children(endpoint), then,
+        ).run()
 
-    def _send_children(
-        self, node: Any, cpu_account, tup: StreamTuple, serialize: bool,
-        then: Callable[[], None],
-    ) -> None:
-        """Send ``tup`` to ``node``'s children one after another."""
-        comm = self.system.comm
-        src_machine = (
-            self.src_machine if node is SOURCE else self.machine_of(node)
-        )
-        each(
-            self.tree.children(node),
-            lambda child, k: comm.send_packet(
-                cpu_account, src_machine, self.machine_of(child), tup,
-                self.tasks_of(child), serialize, (self, child), k,
-            ),
-            then,
-        )
+    def _source_sends(self, executor: "Executor", tup: StreamTuple,
+                      then: Callable[[], None]) -> None:
+        """Serialize and send ``tup`` to the root's children."""
+        _Legs(self.system.comm, executor.cpu, self.src_machine, tup, True,
+              self, self.tree.children(SOURCE), then).start()
 
     # ------------------------------------------------------------------
     def apply_tree(self, new_tree: MulticastTree) -> None:
@@ -314,6 +300,9 @@ class CommEngine:
         self.config = system.config
         self.costs = system.costs
         self.ser = system.serialization
+        self.worker_oriented = self.config.worker_oriented
+        #: serialized messages to one peer share RDMA work requests
+        self.sliced = self.config.slicing and self.config.transport == "rdma"
         # (src executor id, dst machine) -> slicer, when slicing is on.
         self._slicers: Dict[Tuple[int, int], StreamSlicer] = {}
 
@@ -342,131 +331,15 @@ class CommEngine:
         # Worker-oriented: one BatchTuple per remote worker; instance-
         # oriented: one message per remote destination task.
         sends = (
-            len(remote) if self.config.worker_oriented
+            len(remote) if self.worker_oriented
             else sum(len(tasks) for tasks in remote)
         )
-        each(
-            sorted(by_machine.items()),
-            lambda leg, k: self._send_leg(executor, env.tuple, *leg, k),
-            lambda: then(sends),
-        )
-
-    def _send_leg(
-        self, executor: "Executor", tup: StreamTuple, machine: int,
-        tasks: List[int], then: Callable[[], None],
-    ) -> None:
-        """Deliver ``tup`` to the destination tasks on one machine."""
-        if machine != executor.machine_id:
-            self.send_packet(
-                executor.cpu, executor.machine_id, machine, tup, tasks,
-                serialize=True, relay=None, then=then,
-            )
-            return
-
-        # Intra-worker transfer: no serialization, no network.
-        def dispatch() -> None:
-            self.system.workers[machine].dispatch(tup, tasks)
-            then()
-
-        executor.cpu.spend(
-            self.costs.dispatch_cpu_s * len(tasks), cats.DISPATCH, dispatch
-        )
-
-    def send_packet(
-        self,
-        cpu_account,
-        src_machine: int,
-        dst_machine: int,
-        tup: StreamTuple,
-        tasks: List[int],
-        serialize: bool,
-        relay: Optional[Tuple[MulticastService, Any]],
-        then: Callable[[], None],
-    ) -> None:
-        """Serialize (unless relaying bytes) and transmit one packet: one
-        BatchTuple (worker-oriented), or one single-destination message
-        per task (instance-oriented; on an RDMC tree an endpoint is one
-        task)."""
-        worker_oriented = self.config.worker_oriented
-        if worker_oriented:
-            n = 1
-            msg_bytes = self.ser.batch_message_bytes(tup.payload_bytes, len(tasks))
-        else:
-            n = len(tasks)
-            msg_bytes = self.ser.instance_message_bytes(tup.payload_bytes)
-
-        def transmit() -> None:
-            packet = Packet(
-                tuple=tup,
-                dst_tasks=list(tasks),
-                deserialize_cpu_s=n * self.costs.deserialize_time(msg_bytes),
-                relay=relay,
-            )
-            self._transmit(
-                cpu_account, src_machine, dst_machine, packet,
-                size_bytes=n * msg_bytes, n_messages=n, then=then,
-            )
-
-        if not serialize:
-            transmit()
-            return
-        if worker_oriented:
-            serialize_cpu = self.ser.serialize_batch_message(
-                tup.payload_bytes, len(tasks)
-            )
-        else:
-            serialize_cpu = n * self.costs.serialize_time(msg_bytes)
-
-        def serialized() -> None:
-            tracer = self.system.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "net.serialize", self.system.sim.now, src=src_machine,
-                    dst=dst_machine, bytes=n * msg_bytes, cpu_s=serialize_cpu,
-                    n_messages=n,
-                )
-            transmit()
-
-        cpu_account.spend(serialize_cpu, cats.SERIALIZATION, serialized)
+        _Legs(self, executor.cpu, src_machine, env.tuple, True, None,
+              sorted(by_machine.items()), lambda: then(sends)).start()
 
     # ------------------------------------------------------------------
-    # transport shim (+ optional slicing)
+    # stream slicing
     # ------------------------------------------------------------------
-    def _transmit(
-        self,
-        cpu_account,
-        src_machine: int,
-        dst_machine: int,
-        packet: Any,
-        size_bytes: int,
-        n_messages: int,
-        then: Callable[[], None],
-    ) -> None:
-        if src_machine == dst_machine:
-            # Same machine: hand straight to the local worker.
-            self.system.workers[dst_machine].deliver(packet, then)
-            return
-        if self.config.slicing and self.config.transport == "rdma":
-            self._slice(cpu_account, src_machine, dst_machine, packet, size_bytes)
-            then()
-            return
-        transport = self.system.transport
-        # The send path runs once per message even when coalesced (and
-        # the transport charges the receiver once per message).
-        if self.config.transport == "tcp":
-            extra, category = self.costs.tcp_send_cpu_s, cats.NETWORK
-        else:
-            extra = transport.profile(transport.data_verb).sender_cpu_s
-            category = cats.RDMA_POST
-        cpu_account.spend(
-            extra * (n_messages - 1),
-            category,
-            lambda: transport.send(
-                src_machine, dst_machine, packet, size_bytes, cpu_account,
-                then=then, n_messages=n_messages,
-            ),
-        )
-
     def _slice(
         self, cpu_account, src_machine: int, dst_machine: int,
         packet: Any, size_bytes: int,
@@ -498,3 +371,157 @@ class CommEngine:
         """Flush pending slices (end of run)."""
         for slicer in self._slicers.values():
             slicer.flush_now()
+
+
+class _Legs:
+    """One thread's sends of one tuple, one leg after another, then
+    ``then()``: to each child of a multicast tree node (the source's
+    sends and every relay hop, ``service`` set), or to each machine
+    hosting an emit's destination tasks (``legs`` of ``(machine,
+    tasks)``, ``service`` None).
+
+    A remote leg serializes (unless it relays bytes) and transmits one
+    packet: one BatchTuple (worker-oriented), or one single-destination
+    message per task (instance-oriented; on an RDMC tree an endpoint is
+    one task).  A leg done at once (a sliced RDMA post, a free local
+    dispatch) goes on to the next inline; a leg that waits (unsliced
+    RDMA, TCP, serialization, a same-machine delivery) resumes the loop
+    from its continuation :meth:`_sent`.  That continuation may also run
+    inside the leg (a transport that admits at once), so ``looping`` and
+    ``ready`` tell the two apart, as in :func:`repro.sim.engine.each`.
+    """
+
+    __slots__ = (
+        "comm", "cpu", "src", "tup", "serialize", "service", "legs", "then",
+        "i", "looping", "ready", "dst", "tasks", "packet", "n", "size",
+        "serialize_cpu",
+    )
+
+    def __init__(self, comm: CommEngine, cpu_account, src_machine: int,
+                 tup: StreamTuple, serialize: bool,
+                 service: Optional[MulticastService], legs: List[Any],
+                 then: Callable[[], None]):
+        self.comm, self.cpu, self.src, self.tup = (
+            comm, cpu_account, src_machine, tup)
+        self.serialize, self.service, self.legs, self.then = (
+            serialize, service, legs, then)
+        self.i = 0
+        self.looping = self.ready = False
+
+    def start(self) -> None:
+        """Send every leg, then run ``then()``."""
+        if self.run():
+            self.then()
+
+    def run(self) -> bool:
+        """Send the legs from the current one on.  True when they were
+        all done at once; otherwise ``then()`` runs from the entry where
+        the last one is."""
+        legs, i = self.legs, self.i
+        self.looping = True
+        for leg in legs[i:] if i else legs:
+            self.ready = False
+            self._leg(leg)
+            if not self.ready:
+                self.looping = False
+                return False
+            self.i += 1
+        self.looping = False
+        return True
+
+    def _sent(self) -> None:
+        """The current leg is done: go on with the next."""
+        if self.looping:
+            self.ready = True
+        else:
+            self.i += 1
+            self.start()
+
+    def _leg(self, leg: Any) -> None:
+        comm = self.comm
+        service = self.service
+        if service is None:
+            dst, tasks = leg
+            relay = None
+            if dst == self.src:
+                # Intra-worker transfer: no serialization, no network.
+                self.dst, self.tasks = dst, tasks
+                cost = comm.costs.dispatch_cpu_s * len(tasks)
+                self.cpu.busy_s[cats.DISPATCH] += cost
+                if cost > 0:
+                    comm.system.sim.schedule_call(cost, self._dispatched)
+                else:
+                    self._dispatched()
+                return
+        else:
+            dst = service._machine_of_endpoint[leg]
+            tasks = service._tasks_of_endpoint[leg]
+            relay = (service, leg)
+        ser, costs = comm.ser, comm.costs
+        payload_bytes = self.tup.payload_bytes
+        if comm.worker_oriented:
+            n = 1
+            msg_bytes = ser.batch_message_bytes(payload_bytes, len(tasks))
+        else:
+            n = len(tasks)
+            msg_bytes = ser.instance_message_bytes(payload_bytes)
+        self.dst, self.n, self.size = dst, n, n * msg_bytes
+        self.packet = Packet(self.tup, list(tasks),
+                             n * costs.deserialize_time(msg_bytes), relay)
+        if not self.serialize:
+            self._transmit()
+            return
+        if comm.worker_oriented:
+            cpu_s = ser.serialize_batch_message(payload_bytes, len(tasks))
+        else:
+            cpu_s = n * costs.serialize_time(msg_bytes)
+        self.serialize_cpu = cpu_s
+        self.cpu.busy_s[cats.SERIALIZATION] += cpu_s
+        if cpu_s > 0:
+            comm.system.sim.schedule_call(cpu_s, self._serialized)
+        else:
+            self._serialized()
+
+    def _dispatched(self) -> None:
+        self.comm.system.workers[self.dst].dispatch(self.tup, self.tasks)
+        self._sent()
+
+    def _serialized(self) -> None:
+        sim = self.comm.system.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                "net.serialize", sim.now, src=self.src, dst=self.dst,
+                bytes=self.size, cpu_s=self.serialize_cpu, n_messages=self.n,
+            )
+        self._transmit()
+
+    def _transmit(self) -> None:
+        comm, src, dst = self.comm, self.src, self.dst
+        if src == dst:
+            # Same machine: hand straight to the local worker.
+            comm.system.workers[dst].deliver(self.packet, self._sent)
+        elif comm.sliced:
+            comm._slice(self.cpu, src, dst, self.packet, self.size)
+            self._sent()
+        else:
+            # The send path runs once per message even when coalesced
+            # (and the transport charges the receiver once per message).
+            if comm.config.transport == "tcp":
+                extra, category = comm.costs.tcp_send_cpu_s, cats.NETWORK
+            else:
+                transport = comm.system.transport
+                extra = transport.profile(transport.data_verb).sender_cpu_s
+                category = cats.RDMA_POST
+            extra *= self.n - 1
+            self.cpu.busy_s[category] += extra
+            if extra > 0:
+                comm.system.sim.schedule_call(extra, self._post)
+            else:
+                self._post()
+
+    def _post(self) -> None:
+        self.comm.system.transport.send(
+            self.src, self.dst, self.packet, self.size, self.cpu,
+            then=self._sent, n_messages=self.n,
+        )

@@ -475,6 +475,13 @@ class BoltExecutor(ExecutorBase):
             metrics.on_sink_latency(self.operator, self.sim.now - tup.created_at)
 
 
+def _overrides(bolt: Bolt, hook: str) -> bool:
+    """True when ``bolt``'s class or the instance itself replaces
+    :class:`Bolt`'s ``hook``."""
+    return (getattr(type(bolt), hook) is not getattr(Bolt, hook)
+            or hook in getattr(bolt, "__dict__", ()))
+
+
 class LazyCohort:
     """Lazy sinks of one operator on one worker that move in lockstep,
     sharing a FIFO of ``[done, service, tuple, unscaled service]`` (the
@@ -503,9 +510,21 @@ class LazyCohort:
         worker.add_cohort(self)
 
     def _set_members(self, members: List[BoltExecutor]) -> None:
+        """Whenever the members change, decide which hooks a copy pays
+        for: ``execute`` only where a member overrides it, and one
+        service value per packet when every member's is the inherited
+        constant of one class."""
         self.members = members
         self.tasks = [ex.task_id for ex in members]
-        self._executes = [(ex.bolt.execute, ex.collector) for ex in members]
+        self._executes = [(ex.bolt.execute, ex.collector) for ex in members
+                          if _overrides(ex.bolt, "execute")]
+        cls = type(members[0].bolt)
+        self._constant = isinstance(
+            getattr(cls, "base_service_s", None), (int, float)) and all(
+            type(ex.bolt) is cls
+            and not _overrides(ex.bolt, "service_time")
+            and "base_service_s" not in getattr(ex.bolt, "__dict__", ())
+            for ex in members)
         for ex in members:
             ex.cohort, ex._mode = self, "lazy"
 
@@ -534,15 +553,19 @@ class LazyCohort:
             for _ in hosted:
                 self.metrics.on_drop(f"{self.operator}.inqueue")
             return False
-        # Once per copy: service_time may be stateful or per instance.
-        bases = [ex.bolt.service_time(tup) for ex in hosted]
-        by_value: dict = {bases[0]: hosted}
-        if bases.count(bases[0]) != len(bases):
-            by_value = {}
-            for ex, base in zip(hosted, bases):
-                by_value.setdefault(base, []).append(ex)
-        for base, members in by_value.items():
-            cohort = self.carve(members)
+        if self._constant:
+            by_value: Any = ((hosted[0].bolt.base_service_s, hosted),)
+        else:
+            # Once per copy: service_time may be stateful or per instance.
+            bases = [ex.bolt.service_time(tup) for ex in hosted]
+            by_value = ((bases[0], hosted),)
+            if bases.count(bases[0]) != len(bases):
+                split: dict = {}
+                for ex, base in zip(hosted, bases):
+                    split.setdefault(base, []).append(ex)
+                by_value = split.items()
+        for base, members in by_value:
+            cohort = self if members is hosted else self.carve(members)
             service = base * cohort.scale
             cohort.busy_until = done = max(cohort.busy_until, now) + service
             cohort.fifo.append([done, service, tup, base])

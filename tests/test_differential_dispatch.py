@@ -21,6 +21,7 @@ traced).
 """
 
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -171,13 +172,15 @@ class _LightMatching(Bolt):
     base_service_s = 20e-6
 
 
-def _run_small_fanout(n_machines=3):
-    """Run the fan-out with 16 bolts per machine for FANOUT_RUN_S
-    simulated seconds inside a measurement window; returns
-    ``(system, calendar steps)``."""
+def _run_small_fanout(n_machines=3, replicas=16, profile=None):
+    """Run the fan-out with ``replicas`` bolts per machine for
+    FANOUT_RUN_S simulated seconds inside a measurement window, under
+    the ``sys.setprofile`` hook ``profile`` if given; returns ``(system,
+    calendar steps)``."""
     topo = Topology("small-des-fanout")
     topo.add_spout("src", _Requests)
-    topo.add_bolt("matching", _LightMatching, parallelism=16 * n_machines,
+    topo.add_bolt("matching", _LightMatching,
+                  parallelism=replicas * n_machines,
                   inputs={"src": AllGrouping()}, terminal=True)
     system = create_system(
         topo,
@@ -191,9 +194,13 @@ def _run_small_fanout(n_machines=3):
     system.start()
     system.metrics.open_window()
     steps = 0
-    while sim.peek() <= FANOUT_RUN_S:  # sim.run(until=...), counted
-        sim.step()
-        steps += 1
+    sys.setprofile(profile)
+    try:
+        while sim.peek() <= FANOUT_RUN_S:  # sim.run(until=...), counted
+            sim.step()
+            steps += 1
+    finally:
+        sys.setprofile(None)
     sim.run(until=FANOUT_RUN_S)
     system.metrics.close_window()
     return system, steps
@@ -249,6 +256,32 @@ def test_co_located_replicas_share_calendar_steps():
     executions = sum(ex.processed for ex in system.operator_executors("matching"))
     assert executions > 10_000
     assert steps / executions <= 0.25
+
+
+#: Comprehensions are calls before Python 3.12 and inlined from it on.
+_INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def test_delivered_packets_stay_within_a_call_budget():
+    """A delivered packet costs one pass through the receiving worker:
+    one loop over the relay's children, the packet's dispatch, and no
+    per-copy call to a bolt hook the sink inherits.  With one sink per
+    machine most of a run's Python calls are per packet, so calls per
+    delivered packet measure that pass, deterministically.  (The
+    callback threads with a per-child loop and per-copy hooks made
+    about 61 calls per packet here.)"""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name not in _INLINED:
+            calls += 1
+
+    system, _steps = _run_small_fanout(n_machines=8, replicas=1,
+                                       profile=count)
+    packets = sum(worker.dispatched for worker in system.workers.values())
+    assert packets > 1000
+    assert calls / packets <= 56
 
 
 class _SlowSink(Bolt):
@@ -426,6 +459,71 @@ class _DisagreeingSink(Bolt):
         self._log.append((tup.source_operator, tup.values["n"], self._task_id))
 
 
+class _InstanceBaseSink(Bolt):
+    """20/40 us by task index, set as an instance ``base_service_s``;
+    logs every execution."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def prepare(self, ctx):
+        self._task_id = ctx.task_id
+        self.base_service_s = 20e-6 * (1 + ctx.task_index % 2)
+
+    def execute(self, tup, collector):
+        self._log.append((tup.source_operator, tup.values["n"], self._task_id))
+
+
+class _PropertyBaseSink(_InstanceBaseSink):
+    """The same services through a class property: inherited, yet not a
+    constant."""
+
+    def prepare(self, ctx):
+        self._task_id, self._task_index = ctx.task_id, ctx.task_index
+
+    @property
+    def base_service_s(self):
+        return 20e-6 * (1 + self._task_index % 2)
+
+
+class _QuietSink(Bolt):
+    """Inherits ``service_time`` and ``execute`` (40 us); with ``record``
+    the instance logs every execution through an ``execute`` of its own."""
+
+    base_service_s = 40e-6
+
+    def __init__(self, log, record):
+        self._log, self._record = log, record
+
+    def prepare(self, ctx):
+        if self._record:
+            task_id = ctx.task_id
+            self.execute = lambda tup, collector: self._log.append(
+                (tup.source_operator, tup.values["n"], task_id))
+
+
+class _BriskSink(_QuietSink):
+    base_service_s = 20e-6
+
+
+def _mixed_sinks(log):
+    """Co-located sinks that mix an instance ``execute``, inherited hooks
+    and two classes' constant services."""
+    made = iter(range(10**6))
+    kinds = [lambda: _QuietSink(log, True), lambda: _QuietSink(log, False),
+             lambda: _BriskSink(log, True), lambda: _QuietSink(log, True)]
+    return lambda: kinds[next(made) % 4]()
+
+
+#: log -> bolt factory, one per way a bolt defines (or inherits) its hooks
+DIVERGING_SINKS = {
+    "service_time": lambda log: lambda: _DisagreeingSink(log),
+    "instance_base": lambda log: lambda: _InstanceBaseSink(log),
+    "property_base": lambda log: lambda: _PropertyBaseSink(log),
+    "instance_execute": lambda log: lambda: _QuietSink(log, True),
+    "mixed": _mixed_sinks,
+}
+
 DIVERGING_FAULTS = {
     "no_fault": lambda: None,
     "slow_and_crash": lambda: FaultSchedule([
@@ -436,12 +534,12 @@ DIVERGING_FAULTS = {
 }
 
 
-def _run_diverging(batched, capacity, faults):
+def _run_diverging(batched, capacity, faults, sinks="service_time"):
     log = []
     topo = Topology("diverging")
     topo.add_spout("a", _NumberedSpout)
     topo.add_spout("b", _NumberedSpout)
-    topo.add_bolt("sink", lambda: _DisagreeingSink(log), parallelism=12,
+    topo.add_bolt("sink", DIVERGING_SINKS[sinks](log), parallelism=12,
                   inputs={"a": AllGrouping(), "b": ShuffleGrouping()},
                   terminal=True)
     system = create_system(
@@ -469,11 +567,21 @@ def _run_diverging(batched, capacity, faults):
 
 
 @pytest.mark.faults
-@pytest.mark.parametrize("faults", sorted(DIVERGING_FAULTS))
-@pytest.mark.parametrize("capacity", [2, 1000])
-def test_diverging_cohorts_match_the_working_thread(capacity, faults):
-    fast, fast_log = _run_diverging(True, capacity, faults)
-    slow, slow_log = _run_diverging(False, capacity, faults)
+@pytest.mark.parametrize("capacity,faults,sinks", [
+    # the original sink keeps its case ids
+    pytest.param(capacity, faults, sinks, id="-".join(
+        [str(capacity), faults] + [sinks] * (sinks != "service_time")))
+    for capacity in (2, 1000)
+    for faults in sorted(DIVERGING_FAULTS)
+    for sinks in sorted(DIVERGING_SINKS)
+])
+def test_diverging_cohorts_match_the_working_thread(capacity, faults, sinks):
+    """A cohort pays a copy's service once per packet when every member
+    inherits one class's constant, and calls ``execute`` only where a
+    member defines it; each way of defining the hooks must still give
+    the working thread's results."""
+    fast, fast_log = _run_diverging(True, capacity, faults, sinks)
+    slow, slow_log = _run_diverging(False, capacity, faults, sinks)
     assert _modes(fast) == {"lazy"} and _modes(slow) == {"slow"}
     assert len(fast_log) > 1000
     assert Counter(fast_log) == Counter(slow_log)
