@@ -472,7 +472,8 @@ class BoltExecutor(ExecutorBase):
                 task=self.task_id,
             )
         if self.spec.terminal:
-            metrics.on_sink_latency(self.operator, self.sim.now - tup.created_at)
+            metrics.on_sink_latency(
+                self.operator, (self.sim.now - tup.created_at,))
 
 
 def _overrides(bolt: Bolt, hook: str) -> bool:
@@ -602,10 +603,10 @@ class LazyCohort:
             if spent:
                 ex.cpu.busy_s[cats.PROCESSING] = spent
             ex.processed += realised
-        if latencies:  # repetition shares each float among the members
+        if latencies:  # stored once per packet, read once per member
             metrics.processed[self.operator] += len(latencies) * len(members)
             metrics.sink_latencies[self.operator].extend(
-                latencies * len(members))
+                latencies, len(members))
 
     def halt(self) -> None:
         """Machine crash: realise what is done, lose everything queued."""

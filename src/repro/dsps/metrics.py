@@ -17,14 +17,22 @@ Implements the paper's Section 5.1 metric definitions:
 
 A measurement window (``open_window`` / ``close_window``) excludes warmup
 and drain phases from every rate and latency statistic.
+
+Per-execution sink latencies are kept once per delivered packet, not
+once per copy (:class:`LatencySamples`): a fan-out's copies of one
+packet share one stored sample, read back once per copy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -44,7 +52,9 @@ class LatencySummary:
     max: float
 
     @staticmethod
-    def from_samples(samples: List[float]) -> "LatencySummary":
+    def from_samples(
+        samples: "Sequence[float] | LatencySamples",
+    ) -> "LatencySummary":
         if not samples:
             return LatencySummary(0, math.nan, math.nan, math.nan, math.nan, math.nan)
         arr = np.asarray(samples, dtype=np.float64)
@@ -56,6 +66,63 @@ class LatencySummary:
             p99=float(np.percentile(arr, 99)),
             max=float(arr.max()),
         )
+
+
+class LatencySamples:
+    """One operator's sink latency samples (seconds), stored once per
+    run of copies.
+
+    It reads as the list it replaces: ``len``, truthiness, iteration and
+    ``np.asarray`` see each appended run's values, repeated its
+    multiplicity times in a row (``latencies * n``'s order), runs in
+    append order.  A lazy cohort appends one flush's per-packet
+    latencies once, with its member count as the multiplicity; the
+    working thread and rt append runs of 1, and adjacent runs of 1
+    merge, so their samples cost 8 bytes each.
+    """
+
+    __slots__ = ("_values", "_ends", "_repeats", "_len")
+
+    def __init__(self) -> None:
+        self._values = array("d")
+        #: per run: where it ends in ``_values`` and how often it repeats
+        self._ends = array("q")
+        self._repeats = array("q")
+        self._len = 0
+
+    def extend(self, latencies: Sequence[float], repeat: int = 1) -> None:
+        """Append ``latencies``, read ``repeat`` times in a row."""
+        n = len(latencies)
+        if not n or repeat < 1:
+            return
+        self._values.extend(latencies)
+        self._len += n * repeat
+        if repeat == 1 and self._repeats and self._repeats[-1] == 1:
+            self._ends[-1] += n
+        else:
+            self._ends.append(len(self._values))
+            self._repeats.append(repeat)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[float]:
+        values, start = self._values, 0
+        for end, repeat in zip(self._ends, self._repeats):
+            run = values[start:end]
+            for _ in range(repeat):
+                yield from run
+            start = end
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        values = np.array(self._values, dtype=np.float64)
+        out = np.empty(self._len, dtype=np.float64)
+        start = at = 0
+        for end, repeat in zip(self._ends, self._repeats):
+            n = end - start
+            out[at:at + n * repeat].reshape(repeat, n)[:] = values[start:end]
+            start, at = end, at + n * repeat
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 class MulticastTracker:
@@ -200,7 +267,8 @@ class MetricsHub:
         self.emitted: Dict[str, int] = defaultdict(int)
         self.processed: Dict[str, int] = defaultdict(int)
         self.dropped: Dict[str, int] = defaultdict(int)
-        self.sink_latencies: Dict[str, List[float]] = defaultdict(list)
+        self.sink_latencies: Dict[str, LatencySamples] = defaultdict(
+            LatencySamples)
         self.multicast = MulticastTracker(sim)
         self.completion = CompletionTracker(sim)
         #: tuple trees abandoned by the replay coordinator (budget
@@ -255,7 +323,10 @@ class MetricsHub:
 
         Batched sinks count their executions only when they realize
         them, so readers of executor or operator counters (``processed``,
-        ``sink_latencies``, executor ``busy_s``) call this first."""
+        ``sink_latencies``, executor ``busy_s``) call this first.  A
+        cohort's flush appends its per-packet latencies to
+        ``sink_latencies`` once, with the member count as multiplicity
+        (:class:`LatencySamples`)."""
         for hook in self._flush_hooks:
             hook()
 
@@ -343,7 +414,9 @@ class MetricsHub:
     def add_credit_stall(self, operator: str, stalled_s: float) -> None:
         self.credit_stall_s[operator] += stalled_s
 
-    def on_sink_latency(self, operator: str, *latencies_s: float) -> None:
+    def on_sink_latency(
+        self, operator: str, latencies_s: Sequence[float]
+    ) -> None:
         if self.in_window:
             self.sink_latencies[operator].extend(latencies_s)
 

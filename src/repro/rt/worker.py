@@ -149,7 +149,9 @@ class _Sender:
     :meth:`WorkerHost.advance` meets a step that must wait, the sender
     parks with the rest of its plan until :meth:`wake`.  This base wakes
     a coroutine awaiting :meth:`park`; a bolt task overrides
-    :meth:`wake` to rejoin its host's dispatcher instead."""
+    :meth:`wake` to rejoin its host's dispatcher instead.  Once a host
+    of the run has failed, a parked spout or connection reader raises
+    that error instead of waiting (:meth:`AsyncRuntime.fail`)."""
 
     def __init__(self, host: "WorkerHost", stall_key: str):
         self.host = host
@@ -159,6 +161,8 @@ class _Sender:
         #: when the sender parked on a credit gate (``time.monotonic``).
         self.stalled_at: Optional[float] = None
         self._woken: Optional[asyncio.Future] = None
+        #: the run's error once :meth:`abort` ran; every park raises it.
+        self.failed: Optional[Exception] = None
 
     def wake(self) -> None:
         woken = self._woken
@@ -167,9 +171,20 @@ class _Sender:
 
     def park(self) -> asyncio.Future:
         """A future :meth:`wake` completes (coroutine senders run
-        ``while not host.advance(sender): await sender.park()``)."""
+        ``while not host.advance(sender): await sender.park()``), or
+        :meth:`abort` fails; failed at once after a host error."""
         self._woken = asyncio.get_running_loop().create_future()
+        if self.failed is not None:
+            self._woken.set_exception(self.failed)
         return self._woken
+
+    def abort(self, error: Exception) -> None:
+        """Make the parked coroutine, and every later park, raise
+        ``error``."""
+        self.failed = error
+        woken = self._woken
+        if woken is not None and not woken.done():
+            woken.set_exception(error)
 
 
 class RtExecutorBase(_Sender):
@@ -260,7 +275,7 @@ class RtBoltExecutor(RtExecutorBase):
             if executed:
                 self.processed += executed
                 metrics.on_processed(self.operator, executed)
-                metrics.on_sink_latency(self.operator, *latencies)
+                metrics.on_sink_latency(self.operator, latencies)
             if self.emitted > emitted:
                 metrics.on_emit(self.operator, self.emitted - emitted)
 
@@ -451,13 +466,19 @@ class WorkerHost:
         #: runnable; ``_drain_armed`` while a drain is scheduled.
         self._runnable: deque = deque()
         self._drain_armed = False
-        #: the first exception a bolt raised; :meth:`stop` raises it.
+        #: the first exception a bolt or a connection raised; :meth:`stop`
+        #: raises it.
         self.error: Optional[Exception] = None
         self.acker: Optional[Acker] = (
             Acker(self)
             if self.config.reliability_enabled and self._hosts_spout()
             else None
         )
+        #: the senders that park as coroutines and that :meth:`stop` does
+        #: not cancel (spouts, one per connection reader), for
+        #: :meth:`AsyncRuntime.fail`.
+        self.senders: List[_Sender] = [
+            ex for ex in self.executors.values() if ex.is_spout]
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
         self.peers: Dict[int, FramedConnection] = {}
@@ -605,7 +626,7 @@ class WorkerHost:
                 executor.run(now)
             except Exception as exc:
                 executor.parked = True  # a failed task runs no more
-                self.error = self.error or exc
+                self.fail(exc)
         self._drain_armed = False
 
     def advance(self, sender: _Sender) -> bool:
@@ -747,7 +768,12 @@ class WorkerHost:
         try:
             await self._handle(conn, gate)
         except Exception as exc:
-            self.error = self.error or exc
+            self.fail(exc)
+
+    def fail(self, error: Exception) -> None:
+        """Record this host's first error and fail the run with it."""
+        self.error = self.error or error
+        self.runtime.fail(error)
 
     async def _handle(self, conn: FramedConnection, gate: Optional[CreditGate]) -> None:
         """Handle each socket read's messages synchronously (rows and acks
@@ -759,6 +785,7 @@ class WorkerHost:
         full window in flight, so they reach it unless this handler parks."""
         flow, threshold = int(self.config.flow), max(1, self.config.credit_window // 2)
         sender = _Sender(self, f"relay@m{self.machine_id}")
+        self.senders.append(sender)
         plan = sender.plan
         owed = 0
         while (messages := await conn.receive()) is not None:

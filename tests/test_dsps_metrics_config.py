@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dsps import MetricsHub, SystemConfig
-from repro.dsps.metrics import LatencySummary
+from repro.dsps.metrics import LatencySamples, LatencySummary
 from repro.net.rdma import Verb
 from repro.sim import Simulator
 
@@ -25,6 +28,42 @@ def test_latency_summary_empty():
     s = LatencySummary.from_samples([])
     assert s.count == 0
     assert math.isnan(s.mean)
+
+
+_latency = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+#: one append: a run of latencies and its multiplicity, or one sample
+_append = st.one_of(
+    st.tuples(st.lists(_latency, max_size=6), st.integers(1, 20)),
+    _latency.map(lambda x: ([x], 1)),
+)
+
+
+@given(st.lists(_append, max_size=40))
+def test_latency_samples_read_as_the_replicated_list(appends):
+    """The store reads as ``latencies * k`` appended in turn: the same
+    length, iteration order, sort and summary, to the bit."""
+    store, replicated = LatencySamples(), []
+    for latencies, k in appends:
+        store.extend(latencies, k)
+        replicated.extend(latencies * k)
+    assert len(store) == len(replicated)
+    assert bool(store) == bool(replicated)
+    assert list(store) == replicated
+    assert sorted(store) == sorted(replicated)
+    assert np.asarray(store).tolist() == replicated
+    summary = LatencySummary.from_samples(store)
+    if replicated:  # every field compared with ==, the mean included
+        assert summary == LatencySummary.from_samples(replicated)
+    else:
+        assert summary.count == 0 and math.isnan(summary.mean)
+
+
+def test_empty_latency_samples_are_falsy_with_a_nan_summary():
+    store = LatencySamples()
+    store.extend([], 16)
+    assert not store and len(store) == 0 and list(store) == []
+    s = LatencySummary.from_samples(store)
+    assert s.count == 0 and math.isnan(s.mean) and math.isnan(s.max)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.dsps.system import DspsSystem
 from repro.dsps.tuples import StreamTuple
 from repro.multicast import SOURCE
 from repro.net.cluster import Cluster
-from repro.rt.framing import FrameError, run_message
+from repro.rt.differential import differential_config
+from repro.rt.framing import PREFIX, FrameError, run_message
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
 from repro.rt.topologies import SENTENCES, Recorder, make_topology
 from repro.rt.transport import CreditGate, FramedConnection
@@ -418,6 +419,48 @@ def test_run_with_a_short_column_fails_the_run():
         runtime.hosts[0].peers[1].post(run)
 
     _fails_the_run(inject, "malformed run")
+
+
+def test_failed_peer_connection_ends_a_parked_drive():
+    """Corrupt frames kill every peer's reader of the spout host's
+    connections, so no credit ever comes back.  The spout, parked on
+    credits, raises the first host's FrameError instead of waiting for
+    ever: ``drive`` fails long before its 0.5 s of work, ``shutdown``
+    raises the same error, and no listener, connection or task remains."""
+    runtime = AsyncRuntime(
+        make_topology("word_count", parallelism=4),
+        differential_config(flow=True, credit_window=1, delivery="at_most_once"),
+        cluster=default_cluster(),
+        seed=9,
+    )
+
+    async def scenario():
+        await runtime.setup()
+        (spout,) = runtime.spout_executors
+        for conn in spout.host.peers.values():
+            conn.writer.write(PREFIX.pack(5) + b"{bad}")
+        runtime.clock.start()
+        runtime.metrics.open_window()
+        loop = asyncio.get_running_loop()
+        t0 = loop.time()
+        try:
+            with pytest.raises(FrameError, match="undecodable frame payload"):
+                await asyncio.wait_for(runtime.drive(800.0, budget=400), timeout=2.0)
+            drive_s = loop.time() - t0
+        finally:
+            with pytest.raises(FrameError, match="undecodable frame payload"):
+                await runtime.shutdown()
+        current = asyncio.current_task()
+        deadline = loop.time() + 2.0
+        while any(t is not current and not t.done() for t in asyncio.all_tasks()):
+            assert loop.time() < deadline, asyncio.all_tasks()
+            await asyncio.sleep(0.001)
+        return drive_s
+
+    assert asyncio.run(scenario()) < 0.5
+    assert sum(host.error is not None for host in runtime.hosts.values()) == 3
+    for host in runtime.hosts.values():
+        assert host.server is None and not host.peers
 
 
 # ----------------------------------------------------------------------
