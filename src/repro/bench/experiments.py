@@ -499,7 +499,7 @@ def fig23_24_dynamic(
         rate_fn = DynamicRateArrivals(steps, np.random.default_rng(0)).rate_at
         for x, y, lat in zip(thru_series.x, thru_series.y, lat_series.y):
             table.add(x, rate_fn(x - 1e-9), y, lat)
-        if getattr(system, "controllers", None):
+        if system.controllers:
             switches = system.controllers[0].history
             table.note(
                 f"dynamic switches: {[(round(r.time, 2), r.direction, r.old_d_star, r.new_d_star) for r in switches]}"

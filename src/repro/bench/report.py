@@ -133,6 +133,3 @@ class Series:
         self.x.append(x)
         self.y.append(y)
 
-    def as_rows(self) -> List[Sequence[Any]]:
-        return list(zip(self.x, self.y))
-

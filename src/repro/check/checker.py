@@ -225,13 +225,6 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # explicit sweeps
     # ------------------------------------------------------------------
-    def check_state(self) -> CheckReport:
-        """Run every state-scope invariant right now."""
-        t = self.system.sim.now
-        for inv in self._state_invs:
-            self._run(inv, t)
-        return self.report
-
     def finalize(self) -> CheckReport:
         """End-of-run sweep: state invariants plus the final-scope checks
         that only hold once the run has settled."""

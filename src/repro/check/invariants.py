@@ -540,7 +540,7 @@ def _suspects_degraded(ctx: CheckContext) -> None:
     is_degraded = getattr(transport, "is_degraded", None)
     if is_degraded is None:
         return  # the TCP transport has no fast path to degrade
-    for controller in getattr(system, "controllers", []):
+    for controller in system.controllers:
         detector = controller.detector
         if detector is None:
             continue

@@ -1,7 +1,5 @@
 """Whale: the paper's contribution, assembled on the DSPS substrate.
 
-* :mod:`repro.core.batch` — the worker-oriented tuple formats (Fig. 9):
-  ``BatchTuple`` / ``WorkerMessage`` and destination grouping by worker.
 * :mod:`repro.core.monitor` — the statistics-monitoring module
   (Section 4): ``StreamMonitor`` (alpha-weighted input-rate estimate) and
   ``QueueMonitor`` (transfer-queue waterline tracking).
@@ -9,10 +7,9 @@
   queue-based self-adjusting mechanism (Section 3.3) driving dynamic
   switching (Section 3.4) of the non-blocking multicast tree.
 * :mod:`repro.core.whale` — system presets for every Whale variant of the
-  evaluation and the builder that wires controllers to a system.
+  evaluation and :func:`~repro.core.whale.create_system`.
 """
 
-from repro.core.batch import BatchTuple, WorkerMessage, group_tasks_by_machine
 from repro.core.controller import MulticastController, RepairRecord, SwitchRecord
 from repro.core.monitor import FailureDetector, QueueMonitor, StreamMonitor
 from repro.core.whale import (
@@ -24,16 +21,13 @@ from repro.core.whale import (
 )
 
 __all__ = [
-    "BatchTuple",
     "FailureDetector",
     "MulticastController",
     "QueueMonitor",
     "RepairRecord",
     "StreamMonitor",
     "SwitchRecord",
-    "WorkerMessage",
     "create_system",
-    "group_tasks_by_machine",
     "whale_diffverbs_config",
     "whale_full_config",
     "whale_woc_config",

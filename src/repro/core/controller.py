@@ -37,6 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.comm import MulticastService
     from repro.dsps.system import DspsSystem
 
+#: Section 3.3's waterline rules: scale down when one interval's growth
+#: is at least ``T_DOWN`` of the headroom left below l_w; scale up (below
+#: l_w) when one interval's drain is at least ``T_UP`` of the previous
+#: length.
+T_DOWN = 0.4
+T_UP = 0.5
+#: EMA weight of the input-rate estimate lambda(t) (Section 4)
+ALPHA = 0.6
+#: simulated one-way controller->instances switching delay budget
+SWITCH_DELAY_S = 0.002
+#: failure detection: heartbeat ping period, and the silence span after
+#: which an endpoint machine is suspected
+HEARTBEAT_PERIOD_S = 0.02
+SUSPICION_TIMEOUT_S = 0.06
+
 
 @dataclass(frozen=True)
 class SwitchRecord:
@@ -83,10 +98,10 @@ class MulticastController:
         self.queue_monitor = QueueMonitor(
             self.source.transfer_queue,
             warning_waterline=cfg.warning_waterline,
-            t_down=cfg.t_down,
-            t_up=cfg.t_up,
+            t_down=T_DOWN,
+            t_up=T_UP,
         )
-        self.stream_monitor = StreamMonitor(alpha=cfg.alpha)
+        self.stream_monitor = StreamMonitor(alpha=ALPHA)
         self.cpu = CpuAccount(self.sim, f"controller[{service.src_task}]")
         self.history: List[SwitchRecord] = []
         self.repairs: List[RepairRecord] = []
@@ -246,7 +261,7 @@ class MulticastController:
 
         def ack_round() -> None:
             # ACK round + channel re-establishment.
-            self.sim.schedule_call(self.config.switch_delay_s, install)
+            self.sim.schedule_call(SWITCH_DELAY_S, install)
 
         # StatusMessage to every endpoint machine, then ControlMessages
         # to the endpoints that rewire.
@@ -269,12 +284,12 @@ class MulticastController:
         self.detector = FailureDetector(
             lambda: self.sim.now,
             self._endpoint_machines(),
-            self.config.suspicion_timeout_s,
+            SUSPICION_TIMEOUT_S,
         )
         self._heartbeat_wait()
 
     def _heartbeat_wait(self) -> None:
-        self.sim.schedule_call(self.config.heartbeat_period_s, self._heartbeat)
+        self.sim.schedule_call(HEARTBEAT_PERIOD_S, self._heartbeat)
 
     def _heartbeat(self) -> None:
         """Ping every endpoint machine, then repair the tree around each
@@ -352,7 +367,7 @@ class MulticastController:
             return
         if self._switching:
             self.sim.schedule_call(
-                self.config.heartbeat_period_s,
+                HEARTBEAT_PERIOD_S,
                 lambda: self._rewire(action, machine, victims, edit, skip,
                                      then),
             )
@@ -394,9 +409,7 @@ class MulticastController:
         self._broadcast_status(
             status,
             skip,
-            lambda: self.sim.schedule_call(
-                self.config.switch_delay_s, rewire_all
-            ),
+            lambda: self.sim.schedule_call(SWITCH_DELAY_S, rewire_all),
         )
 
     def _suspected(self):

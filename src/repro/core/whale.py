@@ -12,15 +12,14 @@ The evaluation's ablation ladder (Section 5.1 notation):
   Whale-WOC-RDMA.
 
 :func:`create_system` builds a :class:`~repro.dsps.system.DspsSystem`
-from any config and — when the config is adaptive — attaches one
+from any config; an adaptive or failure-detecting system carries one
 :class:`~repro.core.controller.MulticastController` per one-to-many edge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.controller import MulticastController
 from repro.dsps.config import SystemConfig
 from repro.dsps.system import ArrivalFn, DspsSystem
 from repro.dsps.topology import Topology
@@ -52,7 +51,6 @@ def whale_woc_rdma_config(
         name="whale-woc-rdma",
         transport="rdma",
         data_verb=Verb.READ,
-        control_verb=Verb.SEND,
         worker_oriented=True,
         multicast="sequential",
         adaptive=False,
@@ -73,7 +71,6 @@ def whale_full_config(
         name="whale",
         transport="rdma",
         data_verb=Verb.READ,
-        control_verb=Verb.SEND,
         worker_oriented=True,
         multicast="nonblocking",
         d_star=d_star,
@@ -103,25 +100,17 @@ def create_system(
     tracer=None,
     fault_schedule=None,
 ) -> DspsSystem:
-    """Build a system; attach and start controllers for adaptive configs.
+    """Build a :class:`~repro.dsps.system.DspsSystem`.
 
-    Controllers are exposed as ``system.controllers`` (empty for
-    non-adaptive variants).  A controller is also attached per multicast
-    service when ``config.failure_detection`` is on, running the
-    heartbeat failure detector and tree self-healing.  ``tracer`` (a
+    The system carries its controllers as ``system.controllers`` (empty
+    for non-adaptive variants): one per multicast service when the config
+    adapts d*, or when ``config.failure_detection`` runs the heartbeat
+    failure detector and tree self-healing.  ``tracer`` (a
     :class:`~repro.trace.Tracer`) enables structured run tracing;
     ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`) injects
     machine crashes/recoveries at the scheduled sim times.
     """
-    # Restart the process-global id streams (tuples, wire messages) so a
-    # run's trace is bit-identical for a given seed no matter how many
-    # systems were built earlier in the same process.
-    from repro.dsps import tuples as _tuples
-    from repro.net import message as _message
-
-    _tuples.reset_ids()
-    _message.reset_ids()
-    system = DspsSystem(
+    return DspsSystem(
         topology,
         config,
         cluster=cluster,
@@ -131,20 +120,3 @@ def create_system(
         tracer=tracer,
         fault_schedule=fault_schedule,
     )
-    controllers: List[MulticastController] = []
-    need_controllers = (
-        config.adaptive and config.multicast == "nonblocking"
-    ) or config.failure_detection
-    if need_controllers:
-        for service in system.multicast_services:
-            controllers.append(MulticastController(system, service))
-    system.controllers = controllers  # type: ignore[attr-defined]
-    _orig_start = system.start
-
-    def _start_with_controllers() -> None:
-        _orig_start()
-        for controller in controllers:
-            controller.start()
-
-    system.start = _start_with_controllers  # type: ignore[method-assign]
-    return system

@@ -78,9 +78,11 @@ class Envelope:
 # ----------------------------------------------------------------------
 @dataclass
 class Packet:
-    """One data packet for one machine: a Whale WorkerMessage (the item
-    serialized once + dstIds), or coalesced instance-oriented messages
-    (one independently-serialized message per task in ``dst_tasks``).
+    """One data packet for one machine: Whale's worker-oriented
+    ``BatchTuple`` (Fig. 9b: the item serialized once + the dstIds of
+    every task in ``dst_tasks``, the paper's WorkerMessage on the wire),
+    or coalesced instance-oriented messages (Fig. 9a: one
+    independently-serialized message per task in ``dst_tasks``).
     The receiving worker dispatches it and, when ``relay`` is set,
     forwards it to the endpoint's children."""
 
@@ -366,11 +368,6 @@ class CommEngine:
             src_machine, dst_machine, PacketGroup([p for p, _ in items]),
             nbytes, items[-1][1],
         )
-
-    def flush_all_slicers(self) -> None:
-        """Flush pending slices (end of run)."""
-        for slicer in self._slicers.values():
-            slicer.flush_now()
 
 
 class _Legs:

@@ -32,6 +32,11 @@ DELIVERY_MODES = ("at_most_once", "at_least_once", "exactly_once", "atomic")
 #: (:mod:`repro.rt`, real sockets).
 BACKENDS = ("sim", "asyncio")
 
+#: warning waterline l_w as a fraction of the transfer-queue capacity Q
+#: (Section 3.3); the rebalancer's input-queue waterline reuses it unless
+#: ``rebalance_waterline_fraction`` is set.
+WARNING_WATERLINE_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -40,10 +45,9 @@ class SystemConfig:
     name: str
     #: "tcp" or "rdma"
     transport: str = "tcp"
-    #: verb for data messages on the RDMA transport
+    #: verb for data messages on the RDMA transport (control messages
+    #: always use two-sided SEND)
     data_verb: Verb = Verb.SEND
-    #: verb for control messages on the RDMA transport
-    control_verb: Verb = Verb.SEND
     #: instance-oriented (Storm) vs worker-oriented (Whale) communication
     worker_oriented: bool = False
     #: multicast structure for one-to-many streams:
@@ -69,14 +73,8 @@ class SystemConfig:
     #: executor incoming-queue capacity
     executor_queue_capacity: int = 4096
 
-    # --- adaptive mechanism (Section 3.3 thresholds) -----------------------
-    warning_waterline_fraction: float = 0.5  # l_w = fraction * Q
-    t_down: float = 0.4
-    t_up: float = 0.5
+    # --- adaptive mechanism (Section 3.3; thresholds in core.controller) ---
     monitor_interval_s: float = 0.05  # Delta t
-    alpha: float = 0.6  # EMA weight for lambda(t) (Section 4)
-    #: simulated one-way controller->instances switching delay budget
-    switch_delay_s: float = 0.002
 
     # --- reliability (delivery semantics via the acker) ---------------------
     #: delivery guarantee for one-to-many spout tuples:
@@ -92,9 +90,6 @@ class SystemConfig:
     ack_sweep_interval_s: float = 0.05
     #: replay attempts per root before giving up
     max_replays: int = 5
-    #: backoff before replay attempt k is ``base * 2**(k-1)``, spread by
-    #: deterministic jitter from the seeded ``"acker"`` rng stream
-    replay_backoff_base_s: float = 0.01
     #: epoch barrier period for exactly-once/atomic dedup-state GC: the
     #: replay coordinator closes an epoch at the spout every interval and
     #: garbage-collects dedup tables once every tree of a closed epoch
@@ -126,12 +121,6 @@ class SystemConfig:
     #: token-bucket burst: replays admitted back-to-back before the rate
     #: limit bites
     replay_burst: int = 20
-    #: extra multiplicative backoff per unit of measured replay
-    #: congestion (throttled replays raise congestion, clean grants decay
-    #: it)
-    congestion_backoff_factor: float = 2.0
-    #: watchdog period for the flow layer's lost-wakeup safety net
-    flow_poll_interval_s: float = 0.02
 
     # --- partitioning + runtime rebalancing ---------------------------------
     #: system-wide partitioning-strategy override: a registry name from
@@ -153,14 +142,11 @@ class SystemConfig:
     rebalance_interval_s: float = 0.05
     #: fraction of ``executor_queue_capacity`` at which a task is
     #: considered overloaded; ``None`` reuses the monitor's
-    #: ``warning_waterline_fraction`` (Section 3.3's l_w rule applied to
-    #: the input queue)
+    #: :data:`WARNING_WATERLINE_FRACTION` (Section 3.3's l_w rule applied
+    #: to the input queue)
     rebalance_waterline_fraction: Optional[float] = None
     #: minimum time between migrations of the same operator
     rebalance_cooldown_s: float = 0.1
-    #: a parked task is restored when its queue drains below this
-    #: fraction of the migration waterline
-    rebalance_restore_fraction: float = 0.25
 
     # --- execution backend ---------------------------------------------------
     #: which runtime executes the topology: ``"sim"`` (the DES — every
@@ -180,11 +166,8 @@ class SystemConfig:
 
     # --- failure detection + tree self-healing -----------------------------
     #: heartbeat-based failure detector in the multicast controller
+    #: (period and suspicion timeout in :mod:`repro.core.controller`)
     failure_detection: bool = False
-    #: heartbeat ping period
-    heartbeat_period_s: float = 0.02
-    #: silence span after which an endpoint machine is suspected
-    suspicion_timeout_s: float = 0.06
 
     #: cost model (shared by all variants of one experiment)
     costs: CostModel = field(default_factory=CostModel)
@@ -198,8 +181,6 @@ class SystemConfig:
             raise ValueError("transfer queue capacity must be >= 1")
         if self.slicing and self.transport != "rdma":
             raise ValueError("stream slicing requires the RDMA transport")
-        if not 0 < self.warning_waterline_fraction < 1:
-            raise ValueError("warning waterline must be a fraction in (0,1)")
         if not isinstance(self.d_star, int) or self.d_star < 1:
             raise ValueError(f"d_star must be an int >= 1, got {self.d_star!r}")
         if self.ack_timeout_s <= 0:
@@ -208,8 +189,6 @@ class SystemConfig:
             raise ValueError("ack sweep interval must be positive")
         if self.max_replays < 0:
             raise ValueError("max_replays must be >= 0")
-        if self.replay_backoff_base_s < 0:
-            raise ValueError("replay backoff base must be >= 0")
         if self.delivery not in DELIVERY_MODES:
             raise ValueError(
                 f"unknown delivery mode {self.delivery!r}; "
@@ -230,10 +209,6 @@ class SystemConfig:
             raise ValueError("replay rate must be positive")
         if self.replay_burst < 1:
             raise ValueError("replay burst must be >= 1")
-        if self.congestion_backoff_factor < 1:
-            raise ValueError("congestion backoff factor must be >= 1")
-        if self.flow_poll_interval_s <= 0:
-            raise ValueError("flow poll interval must be positive")
         if self.partitioning is not None:
             from repro.dsps.grouping import STRATEGIES
 
@@ -256,10 +231,6 @@ class SystemConfig:
             )
         if self.rebalance_cooldown_s < 0:
             raise ValueError("rebalance cooldown must be >= 0")
-        if not 0 < self.rebalance_restore_fraction < 1:
-            raise ValueError(
-                "rebalance restore fraction must be a fraction in (0, 1)"
-            )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choices: {BACKENDS}"
@@ -268,12 +239,6 @@ class SystemConfig:
             raise ValueError("rt frame limit must be >= 64 bytes")
         if self.rt_drain_timeout_s <= 0:
             raise ValueError("rt drain timeout must be positive")
-        if self.heartbeat_period_s <= 0:
-            raise ValueError("heartbeat period must be positive")
-        if self.suspicion_timeout_s <= self.heartbeat_period_s:
-            raise ValueError(
-                "suspicion timeout must exceed the heartbeat period"
-            )
 
     @property
     def reliability_enabled(self) -> bool:
@@ -284,7 +249,7 @@ class SystemConfig:
     @property
     def warning_waterline(self) -> float:
         """l_w in tuples."""
-        return self.warning_waterline_fraction * self.transfer_queue_capacity
+        return WARNING_WATERLINE_FRACTION * self.transfer_queue_capacity
 
     @property
     def rebalance_waterline(self) -> float:
@@ -292,7 +257,7 @@ class SystemConfig:
         fraction = (
             self.rebalance_waterline_fraction
             if self.rebalance_waterline_fraction is not None
-            else self.warning_waterline_fraction
+            else WARNING_WATERLINE_FRACTION
         )
         return fraction * self.executor_queue_capacity
 

@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.executor import ExecutorBase, SpoutExecutor
     from repro.dsps.system import DspsSystem
 
+#: watchdog period for the lost-wakeup safety net
+FLOW_POLL_INTERVAL_S = 0.02
+
 
 class FlowController:
     """All overload-protection state and gates for one system run."""
@@ -76,7 +79,7 @@ class FlowController:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        every(self.sim, self.config.flow_poll_interval_s, self._watchdog)
+        every(self.sim, FLOW_POLL_INTERVAL_S, self._watchdog)
 
     def _watchdog(self) -> None:
         """Fixed-period safety net: re-wakes every waiter (conditions are
@@ -93,7 +96,7 @@ class FlowController:
             schedule(0.0, waiters.popleft())
 
     def _heal_stale_reservations(self) -> None:
-        horizon = 10.0 * self.config.flow_poll_interval_s
+        horizon = 10.0 * FLOW_POLL_INTERVAL_S
         now = self.sim.now
         for task, count in self.in_flight.items():
             if count > 0 and now - self._last_activity.get(task, now) > horizon:

@@ -33,10 +33,9 @@ across processes and runs.
 a *live* sequence: the runtime rebalancer mutates it in place when it
 migrates partitions.  Stateful groupings therefore must not key internal
 state on list positions — the shuffle cursor is monotone (never reset by
-a membership change) and per-key state is keyed by the key itself.  For
-rewires that *rebuild* grouping instances, :meth:`Grouping.export_state`
-/ :meth:`Grouping.import_state` carry the cursor across so round-robin
-never restarts from task zero.
+a membership change) and per-key state is keyed by the key itself.
+Nothing rebuilds a live grouping instance, so no routing state is ever
+handed from one instance to another.
 """
 
 from __future__ import annotations
@@ -44,9 +43,15 @@ from __future__ import annotations
 import zlib
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.dsps.tuples import StreamTuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dsps.config import SystemConfig
+    from repro.dsps.topology import Topology
 
 
 class Grouping(ABC):
@@ -74,27 +79,16 @@ class Grouping(ABC):
         """
         return self
 
-    # --- rewiring-safe state handoff ----------------------------------
-    def export_state(self) -> Any:
-        """Opaque routing state to carry across a rewire (``None`` when
-        the strategy is stateless)."""
-        return None
-
-    def import_state(self, state: Any) -> None:
-        """Restore state captured by :meth:`export_state`."""
-
     def spec(self) -> Tuple[Optional[str], Dict[str, Any]]:
         """``(registry name, constructor kwargs)`` rebuilding an
         *equivalent* instance via :func:`make_grouping`.
 
         Execution backends that cannot share one Python object across
         machines (the real :mod:`repro.rt` runtime) construct one
-        instance per worker host from this spec; on a worker restart the
-        replacement instance is rebuilt from the same spec and the
-        routing state is carried over with :meth:`export_state` /
-        :meth:`import_state`.  Strategies with constructor parameters
-        override this to capture them; unregistered custom groupings
-        return ``(None, {})`` and are shared by reference instead.
+        instance per worker host from this spec.  Strategies with
+        constructor parameters override this to capture them;
+        unregistered custom groupings return ``(None, {})`` and are
+        shared by reference instead.
         """
         return self.strategy_name, {}
 
@@ -132,6 +126,33 @@ def make_grouping(name: str, **params: Any) -> Grouping:
             f"choices: {sorted(STRATEGIES)}"
         ) from None
     return factory(**params)
+
+
+def edge_grouping(
+    topology: "Topology",
+    config: "SystemConfig",
+    cache: Dict[Tuple[str, str], Grouping],
+    src_operator: str,
+    dst_operator: str,
+) -> Grouping:
+    """The grouping routing the ``src -> dst`` edge, on either backend.
+
+    With ``config.partitioning`` unset this is exactly the instance
+    declared on the topology (so existing modes are untouched).  With it
+    set, every non-one-to-many edge is replaced by one registry instance
+    per edge, kept in ``cache`` — broadcast edges keep their ``all``
+    semantics (replacing them would change the topology's meaning and
+    break the multicast services built on stable membership).
+    """
+    declared = topology.operators[dst_operator].inputs[src_operator]
+    if config.partitioning is None or declared.one_to_many:
+        return declared
+    key = (src_operator, dst_operator)
+    grouping = cache.get(key)
+    if grouping is None:
+        params = dict(config.partitioning_params or {})
+        grouping = cache[key] = make_grouping(config.partitioning, **params)
+    return grouping
 
 
 def _key_digest(key: Any) -> int:
@@ -173,13 +194,6 @@ class ShuffleGrouping(Grouping):
         task = tasks[self._next % len(tasks)]
         self._next += 1
         return [task]
-
-    def export_state(self) -> Any:
-        return self._next
-
-    def import_state(self, state: Any) -> None:
-        if state is not None:
-            self._next = int(state)
 
 
 @register_strategy("fields")
@@ -350,16 +364,6 @@ class KeySplitGrouping(Grouping):
         self._cursors[key] = cursor + 1
         return [replicas[cursor % len(replicas)]]
 
-    def export_state(self) -> Any:
-        return (dict(self._counts), self._total, dict(self._cursors))
-
-    def import_state(self, state: Any) -> None:
-        if state is not None:
-            counts, total, cursors = state
-            self._counts = dict(counts)
-            self._total = int(total)
-            self._cursors = dict(cursors)
-
     def spec(self) -> Tuple[Optional[str], Dict[str, Any]]:
         return self.strategy_name, {
             "replicas": self.replicas,
@@ -397,13 +401,6 @@ class LocalityAwareGrouping(Grouping):
         self._next += 1
         return [task]
 
-    def export_state(self) -> Any:
-        return self._next
-
-    def import_state(self, state: Any) -> None:
-        if state is not None:
-            self._next = int(state)
-
 
 class _BoundLocality(Grouping):
     """A :class:`LocalityAwareGrouping` bound to one emitter."""
@@ -436,13 +433,6 @@ class _BoundLocality(Grouping):
         task = candidates[self._next % len(candidates)]
         self._next += 1
         return [task]
-
-    def export_state(self) -> Any:
-        return self._next
-
-    def import_state(self, state: Any) -> None:
-        if state is not None:
-            self._next = int(state)
 
     def __repr__(self) -> str:
         return f"LocalityAwareGrouping@m{self.machine_id}"
@@ -491,13 +481,6 @@ class LoadAdaptiveGrouping(Grouping):
         self._next += 1
         return [task]
 
-    def export_state(self) -> Any:
-        return self._next
-
-    def import_state(self, state: Any) -> None:
-        if state is not None:
-            self._next = int(state)
-
 
 class _BoundLoadAdaptive(Grouping):
     """A :class:`LoadAdaptiveGrouping` bound to one emitter's system."""
@@ -529,13 +512,6 @@ class _BoundLoadAdaptive(Grouping):
             metrics.note_queue_depth(where, depth)
             depths.append((depth, metrics.queue_depth_hwm[where], task))
         return [min(depths)[2]]
-
-    def export_state(self) -> Any:
-        return self._next
-
-    def import_state(self, state: Any) -> None:
-        if state is not None:
-            self._next = int(state)
 
     def __repr__(self) -> str:
         return "LoadAdaptiveGrouping(bound)"

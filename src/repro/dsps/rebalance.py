@@ -40,6 +40,10 @@ from repro.sim.engine import every
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.system import DspsSystem
 
+#: a parked task is restored when its queue drains below this fraction of
+#: the migration waterline
+REBALANCE_RESTORE_FRACTION = 0.25
+
 
 class PartitionRouter:
     """Live routing directory: active (routable) tasks per operator."""
@@ -60,10 +64,6 @@ class PartitionRouter:
 
     def parked_tasks(self, operator: str) -> List[int]:
         return sorted(self._parked[operator])
-
-    def is_parked(self, task_id: int) -> bool:
-        operator = self.system.placement.operator_of[task_id]
-        return task_id in self._parked[operator]
 
     def _rewire(self, operator: str) -> None:
         """Rebuild the live list in place, preserving placement order."""
@@ -100,9 +100,7 @@ class Rebalancer:
         config = system.config
         self.interval_s = config.rebalance_interval_s
         self.waterline = config.rebalance_waterline
-        self.restore_level = (
-            config.rebalance_restore_fraction * self.waterline
-        )
+        self.restore_level = REBALANCE_RESTORE_FRACTION * self.waterline
         self.cooldown_s = config.rebalance_cooldown_s
         self.migrations = 0
         self.restores = 0

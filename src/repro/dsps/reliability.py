@@ -62,6 +62,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: header and the first pair.
 ACK_PAIR_BYTES = 12
 
+#: backoff before replay attempt k is ``REPLAY_BACKOFF_BASE_S * 2**(k-1)``,
+#: spread by deterministic jitter from the seeded ``"acker"`` rng stream
+REPLAY_BACKOFF_BASE_S = 0.01
+#: with flow control on, extra multiplicative backoff per unit of measured
+#: replay congestion (throttled replays raise congestion, clean grants
+#: decay it)
+CONGESTION_BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class AckMessage:
@@ -770,24 +778,18 @@ class ReplayCoordinator:
                     attempts=record.attempts - 1,
                 )
             return
-        backoff = self.config.replay_backoff_base_s * (
-            2 ** (record.attempts - 1)
-        )
-        if backoff > 0:
-            # Deterministic jitter (seeded "acker" stream): trees failed
-            # by the same sweep spread over [backoff, 2*backoff) instead
-            # of replaying in lockstep.
-            backoff *= 1.0 + float(self._rng.uniform(0.0, 1.0))
+        backoff = REPLAY_BACKOFF_BASE_S * (2 ** (record.attempts - 1))
+        # Deterministic jitter (seeded "acker" stream): trees failed by
+        # the same sweep spread over [backoff, 2*backoff) instead of
+        # replaying in lockstep.
+        backoff *= 1.0 + float(self._rng.uniform(0.0, 1.0))
         flow = self.system.flow
         if flow is not None:
             # Replay-storm control: claim a token from the global budget
             # and widen the backoff under measured congestion.
             token_delay, congestion = flow.replay_gate()
             if congestion > 0:
-                backoff *= (
-                    self.config.congestion_backoff_factor
-                    ** min(congestion, 4)
-                )
+                backoff *= CONGESTION_BACKOFF_FACTOR ** min(congestion, 4)
             backoff += token_delay
         self.replays += 1
         if tracer is not None:
@@ -932,11 +934,6 @@ class ReplayCoordinator:
         return sum(len(h) for h in self._held.values()) + sum(
             len(s) for s in self._in_release.values()
         )
-
-    @property
-    def dedup_entries(self) -> int:
-        """Live (root, task) dedup entries (bounded by epoch GC)."""
-        return sum(len(tasks) for tasks in self._executed.values())
 
     def replayed_completions(self) -> List[CompletionRecord]:
         return [c for c in self.completions if c.attempts > 0]

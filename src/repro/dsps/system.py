@@ -13,27 +13,32 @@ restricted to the window.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.dsps.comm import CommEngine, MulticastService
 from repro.dsps.config import SystemConfig
 from repro.dsps.executor import BoltExecutor, ExecutorBase, SpoutExecutor
 from repro.dsps.flow import FlowController
-from repro.dsps.grouping import Grouping, make_grouping
+from repro.dsps.grouping import Grouping, edge_grouping
 from repro.dsps.metrics import MetricsHub
 from repro.dsps.rebalance import PartitionRouter, Rebalancer
 from repro.dsps.reliability import ReplayCoordinator
 from repro.dsps.scheduler import Placement, schedule
 from repro.dsps.topology import Topology
+from repro.dsps.tuples import reset_ids as reset_tuple_ids
 from repro.dsps.worker import Worker
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.cluster import Cluster
 from repro.net.fabric import Fabric
+from repro.net.message import reset_ids as reset_message_ids
 from repro.net.rdma import RdmaTransport
 from repro.net.serialization import SerializationModel
 from repro.net.tcp import TcpTransport
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.controller import MulticastController
 
 #: gap function: seconds until the next tuple, or None to stop.
 ArrivalFn = Callable[[float], Optional[float]]
@@ -61,6 +66,11 @@ class DspsSystem:
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
         attaches a :class:`~repro.faults.FaultInjector` that crashes and
         recovers machines at the scheduled sim times."""
+        # Restart the process-global id streams (tuples, wire messages) so
+        # a run's trace is bit-identical for a given seed no matter how
+        # many systems were built earlier in the same process.
+        reset_tuple_ids()
+        reset_message_ids()
         fabric_options = fabric_options or {}
         self.topology = topology
         self.config = config
@@ -99,7 +109,6 @@ class DspsSystem:
                 self.fabric,
                 self.costs,
                 data_verb=config.data_verb,
-                control_verb=config.control_verb,
             )
 
         # --- placement + runtime objects -----------------------------------
@@ -175,6 +184,20 @@ class DspsSystem:
         if arrivals:
             self.set_arrivals(arrivals)
 
+        # --- Whale's multicast controllers -------------------------------------
+        #: one per multicast service when the config adapts d* (Sections
+        #: 3.3-3.4) or detects failures; empty otherwise.
+        self.controllers: List["MulticastController"] = []
+        if (
+            config.adaptive and config.multicast == "nonblocking"
+        ) or config.failure_detection:
+            from repro.core.controller import MulticastController
+
+            self.controllers = [
+                MulticastController(self, service)
+                for service in self.multicast_services
+            ]
+
     # ------------------------------------------------------------------
     def set_arrivals(self, arrivals: Dict[str, ArrivalFn]) -> None:
         for name, gap_fn in arrivals.items():
@@ -196,25 +219,10 @@ class DspsSystem:
     # partitioning
     # ------------------------------------------------------------------
     def edge_grouping(self, src_operator: str, dst_operator: str) -> Grouping:
-        """The grouping routing the ``src -> dst`` edge.
-
-        With ``config.partitioning`` unset this is exactly the instance
-        declared on the topology (so existing modes are untouched).  With
-        it set, every non-one-to-many edge is replaced by one shared
-        registry instance per edge — broadcast edges keep their ``all``
-        semantics (replacing them would change the topology's meaning
-        and break the multicast services built on stable membership).
-        """
-        declared = self.topology.operators[dst_operator].inputs[src_operator]
-        if self.config.partitioning is None or declared.one_to_many:
-            return declared
-        key = (src_operator, dst_operator)
-        grouping = self._edge_groupings.get(key)
-        if grouping is None:
-            params = dict(self.config.partitioning_params or {})
-            grouping = make_grouping(self.config.partitioning, **params)
-            self._edge_groupings[key] = grouping
-        return grouping
+        """The grouping routing the ``src -> dst`` edge (see
+        :func:`repro.dsps.grouping.edge_grouping`)."""
+        return edge_grouping(self.topology, self.config, self._edge_groupings,
+                             src_operator, dst_operator)
 
     def attach_checker(self, mode: str = "strict", **kwargs):
         """Attach a runtime :class:`~repro.check.InvariantChecker`.
@@ -340,6 +348,8 @@ class DspsSystem:
             self.rebalancer.start()
         if self.fault_injector is not None:
             self.fault_injector.start()
+        for controller in self.controllers:
+            controller.start()
 
     def run_measured(self, warmup_s: float, measure_s: float) -> MetricsHub:
         """Run warmup, then a measurement window; return the metrics hub."""

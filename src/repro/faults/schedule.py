@@ -262,54 +262,3 @@ class FaultSchedule:
             events.append(FaultEvent.link_down(down_at, a_id, b_id))
             events.append(FaultEvent.link_up(up_at, a_id, b_id))
         return cls(events)
-
-    @classmethod
-    def random_overload(
-        cls,
-        machines: Sequence[int],
-        horizon_s: float,
-        seed: int,
-        n_bursts: int = 1,
-        n_slow_nodes: int = 0,
-        min_magnitude: float = 2.0,
-        max_magnitude: float = 8.0,
-        min_duration_s: float = 0.1,
-        max_duration_s: float = 0.3,
-    ) -> "FaultSchedule":
-        """Draw a seeded overload timeline (bursts + stragglers).
-
-        Kept separate from :meth:`random` so the crash-schedule draw
-        order — pinned by regression tests — never shifts.  Burst windows
-        are laid out back-to-back-or-later so they cannot overlap; slow
-        nodes pick distinct machines.
-        """
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        if n_slow_nodes > len(machines):
-            raise ValueError(
-                f"cannot slow {n_slow_nodes} of {len(machines)} machines"
-            )
-        if not 1.0 < min_magnitude <= max_magnitude:
-            raise ValueError("need 1 < min_magnitude <= max_magnitude")
-        if not 0 < min_duration_s <= max_duration_s:
-            raise ValueError("need 0 < min_duration_s <= max_duration_s")
-        rng = np.random.default_rng(seed)
-        events: List[FaultEvent] = []
-        cursor = 0.0
-        for _ in range(n_bursts):
-            start = float(rng.uniform(cursor, max(cursor, horizon_s * 0.8)))
-            magnitude = float(rng.uniform(min_magnitude, max_magnitude))
-            duration = float(rng.uniform(min_duration_s, max_duration_s))
-            events.append(FaultEvent.flash_crowd(start, magnitude, duration))
-            cursor = start + duration
-        if n_slow_nodes:
-            chosen = rng.choice(len(machines), size=n_slow_nodes, replace=False)
-            for idx in chosen:
-                machine = int(machines[int(idx)])
-                start = float(rng.uniform(0.0, horizon_s * 0.8))
-                magnitude = float(rng.uniform(min_magnitude, max_magnitude))
-                duration = float(rng.uniform(min_duration_s, max_duration_s))
-                events.append(
-                    FaultEvent.slow_node(start, machine, magnitude, duration)
-                )
-        return cls(events)

@@ -82,10 +82,3 @@ def receive_time_units(tree: MulticastTree) -> Dict[Node, int]:
 def completion_time_units(tree: MulticastTree) -> int:
     """Time units until the last destination receives one tuple."""
     return max(receive_time_units(tree).values())
-
-
-def pipelined_interval_units(tree: MulticastTree) -> int:
-    """Time units between consecutive tuples leaving the source in a
-    saturated pipeline — the source's out-degree (it must finish all its
-    own transmissions of tuple *k* before starting tuple *k+1*)."""
-    return max(1, tree.out_degree(tree.root))

@@ -131,13 +131,3 @@ class MD1Model:
 
     def d_star(self, arrival_rate: float) -> int:
         return max_out_degree(arrival_rate, self.te, self.q_capacity)
-
-    def max_input_rate(self, d0: int) -> float:
-        return max_affordable_input_rate(d0, self.te, self.q_capacity)
-
-    def is_stable(self, arrival_rate: float, d0: int) -> bool:
-        """True when ``E(L)`` stays within the transfer-queue capacity."""
-        mu = self.mu(d0)
-        if arrival_rate >= mu:
-            return False
-        return self.expected_queue_length(arrival_rate, d0) <= self.q_capacity

@@ -57,10 +57,6 @@ class Cluster:
         crosses (0 for same rack or same machine)."""
         return 0 if self.machines[a].rack == self.machines[b].rack else 1
 
-    @property
-    def total_cores(self) -> int:
-        return sum(m.cores for m in self.machines)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Cluster(machines={len(self.machines)}, racks={self.n_racks}, "

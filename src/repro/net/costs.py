@@ -21,7 +21,6 @@ paper builds on):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,6 @@ class CostModel:
     def with_overrides(self, **kwargs) -> "CostModel":
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict of all constants (for experiment provenance logs)."""
-        return {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__  # type: ignore[attr-defined]
-        }
 
 
 #: The default calibration used throughout the reproduction.

@@ -86,7 +86,7 @@ class CpuAccount:
         return {cat: t / total for cat, t in sorted(self.busy_s.items())}
 
     def reset(self) -> None:
-        """Zero the counters and restart the utilization window."""
+        """Zero the counters and begin a new utilization window."""
         self.busy_s.clear()
         self._started = self.sim.now
 

@@ -369,8 +369,3 @@ class Fabric:
         if msg.on_delivered is not None:
             msg.on_delivered(msg)
         receiver(msg)
-
-    # ------------------------------------------------------------------
-    @property
-    def total_bytes_sent(self) -> int:
-        return sum(p.bytes_sent for p in self.ports.values())

@@ -78,10 +78,9 @@ class RdmaTransport:
     data_verb:
         Verb used for data messages.  ``Verb.SEND`` models RDMA-based
         Storm (naive two-sided replacement of TCP); ``Verb.READ`` models
-        Whale's optimized primitives ("Whale_DiffVerbs").
-    control_verb:
-        Verb for control messages; Whale always uses two-sided SEND here
-        because control receivers cannot learn addresses from the ring.
+        Whale's optimized primitives ("Whale_DiffVerbs").  Control
+        messages always use two-sided SEND, because control receivers
+        cannot learn addresses from the ring.
     """
 
     name = "rdma"
@@ -92,7 +91,6 @@ class RdmaTransport:
         fabric: Fabric,
         costs: CostModel,
         data_verb: Verb = Verb.SEND,
-        control_verb: Verb = Verb.SEND,
         use_ring: bool = True,
         ring_capacity_bytes: int = 8 * 1024 * 1024,
     ):
@@ -100,7 +98,6 @@ class RdmaTransport:
         self.fabric = fabric
         self.costs = costs
         self.data_verb = data_verb
-        self.control_verb = control_verb
         self.use_ring = use_ring
         self.rnics: Dict[int, Rnic] = {
             m.machine_id: Rnic(
@@ -189,7 +186,7 @@ class RdmaTransport:
             return (costs.tcp_send_cpu_s, cpu_categories.NETWORK,
                     "tcp-fallback", costs.tcp_recv_cpu_s, True)
         if verb is None:
-            verb = self.data_verb if kind == "data" else self.control_verb
+            verb = self.data_verb if kind == "data" else Verb.SEND
         prof = self._profiles[verb]
         return (prof.sender_cpu_s, cpu_categories.RDMA_POST, verb.value,
                 prof.receiver_cpu_s, src_machine == dst_machine)

@@ -43,14 +43,6 @@ class RingMemoryRegion:
 
     # ------------------------------------------------------------------
     @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
-
-    @property
     def outstanding(self) -> int:
         """Number of allocated-but-not-yet-freed regions."""
         return len(self._regions)

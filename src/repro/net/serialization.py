@@ -19,7 +19,6 @@ experiments fall straight out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.net.costs import CostModel
 
@@ -70,21 +69,3 @@ class SerializationModel:
 
     def deserialize(self, size_bytes: int) -> float:
         return self.costs.deserialize_time(size_bytes)
-
-    # ------------------------------------------------------------------
-    def sequential_send_bytes(
-        self, payload_bytes: int, n_destinations: int
-    ) -> int:
-        """Total bytes Storm puts on the wire for one one-to-many tuple."""
-        return self.instance_message_bytes(payload_bytes) * n_destinations
-
-    def worker_oriented_send_bytes(
-        self, payload_bytes: int, dst_counts_per_worker: Sequence[int]
-    ) -> int:
-        """Total bytes Whale puts on the wire for one one-to-many tuple,
-        given how many destination instances live on each remote worker."""
-        return sum(
-            self.batch_message_bytes(payload_bytes, k)
-            for k in dst_counts_per_worker
-            if k > 0
-        )

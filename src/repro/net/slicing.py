@@ -50,11 +50,6 @@ class StreamSlicer:
         self.tuples_buffered = 0
 
     # ------------------------------------------------------------------
-    @property
-    def buffered_items(self) -> int:
-        return len(self._items)
-
-    # ------------------------------------------------------------------
     def add(self, item: Any, nbytes: int) -> None:
         """Buffer one serialized tuple of ``nbytes``."""
         if nbytes <= 0:

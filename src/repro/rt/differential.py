@@ -70,11 +70,6 @@ class DifferentialResult:
             return float("inf")
         return self.real.goodput_tps / self.sim.goodput_tps
 
-    @property
-    def within_band(self) -> bool:
-        low, high = GOODPUT_RATIO_BAND
-        return low <= self.goodput_ratio <= high
-
     def mismatch(self, limit: int = 5) -> List[str]:
         """Human-readable multiset differences (empty when conserved)."""
         if self.sim.executed is None or self.real.executed is None:

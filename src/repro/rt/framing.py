@@ -152,8 +152,3 @@ class FrameDecoder:
                 raise FrameError("batch frame must carry a list of JSON objects")
             out.extend(batch)
         return out
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward the next (incomplete) frame."""
-        return len(self._buffer)

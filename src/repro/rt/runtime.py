@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dsps.config import SystemConfig
-from repro.dsps.grouping import Grouping, make_grouping
+from repro.dsps.grouping import Grouping, edge_grouping
 from repro.dsps.metrics import MetricsHub
 from repro.dsps.scheduler import Placement, schedule
 from repro.dsps.system import DspsSystem
@@ -158,7 +158,6 @@ class SimRuntime(RuntimeBackend):
     ) -> RunReport:
         if budget is None and duration_s is None:
             raise ValueError("need a tuple budget or a duration")
-        reset_ids()
         arrivals = {}
         for op in self.topology.spouts():
             gap = ConstantArrivals(rate)
@@ -250,19 +249,11 @@ class AsyncRuntime(RuntimeBackend):
 
     # ------------------------------------------------------------------
     def edge_grouping(self, src_operator: str, dst_operator: str) -> Grouping:
-        """Prototype grouping for an edge — the same ``partitioning``
-        override semantics as ``DspsSystem.edge_grouping`` (hosts then
-        instantiate per-host copies from its ``spec()``)."""
-        declared = self.topology.operators[dst_operator].inputs[src_operator]
-        if self.config.partitioning is None or declared.one_to_many:
-            return declared
-        key = (src_operator, dst_operator)
-        grouping = self._edge_groupings.get(key)
-        if grouping is None:
-            params = dict(self.config.partitioning_params or {})
-            grouping = make_grouping(self.config.partitioning, **params)
-            self._edge_groupings[key] = grouping
-        return grouping
+        """Prototype grouping for an edge, as the DES routes it (see
+        :func:`repro.dsps.grouping.edge_grouping`); hosts then
+        instantiate per-host copies from its ``spec()``."""
+        return edge_grouping(self.topology, self.config, self._edge_groupings,
+                             src_operator, dst_operator)
 
     @property
     def spout_executors(self) -> List[RtSpoutExecutor]:

@@ -230,14 +230,6 @@ class RtBoltExecutor(RtExecutorBase):
         self.runnable, self.parked, self._now = False, False, 0.0
         self.bolt.prepare(self.context())
 
-    def rebuild(self) -> None:
-        """Worker restart: a fresh operator instance (queued work and the
-        task's identity survive; in-operator state does not — exactly a
-        process bounce)."""
-        self.bolt.close()
-        self.bolt = self.spec.factory()
-        self.bolt.prepare(self.context())
-
     def wake(self) -> None:
         self.parked = False
         self.host.ready(self)
@@ -451,10 +443,6 @@ class WorkerHost:
         #: per-emitter bound wrappers (``for_emitter``), keyed by
         #: (src, dst, emitting task).
         self._bound: Dict[Tuple[str, str, int], Grouping] = {}
-        #: routing state stashed by :meth:`restart`, imported when the
-        #: replacement instances are (lazily) rebuilt.
-        self._edge_restore: Dict[Tuple[str, str], Any] = {}
-        self._bound_restore: Dict[Tuple[str, str, int], Any] = {}
         #: per-task tuple-id dedup sets (only maintained when replays are
         #: possible, i.e. a reliability mode is on — TCP never duplicates
         #: on its own, and unbounded growth would hurt duration-mode runs)
@@ -484,7 +472,6 @@ class WorkerHost:
         self.peers: Dict[int, FramedConnection] = {}
         self.gates: Dict[int, CreditGate] = {}
         self._reader_tasks: List[asyncio.Task] = []
-        self.restarts = 0
 
     def _hosts_spout(self) -> bool:
         return any(ex.is_spout for ex in self.executors.values())
@@ -551,26 +538,6 @@ class WorkerHost:
             if error is not None:
                 raise error
 
-    async def restart(self) -> None:
-        """Bounce this worker: fresh operator and grouping instances,
-        with routing state carried across via ``export_state`` /
-        ``import_state`` (the satellite-1 contract).  Connections,
-        queues, parked plans and dedup bookkeeping survive — this models
-        a graceful worker restart, not a crash."""
-        self.restarts += 1
-        self._edge_restore = {
-            key: inst.export_state() for key, inst in self._edges.items()
-        }
-        self._bound_restore = {
-            key: inst.export_state() for key, inst in self._bound.items()
-        }
-        self._edges.clear()
-        self._bound.clear()
-        for ex in self.executors.values():
-            if isinstance(ex, RtBoltExecutor):
-                ex.rebuild()
-        self.clock.emit("rt.restart", machine=self.machine_id)
-
     # ------------------------------------------------------------------
     # grouping wiring
     # ------------------------------------------------------------------
@@ -581,9 +548,6 @@ class WorkerHost:
             proto = self.runtime.edge_grouping(src, dst)
             name, params = proto.spec()
             inst = make_grouping(name, **params) if name is not None else proto
-            state = self._edge_restore.pop(key, None)
-            if state is not None:
-                inst.import_state(state)
             self._edges[key] = inst
         return inst
 
@@ -591,12 +555,7 @@ class WorkerHost:
         key = (executor.operator, dst, executor.task_id)
         bound = self._bound.get(key)
         if bound is None:
-            edge = self._edge_instance(executor.operator, dst)
-            bound = edge.for_emitter(executor)
-            if bound is not edge:
-                state = self._bound_restore.pop(key, None)
-                if state is not None:
-                    bound.import_state(state)
+            bound = self._edge_instance(executor.operator, dst).for_emitter(executor)
             self._bound[key] = bound
         return bound
 

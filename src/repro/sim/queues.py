@@ -42,16 +42,6 @@ class QueueStats:
     cleared: int = 0
     shed: int = 0
 
-    @property
-    def mean_wait(self) -> float:
-        """Mean time an item spent queued, in seconds."""
-        return self.total_wait_time / self.dequeued if self.dequeued else 0.0
-
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of offered items that were dropped."""
-        return self.dropped / self.offered if self.offered else 0.0
-
 
 class TransferQueue(Store):
     """Bounded FIFO with waterline statistics.

@@ -35,10 +35,6 @@ class Store:
         """Number of items currently buffered."""
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     # ------------------------------------------------------------------
     def try_put(self, item: Any) -> bool:
         """Insert ``item``; returns ``False`` (rejecting it) if full."""

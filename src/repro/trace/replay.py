@@ -17,8 +17,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.dsps.metrics import LatencySummary
-
 
 @dataclass
 class ReplayResult:
@@ -48,12 +46,6 @@ class ReplayResult:
     def emit_rate(self, operator: str) -> float:
         duration = self.window_duration
         return self.emitted[operator] / duration if duration > 0 else 0.0
-
-    def multicast_summary(self) -> LatencySummary:
-        return LatencySummary.from_samples(self.multicast_latencies)
-
-    def completion_summary(self) -> LatencySummary:
-        return LatencySummary.from_samples(self.completion_latencies)
 
 
 def replay(records: Iterable[Dict[str, Any]]) -> ReplayResult:

@@ -13,7 +13,7 @@ Records are plain dicts; payload sizes model the serialized trace record
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class DriverLocationGenerator:
             "lat": float(pos[0]),
             "lon": float(pos[1]),
         }
-
-    def position_of(self, driver: int) -> Tuple[float, float]:
-        lat, lon = self._positions[driver]
-        return float(lat), float(lon)
 
 
 class PassengerRequestGenerator:

@@ -91,7 +91,7 @@ def test_series():
     s = Series("x")
     s.add(1.0, 2.0)
     s.add(2.0, 3.0)
-    assert s.as_rows() == [(1.0, 2.0), (2.0, 3.0)]
+    assert (s.x, s.y) == ([1.0, 2.0], [2.0, 3.0])
 
 
 # ----------------------------------------------------------------------

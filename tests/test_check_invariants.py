@@ -130,13 +130,6 @@ def test_clean_fault_run_with_replay_passes_strict():
     assert system.crash_count == 1 and system.recovery_count == 1
 
 
-def test_check_state_runs_outside_record_hooks():
-    system, _ = build_checked_system(whale_full_config(adaptive=False))
-    run_windowed(system, drain_s=0.1)
-    report = system.checker.check_state()
-    assert report.ok and not report.finalized
-
-
 # ----------------------------------------------------------------------
 # seeded bugs: the checker must catch each one by name
 # ----------------------------------------------------------------------
@@ -184,7 +177,7 @@ def test_seeded_orphaned_tree_node_is_caught():
     # Corrupt the structure: unlink the leaf from its parent's child list
     # (the node is now unreachable from the root).
     tree._children[tree.parent(leaf)].remove(leaf)
-    report = system.checker.check_state()
+    report = system.checker.finalize()
     assert any(v.invariant == "tree_structure" for v in report.violations)
 
 

@@ -1,68 +1,25 @@
-"""Tests for the Whale core: batch formats, monitors, and the
-self-adjusting multicast controller (including a dynamic-rate scenario)."""
+"""Tests for the Whale core: monitors and the self-adjusting multicast
+controller (including a dynamic-rate scenario)."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    BatchTuple,
     QueueMonitor,
     StreamMonitor,
     create_system,
-    group_tasks_by_machine,
     whale_full_config,
 )
-from repro.core.batch import make_worker_messages
+from repro.core.controller import SWITCH_DELAY_S
 from repro.dsps import AllGrouping, Bolt, Spout, Topology
-from repro.dsps.scheduler import schedule
-from repro.dsps.tuples import StreamTuple
-from repro.net import Cluster, CostModel, SerializationModel
+from repro.net import Cluster, CostModel
 from repro.sim import Simulator, TransferQueue
 from repro.workloads import DynamicRateArrivals, RateStep
 
 
-# ----------------------------------------------------------------------
-# batch formats
-# ----------------------------------------------------------------------
 class NullSpout(Spout):
     def next_tuple(self):
         return {}, None, 100
-
-
-class NullBolt(Bolt):
-    pass
-
-
-def small_placement(parallelism=8, machines=4):
-    topo = Topology("t")
-    topo.add_spout("src", NullSpout)
-    topo.add_bolt("b", NullBolt, parallelism=parallelism, inputs={"src": AllGrouping()})
-    return schedule(topo, Cluster(machines, 1, 16))
-
-
-def test_group_tasks_by_machine():
-    placement = small_placement(parallelism=8, machines=4)
-    groups = group_tasks_by_machine(placement, placement.tasks_of["b"])
-    assert sorted(groups) == [0, 1, 2, 3]
-    assert sum(len(v) for v in groups.values()) == 8
-
-
-def test_batch_tuple_requires_destinations():
-    tup = StreamTuple(stream="s", values={}, payload_bytes=100)
-    with pytest.raises(ValueError):
-        BatchTuple(tuple=tup, dst_task_ids=())
-
-
-def test_make_worker_messages_one_per_machine():
-    placement = small_placement(parallelism=8, machines=4)
-    ser = SerializationModel(CostModel())
-    tup = StreamTuple(stream="s", values={}, payload_bytes=100)
-    messages = make_worker_messages(placement, ser, tup, placement.tasks_of["b"])
-    assert len(messages) == 4
-    total_ids = sum(m.batch.n_destinations for m in messages)
-    assert total_ids == 8
-    for m in messages:
-        assert m.size_bytes == ser.batch_message_bytes(100, m.batch.n_destinations)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +266,7 @@ def test_switch_records_have_duration_and_traffic():
     controller = system.controllers[0]
     assert controller.history
     for record in controller.history:
-        assert record.duration_s >= system.config.switch_delay_s
+        assert record.duration_s >= SWITCH_DELAY_S
         assert record.duration_s < 0.1  # switching is fast (Fig. 23: ~126ms)
     # Control messages hit the wire.
     assert system.traffic_bytes("control") > 0

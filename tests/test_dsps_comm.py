@@ -84,7 +84,6 @@ def test_coalesced_instance_messages_each_pay_a_receive(make_config):
 def test_worker_oriented_sends_one_batch_per_remote_machine():
     system = broadcast_system(whale_woc_rdma_config(), parallelism=16, machines=4)
     system.run_measured(warmup_s=0.0, measure_s=0.5)
-    system.comm.flush_all_slicers()
     emitted = system.metrics.emitted["src"]
     per_tuple = system.traffic_bytes("data") / emitted
     batch = system.serialization.batch_message_bytes(150, 4)

@@ -179,18 +179,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(name="x", transport="tcp", slicing=True)
     with pytest.raises(ValueError):
-        SystemConfig(name="x", warning_waterline_fraction=1.5)
-    with pytest.raises(ValueError):
         SystemConfig(name="x", d_star=0)
     with pytest.raises(ValueError, match="d_star must be an int"):
         SystemConfig(name="x", d_star=None)
 
 
 def test_config_waterline_derived():
-    cfg = SystemConfig(
-        name="x", transfer_queue_capacity=100, warning_waterline_fraction=0.5
-    )
-    assert cfg.warning_waterline == 50.0
+    cfg = SystemConfig(name="x", transfer_queue_capacity=100)
+    assert cfg.warning_waterline == 50.0  # l_w = Q / 2
 
 
 def test_config_with_overrides():

@@ -97,28 +97,6 @@ def test_schedule_rejects_overlapping_overload_windows():
     ])
 
 
-def test_random_overload_is_deterministic_and_well_formed():
-    def build(seed):
-        sched = FaultSchedule.random_overload(
-            list(range(6)), horizon_s=2.0, seed=seed,
-            n_bursts=2, n_slow_nodes=2,
-        )
-        return [
-            (e.time, e.kind, e.machine, e.magnitude, e.duration)
-            for e in sched
-        ]
-
-    assert build(3) == build(3)
-    assert build(3) != build(4)
-    events = build(3)
-    assert sum(1 for e in events if e[1] == "flash_crowd") == 2
-    assert sum(1 for e in events if e[1] == "slow_node") == 2
-    slow_machines = [e[2] for e in events if e[1] == "slow_node"]
-    assert len(set(slow_machines)) == len(slow_machines)
-    for _, kind, _, magnitude, duration in events:
-        assert magnitude > 1.0 and duration > 0.0
-
-
 # ----------------------------------------------------------------------
 # fabric-level crash semantics
 # ----------------------------------------------------------------------

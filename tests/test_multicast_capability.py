@@ -16,7 +16,6 @@ from repro.multicast import (
     receive_time_units,
     time_units_to_reach,
 )
-from repro.multicast.capability import pipelined_interval_units
 
 
 # ----------------------------------------------------------------------
@@ -126,9 +125,3 @@ def test_schedule_agrees_with_recurrence(n, d_star):
         reached = sum(1 for v in times.values() if v <= t)
         assert reached == series[t]
 
-
-def test_pipelined_interval_is_source_degree():
-    t = build_nonblocking_tree(list(range(50)), d_star=4)
-    assert pipelined_interval_units(t) == 4
-    t2 = build_sequential_tree(list(range(50)))
-    assert pipelined_interval_units(t2) == 50

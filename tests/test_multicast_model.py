@@ -143,11 +143,10 @@ def test_nonblocking_source_degree_min_rule():
 def test_md1_model_bundle():
     model = MD1Model(te=2e-6, q_capacity=100.0)
     assert model.mu(4) == pytest.approx(125_000.0)
-    assert model.is_stable(10_000.0, 4)
-    assert not model.is_stable(10_000_000.0, 4)
+    assert model.expected_queue_length(10_000.0, 4) <= model.q_capacity
     d = model.d_star(10_000.0)
     assert d >= 1
-    assert model.max_input_rate(d) >= 10_000.0
+    assert max_affordable_input_rate(d, model.te, model.q_capacity) >= 10_000.0
 
 
 def test_validation_of_positive_inputs():

@@ -43,7 +43,7 @@ def test_cluster_validation():
 
 
 def test_cluster_total_cores():
-    assert Cluster(n_machines=30, cores=16).total_cores == 480
+    assert sum(m.cores for m in Cluster(n_machines=30, cores=16)) == 480
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +87,8 @@ def test_fabric_loopback_is_instant():
     fabric.send(WireMessage(payload=None, size_bytes=10**6, src_machine=0, dst_machine=0))
     sim.run()
     assert arrivals == [0.0]
-    assert fabric.total_bytes_sent == 0  # loopback never touches the NIC
+    # loopback never touches the NIC
+    assert sum(p.bytes_sent for p in fabric.ports.values()) == 0
 
 
 def test_fabric_rack_hop_latency():
@@ -127,7 +128,7 @@ def test_fabric_traffic_accounting():
     sim.run()
     assert fabric.bytes_by_kind["data"] == 100
     assert fabric.bytes_by_kind["control"] == 50
-    assert fabric.total_bytes_sent == 150
+    assert sum(p.bytes_sent for p in fabric.ports.values()) == 150
 
 
 def test_message_negative_size_rejected():
@@ -213,7 +214,7 @@ def test_rdma_delivery_and_ring_recycling():
     sim.run()
     assert [msg.payload for msg in inbox] == list(range(10))
     ring = rdma.rnics[0].ring
-    assert ring.used_bytes == 0  # everything recycled
+    assert ring.outstanding == 0  # everything recycled
     assert ring.allocs == 10 and ring.frees == 10
 
 

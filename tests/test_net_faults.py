@@ -76,7 +76,7 @@ def test_loss_still_recycles_ring_regions():
     )
     sim.run()
     assert fabric.messages_lost > 0
-    assert rdma.rnics[0].ring.used_bytes == 0  # no leak despite losses
+    assert rdma.rnics[0].ring.outstanding == 0  # no leak despite losses
 
 
 def test_loss_probability_validation():

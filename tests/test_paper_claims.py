@@ -49,8 +49,8 @@ def test_fig1_style_colocation_batch_sizes():
     """Fig. 1's deployment: 4 quad-core machines, 16 instances — Whale
     sends 4 BatchTuples of 4 ids instead of 16 messages."""
     ser = SerializationModel(CostModel())
-    whale_bytes = ser.worker_oriented_send_bytes(150, [4, 4, 4, 4])
-    storm_bytes = ser.sequential_send_bytes(150, 16)
+    whale_bytes = 4 * ser.batch_message_bytes(150, 4)
+    storm_bytes = 16 * ser.instance_message_bytes(150)
     assert whale_bytes < storm_bytes / 3
 
 
@@ -96,7 +96,7 @@ def test_storm_fig9_format_overhead_vs_whale():
     ser = SerializationModel(CostModel())
     payload = 150
     for n in (2, 8, 16, 64):
-        storm = ser.sequential_send_bytes(payload, n)
+        storm = n * ser.instance_message_bytes(payload)
         whale = ser.batch_message_bytes(payload, n)
         # Marginal cost per extra destination:
         storm_marginal = storm / n
@@ -113,4 +113,4 @@ def test_paper_cluster_shape():
     from repro.net import Cluster
 
     cluster = Cluster(30, 1, 16)
-    assert cluster.total_cores == 480
+    assert sum(m.cores for m in cluster) == 480

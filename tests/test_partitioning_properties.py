@@ -17,7 +17,6 @@ from repro.dsps import (
     ConsistentHashGrouping,
     FieldsGrouping,
     KeySplitGrouping,
-    ShuffleGrouping,
     make_grouping,
 )
 from repro.dsps.tuples import StreamTuple
@@ -182,8 +181,8 @@ def test_fields_and_consistent_hash_agree_with_themselves_across_instances(
     tasks, ks
 ):
     """Routing is instance-independent for the stateless keyed
-    strategies — a rebuilt grouping (rewire, restart) places every key
-    exactly where the old one did."""
+    strategies — a second instance (rt's per-host copy) places every key
+    exactly where the first one does."""
     for name in ("fields", "consistent_hash"):
         a, b = make_grouping(name), make_grouping(name)
         for k in ks:
@@ -200,7 +199,7 @@ def test_keyed_strategies_reject_unkeyed_tuples(tasks, k):
 
 
 # ----------------------------------------------------------------------
-# registry + rewiring-state contracts
+# registry contracts
 # ----------------------------------------------------------------------
 def test_registry_exposes_every_expected_strategy():
     assert set(STRATEGIES) >= {
@@ -216,42 +215,6 @@ def test_registry_exposes_every_expected_strategy():
         grouping = make_grouping(name)
         assert grouping.strategy_name == name
         assert isinstance(grouping, factory)
-
-
-@given(tasks=task_lists, n_before=st.integers(0, 20))
-def test_shuffle_state_export_survives_an_instance_rebuild(tasks, n_before):
-    """The rewiring-reset regression, as a property: a rebuilt shuffle
-    grouping that imports the old cursor continues the rotation instead
-    of restarting from task zero."""
-    old = ShuffleGrouping()
-    for _ in range(n_before):
-        old.choose(_tup(None), tasks)
-    expected = [
-        tasks[(n_before + i) % len(tasks)] for i in range(2 * len(tasks))
-    ]
-    rebuilt = ShuffleGrouping()
-    rebuilt.import_state(old.export_state())
-    got = [rebuilt.choose(_tup(None), tasks)[0] for _ in range(len(expected))]
-    assert got == expected
-
-
-@given(tasks=task_lists)
-def test_key_split_state_export_preserves_hot_detection_and_cursors(tasks):
-    """Migrating key-split state across a rewire keeps both the hot-key
-    statistics (so a hot key stays hot) and the per-key cursor (so the
-    fan-out rotation does not restart)."""
-    old = KeySplitGrouping(
-        replicas=2, hot_threshold=0.5, min_samples=4, virtual_nodes=16
-    )
-    for _ in range(8):
-        old.choose(_tup("hot"), tasks)
-    assert old.is_hot("hot")
-    rebuilt = KeySplitGrouping(
-        replicas=2, hot_threshold=0.5, min_samples=4, virtual_nodes=16
-    )
-    rebuilt.import_state(old.export_state())
-    assert rebuilt.is_hot("hot")
-    assert rebuilt.choose(_tup("hot"), tasks) == old.choose(_tup("hot"), tasks)
 
 
 def test_fields_matches_modular_crc32_hashing_exactly():

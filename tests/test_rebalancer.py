@@ -16,7 +16,6 @@ import pytest
 from repro.bench.hotkey import CountingSink, ZipfKeySpout
 from repro.core import create_system, whale_full_config
 from repro.dsps import Topology
-from repro.dsps.rebalance import PartitionRouter
 from repro.faults import FaultEvent, FaultSchedule
 from repro.net import Cluster
 from repro.trace import MemoryTracer
@@ -186,7 +185,7 @@ def test_partition_router_park_and_restore_preserve_placement_order():
     placed = list(system.placement.tasks_of["counts"])
     victim = placed[2]
     router.park("counts", victim)
-    assert router.is_parked(victim)
+    assert router.parked_tasks("counts") == [victim]
     assert router.active_tasks("counts") == [
         t for t in placed if t != victim
     ]

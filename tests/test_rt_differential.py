@@ -54,16 +54,14 @@ def test_goodput_ratio_and_band():
     executed = {("match", "{'seq': 0}"): 100}
     sim = _report(executed, last_t=1.0)  # 100 tuples/s
     ok = DifferentialResult("t", sim, _report(executed, last_t=0.8))
-    assert 1.2 < ok.goodput_ratio < 1.3
-    assert ok.within_band
+    low, high = GOODPUT_RATIO_BAND
+    assert 1.2 < ok.goodput_ratio < 1.3 and low <= ok.goodput_ratio <= high
 
     crawl = DifferentialResult("t", sim, _report(executed, last_t=10.0))
-    assert crawl.goodput_ratio < GOODPUT_RATIO_BAND[0]
-    assert not crawl.within_band
+    assert crawl.goodput_ratio < low
 
     starved = DifferentialResult("t", _report({}), _report(executed))
     assert starved.goodput_ratio == float("inf")
-    assert not starved.within_band
 
 
 def test_differential_config_exercises_the_acker_path():
@@ -80,7 +78,8 @@ def test_run_differential_word_count_small():
     assert diff.sim.backend == "sim"
     assert diff.real.backend == "asyncio"
     assert diff.conserved, diff.mismatch()
-    assert diff.within_band, diff.goodput_ratio
+    low, high = GOODPUT_RATIO_BAND
+    assert low <= diff.goodput_ratio <= high, diff.goodput_ratio
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ def test_round_trip_single_frame():
     frames = decoder.feed(encode_frame(message))
     assert frames == [message]
     assert decoder.frames_decoded == 1
-    assert decoder.pending_bytes == 0
+    assert not decoder._buffer
 
 
 def test_partial_reads_byte_at_a_time():
@@ -165,7 +165,7 @@ def test_round_trip_survives_arbitrary_chunking(messages, chunk):
     for i in range(0, len(blob), chunk):
         out.extend(decoder.feed(blob[i : i + chunk]))
     assert out == messages
-    assert decoder.pending_bytes == 0
+    assert not decoder._buffer
 
 
 # ----------------------------------------------------------------------
@@ -207,4 +207,4 @@ def test_batch_and_single_frames_flatten_under_arbitrary_chunking(frames, chunk)
         out.extend(decoder.feed(blob[i : i + chunk]))
     assert out == expected
     assert decoder.frames_decoded == len(frames)
-    assert decoder.pending_bytes == 0
+    assert not decoder._buffer

@@ -1,5 +1,5 @@
 """The rt backend end-to-end: the relay tree, real-socket topology
-runs, trace reach, and worker-restart grouping state handoff.
+runs and trace reach.
 
 The end-to-end tests run whole topologies over real localhost TCP
 (ephemeral ports) inside ``asyncio.run`` — they are the rt analogue of
@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core import create_system
 from repro.dsps import AllGrouping, Bolt, Topology
 from repro.dsps.config import SystemConfig
 from repro.dsps.scheduler import schedule
@@ -29,6 +30,7 @@ from repro.rt.transport import CreditGate, FramedConnection
 from repro.rt.worker import _Sender, relay_tree, tuple_to_wire
 from repro.trace import MemoryTracer
 from repro.trace.tracer import ALL_CATEGORIES, DEFAULT_CATEGORIES
+from repro.workloads.arrivals import ConstantArrivals, FiniteArrivals
 
 from tests._check_util import SeqSpout
 
@@ -633,6 +635,39 @@ def test_create_runtime_dispatches_on_backend():
     assert isinstance(real, AsyncRuntime)
 
 
+def test_sim_backend_runs_the_controllers_create_system_attaches():
+    """``create_runtime(backend="sim")`` builds the same system as
+    ``create_system``: an adaptive, failure-detecting config gets its
+    multicast controllers on both, so heartbeats are answered and the
+    switch history matches."""
+    config = SystemConfig(
+        name="sim-controllers", backend="sim", worker_oriented=True,
+        multicast="nonblocking", adaptive=True, failure_detection=True,
+    )
+    cluster = Cluster(8, 1, 16)
+    rate, budget = 2000.0, 400
+
+    runtime = create_runtime(make_topology("fanout", 16), config, cluster=cluster)
+    runtime.run(rate, budget=budget)
+
+    direct = create_system(
+        make_topology("fanout", 16), config, cluster=cluster,
+        arrivals={"ticks": FiniteArrivals(ConstantArrivals(rate), budget)},
+    )
+    direct.start()
+    direct.sim.run(until=budget / rate + runtime.drain_slack_s)
+
+    def answered(system):
+        return sum(w.heartbeats_answered for w in system.workers.values())
+
+    def switches(system):
+        return [c.history for c in system.controllers]
+
+    assert len(runtime.system.controllers) == len(direct.controllers) == 1
+    assert answered(runtime.system) == answered(direct) > 0
+    assert switches(runtime.system) == switches(direct)
+
+
 @pytest.mark.parametrize("delivery", ["exactly_once", "atomic"])
 def test_asyncio_backend_rejects_unimplemented_delivery(delivery):
     """The asyncio backend implements at-most-once and at-least-once
@@ -712,54 +747,3 @@ def test_rt_records_reach_an_attached_tracer():
     }
     assert machines == set(runtime.hosts)  # every host announced itself
 
-
-# ----------------------------------------------------------------------
-# worker restart: grouping state survives via export/import
-# ----------------------------------------------------------------------
-def test_worker_restart_carries_grouping_state_across():
-    """Satellite-1 regression: a bounced worker rebuilds its grouping
-    instances from exported state, so the shuffle cursor *continues*
-    instead of restarting at zero (which would skew round-robin
-    placement after every restart)."""
-
-    async def scenario():
-        recorder = Recorder()
-        runtime = AsyncRuntime(
-            make_topology("word_count", parallelism=4, recorder=recorder),
-            SystemConfig(name="rt-restart", backend="asyncio"),
-            cluster=default_cluster(),
-            seed=2,
-            recorder=recorder,
-        )
-        await runtime.setup()
-        runtime.clock.start()
-        runtime.metrics.open_window()
-        await runtime.drive(800.0, budget=30)
-        await runtime.drain()
-
-        spout_host = next(
-            h for h in runtime.hosts.values()
-            if any(ex.is_spout for ex in h.executors.values())
-        )
-        edge = spout_host._edges[("sentences", "split")]
-        cursor_before = edge.export_state()
-        assert cursor_before == 30  # one shuffle choice per spout emit
-
-        await spout_host.restart()
-        assert spout_host.restarts == 1
-        assert ("sentences", "split") not in spout_host._edges
-
-        await runtime.drive(800.0, budget=10)
-        await runtime.drain()
-        runtime.metrics.close_window()
-        rebuilt = spout_host._edges[("sentences", "split")]
-        await runtime.shutdown()
-        return edge, rebuilt, recorder
-
-    edge, rebuilt, recorder = asyncio.run(scenario())
-    assert rebuilt is not edge  # a genuinely fresh instance...
-    assert rebuilt.export_state() == 40  # ...that continued the cursor
-    # and no tuples were lost around the bounce
-    assert recorder.total == sum(
-        len(SENTENCES[i % len(SENTENCES)].split()) for i in range(40)
-    )

@@ -54,4 +54,4 @@ def test_transfer_queue_stats_survive_take():
     sim.run()
     s = q.stats()
     assert s.dequeued == 1
-    assert math.isclose(s.mean_wait, 0.5)
+    assert math.isclose(s.total_wait_time, 0.5)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import create_system, whale_full_config
 from repro.dsps import AllGrouping, Bolt, Spout, Topology
+from repro.dsps.metrics import LatencySummary
 from repro.net import Cluster, CostModel
 from repro.sim import SimulationError, Simulator
 from repro.trace import (
@@ -181,7 +182,7 @@ def test_replay_matches_live_metrics_exactly(tmp_path):
     assert replayed.multicast_latencies == metrics.multicast.latencies
     assert replayed.multicast_completed == metrics.multicast.completed
     live_mc = metrics.multicast.summary()
-    rep_mc = replayed.multicast_summary()
+    rep_mc = LatencySummary.from_samples(replayed.multicast_latencies)
     assert rep_mc.count == live_mc.count > 0
     assert rep_mc.p50 == live_mc.p50
     assert rep_mc.p99 == live_mc.p99
@@ -189,7 +190,7 @@ def test_replay_matches_live_metrics_exactly(tmp_path):
     assert replayed.completion_latencies == metrics.completion.latencies
     assert replayed.completion_completed == metrics.completion.completed
     live_cp = metrics.completion.summary()
-    rep_cp = replayed.completion_summary()
+    rep_cp = LatencySummary.from_samples(replayed.completion_latencies)
     assert rep_cp.count == live_cp.count > 0
     assert rep_cp.p50 == live_cp.p50
     assert rep_cp.p99 == live_cp.p99

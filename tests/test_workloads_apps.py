@@ -84,11 +84,12 @@ def test_driver_generator_fields_and_bounds():
 
 def test_driver_positions_evolve():
     g = DriverLocationGenerator(np.random.default_rng(1), n_drivers=5)
-    before = [g.position_of(i) for i in range(5)]
+    seen = {}
     for _ in range(500):
-        g.next_record()
-    after = [g.position_of(i) for i in range(5)]
-    assert before != after
+        rec = g.next_record()
+        seen.setdefault(rec["driver_id"], set()).add((rec["lat"], rec["lon"]))
+    assert len(seen) == 5
+    assert all(len(positions) > 1 for positions in seen.values())
 
 
 def test_request_generator_ids_increase():
