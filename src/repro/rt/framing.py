@@ -19,7 +19,7 @@ run, or a value JSON cannot carry, is a :class:`FrameError` too.
 
 The codec is deliberately synchronous (bytes in, messages out) so it is
 property-testable without an event loop; :mod:`repro.rt.transport` wraps
-it in asyncio streams.
+it in an asyncio protocol.
 """
 
 from __future__ import annotations

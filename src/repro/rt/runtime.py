@@ -285,9 +285,9 @@ class AsyncRuntime(RuntimeBackend):
 
     def fail(self, error: Exception) -> None:
         """A host met ``error``.  The first one fails the run: every
-        parked spout and connection reader, and every later one, raises
-        it instead of waiting, so a :meth:`drive` stalled on a dead peer
-        raises it at once."""
+        parked spout and connection receiver, and every later park,
+        fails with it instead of waiting, so a :meth:`drive` stalled on a
+        dead peer raises it at once."""
         if self.error is not None:
             return
         self.error = error

@@ -1,33 +1,51 @@
-"""Asyncio transport: framed connections, credit gates, ephemeral
-servers.
+"""Asyncio transport: framed protocol connections, credit gates,
+ephemeral servers.
 
 This is the thinnest possible wrapper binding the synchronous
-:mod:`repro.rt.framing` codec to asyncio streams, plus the sender side
-of the receiver-driven credit flow control the DES models in
-:mod:`repro.dsps.flow`.  Everything binds ``127.0.0.1`` on an ephemeral
-port (``port 0``): the rt backend never claims a fixed port, so smoke
-runs and CI jobs can overlap freely.
+:mod:`repro.rt.framing` codec to an asyncio :class:`~asyncio.
+BufferedProtocol`, plus the sender side of the receiver-driven credit
+flow control the DES models in :mod:`repro.dsps.flow`.  Everything binds
+``127.0.0.1`` on an ephemeral port (``port 0``): the rt backend never
+claims a fixed port, so smoke runs and CI jobs can overlap freely.
 
-**Worker-oriented writes.**  A :class:`FramedConnection` pays the
-transport cost once per peer per loop turn, not once per message:
+**Reads.**  A :class:`FramedConnection` reads into one receive buffer
+that every connection on the thread's event loop shares: the loop is
+single-threaded and ``buffer_updated`` consumes the buffer before the
+next ``get_buffer``, and a private 64 KiB buffer per connection would
+cost about 7 MB on an 8-host mesh.  ``buffer_updated`` feeds the
+:class:`~repro.rt.framing.FrameDecoder` and hands the messages the read
+completed, batches flattened and in per-connection FIFO order, to the
+owner's ``on_messages`` in the same callback, so a message costs no
+loop turn between the socket and its handler.  A handler that must wait
+calls ``transport.pause_reading()`` and keeps the rest of the read;
+``resume_reading()`` lets the next read in.  :func:`serve` and
+:func:`dial` call their ``on_connect(conn)`` from ``connection_made``,
+before the first read, to install the hooks.  ``connection_lost`` is the
+one place the end of a connection enters: it calls ``on_lost`` with the
+error of this side's decoder or handler (:meth:`FramedConnection.fail`),
+else a transport error, or ``None`` after an EOF, a reset or a close.
+
+**Worker-oriented writes.**  A connection pays the transport cost once
+per peer per loop turn, not once per message:
 :meth:`~FramedConnection.send`/:meth:`~FramedConnection.post` queue a
 control message, and :meth:`~FramedConnection.post_row` a data-plane
 row onto the outbox's last *run* when that has the same header, else
 onto a new one (so FIFO order holds).  The first entry queued in a turn
 schedules one flush with ``loop.call_soon``, which encodes the outbox
 as one ``{"type": "batch", "m": [...]}`` frame (a lone entry goes bare)
-and makes one ``writer.write``; a batch over the frame limit is halved,
-and a lone run split by rows, until every frame fits, in order.  A row
-or message over the limit on its own, or holding a value JSON cannot
-carry, is never written: it raises :class:`~repro.rt.framing.FrameError`
-from the call that flushes it, or, when the deferred flush hit it, from
-every later call and from ``close``.  An outbox of :data:`OUTBOX_LIMIT`
-rows and messages flushes at once; ``send`` then also awaits
-``drain()``, so a sender that never yields still feels the transport's
-high-water mark; ``post``/``post_row`` only report the flush, and a
-worker host's task then waits on :meth:`~FramedConnection.drained`.
-:meth:`~FramedConnection.receive` returns the messages one socket read
-completed, batches flattened, in per-connection FIFO order.
+and makes one ``transport.write``; a batch over the frame limit is
+halved, and a lone run split by rows, until every frame fits, in order.
+A row or message over the limit on its own, or holding a value JSON
+cannot carry, is never written: it raises
+:class:`~repro.rt.framing.FrameError` from the call that flushes it, or,
+when the deferred flush hit it, from every later call and from
+``close``.  An outbox of :data:`OUTBOX_LIMIT` rows and messages flushes
+at once.  The transport's ``pause_writing``/``resume_writing`` set
+:attr:`~FramedConnection.writing_paused` and wake the senders that
+registered with :meth:`~FramedConnection.when_writable`: ``send`` waits
+there after a flush while writing is paused, so a sender that never
+yields still feels the high-water mark; ``post``/``post_row`` only
+report the flush, and a worker host's sender then parks there.
 
 **Credit semantics.**  When ``SystemConfig.flow`` is on, each outbound
 connection carries at most ``credit_window`` unacknowledged data-plane
@@ -45,28 +63,50 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+import threading
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.rt.framing import DEFAULT_FRAME_LIMIT, FrameDecoder, FrameError, encode_frame, run_message
 
 #: queued rows and messages at which the outbox flushes at once (and
-#: :meth:`FramedConnection.send` also awaits the writer's ``drain()``).
+#: :meth:`FramedConnection.send` also waits while writing is paused).
 OUTBOX_LIMIT = 256
 
+#: bytes one socket read may fill.
+RECEIVE_BUFFER_BYTES = 65536
 
-class FramedConnection:
+#: the receive buffer of each thread's connections (one event loop each).
+_receive = threading.local()
+
+
+def _receive_buffer() -> memoryview:
+    buffer = getattr(_receive, "buffer", None)
+    if buffer is None:
+        buffer = _receive.buffer = memoryview(bytearray(RECEIVE_BUFFER_BYTES))
+    return buffer
+
+
+def _ignore(_: Any) -> None:
+    pass
+
+
+class FramedConnection(asyncio.BufferedProtocol):
     """One framed, message-oriented TCP connection."""
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
         limit: int = DEFAULT_FRAME_LIMIT,
+        on_connect: Optional[Callable[["FramedConnection"], None]] = None,
     ):
-        self.reader = reader
-        self.writer = writer
         self.limit = limit
+        self.transport: Optional[asyncio.Transport] = None
+        #: the owner's hooks: each read's complete messages, in order;
+        #: how the connection ended (see the module docstring).
+        self.on_messages: Callable[[List[Dict[str, Any]]], None] = _ignore
+        self.on_lost: Callable[[Optional[Exception]], None] = _ignore
+        self._on_connect = on_connect
         self._decoder = FrameDecoder(limit)
+        self._buffer = _receive_buffer()
         #: control messages and runs (``[header, tasks, wires]``) queued for
         #: the next flush, rows and messages queued, credits granted.
         self._outbox: List[Any] = []
@@ -76,19 +116,76 @@ class FramedConnection:
         #: why a flush refused a message it could not write; raised by
         #: every later ``send``/``post``/``grant`` and by ``close``.
         self._error: Optional[FrameError] = None
+        #: why this side's decoder or handler ended the connection.
+        self._failure: Optional[Exception] = None
         self._closed = False
+        #: done once ``connection_lost`` ran.
+        self._gone: Optional[asyncio.Future] = None
+        #: the transport is above its high-water mark; wake-ups of the
+        #: senders waiting for it to drain.
+        self.writing_paused = False
+        self._writable: List[Callable[[], Any]] = []
         self.frames_sent = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._gone = asyncio.get_running_loop().create_future()
+        if self._on_connect is not None:
+            self._on_connect(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        try:
+            messages = self._decoder.feed(self._buffer[:nbytes])
+            if messages:
+                self.on_messages(messages)
+        except Exception as exc:
+            self.fail(exc)
+
+    def pause_writing(self) -> None:
+        self.writing_paused = True
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self._wake_writers()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._gone.set_result(None)
+        self.writing_paused = False
+        self._wake_writers()
+        if isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+            exc = None
+        self.on_lost(self._failure or exc)
+
+    def _wake_writers(self) -> None:
+        waiters, self._writable = self._writable, []
+        for wake in waiters:
+            wake()
+
+    def fail(self, error: Exception) -> None:
+        """End the connection because of ``error`` (a corrupt frame, a
+        message its handler refused); ``on_lost`` receives it."""
+        if self._failure is None:
+            self._failure = error
+            self.transport.abort()
 
     async def send(self, message: Dict[str, Any]) -> None:
         """Queue one message for this loop turn's frame; a send that
-        fills the outbox also awaits the writer's ``drain()``."""
-        if self.post(message):
-            await self.writer.drain()
+        fills the outbox also waits while writing is paused."""
+        if self.post(message) and self.writing_paused:
+            writable = asyncio.get_running_loop().create_future()
+            self.when_writable(lambda: writable.done() or writable.set_result(None))
+            await writable
+
+    def when_writable(self, wake: Callable[[], Any]) -> None:
+        """Call ``wake()`` once writing resumes (or the connection ends)."""
+        self._writable.append(wake)
 
     def post(self, message: Dict[str, Any]) -> bool:
-        """Queue one control message without ever awaiting ``drain()``;
-        returns whether it filled the outbox, which was then flushed at
-        once."""
+        """Queue one control message without ever waiting; returns
+        whether it filled the outbox, which was then flushed at once."""
         self._check_open()
         self._outbox.append(message)
         return self._queued_one()
@@ -164,30 +261,8 @@ class FramedConnection:
             self._write(entries[:half])
             self._write(entries[half:])
             return
-        self.writer.write(frame)
+        self.transport.write(frame)
         self.frames_sent += 1
-
-    async def receive(self) -> Optional[List[Dict[str, Any]]]:
-        """Await one socket read and return every message it completed
-        (possibly none), in order; ``None`` once the peer closed or
-        reset the connection."""
-        try:
-            data = await self.reader.read(65536)
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            return None
-        return self._decoder.feed(data) if data else None
-
-    def drained(self) -> Optional["asyncio.Future[None]"]:
-        """``None`` while the writer is under its high-water mark, else a
-        future done once ``drain()`` returns."""
-        transport = self.writer.transport
-        if transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[1]:
-            return None
-        return asyncio.ensure_future(self._drain_quietly())
-
-    async def _drain_quietly(self) -> None:
-        with contextlib.suppress(ConnectionError):
-            await self.writer.drain()
 
     async def close(self) -> None:
         """Write everything queued, then close; raises the
@@ -199,46 +274,37 @@ class FramedConnection:
             if self._error is None:
                 self._flush()
         finally:
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                self.writer.close()
-                await self.writer.wait_closed()
+            self.transport.close()
+            await self._gone
         if self._error is not None:
             raise self._error
 
 
 async def dial(
-    port: int, limit: int = DEFAULT_FRAME_LIMIT, host: str = "127.0.0.1"
+    port: int,
+    limit: int = DEFAULT_FRAME_LIMIT,
+    host: str = "127.0.0.1",
+    on_connect: Optional[Callable[[FramedConnection], None]] = None,
 ) -> FramedConnection:
-    """Connect to a worker host's listener."""
-    reader, writer = await asyncio.open_connection(host, port)
-    return FramedConnection(reader, writer, limit)
+    """Connect to a worker host's listener; ``on_connect(conn)`` runs
+    before the first read."""
+    _, conn = await asyncio.get_running_loop().create_connection(
+        lambda: FramedConnection(limit, on_connect), host, port)
+    return conn
 
 
 async def serve(
-    handler: Callable[[FramedConnection], Awaitable[None]],
+    on_connect: Callable[[FramedConnection], None],
     limit: int = DEFAULT_FRAME_LIMIT,
 ) -> Tuple[asyncio.AbstractServer, int]:
     """Start a framed server on an ephemeral localhost port.
 
-    ``handler`` is awaited once per inbound connection with a
-    :class:`FramedConnection`; returns ``(server, bound port)``.
+    ``on_connect`` runs once per inbound connection, before its first
+    read, with its :class:`FramedConnection`; returns ``(server, bound
+    port)``.
     """
-
-    async def on_connect(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = FramedConnection(reader, writer, limit)
-        try:
-            await handler(conn)
-        except asyncio.CancelledError:
-            # Loop teardown cancels inbound handlers mid-read; the dialer
-            # is gone, so there is nothing left to do but close quietly.
-            pass
-        finally:
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await conn.close()
-
-    server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+    server = await asyncio.get_running_loop().create_server(
+        lambda: FramedConnection(limit, on_connect), "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
     return server, port
 

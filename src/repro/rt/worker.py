@@ -31,8 +31,8 @@ consecutive rows with one header travel as one field-major *run*:
   no members and a hop plans nothing;
 * ``acks``   — ``{"a": [root, task, root, task, ...]}``: the tracked
   spout tuples the sender's tasks executed this loop turn, in order (one
-  message per acker host per turn, posted without awaiting ``drain()``;
-  the spout host's :class:`Acker` applies the pairs in order);
+  message per acker host per turn, posted without ever waiting; the
+  spout host's :class:`Acker` applies the pairs in order);
 * ``credit`` — receiver-driven flow control: one credit per row once
   the work is enqueued, granted per half window and before the receiver
   parks (only when ``SystemConfig.flow`` is on).
@@ -44,14 +44,24 @@ synchronously, FIFO per task, on one clock read.  Routing only plans
 (the emit's local enqueues and peer sends, in order) and
 :meth:`WorkerHost.advance` carries plans out.  A step without credit,
 into a full queue or behind a backlogged writer parks *only its sender*
-until the grant, the pop or the ``drain()``; parking the whole
+until the grant, the pop or ``resume_writing``; parking the whole
 dispatcher would deadlock hosts whose tasks wait on each other's
-credits.  An inbound connection handles each socket read's messages
-synchronously.  A row is decoded once, and its one :class:`StreamTuple`
-goes to every local task after one dedup pass and one tracker update
-(the emitting host hands co-located tasks the emitted tuple itself), so
-tasks share the object, as in the DES's ``Worker.dispatch``: **bolts
-must not mutate their input.**  A connection's error fails the run.
+credits.  Each connection's :class:`_Receiver` handles a socket read's
+messages in the read's own callback, with no loop turn between the
+socket and the local enqueues and relay forwards; one that must wait
+pauses reading until it is woken.  A row is decoded once, and its one
+:class:`StreamTuple` goes to every local task after one dedup pass and
+one tracker update (the emitting host hands co-located tasks the emitted
+tuple itself), so tasks share the object, as in the DES's
+``Worker.dispatch``: **bolts must not mutate their input.**  A
+connection's error fails the run.
+
+**Pacing.**  A paced spout sleeps only the part of a wait the poller
+can honour (``epoll_wait`` rounds every timeout up to a whole
+millisecond, :data:`POLL_GRANULARITY_S`) and yields loop turns for the
+rest, so each tuple leaves at its due instant, not up to a millisecond
+after it.  Each yield is a full loop turn with a zero-timeout poll, so
+every host's I/O keeps running meanwhile.
 
 **At-least-once** (``config.reliability_enabled``): the spout's host
 tracks every one-to-many spout emit in its :class:`Acker`, whose
@@ -71,7 +81,7 @@ import asyncio
 import contextlib
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dsps.acker import PendingTable
 from repro.dsps.api import TupleContext
@@ -149,8 +159,9 @@ class _Sender:
     :meth:`WorkerHost.advance` meets a step that must wait, the sender
     parks with the rest of its plan until :meth:`wake`.  This base wakes
     a coroutine awaiting :meth:`park`; a bolt task overrides
-    :meth:`wake` to rejoin its host's dispatcher instead.  Once a host
-    of the run has failed, a parked spout or connection reader raises
+    :meth:`wake` to rejoin its host's dispatcher instead, and a
+    connection's :class:`_Receiver` to resume handling its read.  Once a
+    host of the run has failed, a parked spout or receiver fails with
     that error instead of waiting (:meth:`AsyncRuntime.fail`)."""
 
     def __init__(self, host: "WorkerHost", stall_key: str):
@@ -185,6 +196,121 @@ class _Sender:
         woken = self._woken
         if woken is not None and not woken.done():
             woken.set_exception(error)
+
+
+class _Receiver(_Sender):
+    """The receiving side of one connection.  :meth:`on_messages` runs in
+    the socket's callback and handles the read's messages synchronously:
+    rows and acks in, and on an outbound connection the credit grants for
+    ``gate``.  Per row it plans the local enqueues and the relay
+    forwards, then advances them.  A step that must wait parks the
+    receiver: it grants the credits it owes, pauses reading and keeps
+    the rest of the read; :meth:`wake` resumes it on the next loop turn,
+    and once it has handled what it kept it resumes reading.  With flow
+    on, a row owes a credit; owed credits carry across reads and are
+    granted at half the window and before parking: a sender waits only
+    with a full window in flight, so they reach it unless this receiver
+    parks.  An error it meets (an unknown type, a malformed run) ends
+    the connection (:meth:`FramedConnection.fail`)."""
+
+    def __init__(self, host: "WorkerHost", conn: FramedConnection,
+                 gate: Optional[CreditGate]):
+        super().__init__(host, f"relay@m{host.machine_id}")
+        self.conn = conn
+        self.gate = gate
+        config = host.config
+        self.flow, self.threshold = int(config.flow), max(1, config.credit_window // 2)
+        self.owed = 0
+        #: the messages of the parked read still to handle; the rest of
+        #: the run being handled, and its ``(dst, ack_to, src)``.
+        self.held: deque = deque()
+        self.rows: Iterator[Any] = iter(())
+        self.header: Tuple[Any, Any, Any] = (None, None, None)
+        self.parked = False
+        conn.on_messages = self.on_messages
+
+    def on_messages(self, messages: List[Dict[str, Any]]) -> None:
+        self.held.extend(messages)
+        if not self.parked:
+            self._handle()
+
+    def wake(self) -> None:
+        if self.parked:
+            self.parked = False
+            asyncio.get_running_loop().call_soon(self._resume)
+
+    def abort(self, error: Exception) -> None:
+        """A parked receiver never resumes: its connection ends with
+        ``error``; one handling a read fails at its next park."""
+        super().abort(error)
+        if self.parked:
+            self.conn.fail(error)
+
+    def _resume(self) -> None:
+        try:
+            if self._advance() and self._handle():
+                self.conn.transport.resume_reading()
+        except Exception as exc:
+            self.conn.fail(exc)
+
+    def _handle(self) -> bool:
+        """Handle the held messages in order, the rest of the current run
+        first; False once a step must wait."""
+        host, plan, held = self.host, self.plan, self.held
+        while True:
+            dst, ack_to, src = self.header
+            for tasks, wire in self.rows:
+                if tasks:
+                    host._plan_local(plan, tuple_from_wire(wire), tasks, ack_to)
+                if src is not None:
+                    host._relay_rows(plan, dst, ack_to, src, wire)
+                if not self._advance():
+                    return False
+            if not held:
+                return True
+            message = held.popleft()
+            mtype = message["type"]
+            if mtype == "credit":
+                self.gate.grant(message["n"])
+                continue
+            if mtype == "acks":
+                if host.acker is not None:
+                    pairs = iter(message["a"])
+                    for root, task in zip(pairs, pairs):
+                        host.acker.on_ack(root, task)
+                continue
+            if mtype == "hello":
+                continue
+            dst = message["dst"]
+            if mtype == "data":
+                local, src = None, None
+            elif mtype == "relay":  # deliver locally, forward down the tree
+                local, src = host._colocated[dst], message["src"]
+            else:
+                raise FrameError(f"unknown message type {mtype!r}")
+            self.header = (dst, message["ack_to"], src)
+            self.rows = run_rows(message, local)
+
+    def _advance(self) -> bool:
+        """Carry out the planned row, then owe its credit; False, after
+        parking, when a step must wait."""
+        if not self.host.advance(self):
+            self._park()
+            return False
+        self.owed += self.flow
+        if self.owed == self.threshold:
+            self.conn.grant(self.owed)
+            self.owed = 0
+        return True
+
+    def _park(self) -> None:
+        if self.failed is not None:
+            raise self.failed
+        if self.owed:  # the rows before this one
+            self.conn.grant(self.owed)
+            self.owed = 0
+        self.parked = True
+        self.conn.transport.pause_reading()
 
 
 class RtExecutorBase(_Sender):
@@ -283,9 +409,17 @@ class RtBoltExecutor(RtExecutorBase):
         self.host.route(tup, self)
 
 
+#: the poller's timeout resolution: ``epoll_wait`` takes whole
+#: milliseconds, and the selector rounds every timeout up to one.
+POLL_GRANULARITY_S = 1e-3
+
+
 class RtSpoutExecutor(RtExecutorBase):
-    """One spout task, paced by the runtime (absolute-deadline schedule
-    so sleep overshoot never accumulates into a rate deficit)."""
+    """One spout task, paced by the runtime on an absolute-deadline
+    schedule: it sleeps the part of a wait the poller can honour and
+    yields loop turns for the sub-millisecond rest, so a tuple leaves at
+    its due instant, never before it, and lateness never accumulates
+    into a rate deficit."""
 
     is_spout = True
 
@@ -316,8 +450,10 @@ class RtSpoutExecutor(RtExecutorBase):
             if duration_s is not None and target - t0 >= duration_s:
                 break
             delay = target - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
+            if delay > POLL_GRANULARITY_S:
+                await asyncio.sleep(delay - POLL_GRANULARITY_S)
+            while loop.time() < target:  # each turn polls every host's I/O
+                await asyncio.sleep(0)
             values, key, payload_bytes = self.spout.next_tuple()
             tup = StreamTuple(
                 stream=self.operator,
@@ -462,16 +598,17 @@ class WorkerHost:
             if self.config.reliability_enabled and self._hosts_spout()
             else None
         )
-        #: the senders that park as coroutines and that :meth:`stop` does
-        #: not cancel (spouts, one per connection reader), for
-        #: :meth:`AsyncRuntime.fail`.
+        #: the senders :meth:`AsyncRuntime.fail` aborts: the spouts and
+        #: every connection's receiver (:meth:`stop` stops the acker).
         self.senders: List[_Sender] = [
             ex for ex in self.executors.values() if ex.is_spout]
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
+        #: outbound connections (and their credit gates) per peer machine;
+        #: the connections peers dialed in.
         self.peers: Dict[int, FramedConnection] = {}
         self.gates: Dict[int, CreditGate] = {}
-        self._reader_tasks: List[asyncio.Task] = []
+        self.inbound: List[FramedConnection] = []
 
     def _hosts_spout(self) -> bool:
         return any(ex.is_spout for ex in self.executors.values())
@@ -481,9 +618,7 @@ class WorkerHost:
     # ------------------------------------------------------------------
     async def start(self) -> int:
         """Bind the host's listener; returns the ephemeral port."""
-        self.server, self.port = await serve(
-            self._read, self.config.rt_frame_limit_bytes
-        )
+        self.server, self.port = await serve(self._accept, self.config.rt_frame_limit_bytes)
         self.clock.emit("rt.listen", machine=self.machine_id, port=self.port)
         return self.port
 
@@ -493,16 +628,11 @@ class WorkerHost:
         for machine, port in sorted(ports.items()):
             if machine == self.machine_id:
                 continue
-            conn = await dial(port, self.config.rt_frame_limit_bytes)
+            gate = self.gates[machine] = CreditGate(window)
+            conn = await dial(port, self.config.rt_frame_limit_bytes,
+                              on_connect=lambda conn, gate=gate: self._receive(conn, gate))
             await conn.send({"type": "hello", "machine": self.machine_id})
             self.peers[machine] = conn
-            self.gates[machine] = CreditGate(window)
-            self._reader_tasks.append(
-                asyncio.create_task(
-                    self._read(conn, self.gates[machine]),
-                    name=f"out-m{self.machine_id}-m{machine}",
-                )
-            )
             self.clock.emit(
                 "rt.connect", src=self.machine_id, dst=machine, port=port
             )
@@ -518,16 +648,15 @@ class WorkerHost:
         self._runnable.clear()
         if self.acker is not None:
             await self.acker.stop()
-        for task in self._reader_tasks:
-            task.cancel()
-        await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-        self._reader_tasks.clear()
-        errors = await asyncio.gather(
-            *(conn.close() for conn in self.peers.values()), return_exceptions=True
-        )
-        self.peers.clear()
         if self.server is not None:
             self.server.close()
+        errors = await asyncio.gather(
+            *(conn.close() for conn in [*self.peers.values(), *self.inbound]),
+            return_exceptions=True,
+        )
+        self.peers.clear()
+        self.inbound.clear()
+        if self.server is not None:
             await self.server.wait_closed()
             self.server = None
         for ex in self.executors.values():
@@ -610,11 +739,9 @@ class WorkerHost:
                     sender.stalled_at = None
                 plan.popleft()
                 conn = self.peers[target]
-                if conn.post_row(*payload):
-                    drained = conn.drained()
-                    if drained is not None:
-                        drained.add_done_callback(lambda _: sender.wake())
-                        return False
+                if conn.post_row(*payload) and conn.writing_paused:
+                    conn.when_writable(sender.wake)
+                    return False
             else:
                 queue = target.inqueue
                 if not queue.push(payload):
@@ -719,69 +846,28 @@ class WorkerHost:
         plan.extend([(executors[task], item) for task in tasks])
 
     # ------------------------------------------------------------------
-    # connection readers
+    # connections
     # ------------------------------------------------------------------
-    async def _read(self, conn: FramedConnection, gate: Optional[CreditGate] = None) -> None:
-        """Read a connection until EOF; its error (a corrupt frame, an
-        unknown type, a malformed run) fails the run as a bolt's does."""
-        try:
-            await self._handle(conn, gate)
-        except Exception as exc:
-            self.fail(exc)
+    def _accept(self, conn: FramedConnection) -> None:
+        self.inbound.append(conn)
+        self._receive(conn, None)
+
+    def _receive(self, conn: FramedConnection, gate: Optional[CreditGate]) -> None:
+        """Handle ``conn``'s reads (``gate`` takes an outbound
+        connection's credits)."""
+        self.senders.append(_Receiver(self, conn, gate))
+        conn.on_lost = self._lost
+
+    def _lost(self, error: Optional[Exception]) -> None:
+        """A connection ended; its error (a corrupt frame, an unknown
+        type, a malformed run) fails the run as a bolt's does."""
+        if error is not None:
+            self.fail(error)
 
     def fail(self, error: Exception) -> None:
         """Record this host's first error and fail the run with it."""
         self.error = self.error or error
         self.runtime.fail(error)
-
-    async def _handle(self, conn: FramedConnection, gate: Optional[CreditGate]) -> None:
-        """Handle each socket read's messages synchronously (rows and acks
-        in; on an outbound connection, credit grants for ``gate``); await
-        only when a step must wait, which stops reading this connection
-        and withholds the credits of the rows behind it.  With flow on, a
-        row owes a credit; owed credits carry across reads and are granted
-        at half the window and before parking: a sender waits only with a
-        full window in flight, so they reach it unless this handler parks."""
-        flow, threshold = int(self.config.flow), max(1, self.config.credit_window // 2)
-        sender = _Sender(self, f"relay@m{self.machine_id}")
-        self.senders.append(sender)
-        plan = sender.plan
-        owed = 0
-        while (messages := await conn.receive()) is not None:
-            for message in messages:
-                mtype = message["type"]
-                if mtype == "credit":
-                    gate.grant(message["n"])
-                    continue
-                if mtype == "acks":
-                    if self.acker is not None:
-                        pairs = iter(message["a"])
-                        for root, task in zip(pairs, pairs):
-                            self.acker.on_ack(root, task)
-                    continue
-                if mtype == "hello":
-                    continue
-                dst, ack_to = message["dst"], message["ack_to"]
-                if mtype == "data":
-                    local, src = None, None
-                elif mtype == "relay":  # deliver locally, forward down the tree
-                    local, src = self._colocated[dst], message["src"]
-                else:
-                    raise FrameError(f"unknown message type {mtype!r}")
-                for tasks, wire in run_rows(message, local):
-                    if tasks:
-                        self._plan_local(plan, tuple_from_wire(wire), tasks, ack_to)
-                    if src is not None:
-                        self._relay_rows(plan, dst, ack_to, src, wire)
-                    while not self.advance(sender):
-                        if owed:  # the rows before this one
-                            conn.grant(owed)
-                            owed = 0
-                        await sender.park()
-                    owed += flow
-                    if owed == threshold:
-                        conn.grant(owed)
-                        owed = 0
 
     def _relay_rows(self, plan: deque, dst: str, ack_to: Optional[int],
                     src: int, wire: Sequence[Any]) -> None:

@@ -268,7 +268,7 @@ def test_local_ack_goes_straight_to_the_acker_and_never_touches_the_wire():
             spout = _spout_host(runtime)
             written = []
             for conn in spout.peers.values():
-                conn.writer.write = written.append
+                conn.transport.write = written.append
             applied = []
             spout.acker.on_ack = lambda root, task: applied.append((root, task))
             spout.send_ack(spout.machine_id, 21, 5)

@@ -27,7 +27,7 @@ from repro.rt.framing import PREFIX, FrameError, run_message
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
 from repro.rt.topologies import SENTENCES, Recorder, make_topology
 from repro.rt.transport import CreditGate, FramedConnection
-from repro.rt.worker import _Sender, relay_tree, tuple_to_wire
+from repro.rt.worker import _Receiver, _Sender, relay_tree, tuple_to_wire
 from repro.trace import MemoryTracer
 from repro.trace.tracer import ALL_CATEGORIES, DEFAULT_CATEGORIES
 from repro.workloads.arrivals import ConstantArrivals, FiniteArrivals
@@ -408,7 +408,7 @@ def _fails_the_run(inject, match):
 
 def test_corrupt_inbound_frame_fails_the_run():
     def inject(runtime):
-        runtime.hosts[0].peers[1].writer.write(b"\x00\x00\x00\x05hello")
+        runtime.hosts[0].peers[1].transport.write(b"\x00\x00\x00\x05hello")
 
     _fails_the_run(inject, "undecodable frame payload")
 
@@ -440,7 +440,7 @@ def test_failed_peer_connection_ends_a_parked_drive():
         await runtime.setup()
         (spout,) = runtime.spout_executors
         for conn in spout.host.peers.values():
-            conn.writer.write(PREFIX.pack(5) + b"{bad}")
+            conn.transport.write(PREFIX.pack(5) + b"{bad}")
         runtime.clock.start()
         runtime.metrics.open_window()
         loop = asyncio.get_running_loop()
@@ -522,7 +522,7 @@ def test_credit_messages_are_one_per_half_window_plus_parks(monkeypatch):
     threshold = window // 2
     rows, credits, parks = Counter(), Counter(), Counter()
     real_post_row, real_grant, real_park = (
-        FramedConnection.post_row, CreditGate.grant, _Sender.park)
+        FramedConnection.post_row, CreditGate.grant, _Receiver._park)
 
     def post_row(conn, *row):
         rows[id(conn)] += 1
@@ -538,7 +538,7 @@ def test_credit_messages_are_one_per_half_window_plus_parks(monkeypatch):
 
     monkeypatch.setattr(FramedConnection, "post_row", post_row)
     monkeypatch.setattr(CreditGate, "grant", grant)
-    monkeypatch.setattr(_Sender, "park", park)
+    monkeypatch.setattr(_Receiver, "_park", park)
     budget = 120
     recorder = Recorder()
     runtime = AsyncRuntime(
@@ -571,6 +571,104 @@ def test_credit_messages_are_one_per_half_window_plus_parks(monkeypatch):
     for n_rows, n_credits, n_parks in pairs:
         assert n_rows > 0
         assert n_credits <= -(-n_rows // threshold) + n_parks
+
+
+def test_paused_reader_resumes_in_order():
+    """An inbound connection whose handler parks on a full inqueue
+    (capacity 1, its bolt held) stops reading its socket; once the bolt
+    is released, the handler delivers the rest of the parked read, then
+    the later read, FIFO, nothing lost or repeated, and its credits
+    follow the half-window rule."""
+    log = []
+    window = 8
+    threshold = window // 2
+    runtime = _two_host_sink(log, window, capacity=1)
+    first_read, second_read = 6, 2
+
+    async def scenario():
+        await runtime.setup()
+        try:
+            src, dst = runtime.hosts.values()
+            task = runtime.placement.colocated_tasks("sink", dst.machine_id)[0]
+            sink = dst.executors[task]
+            (conn,) = dst.inbound
+            receiver = next(s for s in dst.senders
+                            if isinstance(s, _Receiver) and s.conn is conn)
+            gate = src.gates[dst.machine_id]
+            grants = []
+            real_grant = gate.grant
+            gate.grant = lambda n=1: (grants.append(n), real_grant(n))
+            sink.parked = True  # held: the dispatcher never runs it
+            sender = _Sender(src, "test")
+
+            async def post(seqs):
+                for seq in seqs:
+                    wire = tuple_to_wire(StreamTuple("src", {"seq": seq}, source_operator="src"))
+                    sender.plan.append((dst.machine_id, (("data", "sink", None), [task], wire)))
+                assert src.advance(sender)
+
+            await post(range(first_read))
+            await _until(lambda: receiver.parked)
+            parked = (conn.transport.is_reading(), sink.inqueue.level, len(receiver.held))
+            await post(range(first_read, first_read + second_read))
+            await asyncio.sleep(0.05)
+            unread = (receiver.parked, conn.transport.is_reading(), len(log))
+            sink.wake()
+            total = first_read + second_read
+            await _until(lambda: len(log) == total and conn.transport.is_reading())
+            await _until(lambda: sum(grants) == total - receiver.owed)
+            return parked, unread, grants, receiver.owed, gate.in_flight
+        finally:
+            await runtime.shutdown()
+
+    parked, unread, grants, owed, in_flight = asyncio.run(asyncio.wait_for(scenario(), 10.0))
+    assert parked == (False, 1, 0)  # one row queued, the rest kept in the run
+    assert unread == (True, False, 0)
+    assert [seq for seq, _ in log] == list(range(first_read + second_read))
+    assert grants and all(1 <= n <= threshold for n in grants)
+    assert owed < threshold and in_flight == owed
+
+
+async def _until(predicate, timeout=2.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.001)
+
+
+class _StampedSpout(SeqSpout):
+    """SeqSpout that stamps the loop clock at every emission."""
+
+    def __init__(self, stamps):
+        super().__init__()
+        self.stamps = stamps
+
+    def next_tuple(self):
+        self.stamps.append(asyncio.get_running_loop().time())
+        return super().next_tuple()
+
+
+def test_paced_spout_emits_on_time_and_never_early():
+    """The paced spout emits each tuple at its due instant: none before
+    it, and the median under a quarter millisecond late (a plain sleep
+    wakes up to 1 ms late, because the poller rounds timeouts up to
+    whole milliseconds)."""
+    rate, budget = 200.0, 100
+    stamps = []
+    topo = Topology("rt-pacing")
+    topo.add_spout("src", lambda: _StampedSpout(stamps))
+    topo.add_bolt("sink", lambda: _Log([]), parallelism=4,
+                  inputs={"src": AllGrouping()}, terminal=True)
+    runtime = AsyncRuntime(topo, SystemConfig(name="rt-pacing", backend="asyncio"),
+                           cluster=default_cluster(), seed=3)
+    runtime.run(rate, budget=budget)
+    lateness = [t - (stamps[0] + i / rate) for i, t in enumerate(stamps)]
+    assert len(stamps) == budget
+    # the first stamp trails the schedule's start by the microseconds
+    # before ``next_tuple``; allow that and the clock's resolution.
+    assert min(lateness) > -1e-4
+    assert sorted(lateness)[budget // 2] < 0.25e-3
 
 
 class _SlowTally(Bolt):

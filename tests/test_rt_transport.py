@@ -27,6 +27,38 @@ from repro.rt.transport import (
 )
 
 
+class _Inbox:
+    """Installs a connection's hooks: records every message it receives
+    and every ``on_lost`` call, and lets a coroutine wait for either."""
+
+    def __init__(self, conn: FramedConnection):
+        self.messages = []
+        self.lost = []
+        self._changed = asyncio.Event()
+        conn.on_messages = self._on_messages
+        conn.on_lost = self._on_lost
+
+    def _on_messages(self, messages):
+        self.messages.extend(messages)
+        self._changed.set()
+
+    def _on_lost(self, error):
+        self.lost.append(error)
+        self._changed.set()
+
+    async def until(self, predicate):
+        while not predicate():
+            self._changed.clear()
+            await self._changed.wait()
+
+
+async def _dial(port, limit=DEFAULT_FRAME_LIMIT):
+    """Dial with an :class:`_Inbox` installed before the first read."""
+    inboxes = []
+    conn = await dial(port, limit, on_connect=lambda c: inboxes.append(_Inbox(c)))
+    return conn, inboxes[0]
+
+
 def test_echo_over_real_sockets():
     """dial/serve round-trip: what goes in one end comes out the other,
     in order, and the five messages of one loop turn leave as one
@@ -35,23 +67,23 @@ def test_echo_over_real_sockets():
     async def scenario():
         seen = []
 
-        async def handler(conn: FramedConnection):
-            while (messages := await conn.receive()) is not None:
+        def on_connect(conn: FramedConnection):
+            def on_messages(messages):
                 for message in messages:
                     seen.append(message)
-                    await conn.send({"echo": message["seq"]})
+                    conn.post({"echo": message["seq"]})
 
-        server, port = await serve(handler)
-        conn = await dial(port)
-        echoes = []
+            conn.on_messages = on_messages
+
+        server, port = await serve(on_connect)
+        conn, inbox = await _dial(port)
         for seq in range(5):
             await conn.send({"type": "data", "seq": seq})
-        while len(echoes) < 5:
-            echoes.extend(await conn.receive())
+        await inbox.until(lambda: len(inbox.messages) >= 5)
         await conn.close()
         server.close()
         await server.wait_closed()
-        return seen, echoes, conn
+        return seen, inbox.messages, conn
 
     seen, echoes, conn = asyncio.run(scenario())
     assert [m["seq"] for m in seen] == list(range(5))
@@ -60,46 +92,40 @@ def test_echo_over_real_sockets():
     assert conn._decoder.frames_decoded == 1
 
 
-def test_receive_returns_none_on_clean_eof():
-    """Each ``receive`` hands back the messages one socket read
-    completed (a read may end inside a frame, so possibly none), then
-    ``None`` once the peer closed."""
+def test_eof_reaches_connection_lost_exactly_once():
+    """The messages a peer wrote before closing all arrive, then its EOF
+    reaches ``on_lost`` exactly once, with no error."""
 
     async def scenario():
-        async def handler(conn: FramedConnection):
-            await conn.send({"bye": 1})
-            await conn.close()
+        def on_connect(conn: FramedConnection):
+            conn.post({"bye": 1})
+            asyncio.get_running_loop().create_task(conn.close())
 
-        server, port = await serve(handler)
-        conn = await dial(port)
-        received = []
-        while (messages := await conn.receive()) is not None:
-            received.extend(messages)
-        after_eof = await conn.receive()
+        server, port = await serve(on_connect)
+        conn, inbox = await _dial(port)
+        await inbox.until(lambda: inbox.lost)
+        await asyncio.sleep(0.02)  # nothing more arrives
         await conn.close()
         server.close()
         await server.wait_closed()
-        return received, after_eof
+        return inbox
 
-    received, after_eof = asyncio.run(scenario())
-    assert received == [{"bye": 1}]
-    assert after_eof is None
+    inbox = asyncio.run(scenario())
+    assert inbox.messages == [{"bye": 1}]
+    assert inbox.lost == [None]
 
 
 async def _collecting_server(limit: int = DEFAULT_FRAME_LIMIT):
-    """A server whose handler records every message it receives and
-    sets ``done`` when it stops, at EOF or on a bad frame."""
+    """A server that records every message it receives and sets
+    ``done`` when its connection ends, at EOF or on a bad frame."""
     seen = []
     done = asyncio.Event()
 
-    async def handler(conn: FramedConnection):
-        try:
-            while (messages := await conn.receive()) is not None:
-                seen.extend(messages)
-        finally:
-            done.set()
+    def on_connect(conn: FramedConnection):
+        conn.on_messages = seen.extend
+        conn.on_lost = lambda _: done.set()
 
-    server, port = await serve(handler, limit)
+    server, port = await serve(on_connect, limit)
     return server, port, seen, done
 
 
@@ -174,12 +200,13 @@ def test_send_blocks_on_a_peer_that_never_reads():
     total = 20_000  # ~80 MB: far beyond what the kernel buffers absorb
 
     async def scenario():
-        release = asyncio.Event()
+        inbound = []
 
-        async def handler(conn: FramedConnection):
-            await release.wait()  # never reads
+        def on_connect(conn: FramedConnection):
+            inbound.append(conn)
+            conn.transport.pause_reading()  # never reads
 
-        server, port = await serve(handler)
+        server, port = await serve(on_connect)
         conn = await dial(port)
         sent = 0
 
@@ -191,11 +218,11 @@ def test_send_blocks_on_a_peer_that_never_reads():
 
         with pytest.raises(asyncio.TimeoutError):
             await asyncio.wait_for(flood(), timeout=0.5)
-        transport = conn.writer.transport
+        transport = conn.transport
         buffered = transport.get_write_buffer_size()
         high_water = transport.get_write_buffer_limits()[1]
         transport.abort()
-        release.set()
+        inbound[0].transport.abort()
         server.close()
         await server.wait_closed()
         return sent, buffered, high_water
@@ -205,43 +232,44 @@ def test_send_blocks_on_a_peer_that_never_reads():
     assert buffered <= high_water + OUTBOX_LIMIT * len(encode_frame(message))
 
 
-def test_drained_waits_only_above_the_high_water_mark():
-    """A synchronous sender's back-pressure: ``drained`` is None while
-    the writer is under its high-water mark, and after a flushing
-    ``post`` into a peer that does not read, a future that completes
-    once the peer reads again."""
+def test_writing_pauses_above_the_high_water_mark_and_resumes():
+    """A synchronous sender's back-pressure: writing is not paused while
+    the transport is under its high-water mark; after a flushing
+    ``post`` into a peer that does not read it is, and a sender waiting
+    in ``when_writable`` is woken once the peer reads again."""
     message = {"type": "data", "blob": "x" * 4096}
 
     async def scenario():
-        release = asyncio.Event()
+        inbound = []
+        done = asyncio.Event()
 
-        async def handler(conn: FramedConnection):
-            await release.wait()
-            while await conn.receive() is not None:
-                pass
+        def on_connect(conn: FramedConnection):
+            inbound.append(conn)
+            conn.on_lost = lambda _: done.set()
+            conn.transport.pause_reading()
 
-        server, port = await serve(handler)
+        server, port = await serve(on_connect)
         conn = await dial(port)
-        idle = conn.drained()
-        waits = None
+        idle = conn.writing_paused
+        woken = asyncio.Event()
         for _ in range(20_000):
-            if conn.post(message):
-                waits = conn.drained()
-                if waits is not None:
-                    break
-        parked = waits is not None and not waits.done()
-        release.set()
-        await asyncio.wait_for(waits, timeout=10.0)
-        after = conn.drained()
+            if conn.post(message) and conn.writing_paused:
+                conn.when_writable(woken.set)
+                break
+        parked = conn.writing_paused and not woken.is_set()
+        inbound[0].transport.resume_reading()
+        await asyncio.wait_for(woken.wait(), timeout=10.0)
+        after = conn.writing_paused
         await conn.close()
+        await done.wait()
         server.close()
         await server.wait_closed()
         return idle, parked, after
 
     idle, parked, after = asyncio.run(scenario())
-    assert idle is None
+    assert not idle
     assert parked
-    assert after is None
+    assert not after
 
 
 def test_post_queues_without_awaiting_and_flushes_at_the_outbox_limit():
@@ -329,38 +357,49 @@ def test_credit_window_enforced_under_slow_consumer():
     """End-to-end over real sockets: a consumer that grants credit
     slowly must cap the sender at ``window`` unacknowledged data frames
     — the invariant that makes backpressure propagate instead of the
-    socket buffer absorbing the overload."""
+    socket buffer absorbing the overload.  The sender takes credits as
+    a worker host does: ``take``, else wait in ``when_granted``."""
     window = 2
     total = 10
 
     async def scenario():
         received = []
+        loop = asyncio.get_running_loop()
 
-        async def handler(conn: FramedConnection):
-            while (messages := await conn.receive()) is not None:
+        def on_connect(conn: FramedConnection):
+            def on_messages(messages):
                 for message in messages:
                     received.append(message)
-                    await asyncio.sleep(0.01)  # slow consumer
-                    await conn.send({"type": "credit", "n": 1})
+                    # slow consumer: each grant 10 ms after the last
+                    loop.call_later(0.01 * len(received), conn.post,
+                                    {"type": "credit", "n": 1})
 
-        server, port = await serve(handler)
-        conn = await dial(port)
+            conn.on_messages = on_messages
+
+        server, port = await serve(on_connect)
         gate = CreditGate(window)
 
-        async def credit_reader():
-            while (messages := await conn.receive()) is not None:
+        def credits(conn: FramedConnection):
+            def on_messages(messages):
                 for message in messages:
                     if message["type"] == "credit":
                         gate.grant(message["n"])
 
-        reader = asyncio.create_task(credit_reader())
+            conn.on_messages = on_messages
+
+        conn = await dial(port, on_connect=credits)
         stalled = 0.0
         for seq in range(total):
-            stalled += await gate.acquire()
+            if not gate.take():
+                t0 = loop.time()
+                while not gate.take():
+                    granted = loop.create_future()
+                    gate.when_granted(lambda: granted.done() or granted.set_result(None))
+                    await granted
+                stalled += loop.time() - t0
             await conn.send({"type": "data", "seq": seq})
         while gate.in_flight > 0:
             await asyncio.sleep(0.005)
-        reader.cancel()
         await conn.close()
         server.close()
         await server.wait_closed()
@@ -379,20 +418,20 @@ def test_credit_grants_of_one_turn_fold_into_one_message():
     one loop turn travel back as a single summed ``credit`` message."""
 
     async def scenario():
-        async def handler(conn: FramedConnection):
-            while (messages := await conn.receive()) is not None:
+        def on_connect(conn: FramedConnection):
+            def on_messages(messages):
                 for message in messages:
                     if message["type"] == "data":
                         conn.grant(1)
 
-        server, port = await serve(handler)
-        conn = await dial(port)
+            conn.on_messages = on_messages
+
+        server, port = await serve(on_connect)
+        conn, inbox = await _dial(port)
         for seq in range(5):
             await conn.send({"type": "data", "seq": seq})
-        credits = []
-        while not credits:
-            credits.extend(await conn.receive())
-        (credit,) = credits
+        await inbox.until(lambda: inbox.messages)
+        (credit,) = inbox.messages
         await conn.close()
         server.close()
         await server.wait_closed()
