@@ -33,8 +33,10 @@ Quickstart::
         arrivals={"requests": PoissonArrivals(2000, rng),
                   "driver_locations": PoissonArrivals(2000, rng)},
     )
-    metrics = system.run_measured(warmup_s=0.3, measure_s=1.0)
-    print(metrics.throughput("matching"))
+    # the spouts stop after the window's 1.0 s; the run then drains to
+    # quiet (at most 2.0 s more) inside the window
+    metrics = system.run_measured(warmup_s=0.3, measure_s=1.0, drain_s=2.0)
+    print(metrics.throughput("matching"), metrics.quiescence.quiet)
 """
 
 __version__ = "1.0.0"

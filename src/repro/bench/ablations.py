@@ -65,11 +65,7 @@ def _run_point(
         cluster=Cluster(machines, 1, 16),
         arrivals={"src": PoissonArrivals(rate, np.random.default_rng(seed))},
     )
-    system.start()
-    system.sim.run(until=0.25)
-    system.metrics.open_window()
-    system.sim.run(until=0.25 + measure_s)
-    system.metrics.close_window()
+    system.run_measured(0.25, measure_s)
     return system
 
 

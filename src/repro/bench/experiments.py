@@ -148,12 +148,8 @@ def fig03_rdmc_blocking(
             cluster=Cluster(30, 1, 16),
             arrivals={"src": PoissonArrivals(rate, rng)},
         )
-        system.start()
-        system.sim.run(until=0.08)  # long enough for Q=64 to block
-        system.metrics.open_window()
-        system.sim.run(until=0.2)
-        system.metrics.close_window()
-        m = system.metrics
+        # 0.08 s of warmup is long enough for Q=64 to block
+        m = system.run_measured(0.08, 0.12)
         src = system.source_executor("src")
         # Throughput = tuples processed per unit time (drain rate at the
         # matching instances), the paper's definition.
@@ -487,10 +483,8 @@ def fig23_24_dynamic(
             prev[:] = [done, len(s.metrics.completion.latencies)]
 
         system.start()
-        system.metrics.open_window()
         every(system.sim, sample_s, sample)
-        system.sim.run(until=total_s)
-        system.metrics.close_window()
+        system.run_measured(0.0, total_s)
 
         table = Table(
             f"Fig 23/24: dynamic stream, {label}",

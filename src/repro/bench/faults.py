@@ -48,10 +48,6 @@ from repro.net.cluster import Cluster
 from repro.workloads import PoissonArrivals
 from repro.workloads.ridehailing import REQUEST_RECORD_BYTES
 
-#: Post-run drain time: long enough for every in-flight message to land
-#: on a loss-free path (multicast latencies are sub-millisecond).
-DRAIN_S = 0.25
-
 
 def ablation_lossy_network(
     loss_values: Optional[List[float]] = None,
@@ -86,12 +82,8 @@ def ablation_lossy_network(
             assert system is not None
             # Drain before measuring: tuples still in flight when the
             # window closes are races against the clock, not losses.
-            # Stop the arrival processes and give the wire time to land
-            # whatever is outstanding; what remains pending afterwards
-            # really was lost.
-            for spout in system.spout_executors:
-                spout.stop()
-            system.sim.run(until=system.sim.now + DRAIN_S)
+            # Once quiet, what remains pending really was lost.
+            system.drain(deadline=system.sim.now + 0.25)
             tracker = system.metrics.multicast
             tracked = tracker.completed + tracker.outstanding
             fractions.append(
@@ -216,9 +208,9 @@ def _fault_run(
 ):
     """Run one ride-hailing point under ``fault_schedule`` and drain it.
 
-    The spouts stop at ``duration_s``; the sim then runs until every
-    tracked tree settled (at most ``drain_s`` more), or for
-    :data:`DRAIN_S` when nothing tracks delivery.  ``offered_rate=None``
+    The spouts stop at ``duration_s``; the sim then drains to quiet
+    inside the window, for at most ``drain_s`` more, or 0.25 s when
+    nothing tracks delivery.  ``offered_rate=None``
     offers half the analytic sustainable rate, capped at 400/s.  Returns
     ``(system, offered_rate, check_report)``.
     """
@@ -251,23 +243,20 @@ def _fault_run(
         system.add_fault_schedule(FaultSchedule(fault_schedule.events))
     if check:
         system.attach_checker(mode=check)
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=duration_s)
-    for spout in system.spout_executors:
-        spout.stop()
-    reliability = system.reliability
-    deadline = duration_s + drain_s
-    if reliability is not None:
-        while (
-            reliability.outstanding or reliability.held_entries
-        ) and system.sim.now < deadline:
-            system.sim.run(until=min(deadline, system.sim.now + 0.05))
-    else:
-        system.sim.run(until=duration_s + DRAIN_S)
-    system.metrics.close_window()
+    system.run_measured(0.0, duration_s, drain_s=(
+        drain_s if system.reliability is not None else 0.25))
     report = system.checker.finalize() if system.checker is not None else None
     return system, offered_rate, report
+
+
+def _recovery_s(reliability, crash_at: Optional[float]) -> float:
+    """Crash until the last replayed tuple completed at every
+    destination: 0 when nothing needed a replay, nan without a crash or
+    without delivery tracking."""
+    if reliability is None or crash_at is None:
+        return math.nan
+    replayed = reliability.replayed_completions()
+    return max(r.completed_at for r in replayed) - crash_at if replayed else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -331,12 +320,6 @@ def node_failure_run(
         offered_rate, seed, drain_s, check,
     )
     reliability = system.reliability
-    replayed = reliability.replayed_completions()
-    recovery_s = (
-        max(r.completed_at for r in replayed) - crash_at
-        if crash and replayed
-        else (0.0 if crash else math.nan)
-    )
     return {
         "variant": config.name,
         "victim_machine": victim,
@@ -345,9 +328,9 @@ def node_failure_run(
         "completed": len(reliability.completions),
         "outstanding": reliability.outstanding,
         "goodput": len(reliability.completions) / duration_s,
-        "recovery_s": recovery_s,
+        "recovery_s": _recovery_s(reliability, crash_at if crash else None),
         "replays": reliability.replays,
-        "replayed_roots": len(replayed),
+        "replayed_roots": len(reliability.replayed_completions()),
         "gave_up": len(reliability.gave_up),
         "repairs": sum(s.repair_count for s in system.multicast_services),
         "reattaches": sum(
@@ -463,36 +446,14 @@ def delivery_semantics_run(
     reliability = system.reliability
     completion = system.metrics.completion
     crash_times = fault_schedule.crash_times if fault_schedule else []
-    first_crash = min((t for t, _ in crash_times), default=math.nan)
-    if reliability is not None:
-        replayed = reliability.replayed_completions()
-        recovery_s = (
-            max(r.completed_at for r in replayed) - first_crash
-            if replayed and crash_times
-            else (0.0 if crash_times else math.nan)
-        )
-        counters = dict(
-            registered=reliability.registered,
-            replays=reliability.replays,
-            duplicate_executions=reliability.duplicate_executions,
-            duplicates_suppressed=reliability.duplicates_suppressed,
-            commits=reliability.commits,
-            aborts=reliability.aborts,
-            epochs_committed=reliability.epochs_committed,
-            outstanding=reliability.outstanding,
-        )
-    else:
-        recovery_s = math.nan
-        counters = dict(
-            registered=completion.registered,
-            replays=0,
-            duplicate_executions=0,
-            duplicates_suppressed=0,
-            commits=0,
-            aborts=0,
-            epochs_committed=0,
-            outstanding=0,
-        )
+    first_crash = min((t for t, _ in crash_times), default=None)
+    counters = {
+        name: getattr(reliability, name, 0)
+        for name in ("replays", "duplicate_executions", "duplicates_suppressed",
+                     "commits", "aborts", "epochs_committed", "outstanding")
+    }
+    counters["registered"] = (
+        reliability.registered if reliability else completion.registered)
     delivered = completion.completed
     return {
         "delivery": delivery,
@@ -500,7 +461,7 @@ def delivery_semantics_run(
         "delivered": delivered,
         "goodput": delivered / duration_s,
         "p50_latency_s": completion.summary().p50,
-        "recovery_s": recovery_s,
+        "recovery_s": _recovery_s(reliability, first_crash),
         "abandoned": system.metrics.messages_abandoned,
         "control_bytes": system.traffic_bytes("control"),
         "check_report": report,
@@ -597,16 +558,10 @@ OVERLOAD_CREDIT_WINDOW = 32
 
 
 def _overload_config(delivery: str, flow: bool) -> Any:
-    """Full Whale tuned for fast fault turnaround, with or without the
-    overload-protection (flow) layer."""
-    return whale_full_config(adaptive=False).with_overrides(
+    """:func:`_delivery_config` with or without the overload-protection
+    (flow) layer."""
+    return _delivery_config(delivery).with_overrides(
         name=f"whale-{delivery}-{'flow' if flow else 'noflow'}",
-        delivery=delivery,
-        failure_detection=True,
-        ack_timeout_s=0.15,
-        ack_sweep_interval_s=0.02,
-        max_replays=8,
-        epoch_interval_s=0.1,
         flow=flow,
         shed_policy="drop_head",
         credit_window=OVERLOAD_CREDIT_WINDOW,

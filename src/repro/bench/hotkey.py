@@ -135,11 +135,7 @@ def hot_key_run(
     )
     if check:
         system.attach_checker(mode=check)
-    system.start()
-    system.sim.run(until=0.1)
-    system.metrics.open_window()
-    system.sim.run(until=0.1 + duration_s)
-    system.metrics.close_window()
+    system.run_measured(0.1, duration_s)
     report = system.checker.finalize() if system.checker is not None else None
 
     metrics = system.metrics

@@ -131,8 +131,9 @@ class MulticastController:
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
-        """Wait one monitor interval, then :meth:`_sample`."""
-        self.sim.schedule_call(self.config.monitor_interval_s, self._sample)
+        """Wait one monitor interval (a background wait), then
+        :meth:`_sample`."""
+        self.sim.schedule_background(self.config.monitor_interval_s, self._sample)
 
     def _sample(self) -> None:
         cfg = self.config
@@ -289,7 +290,7 @@ class MulticastController:
         self._heartbeat_wait()
 
     def _heartbeat_wait(self) -> None:
-        self.sim.schedule_call(HEARTBEAT_PERIOD_S, self._heartbeat)
+        self.sim.schedule_background(HEARTBEAT_PERIOD_S, self._heartbeat)
 
     def _heartbeat(self) -> None:
         """Ping every endpoint machine, then repair the tree around each

@@ -342,6 +342,11 @@ class CommEngine:
     # ------------------------------------------------------------------
     # stream slicing
     # ------------------------------------------------------------------
+    @property
+    def sliced_bytes(self) -> int:
+        """Bytes waiting in the stream slicers for a size or timer flush."""
+        return sum(s.buffered_bytes for s in self._slicers.values())
+
     def _slice(
         self, cpu_account, src_machine: int, dst_machine: int,
         packet: Any, size_bytes: int,

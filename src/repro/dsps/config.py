@@ -160,8 +160,9 @@ class SystemConfig:
     #: decoder (protects a worker host from a corrupt or hostile length
     #: prefix)
     rt_frame_limit_bytes: int = 1 << 20
-    #: rt shutdown: wall-clock budget for draining in-flight tuples after
-    #: the spouts stop
+    #: upper bound on a runtime's drain after the spouts stop: it ends at
+    #: quiet, or after this many of the backend's seconds (wall-clock on
+    #: asyncio, simulated on sim)
     rt_drain_timeout_s: float = 5.0
 
     # --- failure detection + tree self-healing -----------------------------

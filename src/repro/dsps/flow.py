@@ -81,6 +81,13 @@ class FlowController:
     def start(self) -> None:
         every(self.sim, FLOW_POLL_INTERVAL_S, self._watchdog)
 
+    @property
+    def parked(self) -> int:
+        """Waiters parked on credit, admission or transfer space (the
+        watchdog re-wakes them)."""
+        return (len(self._credit_waiters) + len(self._admission_waiters)
+                + len(self._space_waiters))
+
     def _watchdog(self) -> None:
         """Fixed-period safety net: re-wakes every waiter (conditions are
         re-checked by the waiters themselves) and heals credit

@@ -16,7 +16,10 @@ Implements the paper's Section 5.1 metric definitions:
   from the fabric counters.
 
 A measurement window (``open_window`` / ``close_window``) excludes warmup
-and drain phases from every rate and latency statistic.
+from every rate and latency statistic.  A drain ends a run at *quiet*
+(no pending work could change a result) or at its deadline; its
+:class:`Quiescence` record, the same on both backends, is
+``MetricsHub.quiescence``.
 
 Per-execution sink latencies are kept once per delivered packet, not
 once per copy (:class:`LatencySamples`): a fan-out's copies of one
@@ -30,8 +33,8 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional,
-    Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List,
+    Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -255,8 +258,32 @@ class CompletionTracker:
     def outstanding(self) -> int:
         return len(self._pending)
 
+    @property
+    def open_roots(self) -> FrozenSet[int]:
+        """The roots still owed an execution."""
+        return frozenset(self._pending)
+
     def summary(self) -> LatencySummary:
         return LatencySummary.from_samples(self.latencies)
+
+
+@dataclass(frozen=True)
+class Quiescence:
+    """How a drain ended, in the backend's own time base: whether it
+    reached quiet (no pending work that could change a result) before
+    its deadline, the instant it stopped, how long it ran, and what was
+    left: open roots, reliability trees outstanding and entries held,
+    queued items, slicer bytes, messages in flight."""
+
+    quiet: bool
+    at: float
+    drain_s: float
+    open_roots: FrozenSet[int]
+    outstanding: int = 0
+    held: int = 0
+    queued: int = 0
+    slicer_bytes: int = 0
+    in_flight: int = 0
 
 
 class MetricsHub:
@@ -271,6 +298,8 @@ class MetricsHub:
             LatencySamples)
         self.multicast = MulticastTracker(sim)
         self.completion = CompletionTracker(sim)
+        #: the last drain's record (``None`` until a run drains)
+        self.quiescence: Optional[Quiescence] = None
         #: tuple trees abandoned by the replay coordinator (budget
         #: exhausted or aborted).  NOT window-gated: the checker's
         #: conservation invariant needs every give-up ever recorded.

@@ -930,7 +930,7 @@ class ReplayCoordinator:
     @property
     def held_entries(self) -> int:
         """Atomic mode: buffered or released-but-unexecuted copies
-        (drain loops should wait for these too)."""
+        (a drain is not quiet while any is left)."""
         return sum(len(h) for h in self._held.values()) + sum(
             len(s) for s in self._in_release.values()
         )

@@ -5,10 +5,15 @@ executors, multicast services, metrics) and provides the standard
 measurement protocol used by every experiment:
 
 >>> system = DspsSystem(topology, config, arrivals={"requests": arrivals})
->>> result = system.run_measured(warmup_s=0.2, measure_s=1.0)
+>>> result = system.run_measured(warmup_s=0.2, measure_s=1.0, drain_s=2.0)
+>>> result.quiescence.quiet
+True
 
 Measurement excludes warmup; throughput/latency come from the metrics hub
-restricted to the window.
+restricted to the window.  With ``drain_s`` the spouts stop when the
+window's ``measure_s`` ends and the run drains to quiet (or ``drain_s``
+more) inside the window: :meth:`DspsSystem.drain` and its
+:class:`~repro.dsps.metrics.Quiescence` record.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from repro.dsps.comm import CommEngine, MulticastService
 from repro.dsps.config import SystemConfig
 from repro.dsps.executor import BoltExecutor, ExecutorBase, SpoutExecutor
 from repro.dsps.flow import FlowController
-from repro.dsps.grouping import Grouping, edge_grouping
-from repro.dsps.metrics import MetricsHub
+from repro.dsps.grouping import Grouping, edge_grouping, inqueue_depth
+from repro.dsps.metrics import MetricsHub, Quiescence
 from repro.dsps.rebalance import PartitionRouter, Rebalancer
 from repro.dsps.reliability import ReplayCoordinator
 from repro.dsps.scheduler import Placement, schedule
@@ -351,16 +356,71 @@ class DspsSystem:
         for controller in self.controllers:
             controller.start()
 
-    def run_measured(self, warmup_s: float, measure_s: float) -> MetricsHub:
-        """Run warmup, then a measurement window; return the metrics hub."""
+    def run_measured(
+        self, warmup_s: float, measure_s: float, drain_s: float = 0.0
+    ) -> MetricsHub:
+        """Run warmup, then a measurement window; return the metrics hub.
+
+        With ``drain_s > 0`` the spouts stop at the end of the window and
+        :meth:`drain` runs up to ``drain_s`` more, still inside it; its
+        record is ``metrics.quiescence``."""
         if not self._started:
             self.start()
         if warmup_s > 0:
             self.sim.run(until=self.sim.now + warmup_s)
         self.metrics.open_window()
         self.sim.run(until=self.sim.now + measure_s)
+        if drain_s > 0:
+            self.drain(self.sim.now + drain_s)
         self.metrics.close_window()
         return self.metrics
+
+    def drain(self, deadline: float) -> Quiescence:
+        """Stop the spouts, then run until quiet or ``deadline``.
+
+        Quiet means no pending work could change a result: only the
+        periodic chains' timer waits are pending (:attr:`Simulator.idle`),
+        and none of them has anything to act on, no reliability tree or
+        held entry for the sweep and no parked flow waiter for the
+        watchdog.  Short of quiet the clock stops at ``deadline``.  The
+        record is also kept as ``metrics.quiescence``."""
+        for spout in self.spout_executors:
+            spout.stop()
+        sim = self.sim
+        start = sim.now
+        while not self._quiet() and sim.peek() <= deadline:
+            sim.step()
+        quiet = self._quiet()
+        if not quiet and deadline > sim.now:
+            sim.run(until=deadline)
+        reliability = self.reliability
+        fabric = self.fabric
+        self.metrics.quiescence = Quiescence(
+            quiet=quiet,
+            at=sim.now,
+            drain_s=sim.now - start,
+            open_roots=self.metrics.completion.open_roots,
+            outstanding=reliability.outstanding if reliability else 0,
+            held=reliability.held_entries if reliability else 0,
+            queued=sum(
+                inqueue_depth(ex) + ex.transfer_queue.level
+                for ex in self.executors.values()
+            ),
+            slicer_bytes=self.comm.sliced_bytes,
+            in_flight=fabric.messages_injected - fabric.messages_delivered
+            - fabric.messages_dead - fabric.messages_lost,
+        )
+        return self.metrics.quiescence
+
+    def _quiet(self) -> bool:
+        if not self.sim.idle:
+            return False
+        reliability = self.reliability
+        if reliability is not None and (
+            reliability.outstanding or reliability.held_entries
+        ):
+            return False
+        return self.flow is None or not self.flow.parked
 
     # ------------------------------------------------------------------
     # control-plane helper (used by the Whale controller)

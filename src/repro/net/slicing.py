@@ -42,7 +42,8 @@ class StreamSlicer:
         self.wtl_s = wtl_s
         self.on_flush = on_flush
         self._items: List[Any] = []
-        self._bytes = 0
+        #: bytes buffered for the next flush
+        self.buffered_bytes = 0
         self._oldest_at: Optional[float] = None
         # stats
         self.flushes_by_size = 0
@@ -55,12 +56,12 @@ class StreamSlicer:
         if nbytes <= 0:
             raise ValueError(f"item size must be positive, got {nbytes}")
         self._items.append(item)
-        self._bytes += nbytes
+        self.buffered_bytes += nbytes
         self.tuples_buffered += 1
         if self._oldest_at is None:
             self._oldest_at = self.sim.now
             self._arm_timer()
-        if self._bytes >= self.mms_bytes:
+        if self.buffered_bytes >= self.mms_bytes:
             self.flushes_by_size += 1
             self._flush()
 
@@ -71,9 +72,9 @@ class StreamSlicer:
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:
-        items, nbytes = self._items, self._bytes
+        items, nbytes = self._items, self.buffered_bytes
         self._items = []
-        self._bytes = 0
+        self.buffered_bytes = 0
         self._oldest_at = None
         self.on_flush(items, nbytes)
 

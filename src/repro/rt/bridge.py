@@ -14,7 +14,8 @@ with wall-clock ``t`` values relative to the run start, streamed to the
 same JSONL format the DES emits — ``python -m repro.trace PATH``
 summarizes either.  The kinds rt emits are lifecycle events, not
 per-tuple ones: ``rt.listen``, ``rt.connect``, ``rt.replay``,
-``rt.abandon``, ``rt.shutdown`` and ``rt.drain``.
+``rt.abandon``, ``rt.shutdown`` and ``rt.drain`` (with ``quiet``: whether
+the drain reached quiet before its deadline).
 """
 
 from __future__ import annotations

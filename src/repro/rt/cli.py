@@ -8,7 +8,9 @@ differential is the registered ``ablation_sim_vs_real`` experiment
 
 Everything binds ephemeral localhost ports and ``--smoke`` clamps the
 workload to roughly a second of wall clock, which is what the CI
-``rt-smoke`` job runs::
+``rt-smoke`` job runs.  The report ends with the drain: how long it
+took and when the run was quiet; a drain that hits its deadline first
+exits 1::
 
     python -m repro.rt run --topology word_count --duration 5
     python -m repro.rt run --topology fanout --smoke
@@ -100,6 +102,10 @@ def _print_report(report: RunReport) -> None:
     if report.credit_stall_s:
         print(f"  credit stall        {report.credit_stall_s:10.3f} s")
     print(f"  window              {report.window_s:10.2f} s")
+    quiescence = report.quiescence
+    state = "quiet" if quiescence.quiet else "NOT quiet (deadline)"
+    print(f"  drain               {1e3 * quiescence.drain_s:10.2f} ms, "
+          f"{state} at {quiescence.at:.4f} s")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -157,6 +163,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"\ntrace written to {args.trace}; summarize it with:")
         print(f"  python -m repro.trace {args.trace}")
+    if not report.quiescence.quiet:
+        print("error: the drain hit its deadline before the run was quiet",
+              file=sys.stderr)
+        return 1
     return 0
 
 

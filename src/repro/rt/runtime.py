@@ -19,6 +19,10 @@ hand back a* :class:`RunReport`.  Two implementations:
   :class:`~repro.rt.bridge.WallClock` — so a :class:`RunReport` means
   the same thing from either backend.
 
+Both end a run by one rule: the spouts stop and the run drains until
+*quiet*, no pending work left that could change a result, or until
+``config.rt_drain_timeout_s``; ``RunReport.quiescence`` says which.
+
 All hosts live in one OS process on one event loop; the *dataplane* is
 strictly sockets, which keeps hosts process-separable by construction
 (topology factories are closures, so true multi-process would require
@@ -35,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.dsps.config import SystemConfig
 from repro.dsps.grouping import Grouping, edge_grouping
-from repro.dsps.metrics import MetricsHub
+from repro.dsps.metrics import MetricsHub, Quiescence
 from repro.dsps.scheduler import Placement, schedule
 from repro.dsps.system import DspsSystem
 from repro.dsps.topology import Topology
@@ -84,6 +88,32 @@ class RunReport:
     abandoned: int = 0
     #: per-operator sink latency means (seconds), terminal ops only.
     sink_latency_mean_s: Dict[str, float] = field(default_factory=dict)
+    #: how the run's drain ended.
+    quiescence: Optional[Quiescence] = None
+
+    @classmethod
+    def of(cls, backend: "RuntimeBackend", metrics: MetricsHub,
+           replays: int) -> "RunReport":
+        """The report of ``backend``'s finished run."""
+        recorder = backend.recorder
+        return cls(
+            backend=backend.name,
+            emitted=dict(metrics.emitted),
+            processed=dict(metrics.processed),
+            window_s=metrics.window_duration,
+            executed=Counter(recorder.executed) if recorder else None,
+            first_t=recorder.first_t if recorder else None,
+            last_t=recorder.last_t if recorder else None,
+            credit_stall_s=sum(metrics.credit_stall_s.values()),
+            replays=replays,
+            abandoned=metrics.messages_abandoned,
+            sink_latency_mean_s={
+                op.name: metrics.sink_latency_summary(op.name).mean
+                for op in backend.topology.bolts()
+                if op.terminal and metrics.sink_latencies[op.name]
+            },
+            quiescence=metrics.quiescence,
+        )
 
     @property
     def executed_total(self) -> int:
@@ -111,23 +141,6 @@ class RuntimeBackend(ABC):
 
     name: str = "abstract"
 
-    @abstractmethod
-    def run(
-        self,
-        rate: float,
-        budget: Optional[int] = None,
-        duration_s: Optional[float] = None,
-    ) -> RunReport:
-        """Drive every spout at ``rate`` tuples/s until ``budget`` tuples
-        have been emitted (per spout) or ``duration_s`` elapses, drain,
-        and report."""
-
-
-class SimRuntime(RuntimeBackend):
-    """The discrete-event backend (a thin driver over ``DspsSystem``)."""
-
-    name = "sim"
-
     def __init__(
         self,
         topology: Topology,
@@ -136,7 +149,6 @@ class SimRuntime(RuntimeBackend):
         seed: int = 0,
         tracer=None,
         recorder: Optional[Recorder] = None,
-        drain_slack_s: float = 5.0,
     ):
         self.topology = topology
         self.config = config
@@ -144,11 +156,6 @@ class SimRuntime(RuntimeBackend):
         self.seed = seed
         self.tracer = tracer
         self.recorder = recorder
-        #: extra simulated seconds after the last arrival for the
-        #: topology to drain (reliability sweeps keep the event queue
-        #: alive, so the DES never drains "naturally" under a timeout).
-        self.drain_slack_s = drain_slack_s
-        self.system: Optional[DspsSystem] = None
 
     def run(
         self,
@@ -156,8 +163,28 @@ class SimRuntime(RuntimeBackend):
         budget: Optional[int] = None,
         duration_s: Optional[float] = None,
     ) -> RunReport:
+        """Drive every spout at ``rate`` tuples/s until ``budget`` tuples
+        have been emitted (per spout) or ``duration_s`` elapses, drain to
+        quiet (at most ``config.rt_drain_timeout_s``, in the backend's own
+        seconds), and report."""
         if budget is None and duration_s is None:
             raise ValueError("need a tuple budget or a duration")
+        return self._execute(rate, budget, duration_s)
+
+    @abstractmethod
+    def _execute(self, rate: float, budget: Optional[int],
+                 duration_s: Optional[float]) -> RunReport:
+        """:meth:`run` once its arguments are checked."""
+
+
+class SimRuntime(RuntimeBackend):
+    """The discrete-event backend (a thin driver over ``DspsSystem``)."""
+
+    name = "sim"
+    system: Optional[DspsSystem] = None
+
+    def _execute(self, rate: float, budget: Optional[int],
+                 duration_s: Optional[float]) -> RunReport:
         arrivals = {}
         for op in self.topology.spouts():
             gap = ConstantArrivals(rate)
@@ -175,31 +202,13 @@ class SimRuntime(RuntimeBackend):
         self.system = system
         if self.recorder is not None:
             self.recorder.clock = system.sim
-        horizon = (
-            duration_s
-            if budget is None
-            else budget / rate + self.drain_slack_s
-        )
-        system.start()
-        system.metrics.open_window()
-        system.sim.run(until=horizon)
-        system.metrics.close_window()
-        metrics = system.metrics
-        return RunReport(
-            backend=self.name,
-            emitted=dict(metrics.emitted),
-            processed=dict(metrics.processed),
-            window_s=metrics.window_duration,
-            executed=(
-                Counter(self.recorder.executed) if self.recorder else None
-            ),
-            first_t=self.recorder.first_t if self.recorder else None,
-            last_t=self.recorder.last_t if self.recorder else None,
-            credit_stall_s=sum(metrics.credit_stall_s.values()),
-            replays=getattr(system.reliability, "replays", 0) or 0,
-            abandoned=metrics.messages_abandoned,
-            sink_latency_mean_s=_sink_means(self.topology, metrics),
-        )
+        # A budget's last arrival is due at budget / rate; the spouts stop
+        # half a gap later, so float rounding of its instant cannot drop it.
+        measure_s = duration_s if budget is None else (budget + 0.5) / rate
+        metrics = system.run_measured(
+            0.0, measure_s, drain_s=self.config.rt_drain_timeout_s)
+        replays = getattr(system.reliability, "replays", 0)
+        return RunReport.of(self, metrics, replays)
 
 
 class AsyncRuntime(RuntimeBackend):
@@ -231,12 +240,7 @@ class AsyncRuntime(RuntimeBackend):
                 f"{', '.join(RT_DELIVERY_MODES)}); use backend='sim'"
             )
         topology.validate()
-        self.topology = topology
-        self.config = config
-        self.cluster = cluster if cluster is not None else default_cluster()
-        self.seed = seed
-        self.tracer = tracer
-        self.recorder = recorder
+        super().__init__(topology, config, cluster, seed, tracer, recorder)
         self.clock = WallClock(tracer)
         self.metrics = MetricsHub(self.clock)
         self.placement: Placement = schedule(topology, self.cluster)
@@ -246,6 +250,8 @@ class AsyncRuntime(RuntimeBackend):
         self._started = False
         #: the first error any host met (see :meth:`fail`).
         self.error: Optional[Exception] = None
+        #: while :meth:`drain` waits: the future quiet resolves.
+        self.draining: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     def edge_grouping(self, src_operator: str, dst_operator: str) -> Grouping:
@@ -294,6 +300,7 @@ class AsyncRuntime(RuntimeBackend):
         for host in self.hosts.values():
             for sender in host.senders:
                 sender.abort(error)
+        self.check_quiet()
 
     async def drive(
         self,
@@ -313,31 +320,55 @@ class AsyncRuntime(RuntimeBackend):
             for spout in spouts:
                 spout.cancel()
 
-    async def drain(self) -> None:
-        """Wait until in-flight work settles (bounded by
-        ``config.rt_drain_timeout_s``): every host idle and the global
-        processed count stable across consecutive polls.  A failed host
-        ends the wait (``shutdown`` raises the error)."""
+    def is_quiet(self) -> bool:
+        """No pending work could change a result: every data row and ack
+        message posted to a connection has been handled by its receiving
+        host, and no host is busy (a runnable bolt, a queued input, a
+        planned step, a parked receiver, a root its acker tracks)."""
+        hosts = self.hosts.values()
+        if sum(h.posted for h in hosts) != sum(h.handled for h in hosts):
+            return False
+        return not any(host.busy for host in hosts)
+
+    def check_quiet(self) -> None:
+        """A host step ended: while :meth:`drain` waits, resolve it once
+        the runtime is quiet or has failed."""
+        draining = self.draining
+        if draining is None or draining.done():
+            return
+        if self.error is not None or self.is_quiet():
+            draining.set_result(None)
+
+    async def drain(self) -> Quiescence:
+        """Wait until quiet (:meth:`is_quiet`), at most
+        ``config.rt_drain_timeout_s``.  The host step that makes the
+        runtime quiet resolves the wait, and a failed host ends it
+        (``shutdown`` raises the error).  The record is also kept as
+        ``metrics.quiescence``."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.rt_drain_timeout_s
-        last = -1
-        stable = 0
-        timed_out = False
-        while self.error is None:
-            busy = any(host.busy for host in self.hosts.values())
-            total = sum(ex.processed for ex in self.executors.values())
-            if not busy and total == last:
-                stable += 1
-                if stable >= 3:
-                    break
-            else:
-                stable = 0
-            last = total
-            if loop.time() >= deadline:
-                timed_out = True
-                break
-            await asyncio.sleep(0.02)
-        self.clock.emit("rt.drain", processed=last, timed_out=timed_out)
+        start = loop.time()
+        self.draining = loop.create_future()
+        self.check_quiet()
+        try:
+            await asyncio.wait_for(self.draining, self.config.rt_drain_timeout_s)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            self.draining = None
+        quiet = self.error is None and self.is_quiet()
+        hosts = self.hosts.values()
+        record = self.metrics.quiescence = Quiescence(
+            quiet=quiet,
+            at=self.clock.now,
+            drain_s=loop.time() - start,
+            open_roots=self.metrics.completion.open_roots,
+            outstanding=sum(h.acker.pending for h in hosts if h.acker),
+            queued=sum(ex.inqueue.level for ex in self.executors.values()),
+            in_flight=sum(h.posted for h in hosts) - sum(h.handled for h in hosts),
+        )
+        self.clock.emit("rt.drain", quiet=quiet, processed=sum(
+            ex.processed for ex in self.executors.values()))
+        return record
 
     async def shutdown(self) -> None:
         """Stop every host, then raise the first error one of them met."""
@@ -351,9 +382,12 @@ class AsyncRuntime(RuntimeBackend):
             raise errors[0]
 
     # ------------------------------------------------------------------
-    async def _run(
-        self, rate: float, budget: Optional[int], duration_s: Optional[float]
-    ) -> RunReport:
+    def _execute(self, rate: float, budget: Optional[int],
+                 duration_s: Optional[float]) -> RunReport:
+        return asyncio.run(self._run(rate, budget, duration_s))
+
+    async def _run(self, rate: float, budget: Optional[int],
+                   duration_s: Optional[float]) -> RunReport:
         await self.setup()
         self.clock.start()
         self.metrics.open_window()
@@ -361,50 +395,10 @@ class AsyncRuntime(RuntimeBackend):
             await self.drive(rate, budget, duration_s)
             await self.drain()
             self.metrics.close_window()
-            return self.report()
+            replays = sum(h.acker.replays for h in self.hosts.values() if h.acker)
+            return RunReport.of(self, self.metrics, replays)
         finally:
             await self.shutdown()
-
-    def run(
-        self,
-        rate: float,
-        budget: Optional[int] = None,
-        duration_s: Optional[float] = None,
-    ) -> RunReport:
-        if budget is None and duration_s is None:
-            raise ValueError("need a tuple budget or a duration")
-        return asyncio.run(self._run(rate, budget, duration_s))
-
-    def report(self) -> RunReport:
-        metrics = self.metrics
-        return RunReport(
-            backend=self.name,
-            emitted=dict(metrics.emitted),
-            processed=dict(metrics.processed),
-            window_s=metrics.window_duration,
-            executed=(
-                Counter(self.recorder.executed) if self.recorder else None
-            ),
-            first_t=self.recorder.first_t if self.recorder else None,
-            last_t=self.recorder.last_t if self.recorder else None,
-            credit_stall_s=sum(metrics.credit_stall_s.values()),
-            replays=sum(
-                host.acker.replays
-                for host in self.hosts.values()
-                if host.acker is not None
-            ),
-            abandoned=metrics.messages_abandoned,
-            sink_latency_mean_s=_sink_means(self.topology, metrics),
-        )
-
-
-def _sink_means(topology: Topology, metrics: MetricsHub) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for op in topology.bolts():
-        if op.terminal and metrics.sink_latencies[op.name]:
-            summary = metrics.sink_latency_summary(op.name)
-            out[op.name] = summary.mean
-    return out
 
 
 def create_runtime(

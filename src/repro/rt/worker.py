@@ -233,6 +233,7 @@ class _Receiver(_Sender):
         self.held.extend(messages)
         if not self.parked:
             self._handle()
+            self.host.runtime.check_quiet()
 
     def wake(self) -> None:
         if self.parked:
@@ -250,6 +251,7 @@ class _Receiver(_Sender):
         try:
             if self._advance() and self._handle():
                 self.conn.transport.resume_reading()
+                self.host.runtime.check_quiet()
         except Exception as exc:
             self.conn.fail(exc)
 
@@ -274,6 +276,7 @@ class _Receiver(_Sender):
                 self.gate.grant(message["n"])
                 continue
             if mtype == "acks":
+                host.handled += 1
                 if host.acker is not None:
                     pairs = iter(message["a"])
                     for root, task in zip(pairs, pairs):
@@ -294,9 +297,11 @@ class _Receiver(_Sender):
     def _advance(self) -> bool:
         """Carry out the planned row, then owe its credit; False, after
         parking, when a step must wait."""
-        if not self.host.advance(self):
+        host = self.host
+        if not host.advance(self):
             self._park()
             return False
+        host.handled += 1
         self.owed += self.flow
         if self.owed == self.threshold:
             self.conn.grant(self.owed)
@@ -548,6 +553,7 @@ class Acker:
                 host.replay(self.sender.plan, wire, sorted(outstanding))
             while not host.advance(self.sender):
                 await self.sender.park()
+            host.runtime.check_quiet()
 
 
 class WorkerHost:
@@ -590,6 +596,10 @@ class WorkerHost:
         #: runnable; ``_drain_armed`` while a drain is scheduled.
         self._runnable: deque = deque()
         self._drain_armed = False
+        #: data rows and ack messages this host posted to peers, and the
+        #: ones its receivers handled (the quiet rule compares the sums).
+        self.posted = 0
+        self.handled = 0
         #: the first exception a bolt or a connection raised; :meth:`stop`
         #: raises it.
         self.error: Optional[Exception] = None
@@ -716,6 +726,7 @@ class WorkerHost:
                 executor.parked = True  # a failed task runs no more
                 self.fail(exc)
         self._drain_armed = False
+        self.runtime.check_quiet()
 
     def advance(self, sender: _Sender) -> bool:
         """Carry out ``sender``'s plan in order.  Returns False when a
@@ -739,6 +750,7 @@ class WorkerHost:
                     sender.stalled_at = None
                 plan.popleft()
                 conn = self.peers[target]
+                self.posted += 1
                 if conn.post_row(*payload) and conn.writing_paused:
                     conn.when_writable(sender.wake)
                     return False
@@ -823,6 +835,7 @@ class WorkerHost:
         acks, self._acks = self._acks, {}
         for machine, pairs in acks.items():
             self.peers[machine].post({"type": "acks", "a": pairs})
+        self.posted += len(acks)
 
     # ------------------------------------------------------------------
     # delivery
@@ -885,7 +898,13 @@ class WorkerHost:
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
-        """Work still pending on this host (drain condition input)."""
+        """Work still pending on this host: a runnable bolt, acks not yet
+        posted, a queued input or planned step, a parked receiver, or a
+        root the acker still tracks."""
+        if self._runnable or self._acks:
+            return True
         if any(ex.inqueue.level or ex.plan for ex in self.executors.values()):
+            return True
+        if any(isinstance(s, _Receiver) and s.parked for s in self.senders):
             return True
         return self.acker is not None and bool(self.acker.pending)

@@ -17,6 +17,10 @@ Two calendar implementations back the queue:
   ``Simulator(calendar="array")``.
 
 Both produce identical orderings; see ``tests/test_sim_calendar.py``.
+
+The timer wait of a periodic chain is a *background* entry
+(:meth:`Simulator.schedule_background`), every other entry is work, and
+:attr:`Simulator.idle` is true when only background entries are pending.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class Simulator:
         "_seq",
         "_tracer",
         "_trace_steps",
+        "_background",
     )
 
     def __init__(self, start_time: float = 0.0, calendar: str = "heap"):
@@ -75,6 +80,8 @@ class Simulator:
         self._seq = count()
         self._tracer = None
         self._trace_steps = False
+        #: pending background entries (:meth:`schedule_background`)
+        self._background = 0
 
     # ------------------------------------------------------------------
     # clock
@@ -132,6 +139,25 @@ class Simulator:
             _heappush(self._queue, (self._now, key, fn))
         else:
             self._cal.push(self._now, key, fn)
+
+    def schedule_background(self, delay: float, fn: Callable[[], None]) -> None:
+        """:meth:`schedule_call` for the timer wait of a periodic chain:
+        a pending background entry leaves the simulator :attr:`idle`."""
+
+        @functools.wraps(fn)
+        def wait() -> None:
+            self._background -= 1
+            fn()
+
+        self.schedule_call(delay, wait)
+        self._background += 1
+
+    @property
+    def idle(self) -> bool:
+        """True when every pending entry is a background wait: no work
+        is left, only periodic chains that would wake to find none."""
+        pending = len(self._queue) if self._cal is None else len(self._cal)
+        return pending == self._background
 
     def peek(self) -> float:
         """Time of the next calendar entry, or ``inf`` if none."""
@@ -199,15 +225,15 @@ def every(sim: Simulator, interval: float, fn: Callable[[], None]) -> None:
     """Run ``fn()`` every ``interval`` seconds, the first time one
     interval from now: a control loop.  Its chain starts in an urgent
     entry due now (:meth:`Simulator.call_soon`), and each run of ``fn``
-    schedules the next wait.  The entries carry ``fn``'s name, so a
-    ``sim.step`` census tells the loops apart."""
+    schedules the next wait, a background entry.  The entries carry
+    ``fn``'s name, so a ``sim.step`` census tells the loops apart."""
 
     @functools.wraps(fn)
     def tick() -> None:
         fn()
-        sim.schedule_call(interval, tick)
+        sim.schedule_background(interval, tick)
 
-    sim.call_soon(lambda: sim.schedule_call(interval, tick))
+    sim.call_soon(lambda: sim.schedule_background(interval, tick))
 
 
 def each(items, step, then) -> None:

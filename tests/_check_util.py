@@ -112,16 +112,9 @@ def build_checked_system(
 
 
 def run_windowed(system, warmup_s=0.02, measure_s=0.3, drain_s=0.3):
-    """The standard measured-run shape: warmup, window, drain.
-
-    An explicit ``until`` on every phase keeps runs with infinite
-    periodic processes (monitors, ack sweeps, heartbeats) bounded.
-    """
-    system.start()
-    system.sim.run(until=system.sim.now + warmup_s)
-    system.metrics.open_window()
-    system.sim.run(until=system.sim.now + measure_s)
-    system.metrics.close_window()
+    """The standard measured-run shape: warmup, window, then a drain to
+    quiet (at most ``drain_s``) after the window closes."""
+    system.run_measured(warmup_s, measure_s)
     if drain_s > 0:
-        system.sim.run(until=system.sim.now + drain_s)
+        system.drain(system.sim.now + drain_s)
     return system

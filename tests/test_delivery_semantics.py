@@ -45,13 +45,7 @@ def _delivery_config(delivery, **overrides):
 
 
 def _drain(system, deadline_s=4.0):
-    reliability = system.reliability
-    while (
-        reliability is not None
-        and (reliability.outstanding or reliability.held_entries)
-        and system.sim.now < deadline_s
-    ):
-        system.sim.run(until=system.sim.now + 0.05)
+    system.drain(deadline_s)
     # a few more epochs so the GC barrier can pass over settled roots
     system.sim.run(until=system.sim.now + 0.3)
 

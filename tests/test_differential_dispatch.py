@@ -421,14 +421,8 @@ def _run_slow_node(batched):
         seed=2,
         fault_schedule=FaultSchedule([FaultEvent.slow_node(0.05, 1, 4.0, 0.03)]),
     )
-    sim = system.sim
-    system.start()
-    system.metrics.open_window()
-    sim.run(until=0.2)
-    system.metrics.close_window()
-    for spout in system.spout_executors:
-        spout.stop()
-    sim.run(until=0.4)
+    system.run_measured(0.0, 0.2)
+    system.drain(0.4)
     system.metrics.flush()
     return system
 
@@ -584,14 +578,8 @@ def _run_diverging(batched, capacity, faults, sinks="service_time"):
         seed=31,
         fault_schedule=DIVERGING_FAULTS[faults](),
     )
-    sim = system.sim
-    system.start()
-    system.metrics.open_window()
-    sim.run(until=0.08)
-    system.metrics.close_window()
-    for spout in system.spout_executors:
-        spout.stop()
-    sim.run(until=0.3)
+    system.run_measured(0.0, 0.08)
+    system.drain(0.3)
     system.metrics.flush()
     return system, log
 

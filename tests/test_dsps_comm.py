@@ -62,9 +62,7 @@ def test_coalesced_instance_messages_each_pay_a_receive(make_config):
     system = broadcast_system(make_config(), parallelism=8, machines=2)
     system.start()
     system.sim.run(until=0.1)
-    for spout in system.spout_executors:
-        spout.stop()
-    system.sim.run(until=0.2)  # drain
+    system.drain(0.2)
     [spout] = system.spout_executors
     [remote] = [m for m in system.workers if m != spout.machine_id]
     worker = system.workers[remote]

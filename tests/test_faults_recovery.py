@@ -306,12 +306,8 @@ def test_replay_completes_all_trees_under_injected_loss():
     )
     system.start()
     system.sim.run(until=0.3)
-    for spout in system.spout_executors:
-        spout.stop()
+    assert system.drain(3.0).quiet
     reliability = system.reliability
-    deadline = 3.0
-    while reliability.outstanding and system.sim.now < deadline:
-        system.sim.run(until=system.sim.now + 0.05)
     assert reliability.outstanding == 0
     assert reliability.registered > 0
     assert reliability.replays > 0, "loss should have forced replays"
@@ -331,12 +327,8 @@ def test_replay_gives_up_after_retry_budget():
     )
     system.start()
     system.sim.run(until=0.1)
-    for spout in system.spout_executors:
-        spout.stop()
+    system.drain(2.0)
     reliability = system.reliability
-    deadline = 2.0
-    while reliability.outstanding and system.sim.now < deadline:
-        system.sim.run(until=system.sim.now + 0.05)
     # trees with a destination on the dead machine exhaust their budget
     assert reliability.gave_up
     assert reliability.outstanding == 0

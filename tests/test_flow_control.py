@@ -93,21 +93,7 @@ def _flow_config(delivery="at_most_once", **overrides):
 
 
 def _run(system, duration_s=0.4, drain_s=0.6):
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=duration_s)
-    for spout in system.spout_executors:
-        spout.stop()
-    reliability = system.reliability
-    deadline = duration_s + drain_s
-    while (
-        reliability is not None
-        and (reliability.outstanding or reliability.held_entries)
-        and system.sim.now < deadline
-    ):
-        system.sim.run(until=min(deadline, system.sim.now + 0.05))
-    system.sim.run(until=deadline)
-    system.metrics.close_window()
+    system.run_measured(0.0, duration_s, drain_s=drain_s)
     if system.checker is not None:
         report = system.checker.finalize()
         assert report.ok, report.summary()

@@ -69,20 +69,7 @@ def _run_scenario(config, seed, magnitude, parallelism):
         ),
     )
     system.attach_checker(mode="strict")
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=0.3)
-    for spout in system.spout_executors:
-        spout.stop()
-    reliability = system.reliability
-    while (
-        reliability is not None
-        and (reliability.outstanding or reliability.held_entries)
-        and system.sim.now < 0.8
-    ):
-        system.sim.run(until=min(0.8, system.sim.now + 0.05))
-    system.sim.run(until=0.8)
-    system.metrics.close_window()
+    system.run_measured(0.0, 0.3, drain_s=0.5)
     report = system.checker.finalize()
     assert report.ok, report.summary()
     return system, tuple(log)

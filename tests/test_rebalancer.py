@@ -61,10 +61,7 @@ def _storm_system(config, rate=6_000.0, tracer=None, fault_schedule=None):
 
 def _run(system, duration_s=0.4):
     system.attach_checker(mode="strict")
-    system.start()
-    system.metrics.open_window()
-    system.sim.run(until=duration_s)
-    system.metrics.close_window()
+    system.run_measured(0.0, duration_s)
     report = system.checker.finalize()
     assert report.ok, report.summary()
     return system

@@ -38,13 +38,8 @@ def _run_to_exhaustion():
     )
     system.start()
     system.sim.run(until=0.1)
-    for spout in system.spout_executors:
-        spout.stop()
-    reliability = system.reliability
-    deadline = 3.0
-    while reliability.outstanding and system.sim.now < deadline:
-        system.sim.run(until=system.sim.now + 0.05)
-    return system, reliability, tracer
+    system.drain(3.0)
+    return system, system.reliability, tracer
 
 
 def test_budget_exhaustion_counts_each_failure_exactly_once():

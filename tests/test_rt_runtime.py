@@ -752,8 +752,8 @@ def test_sim_backend_runs_the_controllers_create_system_attaches():
         make_topology("fanout", 16), config, cluster=cluster,
         arrivals={"ticks": FiniteArrivals(ConstantArrivals(rate), budget)},
     )
-    direct.start()
-    direct.sim.run(until=budget / rate + runtime.drain_slack_s)
+    direct.run_measured(0.0, (budget + 0.5) / rate,
+                        drain_s=config.rt_drain_timeout_s)
 
     def answered(system):
         return sum(w.heartbeats_answered for w in system.workers.values())

@@ -120,6 +120,50 @@ def test_every_runs_once_per_period():
     assert ticks == [0.5, 1.0, 1.5, 2.0]
 
 
+@pytest.mark.parametrize("calendar", ["heap", "array"])
+def test_idle_when_only_background_waits_are_pending(calendar):
+    """A periodic chain's timer wait is background: the simulator is idle
+    while only such waits are pending, and busy while any work is."""
+    sim = Simulator(calendar=calendar)
+    ticks, work = [], []
+    every(sim, 0.5, lambda: ticks.append(sim.now))
+    assert not sim.idle  # the chain's start is an urgent work entry
+    sim.step()
+    assert sim.idle
+    sim.schedule_call(0.7, lambda: work.append(sim.now))
+    assert not sim.idle
+    sim.run(until=0.6)
+    assert not sim.idle and ticks == [0.5]
+    sim.run(until=0.8)
+    assert sim.idle and work == [0.7]
+    sim.run(until=2.0)
+    assert sim.idle and ticks == [0.5, 1.0, 1.5, 2.0]
+
+
+def test_background_waits_keep_the_order_and_name_of_plain_entries():
+    """A background wait draws its key from the same sequence as
+    ``schedule_call`` and its wrapper keeps the callback's name, so
+    same-instant order and ``sim.step`` records do not move."""
+    from repro.trace import MemoryTracer
+
+    sim = Simulator()
+    sim.tracer = MemoryTracer(categories={"sim"})
+    log = []
+
+    def sample():
+        log.append("sample")
+
+    sim.schedule_call(1.0, lambda: log.append("a"))
+    sim.schedule_background(1.0, sample)
+    sim.schedule_call(1.0, lambda: log.append("b"))
+    sim.call_soon(lambda: log.append("soon"))
+    sim.run()
+    assert log == ["soon", "a", "sample", "b"]
+    events = [r["event"] for r in sim.tracer.records]
+    assert events[2] == sample.__qualname__
+    assert sim.idle
+
+
 def test_deterministic_interleaving():
     def build():
         sim = Simulator()
