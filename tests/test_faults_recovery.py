@@ -376,3 +376,36 @@ def test_end_to_end_recovery_is_deterministic():
         )
 
     assert run() == run()
+
+
+def test_tcp_tree_quarantines_a_machine_its_detector_suspects():
+    """A TCP system with a multicast tree records suspicion the way an
+    RDMA system does: a machine that crashes for good and stays
+    suspected to the end of the run is on the degraded route."""
+    import numpy as np
+
+    from repro.apps.ridehailing import ride_hailing_topology
+
+    config = whale_full_config(adaptive=False).with_overrides(
+        transport="tcp", slicing=False, failure_detection=True
+    )
+    topology = ride_hailing_topology(
+        24, n_drivers=1000, compute_real_matches=False
+    )
+    rng = np.random.default_rng(1)
+    system = create_system(
+        topology,
+        config,
+        cluster=Cluster(8, 1, 16),
+        arrivals={
+            "requests": PoissonArrivals(100.0, rng),
+            "driver_locations": PoissonArrivals(100.0, rng),
+        },
+        seed=1,
+        fault_schedule=FaultSchedule.single_crash(7, crash_at=0.1),
+    )
+    checker = system.attach_checker(mode="warn")
+    system.run_measured(0, 0.5)
+    report = checker.finalize()
+    assert report.violations == []
+    assert system.transport.is_degraded(7)
