@@ -15,7 +15,7 @@ import math
 from repro.dsps.config import SystemConfig
 from repro.multicast.build import build_tree
 from repro.multicast.capability import completion_time_units
-from repro.net.rdma import VerbProfile
+from repro.net.rdma import message_profile, transport_verb
 from repro.net.serialization import SerializationModel
 
 
@@ -48,20 +48,15 @@ def per_hop_time(
     else:
         msg_bytes = ser.instance_message_bytes(payload_bytes)
         ser_time = ser.serialize_instance_message(payload_bytes)
-    if config.transport == "tcp":
-        send_cpu = costs.tcp_send_cpu_s
-        wire = costs.ethernet_latency_s + costs.wire_time(
-            msg_bytes, costs.ethernet_bandwidth_bps
-        )
-        recv = costs.tcp_recv_cpu_s
-    else:
-        prof = VerbProfile.from_costs(costs, config.data_verb)
-        send_cpu = prof.sender_cpu_s + costs.rnic_wr_service_s
-        wire = costs.infiniband_latency_s + costs.wire_time(
-            msg_bytes, costs.infiniband_bandwidth_bps
-        )
-        recv = prof.receiver_cpu_s
-    total = send_cpu + wire + recv + ser.deserialize(msg_bytes)
+    prof = message_profile(
+        costs, transport_verb(config.transport, config.data_verb)
+    )
+    link = costs.link(config.transport)
+    send_cpu = prof.sender_cpu_s
+    if prof.rnic:
+        send_cpu += costs.rnic_wr_service_s
+    wire = link.latency_s + costs.wire_time(msg_bytes, link.bandwidth_bps)
+    total = send_cpu + wire + prof.receiver_cpu_s + ser.deserialize(msg_bytes)
     if serialize:
         total += ser_time
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.dsps.config import SystemConfig
 from repro.multicast.model import binomial_out_degree
-from repro.net.rdma import VerbProfile
+from repro.net.rdma import message_profile, transport_verb
 from repro.net.serialization import SerializationModel
 
 
@@ -33,18 +33,13 @@ class SystemShape:
         )
 
 
-def _sender_cpu_per_message(config: SystemConfig) -> float:
-    if config.transport == "tcp":
-        return config.costs.tcp_send_cpu_s
-    profile = VerbProfile.from_costs(config.costs, config.data_verb)
-    return profile.sender_cpu_s
-
-
 def source_service_time(config: SystemConfig, shape: SystemShape) -> float:
     """Per-tuple time in the source's sending thread for the one-to-many
     edge (the M/D/1 model's ``1/mu``)."""
     ser = SerializationModel(config.costs)
-    send_cpu = _sender_cpu_per_message(config)
+    send_cpu = message_profile(
+        config.costs, transport_verb(config.transport, config.data_verb)
+    ).sender_cpu_s
     n = shape.parallelism
     m = min(n, shape.n_machines)
     remote_machines = shape.remote_machines

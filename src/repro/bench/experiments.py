@@ -604,12 +604,9 @@ def fig29_30_verbs(
         sim = Simulator()
         cluster = Cluster(2, 1, 16)
         costs = CostModel()
+        link = costs.link("rdma")
         fabric = Fabric(
-            sim,
-            cluster,
-            costs.infiniband_bandwidth_bps,
-            costs.infiniband_latency_s,
-            name="ib",
+            sim, cluster, link.bandwidth_bps, link.latency_s, name=link.name
         )
         transport = RdmaTransport(sim, fabric, costs, data_verb=verb)
         cpu = CpuAccount(sim, "sender")
@@ -628,7 +625,7 @@ def fig29_30_verbs(
                 else:
                     then()
 
-            transport.send(0, 1, i, payload_bytes, cpu, verb=verb, then=sent)
+            transport.send(0, 1, i, payload_bytes, cpu, then=sent)
 
         def receive(msg) -> None:
             """The receiver thread: FIFO, one receive CPU wait each."""

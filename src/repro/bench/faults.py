@@ -123,10 +123,9 @@ def ablation_oversubscribed_racks(
         runs, utils = [], []
         for config in configs:
             uplink_bw = (
-                config.costs.ethernet_bandwidth_bps
-                if config.transport == "tcp"
-                else config.costs.infiniband_bandwidth_bps
-            ) / oversubscription
+                config.costs.link(config.transport).bandwidth_bps
+                / oversubscription
+            )
             run = run_app(
                 "ridehailing",
                 config,

@@ -536,10 +536,7 @@ def _crash_quarantine(ctx: CheckContext) -> None:
 )
 def _suspects_degraded(ctx: CheckContext) -> None:
     system = ctx.system
-    transport = system.transport
-    is_degraded = getattr(transport, "is_degraded", None)
-    if is_degraded is None:
-        return  # the TCP transport has no fast path to degrade
+    is_degraded = system.transport.is_degraded
     for controller in system.controllers:
         detector = controller.detector
         if detector is None:

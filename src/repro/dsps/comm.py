@@ -304,7 +304,7 @@ class CommEngine:
         self.ser = system.serialization
         self.worker_oriented = self.config.worker_oriented
         #: serialized messages to one peer share RDMA work requests
-        self.sliced = self.config.slicing and self.config.transport == "rdma"
+        self.sliced = self.config.slicing
         # (src executor id, dst machine) -> slicer, when slicing is on.
         self._slicers: Dict[Tuple[int, int], StreamSlicer] = {}
 
@@ -509,14 +509,10 @@ class _Legs:
         else:
             # The send path runs once per message even when coalesced
             # (and the transport charges the receiver once per message).
-            if comm.config.transport == "tcp":
-                extra, category = comm.costs.tcp_send_cpu_s, cats.NETWORK
-            else:
-                transport = comm.system.transport
-                extra = transport.profile(transport.data_verb).sender_cpu_s
-                category = cats.RDMA_POST
-            extra *= self.n - 1
-            self.cpu.busy_s[category] += extra
+            transport = comm.system.transport
+            profile = transport.profile(transport.data_verb)
+            extra = profile.sender_cpu_s * (self.n - 1)
+            self.cpu.busy_s[profile.category] += extra
             if extra > 0:
                 comm.system.sim.schedule_call(extra, self._post)
             else:

@@ -35,10 +35,8 @@ from repro.dsps.worker import Worker
 from repro.faults import FaultInjector, FaultSchedule
 from repro.net.cluster import Cluster
 from repro.net.fabric import Fabric
-from repro.net.message import reset_ids as reset_message_ids
-from repro.net.rdma import RdmaTransport
+from repro.net.rdma import RdmaTransport, transport_verb
 from repro.net.serialization import SerializationModel
-from repro.net.tcp import TcpTransport
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -71,11 +69,10 @@ class DspsSystem:
         ``fault_schedule`` (a :class:`~repro.faults.FaultSchedule`)
         attaches a :class:`~repro.faults.FaultInjector` that crashes and
         recovers machines at the scheduled sim times."""
-        # Restart the process-global id streams (tuples, wire messages) so
-        # a run's trace is bit-identical for a given seed no matter how
-        # many systems were built earlier in the same process.
+        # Restart the process-global tuple id stream so a run's trace is
+        # bit-identical for a given seed no matter how many systems were
+        # built earlier in the same process.
         reset_tuple_ids()
-        reset_message_ids()
         fabric_options = fabric_options or {}
         self.topology = topology
         self.config = config
@@ -88,33 +85,22 @@ class DspsSystem:
         self.metrics = MetricsHub(self.sim)
 
         # --- network ------------------------------------------------------
-        if config.transport == "tcp":
-            self.fabric = Fabric(
-                self.sim,
-                self.cluster,
-                bandwidth_bps=self.costs.ethernet_bandwidth_bps,
-                base_latency_s=self.costs.ethernet_latency_s,
-                rack_hop_latency_s=self.costs.rack_hop_latency_s,
-                name="ethernet",
-                **fabric_options,
-            )
-            self.transport = TcpTransport(self.sim, self.fabric, self.costs)
-        else:
-            self.fabric = Fabric(
-                self.sim,
-                self.cluster,
-                bandwidth_bps=self.costs.infiniband_bandwidth_bps,
-                base_latency_s=self.costs.infiniband_latency_s,
-                rack_hop_latency_s=self.costs.rack_hop_latency_s,
-                name="infiniband",
-                **fabric_options,
-            )
-            self.transport = RdmaTransport(
-                self.sim,
-                self.fabric,
-                self.costs,
-                data_verb=config.data_verb,
-            )
+        link = self.costs.link(config.transport)
+        self.fabric = Fabric(
+            self.sim,
+            self.cluster,
+            bandwidth_bps=link.bandwidth_bps,
+            base_latency_s=link.latency_s,
+            rack_hop_latency_s=self.costs.rack_hop_latency_s,
+            name=link.name,
+            **fabric_options,
+        )
+        self.transport = RdmaTransport(
+            self.sim,
+            self.fabric,
+            self.costs,
+            data_verb=transport_verb(config.transport, config.data_verb),
+        )
 
         # --- placement + runtime objects -----------------------------------
         self.placement: Placement = schedule(topology, self.cluster)

@@ -21,6 +21,15 @@ paper builds on):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+
+class Link(NamedTuple):
+    """The wire a fabric is made of."""
+
+    name: str
+    bandwidth_bps: float
+    latency_s: float
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,16 @@ class CostModel:
     def wire_time(self, nbytes: int, bandwidth_bps: float) -> float:
         """Pure transmission time of ``nbytes`` on a link."""
         return nbytes * 8.0 / bandwidth_bps
+
+    def link(self, transport: str) -> Link:
+        """The fabric a ``transport`` system runs on: Ethernet for TCP,
+        InfiniBand for RDMA."""
+        return {
+            "tcp": Link("ethernet", self.ethernet_bandwidth_bps,
+                        self.ethernet_latency_s),
+            "rdma": Link("infiniband", self.infiniband_bandwidth_bps,
+                         self.infiniband_latency_s),
+        }[transport]
 
     def with_overrides(self, **kwargs) -> "CostModel":
         """Return a copy with selected fields replaced."""

@@ -14,7 +14,7 @@ the evaluation's receivers are many and lightly loaded.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional  # noqa: F401
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.net.cluster import Cluster
 from repro.net.message import WireMessage
@@ -31,7 +31,9 @@ _START, _DONE, _MSG, _LIVE = 0, 1, 2, 3
 
 
 class NicPort:
-    """One machine's egress port on a fabric (FIFO at link bandwidth).
+    """One egress port: a FIFO at ``bandwidth_bps`` that hands each
+    transmitted message to ``forward`` — a machine's NIC on a fabric, or
+    a rack's shared uplink.
 
     The port is an *arithmetic* FIFO server: because transmission times
     are a pure function of message size, each message's start/done
@@ -41,42 +43,39 @@ class NicPort:
     ``start <= now`` is in transmission; like the old drain loop's
     in-flight message it completes and propagates even if the machine
     crashes mid-transmission (the sender NIC had already committed the
-    wire time).
+    wire time).  Rack uplinks are never paused: the core switch does not
+    crash in our fault model.
     """
 
-    def __init__(self, sim: "Simulator", fabric: "Fabric", machine_id: int):
+    def __init__(
+        self, sim: "Simulator", fabric: "Fabric", bandwidth_bps: float,
+        forward: Receiver,
+    ):
         self.sim = sim
         self.fabric = fabric
-        self.machine_id = machine_id
+        self.bandwidth_bps = bandwidth_bps
+        self._forward = forward
         self._fifo: Deque[list] = deque()
         self._busy_until = sim.now
         self.bytes_sent = 0
-        self.messages_sent = 0
         self._paused = False
 
     def enqueue(self, msg: WireMessage) -> None:
         """Hand a message to the NIC (non-blocking for the caller)."""
-        sim = self.sim
-        now = sim.now
-        msg.sent_at = now
         if self._paused:
             # Crashed: the NIC eats anything handed to it.
             self.fabric._drop_dead(msg, "crash_egress")
             return
+        sim = self.sim
+        now = sim.now
         start = self._busy_until
         if start < now:
             start = now
-        done = start + msg.size_bytes * 8.0 / self.fabric.bandwidth_bps
+        done = start + msg.size_bytes * 8.0 / self.bandwidth_bps
         self._busy_until = done
         entry = [start, done, msg, True]
         self._fifo.append(entry)
         sim.schedule_call(done - now, lambda: self._complete(entry))
-
-    @property
-    def backlog(self) -> int:
-        """Messages queued behind the one in transmission."""
-        n = len(self._fifo)
-        return n - 1 if n else 0
 
     def pause(self) -> list:
         """Crash: drop the queued backlog (returned); the in-transmission
@@ -99,11 +98,10 @@ class NicPort:
             self._busy_until = now
         return dropped
 
-    def resume(self) -> list:
+    def resume(self) -> None:
         """Recover.  Messages enqueued during the outage were already
         dropped dead at enqueue, so there is never a stale backlog."""
         self._paused = False
-        return []
 
     @property
     def paused(self) -> bool:
@@ -117,45 +115,7 @@ class NicPort:
         self._fifo.popleft()
         msg = entry[_MSG]
         self.bytes_sent += msg.size_bytes
-        self.messages_sent += 1
-        self.fabric._propagate(msg)
-
-
-class _RackUplink:
-    """A rack's shared uplink: serializes cross-rack egress at the
-    oversubscribed core bandwidth (arithmetic FIFO server, never
-    paused — the core switch does not crash in our fault model)."""
-
-    def __init__(
-        self, sim: "Simulator", fabric: "Fabric", rack: int, bandwidth_bps: float
-    ):
-        self.sim = sim
-        self.fabric = fabric
-        self.rack = rack
-        self.bandwidth_bps = bandwidth_bps
-        self._busy_until = sim.now
-        self._queued = 0
-        self.bytes_sent = 0
-
-    def enqueue(self, msg: WireMessage) -> None:
-        sim = self.sim
-        now = sim.now
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + msg.size_bytes * 8.0 / self.bandwidth_bps
-        self._busy_until = done
-        self._queued += 1
-        sim.schedule_call(done - now, lambda: self._complete(msg))
-
-    @property
-    def backlog(self) -> int:
-        return self._queued - 1 if self._queued else 0
-
-    def _complete(self, msg: WireMessage) -> None:
-        self._queued -= 1
-        self.bytes_sent += msg.size_bytes
-        self.fabric._schedule_delivery(msg)
+        self._forward(msg)
 
 
 class Fabric:
@@ -202,12 +162,15 @@ class Fabric:
 
             self._loss_rng = np.random.default_rng(loss_seed)
         self.ports: Dict[int, NicPort] = {
-            m.machine_id: NicPort(sim, self, m.machine_id) for m in cluster
+            m.machine_id: NicPort(sim, self, bandwidth_bps, self._propagate)
+            for m in cluster
         }
-        self.uplinks: Dict[int, "_RackUplink"] = {}
+        self.uplinks: Dict[int, NicPort] = {}
         if rack_uplink_bandwidth_bps is not None:
             self.uplinks = {
-                rack: _RackUplink(sim, self, rack, rack_uplink_bandwidth_bps)
+                rack: NicPort(
+                    sim, self, rack_uplink_bandwidth_bps, self._schedule_delivery
+                )
                 for rack in range(cluster.n_racks)
             }
         self._receivers: Dict[int, Receiver] = {}
@@ -267,8 +230,7 @@ class Fabric:
                 self._drop_dead(msg, "crash_egress")
         else:
             self._machine_down.discard(machine_id)
-            for msg in port.resume():
-                self._drop_dead(msg, "crash_egress")
+            port.resume()
 
     def set_link_up(self, a: int, b: int, up: bool) -> None:
         """Flap the (undirected) link between two machines."""

@@ -8,18 +8,8 @@ its CPU and for the metrics layer to count traffic.  The logical content
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-_msg_ids = itertools.count()
-
-
-def reset_ids() -> None:
-    """Restart message-id allocation (called per system build so traces
-    are reproducible regardless of prior runs in the process)."""
-    global _msg_ids
-    _msg_ids = itertools.count()
 
 
 @dataclass
@@ -35,12 +25,9 @@ class WireMessage:
     #: CPU seconds the receiver must spend to take delivery (kernel TCP
     #: receive path, or RDMA completion reaping; 0 for one-sided verbs).
     recv_cpu_s: float = 0.0
-    #: Simulated time the message entered the transport.
-    sent_at: float = 0.0
     #: Invoked by the fabric at delivery time (used by the RNIC layer to
     #: recycle ring memory regions once the wire has consumed them).
     on_delivered: Optional[Callable[["WireMessage"], None]] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

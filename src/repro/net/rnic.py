@@ -1,11 +1,11 @@
 """RNIC model: per-machine work-request pipeline.
 
-Senders post :class:`WorkRequest`\\ s; the RNIC services them FIFO (DMA
-setup takes :attr:`CostModel.rnic_wr_service_s` per WR) and injects the
-wire message into the InfiniBand fabric.  If the WR carries a ring memory
-region, the region is recycled when the fabric reports delivery —
-modelling the paper's "each memory region can be reused after consumed by
-the RNIC coordinator".
+Senders post wire messages as work requests (WRs); the RNIC services
+them FIFO (DMA setup takes :attr:`CostModel.rnic_wr_service_s` per WR)
+and injects each message into the InfiniBand fabric.  A WR holds a ring
+memory region of its message's size, recycled when the fabric reports
+delivery — modelling the paper's "each memory region can be reused after
+consumed by the RNIC coordinator".
 
 The service pipeline is an arithmetic FIFO server (like
 :class:`~repro.net.fabric.NicPort`): completion instants are computed at
@@ -17,7 +17,6 @@ queue full continues one calendar entry after its admission.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
 
 from repro.net.costs import CostModel
@@ -28,16 +27,10 @@ from repro.net.ring import RingMemoryRegion
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-_START, _DONE, _WR, _LIVE = 0, 1, 2, 3
+_START, _DONE, _MSG, _LIVE = 0, 1, 2, 3
 
-
-@dataclass
-class WorkRequest:
-    """One posted RDMA work request."""
-
-    message: WireMessage
-    #: Ring region size to recycle on delivery (0 = none attached).
-    ring_bytes: int = 0
+#: WRs the queue holds behind the one in DMA service.
+WR_QUEUE_DEPTH = 4096
 
 
 class Rnic:
@@ -50,40 +43,37 @@ class Rnic:
         fabric: Fabric,
         costs: CostModel,
         ring_capacity_bytes: int = 8 * 1024 * 1024,
-        wr_queue_depth: int = 4096,
     ):
         self.sim = sim
         self.machine_id = machine_id
         self.fabric = fabric
         self.costs = costs
         self.ring = RingMemoryRegion(sim, ring_capacity_bytes)
-        self._depth = wr_queue_depth
         #: admitted WRs: the head with ``start <= now`` is in DMA service.
         self._pending: Deque[list] = deque()
         #: posts blocked on a full WR queue, FIFO.
         self._waiters: Deque[
-            Tuple[Optional[Callable[[], None]], WorkRequest]
+            Tuple[Optional[Callable[[], None]], WireMessage]
         ] = deque()
         self._busy_until = sim.now
         self.wrs_posted = 0
-        self.wrs_completed = 0
 
     # ------------------------------------------------------------------
     def post(
-        self, wr: WorkRequest, then: Optional[Callable[[], None]] = None
+        self, msg: WireMessage, then: Optional[Callable[[], None]] = None
     ) -> None:
-        """Post a work request; ``then()`` (if given) runs once it is
-        admitted to the WR queue: at once, or one calendar entry after a
-        full queue admits it."""
+        """Post ``msg`` as a work request; ``then()`` (if given) runs once
+        it is admitted to the WR queue: at once, or one calendar entry
+        after a full queue admits it."""
         self.wrs_posted += 1
-        if wr.ring_bytes > 0:
-            wr.message.on_delivered = self._recycle
-        # The old Store-backed queue held up to ``depth`` WRs *behind* the
-        # one in service, so total unfinished admits up to depth + 1.
-        if self._waiters or len(self._pending) > self._depth:
-            self._waiters.append((then, wr))
+        if msg.size_bytes > 0:
+            msg.on_delivered = self._recycle
+        # The queue holds up to ``WR_QUEUE_DEPTH`` WRs *behind* the one in
+        # service, so total unfinished admits up to depth + 1.
+        if self._waiters or len(self._pending) > WR_QUEUE_DEPTH:
+            self._waiters.append((then, msg))
             return
-        self._admit(wr)
+        self._admit(msg)
         if then is not None:
             then()
 
@@ -105,11 +95,11 @@ class Rnic:
         while pending:
             entry = pending.popleft()
             entry[_LIVE] = False
-            entry[_WR].message.on_delivered = None
+            entry[_MSG].on_delivered = None
             dropped += 1
         while self._waiters:
-            then, wr = self._waiters.popleft()
-            wr.message.on_delivered = None
+            then, msg = self._waiters.popleft()
+            msg.on_delivered = None
             dropped += 1
             if then is not None:
                 self.sim.schedule_call(0.0, then)
@@ -122,7 +112,7 @@ class Rnic:
         return dropped
 
     # ------------------------------------------------------------------
-    def _admit(self, wr: WorkRequest) -> None:
+    def _admit(self, msg: WireMessage) -> None:
         sim = self.sim
         now = sim.now
         start = self._busy_until
@@ -130,7 +120,7 @@ class Rnic:
             start = now
         done = start + self.costs.rnic_wr_service_s
         self._busy_until = done
-        entry = [start, done, wr, True]
+        entry = [start, done, msg, True]
         self._pending.append(entry)
         if done > now:
             sim.schedule_call(done - now, lambda: self._complete(entry))
@@ -141,11 +131,10 @@ class Rnic:
         if not entry[_LIVE]:
             return
         self._pending.popleft()  # live completions fire in FIFO order
-        self.fabric.send(entry[_WR].message)
-        self.wrs_completed += 1
-        while self._waiters and len(self._pending) <= self._depth:
-            then, wr = self._waiters.popleft()
-            self._admit(wr)
+        self.fabric.send(entry[_MSG])
+        while self._waiters and len(self._pending) <= WR_QUEUE_DEPTH:
+            then, msg = self._waiters.popleft()
+            self._admit(msg)
             if then is not None:
                 self.sim.schedule_call(0.0, then)
 

@@ -18,8 +18,8 @@ record kind          emitted by
                      census (high-frequency, excluded by default)
 ``queue.put/get/drop``  :class:`repro.sim.queues.TransferQueue`
 ``net.serialize``    :class:`repro.dsps.comm.CommEngine` (per message)
-``net.post``         :class:`repro.net.tcp.TcpTransport` /
-                     :class:`repro.net.rdma.RdmaTransport` send
+``net.post``         :class:`repro.net.rdma.RdmaTransport` send (``verb``
+                     is the route: a verb, ``tcp`` or ``tcp-fallback``)
 ``net.deliver``      :class:`repro.net.fabric.Fabric` delivery
 ``net.lost``         fabric fault injection
 ``tuple.emit``       :class:`repro.dsps.executor.ExecutorBase`

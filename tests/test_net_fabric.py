@@ -8,7 +8,6 @@ from repro.net import (
     CpuAccount,
     Fabric,
     RdmaTransport,
-    TcpTransport,
     Verb,
     WireMessage,
 )
@@ -137,13 +136,13 @@ def test_message_negative_size_rejected():
 
 
 # ----------------------------------------------------------------------
-# TcpTransport
+# the kernel TCP route (a TCP system: no data verb)
 # ----------------------------------------------------------------------
 def test_tcp_send_charges_sender_cpu_and_sets_recv_cpu():
     sim = Simulator()
     costs = CostModel()
     fabric = make_fabric(sim)
-    tcp = TcpTransport(sim, fabric, costs)
+    tcp = RdmaTransport(sim, fabric, costs, data_verb=None)
     inbox = []
     fabric.bind(1, inbox.append)
     cpu = CpuAccount(sim, "sender")
@@ -157,6 +156,26 @@ def test_tcp_send_charges_sender_cpu_and_sets_recv_cpu():
     [msg] = inbox
     assert msg.payload == "hello"
     assert msg.recv_cpu_s == costs.tcp_recv_cpu_s
+
+    # A same-machine control send pays the kernel send path on a TCP
+    # system, and the two-sided verb's post on an RDMA system.
+    verb_cpu_s = costs.rdma_post_cpu_s + costs.rdma_send_credit_cpu_s
+    for data_verb, category, send_cpu_s, recv_cpu_s in (
+        (None, "network", costs.tcp_send_cpu_s, costs.tcp_recv_cpu_s),
+        (Verb.READ, "rdma_post", verb_cpu_s, costs.rdma_twosided_recv_cpu_s),
+    ):
+        sim = Simulator()
+        fabric = make_fabric(sim)
+        transport = RdmaTransport(sim, fabric, costs, data_verb=data_verb)
+        inbox = []
+        fabric.bind(2, inbox.append)
+        cpu = CpuAccount(sim, "controller")
+        transport.send(2, 2, "rewire", 64, cpu, kind="control")
+        sim.run()
+        assert cpu.busy_s == {category: pytest.approx(send_cpu_s)}
+        [msg] = inbox
+        assert msg.recv_cpu_s == recv_cpu_s
+        assert transport.rnics[2].wrs_posted == 0
 
 
 # ----------------------------------------------------------------------
