@@ -187,7 +187,8 @@ class Sink(Bolt):
     base_service_s = 1e-6
 
 
-def adaptive_system(d_star, steps, machines=8, parallelism=32, seed=5):
+def adaptive_system(d_star, steps, machines=8, parallelism=32, seed=5,
+                    **overrides):
     topo = Topology("dyn")
     topo.add_spout("src", NullSpout)
     topo.add_bolt(
@@ -200,6 +201,7 @@ def adaptive_system(d_star, steps, machines=8, parallelism=32, seed=5):
     config = whale_full_config(d_star=d_star, costs=costs).with_overrides(
         monitor_interval_s=0.02,
         transfer_queue_capacity=128,
+        **overrides,
     )
     system = create_system(
         topo,
@@ -313,3 +315,34 @@ def test_switch_posts_nothing_to_a_suspected_machine():
     assert controller.history, "no switch to observe"
     assert posted, "the switch posted no control message"
     assert suspect not in posted
+
+
+def test_repair_that_meets_a_switch_starts_the_instant_it_ends():
+    """Every tree change runs through one FIFO of rounds: a repair that
+    meets a running switch waits for it and starts the instant it ends,
+    not at a later heartbeat."""
+    system = adaptive_system(
+        d_star=5, steps=[RateStep(0.0, 500.0)], failure_detection=True
+    )
+    controller = system.controllers[0]
+    service = controller.service
+    machine = max(
+        service.machine_of(ep)
+        for ep in service.endpoints
+        if service.machine_of(ep) != service.src_machine
+    )
+    at, switch_ended = 0.105, []
+
+    def switch_and_repair():
+        controller._switch(
+            "scale_down", 4, lambda: switch_ended.append(system.sim.now)
+        )
+        controller._repair(machine, lambda: None)
+
+    system.start()
+    system.sim.schedule_call(at, switch_and_repair)
+    system.sim.run(until=0.3)
+    assert [r.time for r in controller.history if r.time == at] == [at]
+    assert switch_ended and switch_ended[0] > at
+    repairs = [r for r in controller.repairs if r.action == "repair"]
+    assert [r.time for r in repairs] == [switch_ended[0]]

@@ -432,6 +432,54 @@ def test_link_flap_degrades_then_repromotes_to_rdma():
     assert sum(s.reattach_count for s in system.multicast_services) >= 1
 
 
+def test_repair_and_reattach_post_control_messages_before_the_ack_wait():
+    """Repair and reattach run Section 3.4's round in a switch's order:
+    every ControlMessage of a round is posted at least ``SWITCH_DELAY_S``
+    before the round installs its tree (its ``switch.repair`` records)."""
+    from repro.core.controller import SWITCH_DELAY_S
+
+    probe = _ridehailing_system(seed=42)
+    service = probe.multicast_services[0]
+    src = service.src_machine
+    victim = next(
+        m for m in sorted(probe.workers)
+        if m != src and service.endpoints_on_machine(m)
+    )
+    schedule = FaultSchedule(
+        [
+            FaultEvent.link_down(0.10, src, victim),
+            FaultEvent.link_up(0.30, src, victim),
+        ]
+    )
+    tracer = MemoryTracer(categories={"switch"})
+    system = _ridehailing_system(
+        seed=42, tracer=tracer, fault_schedule=schedule
+    )
+    posts = []
+    post = system.control_post
+
+    def recording_post(src, dst, payload, cpu, then=None):
+        posts.append((system.sim.now, type(payload).__name__))
+        post(src, dst, payload, cpu, then=then)
+
+    system.control_post = recording_post
+    system.start()
+    system.sim.run(until=0.8)
+    rounds = [r for c in system.controllers for r in c.repairs]
+    assert {r.action for r in rounds} == {"repair", "reattach"}
+    installs = [r["t"] for r in tracer.records if r["kind"] == "switch.repair"]
+    checked = 0
+    for rnd in rounds:
+        end = rnd.time + rnd.duration_s + 1e-9
+        installed = [t for t in installs if rnd.time <= t <= end]
+        assert installed, rnd
+        for t, kind in posts:
+            if kind == "ControlMessage" and rnd.time <= t <= end:
+                assert t + SWITCH_DELAY_S <= min(installed), (rnd, t)
+                checked += 1
+    assert checked, "no round posted a ControlMessage"
+
+
 # ----------------------------------------------------------------------
 # worker-oriented acks: one AckMessage per machine per instant
 # ----------------------------------------------------------------------
