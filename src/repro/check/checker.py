@@ -23,8 +23,7 @@ Usage::
   and additionally emits a ``check.violation`` trace record.
 
 Checks are cheap relative to the simulation (counter comparisons and an
-O(n) tree walk), but on large runs ``check_interval_s`` can rate-limit
-the per-record state sweep; record-scope checks (the clock) always run.
+O(n) tree walk).
 """
 
 from __future__ import annotations
@@ -122,16 +121,9 @@ class InvariantChecker:
         system: "DspsSystem",
         mode: str = "strict",
         invariants: Optional[Iterable[Union[str, Invariant]]] = None,
-        check_interval_s: Optional[float] = None,
-        keep_records: bool = True,
     ):
         """``invariants`` selects a subset of the catalog (by name or
-        :class:`Invariant`); default is everything registered.
-        ``check_interval_s`` rate-limits the state sweep to at most once
-        per simulated interval.  ``keep_records=False`` drops the
-        lifecycle-record retention (and with it the end-of-run
-        ``metrics_replay_equiv`` cross-check) to bound memory on very
-        long runs."""
+        :class:`Invariant`); default is everything registered."""
         if mode not in ("strict", "warn"):
             raise ValueError(f"mode must be 'strict' or 'warn', got {mode!r}")
         self.system = system
@@ -147,13 +139,10 @@ class InvariantChecker:
         self._record_invs = [i for i in selected if i.scope == "record"]
         self._state_invs = [i for i in selected if i.scope == "state"]
         self._final_invs = [i for i in selected if i.scope == "final"]
-        self.check_interval_s = check_interval_s
-        self.keep_records = keep_records
         self.lifecycle_records: List[Dict[str, Any]] = []
         self.report = CheckReport(mode=mode)
         #: timestamp of the latest record seen (for the clock invariant).
         self.last_record_t: Optional[float] = None
-        self._last_state_check_t: Optional[float] = None
         self._tap: Optional[_CheckerTap] = None
         self._prev_tracer: Optional[Tracer] = None
         self._in_check = False
@@ -200,15 +189,10 @@ class InvariantChecker:
         if self.last_record_t is None or t > self.last_record_t:
             self.last_record_t = t
         kind = record["kind"]
-        if self.keep_records and kind in LIFECYCLE_KINDS:
+        if kind in LIFECYCLE_KINDS:
             self.lifecycle_records.append(record)
         if kind.startswith("sim."):
             return  # engine firehose: clock check only, skip the sweep
-        if self.check_interval_s is not None:
-            last = self._last_state_check_t
-            if last is not None and t - last < self.check_interval_s:
-                return
-        self._last_state_check_t = t
         for inv in self._state_invs:
             self._run(inv, t, record)
 

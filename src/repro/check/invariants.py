@@ -572,11 +572,8 @@ def _group_atomicity(ctx: CheckContext) -> None:
 def _metrics_replay_equiv(ctx: CheckContext) -> None:
     from repro.trace.replay import replay
 
-    checker = ctx.checker
-    if not checker.keep_records:
-        return  # replay needs the retained lifecycle records
     metrics = ctx.system.metrics
-    replayed = replay(checker.lifecycle_records)
+    replayed = replay(ctx.checker.lifecycle_records)
     for op in set(metrics.emitted) | set(replayed.emitted):
         if replayed.emitted[op] != metrics.emitted[op]:
             ctx.fail(

@@ -3,7 +3,12 @@
 One controller watches one multicast service (one one-to-many edge).  It
 periodically samples the source's transfer queue and input rate; when the
 waterline rules fire it derives a new ``d*`` from the M/D/1 model and
-performs *dynamic switching*:
+performs *dynamic switching*.  With failure detection on, it also
+heartbeats the endpoint machines, repairs a suspected machine's
+endpoints out of the tree and reattaches them once it answers again.
+
+Every tree change -- switch, repair, reattach -- is one round in
+Section 3.4's order:
 
 1. pause the source's multicast output (Theorem 4's premise: output rate
    drops to zero during the switch);
@@ -12,22 +17,30 @@ performs *dynamic switching*:
    (real control traffic on the wire, so Figs. 27/28 account for it);
 3. wait for ACKs (modelled as the configured switching delay + the
    control round-trips already simulated);
-4. install the rewired tree and resume the source.
+4. install the new tree (:meth:`MulticastService.install`) and resume
+   the source.
 
-Every switch is recorded as a :class:`SwitchRecord` so experiments can
-report switching delay and frequency (Figs. 23/24).
+Rounds never interleave.  A repair or reattach that meets a running
+round waits in a FIFO and starts the instant that round ends; a switch
+that meets one is skipped.  Every switch is recorded as a
+:class:`SwitchRecord` and every repair or reattach as a
+:class:`RepairRecord`, so experiments can report switching delay and
+frequency (Figs. 23/24).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Deque, List
 
 from repro.core.monitor import FailureDetector, QueueMonitor, StreamMonitor
 from repro.dsps.worker import HeartbeatAck, HeartbeatPing
 from repro.multicast import (
     binomial_out_degree,
     max_out_degree,
+    plan_reattach,
+    plan_repair,
     plan_switch,
 )
 from repro.net.cpu import CpuAccount
@@ -106,9 +119,9 @@ class MulticastController:
         self.history: List[SwitchRecord] = []
         self.repairs: List[RepairRecord] = []
         self.detector: "FailureDetector | None" = None
-        #: guards the service's pause: adaptive switches and failure
-        #: repairs are serialized, never interleaved.
-        self._switching = False
+        #: the running round first, then the repair and reattach rounds
+        #: waiting for it: rounds never interleave.
+        self._rounds: Deque[tuple] = deque()
         self._running = False
         self._heartbeat_seq = 0
 
@@ -199,77 +212,96 @@ class MulticastController:
         self.sim.schedule_call(0.0, release)
 
     def _switch(self, direction: str, new_d_star: int, then) -> None:
-        """One dynamic switch to ``new_d_star``; ``then()`` when done."""
-        if self._switching:
-            then()  # a repair/restore holds the pause; skip this round
+        """One dynamic switch to ``new_d_star``; ``then()`` when done.  A
+        switch that meets a running round is skipped."""
+        if self._rounds:
+            then()
             return
-        self._switching = True
+        self._enqueue(direction, None, new_d_star, then)
+
+    def _enqueue(self, action: str, machine, new_d_star, then) -> None:
+        """Run one round now, or the instant the rounds before it end."""
+        self._rounds.append((action, machine, new_d_star, then))
+        if len(self._rounds) == 1:
+            self._round(action, machine, new_d_star, then)
+
+    def _round(self, action: str, machine, new_d_star, then) -> None:
+        """One Section 3.4 round: pause the source, multicast a
+        StatusMessage, send the plan's ControlMessages, wait for the
+        ACKs, install the new tree, resume and record.  A dynamic switch
+        (``machine`` None) plans the tree for ``new_d_star``; a repair or
+        reattach plans each endpoint of ``machine`` still in (or out of)
+        the tree when the round starts, and ends at once if there is
+        none."""
         service = self.service
         start = self.sim.now
         old_d_star = service.d_star
+        if machine is None:
+            tree, plan = plan_switch(service.tree, new_d_star)
+            plans = [(None, plan)]
+        else:
+            new_d_star = old_d_star
+            edit = plan_repair if action == "repair" else plan_reattach
+            tree, plans = service.tree, []
+            for ep in service.endpoints_on_machine(machine):
+                if (ep in service.tree) == (action == "repair"):
+                    tree, plan = edit(tree, ep, new_d_star)
+                    plans.append((ep, plan))
+            if not plans:
+                self._end_round(then)
+                return
+        n_ops = sum(plan.n_ops for _, plan in plans)
         self._pause()
-        new_tree, plan = plan_switch(service.tree, new_d_star)
         tracer = self.sim.tracer
-        if tracer is not None:
+        if tracer is not None and machine is None:
             tracer.emit(
                 "switch.begin",
                 self.sim.now,
                 src_task=service.src_task,
-                direction=direction,
+                direction=action,
                 old_d_star=old_d_star,
                 new_d_star=new_d_star,
-                n_ops=plan.n_ops,
+                n_ops=n_ops,
             )
+        # A repaired machine hears nothing of its own excision.
+        skip = {machine} if action == "repair" else set()
 
         def install() -> None:
-            service.apply_tree(new_tree)
-            service.d_star = new_d_star
-            if tracer is not None:
-                # Audit log: every applied RewireOp, stamped at the
-                # instant the rewired tree is installed.
-                for op in plan.ops:
+            service.install(tree, action, plans)
+            self._resume()
+            duration_s = self.sim.now - start
+            if machine is None:
+                if tracer is not None:
                     tracer.emit(
-                        "switch.rewire",
+                        "switch.end",
                         self.sim.now,
                         src_task=service.src_task,
-                        direction=direction,
-                        node=op.node,
-                        old_parent=op.old_parent,
-                        new_parent=op.new_parent,
+                        direction=action,
+                        new_d_star=new_d_star,
+                        duration_s=duration_s,
                     )
-            self._resume()
-            if tracer is not None:
-                tracer.emit(
-                    "switch.end",
-                    self.sim.now,
-                    src_task=service.src_task,
-                    direction=direction,
-                    new_d_star=new_d_star,
-                    duration_s=self.sim.now - start,
-                )
-            self.history.append(
-                SwitchRecord(
-                    time=start,
-                    direction=direction,
-                    old_d_star=old_d_star,
-                    new_d_star=new_d_star,
-                    n_ops=plan.n_ops,
-                    duration_s=self.sim.now - start,
-                )
-            )
-            self._switching = False
-            then()
+                self.history.append(SwitchRecord(
+                    start, action, old_d_star, new_d_star, n_ops, duration_s))
+            else:
+                self.repairs.append(RepairRecord(
+                    start, action, machine, len(plans), n_ops, duration_s))
+            self._end_round(then)
 
-        def ack_round() -> None:
+        def ack_wait() -> None:
             # ACK round + channel re-establishment.
             self.sim.schedule_call(SWITCH_DELAY_S, install)
 
-        # StatusMessage to every endpoint machine, then ControlMessages
-        # to the endpoints that rewire.
-        status = StatusMessage(direction=direction, new_d_star=new_d_star)
+        status = StatusMessage(direction=action, new_d_star=new_d_star)
         self._broadcast_status(
-            status, set(), lambda: self._send_plan_ops(plan, set(), ack_round)
+            status, skip, lambda: self._send_plan_ops(plans, skip, ack_wait)
         )
+
+    def _end_round(self, then) -> None:
+        """``then()``, then start the next waiting round, if any."""
+        then()
+        self._rounds.popleft()
+        if self._rounds:
+            self._round(*self._rounds[0])
 
     # ------------------------------------------------------------------
     # failure detection + tree self-healing
@@ -318,11 +350,6 @@ class MulticastController:
         """Excise every endpoint of a suspected machine (Section 3.4
         primitives), after degrading its channels to the TCP path."""
         service = self.service
-        victims = [
-            ep
-            for ep in service.endpoints_on_machine(machine)
-            if ep in service.tree
-        ]
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
@@ -330,88 +357,27 @@ class MulticastController:
                 self.sim.now,
                 machine=machine,
                 src_task=service.src_task,
-                n_endpoints=len(victims),
+                n_endpoints=sum(
+                    ep in service.tree
+                    for ep in service.endpoints_on_machine(machine)
+                ),
             )
         self.system.transport.set_degraded(machine, True)
-        self._rewire("repair", machine, victims, service.detach_endpoint,
-                     {machine}, then)
+        self._enqueue("repair", machine, None, then)
 
     def _restore(self, machine: int) -> None:
         """Reattach a recovered machine's endpoints and lift the TCP
         degraded mode."""
-        service = self.service
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
                 "fault.restore",
                 self.sim.now,
                 machine=machine,
-                src_task=service.src_task,
+                src_task=self.service.src_task,
             )
         self.system.transport.set_degraded(machine, False)
-        victims = [
-            ep
-            for ep in service.endpoints_on_machine(machine)
-            if ep not in service.tree
-        ]
-        self._rewire("reattach", machine, victims, service.reattach_endpoint,
-                     set(), lambda: None)
-
-    def _rewire(self, action: str, machine: int, victims, edit, skip: set,
-                then) -> None:
-        """Once no switch holds the pause: pause the source, announce
-        ``action``, wait the switching delay, then ``edit`` each victim
-        endpoint out of (or back into) the tree and send its plan's
-        ControlMessages."""
-        if not victims:
-            then()
-            return
-        if self._switching:
-            self.sim.schedule_call(
-                HEARTBEAT_PERIOD_S,
-                lambda: self._rewire(action, machine, victims, edit, skip,
-                                     then),
-            )
-            return
-        self._switching = True
-        service = self.service
-        start = self.sim.now
-        self._pause()
-        n_ops = 0
-
-        def rewire_one(ep, k) -> None:
-            nonlocal n_ops
-            plan = edit(ep)
-            if plan is None:
-                k()
-                return
-            n_ops += plan.n_ops
-            self._send_plan_ops(plan, skip, k)
-
-        def done() -> None:
-            self._resume()
-            self._switching = False
-            self.repairs.append(
-                RepairRecord(
-                    time=start,
-                    action=action,
-                    machine=machine,
-                    n_endpoints=len(victims),
-                    n_ops=n_ops,
-                    duration_s=self.sim.now - start,
-                )
-            )
-            then()
-
-        def rewire_all() -> None:
-            each(victims, rewire_one, done)
-
-        status = StatusMessage(direction=action, new_d_star=service.d_star)
-        self._broadcast_status(
-            status,
-            skip,
-            lambda: self.sim.schedule_call(SWITCH_DELAY_S, rewire_all),
-        )
+        self._enqueue("reattach", machine, None, lambda: None)
 
     def _suspected(self):
         return self.detector.suspected if self.detector else frozenset()
@@ -429,12 +395,13 @@ class MulticastController:
             then,
         )
 
-    def _send_plan_ops(self, plan, skip: set, then) -> None:
-        """ControlMessages to the endpoints each rewire op touches."""
+    def _send_plan_ops(self, plans, skip: set, then) -> None:
+        """ControlMessages to the endpoints each rewire op of each
+        ``(endpoint, plan)`` touches."""
         service = self.service
         suspected = self._suspected()
         posts = []
-        for msg in plan.control_messages():
+        for msg in (m for _, plan in plans for m in plan.control_messages()):
             node = msg.op.node
             if node not in service.endpoints:
                 continue

@@ -39,13 +39,7 @@ from typing import (
     Tuple,
 )
 
-from repro.multicast import (
-    MulticastTree,
-    SOURCE,
-    build_tree,
-    plan_reattach,
-    plan_repair,
-)
+from repro.multicast import MulticastTree, RewireOp, SOURCE, build_tree
 from repro.net import cpu as cats
 from repro.net.slicing import StreamSlicer
 from repro.dsps.tuples import StreamTuple
@@ -215,80 +209,62 @@ class MulticastService:
               self, self.tree.children(SOURCE), then).start()
 
     # ------------------------------------------------------------------
-    def apply_tree(self, new_tree: MulticastTree) -> None:
-        """Install a rewired tree (same endpoint set)."""
-        if sorted(map(repr, new_tree.destinations())) != sorted(
-            map(repr, self.tree.destinations())
-        ):
-            raise ValueError("rewired tree changes the endpoint set")
-        self.tree = new_tree
-        self.switch_count += 1
-
-    # ------------------------------------------------------------------
-    # failure repair (tree self-healing)
-    # ------------------------------------------------------------------
-    def detach_endpoint(self, endpoint: Any):
-        """Excise a failed endpoint, reattaching its orphaned subtrees.
-
-        Returns the :class:`~repro.multicast.SwitchPlan` applied, or
-        ``None`` when the endpoint was already detached.  Each applied
-        rewire is traced as ``switch.repair``.
-        """
-        if endpoint not in self._tasks_of_endpoint:
-            raise ValueError(f"unknown endpoint {endpoint!r}")
-        if endpoint in self._detached or endpoint not in self.tree:
-            return None
-        new_tree, plan = plan_repair(self.tree, endpoint, self.d_star)
-        self.tree = new_tree
-        self._detached.add(endpoint)
-        self.repair_count += 1
-        self._trace_repair(plan, endpoint)
-        return plan
-
-    def reattach_endpoint(self, endpoint: Any):
-        """Re-admit a recovered endpoint as a leaf; returns the plan
-        applied, or ``None`` when the endpoint was never detached."""
-        if endpoint not in self._tasks_of_endpoint:
-            raise ValueError(f"unknown endpoint {endpoint!r}")
-        if endpoint not in self._detached:
-            return None
-        new_tree, plan = plan_reattach(self.tree, endpoint, self.d_star)
-        self.tree = new_tree
-        self._detached.discard(endpoint)
-        self.reattach_count += 1
-        self._trace_repair(plan, endpoint)
-        return plan
-
-    def _trace_repair(self, plan, endpoint: Any) -> None:
+    def install(self, tree: MulticastTree, action: str, plans) -> None:
+        """Install ``tree``, the result of ``plans``: a dynamic switch's
+        one ``(None, plan)`` (``action`` its direction), or one
+        ``(endpoint, plan)`` per endpoint a repair excises or a reattach
+        re-admits.  Each applied rewire is traced as ``switch.rewire``
+        (switch) or ``switch.repair`` (repair, reattach)."""
+        detached = set(self._detached)
+        for endpoint, _plan in plans:
+            if action == "repair":
+                detached.add(endpoint)
+            elif action == "reattach":
+                detached.discard(endpoint)
+        if set(tree.destinations()) != set(self._tasks_of_endpoint) - detached:
+            raise ValueError("the tree does not span the attached endpoints")
+        self.tree = tree
+        self._detached = detached
+        if action == "repair":
+            self.repair_count += len(plans)
+        elif action == "reattach":
+            self.reattach_count += len(plans)
+        else:
+            self.switch_count += 1
+            self.d_star = plans[0][1].d_star
         tracer = self.system.sim.tracer
         if tracer is None:
             return
         now = self.system.sim.now
-        for op in plan.ops:
-            tracer.emit(
-                "switch.repair",
-                now,
-                direction=plan.status,
-                endpoint=endpoint,
-                node=op.node,
-                old_parent=op.old_parent,
-                new_parent=op.new_parent,
-                src_task=self.src_task,
-                dst_operator=self.dst_operator,
-            )
-        if not plan.ops:
-            # A leaf failure detaches with zero rewires; still record it.
-            tracer.emit(
-                "switch.repair",
-                now,
-                direction=plan.status,
-                endpoint=endpoint,
-                node=endpoint,
-                old_parent=None,
-                new_parent=None,
-                src_task=self.src_task,
-                dst_operator=self.dst_operator,
-            )
+        # Audit log: every applied RewireOp, stamped at the instant the
+        # tree is installed.
+        for endpoint, plan in plans:
+            if endpoint is None:
+                for op in plan.ops:
+                    tracer.emit(
+                        "switch.rewire",
+                        now,
+                        src_task=self.src_task,
+                        direction=action,
+                        node=op.node,
+                        old_parent=op.old_parent,
+                        new_parent=op.new_parent,
+                    )
+            else:
+                # A leaf failure detaches with zero rewires; still
+                # record it.
+                for op in plan.ops or [RewireOp(endpoint, None, None)]:
+                    tracer.emit(
+                        "switch.repair",
+                        now,
+                        direction=plan.status,
+                        endpoint=endpoint,
+                        node=op.node,
+                        old_parent=op.old_parent,
+                        new_parent=op.new_parent,
+                        src_task=self.src_task,
+                        dst_operator=self.dst_operator,
+                    )
 
 
 # ----------------------------------------------------------------------

@@ -156,10 +156,6 @@ class SystemConfig:
     #: knobs, which is what makes the sim-vs-real differential a fair
     #: comparison.
     backend: str = "sim"
-    #: rt framed transport: frames longer than this are rejected by the
-    #: decoder (protects a worker host from a corrupt or hostile length
-    #: prefix)
-    rt_frame_limit_bytes: int = 1 << 20
     #: upper bound on a runtime's drain after the spouts stop: it ends at
     #: quiet, or after this many of the backend's seconds (wall-clock on
     #: asyncio, simulated on sim)
@@ -236,8 +232,6 @@ class SystemConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choices: {BACKENDS}"
             )
-        if self.rt_frame_limit_bytes < 64:
-            raise ValueError("rt frame limit must be >= 64 bytes")
         if self.rt_drain_timeout_s <= 0:
             raise ValueError("rt drain timeout must be positive")
 

@@ -57,6 +57,32 @@ def execute_point(
     return spec.run_point(point.params)
 
 
+def _compute(
+    spec: ExperimentSpec, point: ExperimentPoint, store: ResultStore,
+    smoke: bool,
+) -> Tuple[str, float, Optional[str]]:
+    """Run one point and store its record; returns ``(status, elapsed_s,
+    traceback or None)``."""
+    started = time.perf_counter()
+    try:
+        result = execute_point(spec, point)
+        elapsed = time.perf_counter() - started
+        store.put(
+            point,
+            result,
+            meta={
+                "elapsed_s": elapsed,
+                "created_at": time.time(),
+                "pid": multiprocessing.current_process().pid,
+                "smoke": smoke,
+            },
+        )
+        return "ok", elapsed, None
+    except Exception:
+        elapsed = time.perf_counter() - started
+        return "error", elapsed, traceback.format_exc(limit=20)
+
+
 def _shard_worker(
     shard_id: int,
     tasks: Sequence[Tuple[ExperimentSpec, ExperimentPoint]],
@@ -67,33 +93,8 @@ def _shard_worker(
     store = ResultStore(store_root)
     for spec, point in tasks:
         queue.put(("start", shard_id, point.digest))
-        started = time.perf_counter()
-        try:
-            result = execute_point(spec, point)
-            elapsed = time.perf_counter() - started
-            store.put(
-                point,
-                result,
-                meta={
-                    "elapsed_s": elapsed,
-                    "created_at": time.time(),
-                    "pid": multiprocessing.current_process().pid,
-                    "smoke": smoke,
-                },
-            )
-            queue.put(("done", shard_id, point.digest, "ok", elapsed, None))
-        except Exception:
-            elapsed = time.perf_counter() - started
-            queue.put(
-                (
-                    "done",
-                    shard_id,
-                    point.digest,
-                    "error",
-                    elapsed,
-                    traceback.format_exc(limit=20),
-                )
-            )
+        queue.put(("done", shard_id, point.digest,
+                   *_compute(spec, point, store, smoke)))
 
 
 class _Shard:
@@ -164,30 +165,7 @@ def run_points(
 
     if jobs <= 1:
         for spec, point in pending:
-            started = time.perf_counter()
-            try:
-                result = execute_point(spec, point)
-                elapsed = time.perf_counter() - started
-                store.put(
-                    point,
-                    result,
-                    meta={
-                        "elapsed_s": elapsed,
-                        "created_at": time.time(),
-                        "pid": multiprocessing.current_process().pid,
-                        "smoke": smoke,
-                    },
-                )
-                outcome = PointOutcome(spec, point, "ok", elapsed)
-            except Exception:
-                elapsed = time.perf_counter() - started
-                outcome = PointOutcome(
-                    spec,
-                    point,
-                    "error",
-                    elapsed,
-                    traceback.format_exc(limit=20),
-                )
+            outcome = PointOutcome(spec, point, *_compute(spec, point, store, smoke))
             outcomes[point.digest] = outcome
             emit("done", outcome)
         return [outcomes[p.digest] for _, p in tasks]

@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 #: struct format of the length prefix (4-byte big-endian unsigned).
 PREFIX = struct.Struct("!I")
 
-#: default frame-size cap; ``SystemConfig.rt_frame_limit_bytes`` overrides.
+#: frame-size cap; worker hosts read it when they listen and dial.
 DEFAULT_FRAME_LIMIT = 1 << 20
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call

@@ -53,10 +53,10 @@ rows; the receiver owes one credit per row once the work is in its
 local executor queues and grants them once per half window and before
 it parks, one summed ``credit`` message per flush.  A slow consumer thus
 propagates backpressure to the sender instead of growing an unbounded
-socket buffer.  Control messages (``acks``, ``credit`` itself,
-``hello``) never consume credits — exactly the data/control split of
-the simulated fabric.  Stall seconds feed
-``MetricsHub.add_credit_stall``, the same accounting the DES keeps.
+socket buffer.  Control messages (``acks``, ``credit`` itself) never
+consume credits — exactly the data/control split of the simulated
+fabric.  Stall seconds feed ``MetricsHub.add_credit_stall``, the same
+accounting the DES keeps.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ send is a *row* — a header plus ``(tasks, wire)``, the tuple as the
 positional list of its eight fields (:func:`tuple_to_wire`) — and
 consecutive rows with one header travel as one field-major *run*:
 
-* ``hello``  — connection preamble naming the dialing machine;
 * ``data``   — header ``("data", dst, ack_to)``: a tuple for the row's
   task list on the receiving machine (one row per machine:
   worker-oriented batching; a replay's ``dst`` is ``None``);
@@ -89,6 +88,7 @@ from repro.dsps.grouping import Grouping, make_grouping
 from repro.dsps.tuples import StreamTuple
 from repro.multicast.build import build_tree
 from repro.multicast.tree import SOURCE
+from repro.rt import framing
 from repro.rt.framing import FrameError, run_rows
 from repro.rt.transport import CreditGate, FramedConnection, dial, serve
 
@@ -281,8 +281,6 @@ class _Receiver(_Sender):
                     pairs = iter(message["a"])
                     for root, task in zip(pairs, pairs):
                         host.acker.on_ack(root, task)
-                continue
-            if mtype == "hello":
                 continue
             dst = message["dst"]
             if mtype == "data":
@@ -628,7 +626,7 @@ class WorkerHost:
     # ------------------------------------------------------------------
     async def start(self) -> int:
         """Bind the host's listener; returns the ephemeral port."""
-        self.server, self.port = await serve(self._accept, self.config.rt_frame_limit_bytes)
+        self.server, self.port = await serve(self._accept, framing.DEFAULT_FRAME_LIMIT)
         self.clock.emit("rt.listen", machine=self.machine_id, port=self.port)
         return self.port
 
@@ -639,9 +637,8 @@ class WorkerHost:
             if machine == self.machine_id:
                 continue
             gate = self.gates[machine] = CreditGate(window)
-            conn = await dial(port, self.config.rt_frame_limit_bytes,
+            conn = await dial(port, framing.DEFAULT_FRAME_LIMIT,
                               on_connect=lambda conn, gate=gate: self._receive(conn, gate))
-            await conn.send({"type": "hello", "machine": self.machine_id})
             self.peers[machine] = conn
             self.clock.emit(
                 "rt.connect", src=self.machine_id, dst=machine, port=port

@@ -79,4 +79,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:  # e.g. `... RUN.jsonl | head`
+        sys.stderr.close()
+        sys.exit(0)

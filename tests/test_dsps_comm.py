@@ -133,10 +133,13 @@ def test_instance_level_tree_for_non_worker_oriented():
 def test_mcast_service_rejects_foreign_tree():
     system = broadcast_system(whale_full_config(adaptive=False))
     service = system.multicast_services[0]
-    from repro.multicast import build_sequential_tree
+    from repro.multicast import build_sequential_tree, plan_switch
 
+    _tree, plan = plan_switch(service.tree, 2)
     with pytest.raises(ValueError):
-        service.apply_tree(build_sequential_tree(["x", "y"]))
+        service.install(
+            build_sequential_tree(["x", "y"]), plan.status, [(None, plan)]
+        )
 
 
 # ----------------------------------------------------------------------

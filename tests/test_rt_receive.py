@@ -245,7 +245,7 @@ def test_remote_acks_of_one_turn_reach_the_acker_as_one_message_in_order():
             conn.post = post
             applied = []
             spout.acker.on_ack = lambda root, task: applied.append((root, task))
-            frames_before = conn.frames_sent  # the ``hello`` preamble
+            frames_before = conn.frames_sent
             for root, task in [(11, 1), (12, 2), (11, 3), (13, 1)]:
                 other.send_ack(spout.machine_id, root, task)
             assert posted == []  # folded until the end of the turn

@@ -22,6 +22,7 @@ from repro.dsps.system import DspsSystem
 from repro.dsps.tuples import StreamTuple
 from repro.multicast import SOURCE
 from repro.net.cluster import Cluster
+from repro.rt import framing
 from repro.rt.differential import differential_config
 from repro.rt.framing import PREFIX, FrameError, run_message
 from repro.rt.runtime import AsyncRuntime, SimRuntime, create_runtime, default_cluster
@@ -151,16 +152,17 @@ def test_word_count_end_to_end_on_asyncio_backend():
     assert report.goodput_tps > 0
 
 
-def test_message_over_the_frame_limit_fails_the_run():
-    """A tuple too big for ``rt_frame_limit_bytes`` is never written and
-    fails the run with the FrameError, after a full teardown."""
+def test_message_over_the_frame_limit_fails_the_run(monkeypatch):
+    """A tuple too big for ``framing.DEFAULT_FRAME_LIMIT`` is never
+    written and fails the run with the FrameError, after a full
+    teardown."""
+    monkeypatch.setattr(framing, "DEFAULT_FRAME_LIMIT", 64)
     recorder = Recorder()
     runtime = AsyncRuntime(
         make_topology("word_count", parallelism=4, recorder=recorder),
         SystemConfig(
             name="rt-oversize",
             backend="asyncio",
-            rt_frame_limit_bytes=64,
             rt_drain_timeout_s=1.0,
         ),
         cluster=default_cluster(),

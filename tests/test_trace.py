@@ -330,6 +330,37 @@ def test_trace_cli_summary(tmp_path, capsys):
     assert "no rewire operations" in capsys.readouterr().out
 
 
+def test_trace_cli_exits_cleanly_into_a_closed_pipe(tmp_path):
+    """``python -m repro.trace RUN.jsonl | head``: a reader that closes
+    early ends the CLI with exit 0 and no traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "run.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(5000):  # far more output than a pipe buffers
+            fh.write(json.dumps({
+                "kind": "switch.rewire", "t": i * 1e-3,
+                "direction": "scale_down", "node": ["w", i],
+                "old_parent": "S", "new_parent": ["w", i + 1],
+            }) + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.trace", str(path), "--rewires"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"t=0.0000s")
+        proc.stdout.close()  # the reader goes away, as `head` does
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
+
+
 def test_trace_summary_spans(tmp_path):
     path = make_trace_file(tmp_path)
     manifest, records = load_trace(str(path))
