@@ -434,8 +434,8 @@ def delivery_semantics_run(
     (``"strict"`` raises on the first breach — in particular
     no-duplicate-side-effects and group-atomicity for the strong modes)
     and finalizes it after the drain.  Delivered-tuple counts come from
-    the mode-independent :class:`~repro.dsps.metrics.CompletionTracker`,
-    so goodput means the same thing in every mode: distinct broadcast
+    the mode-independent completion tracker (a
+    :class:`~repro.dsps.metrics.FanoutTracker`), so goodput means the same thing in every mode: distinct broadcast
     tuples executed at every destination instance.
     """
     system, offered_rate, report = _fault_run(

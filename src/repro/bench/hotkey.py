@@ -89,11 +89,6 @@ def _hot_key_config(strategy: str):
         partitioning=partitioning,
         partitioning_params=params,
         rebalance=rebalance,
-        # The migration waterline must bite within a sub-second run:
-        # ~80 queued tuples (2% of the 4096-capacity input queue).
-        rebalance_waterline_fraction=0.02,
-        rebalance_interval_s=0.02,
-        rebalance_cooldown_s=0.05,
     )
 
 

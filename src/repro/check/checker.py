@@ -6,8 +6,11 @@ through the existing trace-hook points: it installs a forwarding tracer
 has, so every ``tracer.emit`` throughout the codebase doubles as a check
 point — no simulator events are scheduled and no subsystem needs to know
 it is being watched.  In particular the checker never perturbs the event
-sequence: a run with a checker attached produces a bit-identical trace
-to the same run without one.
+sequence: a checked run is the plain run's engine (lazy sinks stay
+lazy, calendar entry for calendar entry) and produces a bit-identical
+trace to the same run without the checker.  State invariants run once
+per record, so per-packet and per-service lifecycle records keep them
+off the per-copy path.
 
 Usage::
 

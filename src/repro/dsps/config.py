@@ -33,8 +33,7 @@ DELIVERY_MODES = ("at_most_once", "at_least_once", "exactly_once", "atomic")
 BACKENDS = ("sim", "asyncio")
 
 #: warning waterline l_w as a fraction of the transfer-queue capacity Q
-#: (Section 3.3); the rebalancer's input-queue waterline reuses it unless
-#: ``rebalance_waterline_fraction`` is set.
+#: (Section 3.3).
 WARNING_WATERLINE_FRACTION = 0.5
 
 
@@ -61,10 +60,11 @@ class SystemConfig:
     slicing: bool = False
     #: batched terminal-bolt dispatch: terminal sinks compute service
     #: completions arithmetically instead of one working-thread callback
-    #: per service.  Only engages for untraced runs on terminal
-    #: operators with no downstream and no reliability or flow layer (see
-    #: ``BoltExecutor``); results are equivalent up to same-instant tie
-    #: ordering.
+    #: per service.  Only engages on terminal operators with no
+    #: downstream and no reliability or flow layer (see
+    #: ``BoltExecutor``), traced or not; results are equivalent up to
+    #: same-instant tie ordering.  ``False`` keeps every bolt on the
+    #: working thread, the reference path.
     batched_dispatch: bool = True
 
     # --- queues -----------------------------------------------------------
@@ -135,18 +135,10 @@ class SystemConfig:
     partitioning_params: Optional[Mapping[str, Any]] = None
     #: runtime rebalancer: periodically migrates partitions off
     #: overloaded executors by parking them (routing-level rewiring of
-    #: the live task lists) and restoring them once drained.  See
+    #: the live task lists) and restoring them once drained.  Its scan
+    #: period, waterline and cooldown are constants of
     #: :mod:`repro.dsps.rebalance`.
     rebalance: bool = False
-    #: rebalancer scan period (its Delta t)
-    rebalance_interval_s: float = 0.05
-    #: fraction of ``executor_queue_capacity`` at which a task is
-    #: considered overloaded; ``None`` reuses the monitor's
-    #: :data:`WARNING_WATERLINE_FRACTION` (Section 3.3's l_w rule applied
-    #: to the input queue)
-    rebalance_waterline_fraction: Optional[float] = None
-    #: minimum time between migrations of the same operator
-    rebalance_cooldown_s: float = 0.1
 
     # --- execution backend ---------------------------------------------------
     #: which runtime executes the topology: ``"sim"`` (the DES — every
@@ -218,16 +210,6 @@ class SystemConfig:
             raise ValueError(
                 "partitioning_params given without a partitioning strategy"
             )
-        if self.rebalance_interval_s <= 0:
-            raise ValueError("rebalance interval must be positive")
-        if self.rebalance_waterline_fraction is not None and not (
-            0 < self.rebalance_waterline_fraction <= 1
-        ):
-            raise ValueError(
-                "rebalance waterline must be a fraction in (0, 1]"
-            )
-        if self.rebalance_cooldown_s < 0:
-            raise ValueError("rebalance cooldown must be >= 0")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choices: {BACKENDS}"
@@ -245,16 +227,6 @@ class SystemConfig:
     def warning_waterline(self) -> float:
         """l_w in tuples."""
         return WARNING_WATERLINE_FRACTION * self.transfer_queue_capacity
-
-    @property
-    def rebalance_waterline(self) -> float:
-        """Input-queue depth (tuples) at which the rebalancer migrates."""
-        fraction = (
-            self.rebalance_waterline_fraction
-            if self.rebalance_waterline_fraction is not None
-            else WARNING_WATERLINE_FRACTION
-        )
-        return fraction * self.executor_queue_capacity
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
         return replace(self, **kwargs)

@@ -326,15 +326,17 @@ class BoltExecutor(ExecutorBase):
     **Batched terminal dispatch** (``SystemConfig.batched_dispatch``): a
     bolt's working thread is a pure FIFO single-server, so completion
     instants are closed-form: ``done = max(now, busy_until) + service``.
-    A terminal sink feeds nothing downstream, so in untraced runs with no
-    reliability or flow layer it runs in ``"lazy"`` mode, with no
-    per-tuple events: its state lives in a :class:`LazyCohort` shared
-    with the co-located sinks of its operator that move in lockstep.
+    A terminal sink feeds nothing downstream, so with no reliability or
+    flow layer it runs in ``"lazy"`` mode, with no per-tuple events: its
+    state lives in a :class:`LazyCohort` shared with the co-located
+    sinks of its operator that move in lockstep.  Tracers and checkers
+    see the same engine: a cohort's realised services are its
+    ``tuple.execute`` records.
 
-    Every other bolt runs the working thread.  Observable results match
-    the working thread up to same-instant tie ordering.  The gate
-    decision freezes at the first accepted tuple — attach
-    tracers/checkers before traffic starts.
+    Every other bolt runs the working thread, the reference path
+    (``batched_dispatch=False``).  Observable results match the working
+    thread up to same-instant tie ordering.  The gate decision freezes
+    at the first accepted tuple.
     """
 
     def __init__(self, system: "DspsSystem", task_id: int):
@@ -368,17 +370,16 @@ class BoltExecutor(ExecutorBase):
     def choose_mode(self) -> None:
         """Freeze the dispatch mode at the first accept.  Delivery
         verdicts and credit grants depend on the state at the service
-        start, tracers record each execution, and downstream bolts wait
-        on emissions, so only an untraced terminal sink without the
-        reliability and flow layers may run lazily.  All of this
-        worker's undecided sinks of the operator join one cohort."""
+        start, and downstream bolts wait on emissions, so only a terminal
+        sink without the reliability and flow layers may run lazily.  All
+        of this worker's undecided sinks of the operator join one
+        cohort."""
         if not (
             self.system.config.batched_dispatch
             and self.spec.terminal
             and not self._groupings
             and self.system.reliability is None
             and self.system.flow is None
-            and self.sim.tracer is None
         ):
             self._mode = "slow"
             return
@@ -457,23 +458,18 @@ class BoltExecutor(ExecutorBase):
         self.bolt.execute(tup, self.collector)
         self.processed += 1
         metrics.on_processed(self.operator)
-        metrics.completion.on_executed(tup.tuple_id, self.task_id)
+        now = self.sim.now
+        metrics.completion.reached(tup.tuple_id, (self.task_id,), now)
         reliability = self.system.reliability
         if reliability is not None:
             reliability.notify_executed(self.task_id, tup)
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.emit(
-                "tuple.execute",
-                self.sim.now,
-                id=tup.tuple_id,
-                root=tup.root_id,
-                operator=self.operator,
-                task=self.task_id,
-            )
+            tracer.emit("tuple.execute", now, id=tup.tuple_id,
+                        root=tup.root_id, operator=self.operator,
+                        tasks=[self.task_id], done=now)
         if self.spec.terminal:
-            metrics.on_sink_latency(
-                self.operator, (self.sim.now - tup.created_at,))
+            metrics.on_sink_latency(self.operator, (now - tup.created_at,))
 
 
 def _overrides(bolt: Bolt, hook: str) -> bool:
@@ -579,12 +575,15 @@ class LazyCohort:
 
     def flush(self, now: float, start: float, end: float) -> None:
         """Realise every completion due at ``now``; ``start``/``end`` are
-        the window's bounds (:meth:`MetricsHub.window_bounds`)."""
+        the window's bounds (:meth:`MetricsHub.window_bounds`).  Each
+        realised service is one ``tuple.execute`` record for the members,
+        stamped ``now`` and carrying its computed ``done``."""
         fifo = self.fifo
         if not fifo or fifo[0][0] > now:
             return
         metrics = self.metrics
-        on_executed = metrics.completion.on_executed_all
+        executed_at = metrics.completion.reached
+        tracer = self.sim.tracer
         executes, tasks, members = self._executes, self.tasks, self.members
         spent = members[0].cpu.busy_s.get(cats.PROCESSING, 0.0)
         realised = 0
@@ -596,7 +595,11 @@ class LazyCohort:
             for execute, collector in executes:
                 execute(tup, collector)
             realised += 1
-            on_executed(tup.tuple_id, tasks, done)
+            executed_at(tup.tuple_id, tasks, done)
+            if tracer is not None:
+                tracer.emit("tuple.execute", now, id=tup.tuple_id,
+                            root=tup.root_id, operator=self.operator,
+                            tasks=tasks, done=done)
             if start <= done <= end:
                 latencies.append(done - tup.created_at)
         for ex in members:

@@ -6,10 +6,10 @@ Implements the paper's Section 5.1 metric definitions:
   inside the measurement window);
 * **processing latency** — time from a tuple entering the source to its
   full processing at the sink.  For one-to-many streams completion means
-  *every* destination instance processed it (tracked by
-  :class:`CompletionTracker`);
+  *every* destination instance processed it;
 * **multicast latency** — time from tuple production until the *last*
-  destination instance receives it (:class:`MulticastTracker`);
+  destination instance receives it (both tracked by
+  :class:`FanoutTracker`);
 * **serialization / communication time** — CPU-category totals from the
   :class:`~repro.net.cpu.CpuAccount` registry;
 * **communication traffic** — bytes on the wire per generated tuple,
@@ -128,18 +128,22 @@ class LatencySamples:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-class MulticastTracker:
-    """Tracks per-tuple multicast completion (last destination receives).
+class FanoutTracker:
+    """Tracks one-to-many tuples until every destination task is reached.
 
-    Pending state is the *set* of destination task ids still owed a copy,
-    so a duplicated/retransmitted delivery to the same destination cannot
-    decrement twice (which would complete the tuple early and record a
-    too-short latency).
+    :class:`MetricsHub` holds two: ``multicast`` (a task is reached when
+    it receives a copy: multicast latency from production) and
+    ``completion`` (reached when it executes one: processing latency
+    from the source).  Pending state is the *set* of task ids still
+    owed, so a duplicated delivery or execution at one task counts once
+    and cannot complete a tuple early.  A tuple completes at the running
+    *max* of its reach instants, not the last call's: lazy sinks realise
+    their executions out of completion-time order.
     """
 
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self._pending: Dict[int, Tuple[float, set]] = {}
+    def __init__(self) -> None:
+        #: id -> [start instant, task ids still owed, latest reach instant]
+        self._pending: Dict[int, list] = {}
         self.latencies: List[float] = []
         self.completed = 0
         #: distinct tuples ever registered; with ``cancelled`` this gives
@@ -149,33 +153,36 @@ class MulticastTracker:
         self.cancelled = 0
 
     def register(
-        self, tuple_id: int, destinations: Iterable[int], emit_time: float
+        self, tuple_id: int, destinations: Iterable[int], start: float
     ) -> None:
         destinations = set(destinations)
         if not destinations:
             raise ValueError("destinations must be non-empty")
         entry = self._pending.get(tuple_id)
         if entry is None:
-            self._pending[tuple_id] = (emit_time, destinations)
+            self._pending[tuple_id] = [start, destinations, -math.inf]
             self.registered += 1
         else:
             # A second one-to-many edge of the same emit: the tuple now
-            # completes when the union of destinations has received it.
+            # completes when the union of destinations is reached.
             entry[1].update(destinations)
 
-    def on_receive(self, tuple_id: int, destinations: Iterable[int]) -> None:
-        """``destinations`` received ``tuple_id`` now (one delivered
-        packet's destination tasks: one lookup for the whole group)."""
+    def reached(self, tuple_id: int, tasks: Iterable[int], at: float) -> None:
+        """``tasks`` were reached at ``at`` (one packet's destinations,
+        or one service's executing tasks)."""
         entry = self._pending.get(tuple_id)
         if entry is None:
-            return  # not a tracked tuple (e.g. emitted outside the window)
-        emit_time, outstanding = entry
-        # A duplicated delivery (retransmission) to a destination already
-        # counted is a no-op here, so it cannot complete the tuple early.
-        outstanding.difference_update(destinations)
-        if not outstanding:
+            return  # untracked (e.g. emitted outside the window)
+        owed = entry[1]
+        before = len(owed)
+        owed.difference_update(tasks)
+        if len(owed) == before:
+            return  # duplicates everywhere
+        if at > entry[2]:
+            entry[2] = at
+        if not owed:
             del self._pending[tuple_id]
-            self.latencies.append(self.sim.now - emit_time)
+            self.latencies.append(entry[2] - entry[0])
             self.completed += 1
 
     def cancel(self, tuple_id: int) -> None:
@@ -187,80 +194,9 @@ class MulticastTracker:
     def outstanding(self) -> int:
         return len(self._pending)
 
-    def summary(self) -> LatencySummary:
-        return LatencySummary.from_samples(self.latencies)
-
-
-class CompletionTracker:
-    """Tracks processing completion of one-to-many tuples: a root tuple is
-    complete when every destination instance executed it.
-
-    Like :class:`MulticastTracker`, pending state is the set of executor
-    task ids still owed an execution, so duplicate executions of the same
-    tuple at the same instance are counted once.
-    """
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        #: root id -> [created_at, outstanding task ids, latest execution
-        #: instant].  The explicit instant matters for batched dispatch:
-        #: executors flush completed work lazily, so calls may arrive out
-        #: of completion-time order — "the last instance executed it" is
-        #: the running *max* of execution times, not the last call.
-        self._pending: Dict[int, list] = {}
-        self.latencies: List[float] = []
-        self.completed = 0
-        #: see :class:`MulticastTracker`: conservation counters for
-        #: registered == completed + cancelled + outstanding.
-        self.registered = 0
-        self.cancelled = 0
-
-    def register(
-        self, root_id: int, destinations: Iterable[int], created_at: float
-    ) -> None:
-        destinations = set(destinations)
-        if not destinations:
-            raise ValueError("destinations must be non-empty")
-        entry = self._pending.get(root_id)
-        if entry is None:
-            self._pending[root_id] = [created_at, destinations, -math.inf]
-            self.registered += 1
-        else:
-            entry[1].update(destinations)
-
-    def on_executed(
-        self, root_id: int, destination: int, at: Optional[float] = None
-    ) -> None:
-        if root_id in self._pending:
-            self.on_executed_all(
-                root_id, (destination,), self.sim.now if at is None else at)
-
-    def on_executed_all(
-        self, root_id: int, destinations: Iterable[int], at: float
-    ) -> None:
-        """:meth:`on_executed` for a lazy cohort's members at once."""
-        entry = self._pending.get(root_id)
-        if entry is None or entry[1].isdisjoint(destinations):
-            return  # untracked, or duplicate executions everywhere
-        entry[1].difference_update(destinations)
-        entry[2] = max(entry[2], at)
-        if not entry[1]:
-            del self._pending[root_id]
-            self.latencies.append(entry[2] - entry[0])
-            self.completed += 1
-
-    def cancel(self, root_id: int) -> None:
-        """Forget a root tuple (it was dropped before reaching the wire)."""
-        if self._pending.pop(root_id, None) is not None:
-            self.cancelled += 1
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._pending)
-
     @property
     def open_roots(self) -> FrozenSet[int]:
-        """The roots still owed an execution."""
+        """The tuples still owed a reach."""
         return frozenset(self._pending)
 
     def summary(self) -> LatencySummary:
@@ -296,8 +232,9 @@ class MetricsHub:
         self.dropped: Dict[str, int] = defaultdict(int)
         self.sink_latencies: Dict[str, LatencySamples] = defaultdict(
             LatencySamples)
-        self.multicast = MulticastTracker(sim)
-        self.completion = CompletionTracker(sim)
+        #: receive and execute completion of one-to-many tuples
+        self.multicast = FanoutTracker()
+        self.completion = FanoutTracker()
         #: the last drain's record (``None`` until a run drains)
         self.quiescence: Optional[Quiescence] = None
         #: tuple trees abandoned by the replay coordinator (budget

@@ -40,6 +40,15 @@ from repro.sim.engine import every
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.system import DspsSystem
 
+#: the scan period (the rebalancer's Delta t), the migration waterline as
+#: a fraction of the executor input-queue capacity, and the minimum time
+#: between migrations of one operator.  The waterline must bite within a
+#: sub-second run: ~80 queued tuples (2% of the 4096-capacity input
+#: queue).
+REBALANCE_INTERVAL_S = 0.02
+REBALANCE_WATERLINE_FRACTION = 0.02
+REBALANCE_COOLDOWN_S = 0.05
+
 #: a parked task is restored when its queue drains below this fraction of
 #: the migration waterline
 REBALANCE_RESTORE_FRACTION = 0.25
@@ -97,11 +106,10 @@ class Rebalancer:
 
     def __init__(self, system: "DspsSystem"):
         self.system = system
-        config = system.config
-        self.interval_s = config.rebalance_interval_s
-        self.waterline = config.rebalance_waterline
+        #: input-queue depth (tuples) at which a task is migrated
+        self.waterline = (REBALANCE_WATERLINE_FRACTION
+                          * system.config.executor_queue_capacity)
         self.restore_level = REBALANCE_RESTORE_FRACTION * self.waterline
-        self.cooldown_s = config.rebalance_cooldown_s
         self.migrations = 0
         self.restores = 0
         self._last_migration: Dict[str, float] = {}
@@ -117,7 +125,7 @@ class Rebalancer:
         ]
 
     def start(self) -> None:
-        every(self.system.sim, self.interval_s, self.scan)
+        every(self.system.sim, REBALANCE_INTERVAL_S, self.scan)
 
     # ------------------------------------------------------------------
     def _depth(self, task_id: int) -> int:
@@ -158,7 +166,7 @@ class Rebalancer:
                         active=len(router.active_tasks(operator)),
                     )
             last = self._last_migration.get(operator)
-            if last is not None and now - last < self.cooldown_s:
+            if last is not None and now - last < REBALANCE_COOLDOWN_S:
                 continue
             active = router.active_tasks(operator)
             if len(active) <= self.min_active(operator):

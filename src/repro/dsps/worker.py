@@ -120,9 +120,11 @@ class Worker:
     # ------------------------------------------------------------------
     def dispatch(self, tup: StreamTuple, tasks: Sequence[int]) -> None:
         """Hand one delivered packet's tuple to its local destination
-        tasks (distinct tasks of one operator).  Dispatch CPU is summed in
-        task order from the account's total (the float of one charge per
-        copy); lazy sinks take the packet per (carved) cohort."""
+        tasks (distinct tasks of one operator): one ``worker.dispatch``
+        record and one multicast-tracker update for the packet.  Dispatch
+        CPU is summed in task order from the account's total (the float
+        of one charge per copy); lazy sinks take the packet per (carved)
+        cohort."""
         executors = self.executors
         try:
             lead = executors[tasks[0]]
@@ -141,6 +143,11 @@ class Worker:
         for _ in tasks:
             spent += cost
         busy[cats.DISPATCH] = spent
+        now = self.sim.now
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit("worker.dispatch", now, id=tup.tuple_id,
+                        tasks=list(tasks), machine=self.machine_id)
         if whole:
             cohort.accept(tup, hosted)
         elif cohort is not None:
@@ -150,23 +157,14 @@ class Worker:
             for cohort, members in touched.items():
                 cohort.carve(members).accept(tup, members)
         else:
-            tracer = self.sim.tracer
             flow = self.system.flow
             for executor in hosted:
-                if tracer is not None:
-                    tracer.emit(
-                        "worker.dispatch",
-                        self.sim.now,
-                        id=tup.tuple_id,
-                        task=executor.task_id,
-                        machine=self.machine_id,
-                    )
                 executor.accept(tup)
                 if flow is not None:
                     # Return the sender's credit reservation for this copy.
                     flow.on_dispatch(executor)
         self.dispatched += len(tasks)
-        self.system.metrics.multicast.on_receive(tup.tuple_id, tasks)
+        self.system.metrics.multicast.reached(tup.tuple_id, tasks, now)
 
     # ------------------------------------------------------------------
     # drain timers of lazy cohorts (batched terminal sinks)

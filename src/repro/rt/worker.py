@@ -370,9 +370,10 @@ class RtBoltExecutor(RtExecutorBase):
         host = self.host
         self._now = now
         metrics = self.system.metrics
-        on_executed = metrics.completion.on_executed
+        executed_at = metrics.completion.reached
         execute = self.bolt.execute
         task_id = self.task_id
+        tasks = (task_id,)
         queue = self.inqueue
         terminal = self.spec.terminal
         latencies: List[float] = []
@@ -387,7 +388,7 @@ class RtBoltExecutor(RtExecutorBase):
                 tup, ack_to = queue.pop()
                 execute(tup, self)
                 executed += 1
-                on_executed(tup.tuple_id, task_id, now)
+                executed_at(tup.tuple_id, tasks, now)
                 if terminal:
                     latencies.append(now - tup.created_at)
                 if ack_to is not None:
@@ -850,7 +851,7 @@ class WorkerHost:
                 return
             for task in tasks:
                 seen[task].add(tuple_id)
-        self.runtime.metrics.multicast.on_receive(tuple_id, tasks)
+        self.runtime.metrics.multicast.reached(tuple_id, tasks, self.clock.now)
         item = (tup, ack_to)
         executors = self.executors
         plan.extend([(executors[task], item) for task in tasks])

@@ -99,10 +99,9 @@ class Simulator:
         """The attached :class:`~repro.trace.Tracer`, or ``None``.
 
         Every trace hook in the system guards on this being non-``None``,
-        so an untraced run costs one attribute check per hook.  Fast
-        paths that batch same-instant work (batched bolt dispatch) also
-        gate on it, so traced runs take the bolt working thread, which
-        evaluates every service start.
+        so a run without a tracer costs one attribute check per hook.
+        No hook schedules anything: a traced run takes the same calendar
+        entries as a plain one.
         """
         return self._tracer
 

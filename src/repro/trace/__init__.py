@@ -26,9 +26,17 @@ record kind          emitted by
 ``mc.register``      executor, when a one-to-many tuple enters the
                      measurement window (carries destination task ids)
 ``tuple.drop``       executor, on transfer-queue overflow
-``worker.dispatch``  :class:`repro.dsps.worker.Worker` (the receive
-                     event of the multicast-latency definition)
-``tuple.execute``    :class:`repro.dsps.executor.BoltExecutor`
+``worker.dispatch``  :class:`repro.dsps.worker.Worker`, one per
+                     delivered packet, naming its local destination
+                     ``tasks`` (the receive event of the
+                     multicast-latency definition)
+``tuple.execute``    one per service completion, naming the ``tasks``
+                     that executed it and its computed ``done``
+                     instant: :class:`repro.dsps.executor.BoltExecutor`
+                     (one task, ``done`` = ``t``) or a lazy
+                     :class:`~repro.dsps.executor.LazyCohort` (its
+                     members, stamped ``t`` when realised, ``done`` <=
+                     ``t``)
 ``metrics.window``   :class:`repro.dsps.metrics.MetricsHub` open/close
 ``monitor.sample``   :class:`repro.core.controller.MulticastController`
                      (lambda estimate + waterline decision)
@@ -44,7 +52,9 @@ record kind          emitted by
 The tuple lifecycle is reconstructable from the trace alone:
 ``tuple.emit`` -> ``queue.put`` -> ``net.post`` -> ``net.deliver`` ->
 ``worker.dispatch`` (last receive = multicast completion) ->
-``tuple.execute`` (last execute = processing completion).
+``tuple.execute`` (latest ``done`` = processing completion).  Records
+are per packet and per service, not per copy (schema 2), and no hook
+schedules anything, so a traced run is the plain run's engine.
 :func:`repro.trace.replay.replay` rebuilds :class:`~repro.dsps.metrics.
 MetricsHub`-equivalent throughput and latency figures from a trace;
 ``python -m repro.trace`` summarizes one from the command line.

@@ -22,6 +22,7 @@ from repro.trace.summary import (
     render_tuple,
     summarize,
 )
+from repro.trace.tracer import TRACE_SCHEMA_VERSION
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -57,6 +58,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(
             f"error: {args.trace} is not valid JSONL: {exc}", file=sys.stderr
+        )
+        return 1
+    schema = None if manifest is None else manifest.get("schema")
+    if schema is not None and schema != TRACE_SCHEMA_VERSION:
+        print(
+            f"error: {args.trace}: trace schema {schema}; this reader "
+            f"reads {TRACE_SCHEMA_VERSION}",
+            file=sys.stderr,
         )
         return 1
     summary = summarize(records, manifest)

@@ -2,11 +2,12 @@
 
 :func:`replay` walks a trace in order and re-derives what the live
 :class:`~repro.dsps.metrics.MetricsHub` measured — window emit/processed
-counts, multicast latency (last ``worker.dispatch`` of each registered
-tuple minus its registration time) and processing-completion latency
-(last ``tuple.execute``).  Because the replay applies the *same*
-arithmetic to the *same* timestamps, the reconstructed figures match the
-live counters exactly; any divergence means a lifecycle event was lost,
+counts, multicast latency (the last ``worker.dispatch`` packet to reach
+a registered tuple's destinations, minus its registration time) and
+processing-completion latency (the latest ``done`` of the
+``tuple.execute`` records that cover its destinations).  Because the
+replay applies the *same* arithmetic to the *same* instants, the
+reconstructed figures match the live counters exactly; any divergence means a lifecycle event was lost,
 double-counted, or mis-ordered — which is exactly what the replay test
 guards against.
 """
@@ -14,8 +15,9 @@ guards against.
 from __future__ import annotations
 
 from collections import defaultdict
+from math import inf
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 
 @dataclass
@@ -51,19 +53,19 @@ class ReplayResult:
 def replay(records: Iterable[Dict[str, Any]]) -> ReplayResult:
     """Re-derive run metrics from trace ``records`` (in file order).
 
-    Records must be in emission order (trace files are — simulated time
-    never decreases along a trace).
+    Records must be in emission order (trace files are — their stamps
+    never decrease along a trace).
     """
     result = ReplayResult()
     # Window state evolves exactly like the live hub's: open sets the
-    # start, close the end; a record is in-window when its timestamp
-    # falls inside the then-current bounds.
+    # start, close the end; an instant is in-window when it falls inside
+    # the then-current bounds.
     start: Optional[float] = None
     end: Optional[float] = None
-    # tuple id -> (register time, outstanding destination tasks)
-    mc_pending: Dict[int, Tuple[float, Set[int]]] = {}
-    # tuple id -> (created_at, outstanding executor tasks)
-    exec_pending: Dict[int, Tuple[float, Set[int]]] = {}
+    # tuple id -> [start instant, outstanding tasks, latest reach], per
+    # figure: the register instant for multicast, creation for execution
+    mc_pending: Dict[int, list] = {}
+    exec_pending: Dict[int, list] = {}
 
     def in_window(t: float) -> bool:
         return start is not None and t >= start and (end is None or t <= end)
@@ -82,42 +84,53 @@ def replay(records: Iterable[Dict[str, Any]]) -> ReplayResult:
             if in_window(t):
                 result.emitted[rec["operator"]] += 1
         elif kind == "mc.register":
-            dsts = set(rec["dsts"])
-            entry = mc_pending.get(rec["id"])
-            if entry is None:
-                mc_pending[rec["id"]] = (t, dsts)
-            else:
-                entry[1].update(dsts)
-            exec_entry = exec_pending.get(rec["id"])
-            if exec_entry is None:
-                exec_pending[rec["id"]] = (rec["created_at"], set(dsts))
-            else:
-                exec_entry[1].update(dsts)
+            for pending, begin in ((mc_pending, t),
+                                   (exec_pending, rec["created_at"])):
+                entry = pending.get(rec["id"])
+                if entry is None:
+                    pending[rec["id"]] = [begin, set(rec["dsts"]), -inf]
+                else:
+                    entry[1].update(rec["dsts"])
         elif kind == "tuple.drop":
             mc_pending.pop(rec["id"], None)
             exec_pending.pop(rec["id"], None)
             if in_window(t):
                 result.dropped += 1
         elif kind == "worker.dispatch":
-            entry = mc_pending.get(rec["id"])
-            if entry is not None:
-                register_t, outstanding = entry
-                outstanding.discard(rec["task"])
-                if not outstanding:
-                    del mc_pending[rec["id"]]
-                    result.multicast_latencies.append(t - register_t)
-                    result.multicast_completed += 1
+            latency = _reach(mc_pending, rec, t)
+            if latency is not None:
+                result.multicast_latencies.append(latency)
+                result.multicast_completed += 1
         elif kind == "tuple.execute":
-            if in_window(t):
-                result.processed[rec["operator"]] += 1
-            entry = exec_pending.get(rec["id"])
-            if entry is not None:
-                created_at, outstanding = entry
-                outstanding.discard(rec["task"])
-                if not outstanding:
-                    del exec_pending[rec["id"]]
-                    result.completion_latencies.append(t - created_at)
-                    result.completion_completed += 1
+            # A lazy sink realises a service after it is done: window
+            # membership and latency go by its computed ``done``.
+            done = rec["done"]
+            if in_window(done):
+                result.processed[rec["operator"]] += len(rec["tasks"])
+            latency = _reach(exec_pending, rec, done)
+            if latency is not None:
+                result.completion_latencies.append(latency)
+                result.completion_completed += 1
         elif kind == "switch.rewire":
             result.rewires.append(rec)
     return result
+
+
+def _reach(pending: Dict[int, list], rec: Dict[str, Any],
+           at: float) -> Optional[float]:
+    """``rec``'s tasks reach its tuple at ``at``; the tuple's latency
+    when that completes it (at the running max of its reach instants;
+    a record reaching no outstanding task changes nothing)."""
+    entry = pending.get(rec["id"])
+    if entry is None:
+        return None
+    outstanding: Set[int] = entry[1]
+    before = len(outstanding)
+    outstanding.difference_update(rec["tasks"])
+    if len(outstanding) == before:
+        return None
+    entry[2] = max(entry[2], at)
+    if outstanding:
+        return None
+    del pending[rec["id"]]
+    return entry[2] - entry[0]

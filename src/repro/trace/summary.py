@@ -130,17 +130,22 @@ def summarize(
                 span.dropped = True
         elif kind == "worker.dispatch":
             span = spans.get(rec["id"])
-            if span is not None and rec["task"] in pending_dsts[rec["id"]]:
-                pending_dsts[rec["id"]].discard(rec["task"])
-                span.n_received += 1
-                if span.first_receive_t is None:
-                    span.first_receive_t = t
-                span.last_receive_t = t
+            if span is not None:
+                owed = pending_dsts[rec["id"]]
+                before = len(owed)
+                owed.difference_update(rec["tasks"])
+                if len(owed) < before:
+                    span.n_received += before - len(owed)
+                    if span.first_receive_t is None:
+                        span.first_receive_t = t
+                    span.last_receive_t = t
         elif kind == "tuple.execute":
             span = spans.get(rec["id"])
             if span is not None:
-                span.n_executed += 1
-                span.last_execute_t = t
+                span.n_executed += len(rec["tasks"])
+                done = rec["done"]
+                if span.last_execute_t is None or done > span.last_execute_t:
+                    span.last_execute_t = done
         elif kind in ("monitor.sample", "controller.dstar"):
             decisions.append(rec)
         elif kind in ("switch.begin", "switch.end"):

@@ -18,7 +18,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 #: Bump when the record schema changes incompatibly.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Every category a tracer can record.  The leading dotted component of a
 #: record kind is its category (``"queue.put"`` -> ``"queue"``).
@@ -112,7 +112,7 @@ class JsonlTracer(Tracer):
     """Streams records to a JSON-lines file, one record per line.
 
     The first line is the run manifest (when one is given), so a trace
-    file is self-describing: ``{"kind": "manifest", "schema": 1,
+    file is self-describing: ``{"kind": "manifest", "schema": 2,
     "config": {...}, "seed": ..., "git_rev": ...}``.
     """
 

@@ -16,7 +16,7 @@ from repro.check import (
 )
 from repro.core import whale_full_config
 from repro.dsps import storm_config
-from repro.dsps.metrics import CompletionTracker
+from repro.dsps.metrics import FanoutTracker
 from repro.faults import FaultSchedule
 from repro.sim.queues import TransferQueue
 from repro.trace import MemoryTracer
@@ -134,13 +134,14 @@ def test_clean_fault_run_with_replay_passes_strict():
 # seeded bugs: the checker must catch each one by name
 # ----------------------------------------------------------------------
 def test_seeded_tracker_leak_is_caught_strict(monkeypatch):
-    """A completion handler that drops pending entries without counting
-    them breaks registered == completed + cancelled + outstanding."""
+    """A tracker that drops pending entries without counting them breaks
+    registered == completed + cancelled + outstanding (on the lazy path
+    the checked run now takes, as on the working thread)."""
 
-    def leaky_on_executed(self, root_id, destination):
-        self._pending.pop(root_id, None)  # lost, never counted anywhere
+    def leaky_reached(self, tuple_id, tasks, at):
+        self._pending.pop(tuple_id, None)  # lost, never counted anywhere
 
-    monkeypatch.setattr(CompletionTracker, "on_executed", leaky_on_executed)
+    monkeypatch.setattr(FanoutTracker, "reached", leaky_reached)
     system, _ = build_checked_system(whale_full_config(adaptive=False))
     with pytest.raises(InvariantViolation) as exc:
         run_windowed(system)
@@ -209,10 +210,10 @@ def test_seeded_quarantine_breach_is_caught_at_finalize():
 
 
 def test_warn_mode_collects_and_traces_instead_of_raising(monkeypatch):
-    def leaky_on_executed(self, root_id, destination):
-        self._pending.pop(root_id, None)
+    def leaky_reached(self, tuple_id, tasks, at):
+        self._pending.pop(tuple_id, None)
 
-    monkeypatch.setattr(CompletionTracker, "on_executed", leaky_on_executed)
+    monkeypatch.setattr(FanoutTracker, "reached", leaky_reached)
     tracer = MemoryTracer()
     system, _ = build_checked_system(
         whale_full_config(adaptive=False), tracer=tracer, check="warn"

@@ -42,7 +42,9 @@ DRAIN_S = 2.0
 #: flush, received message and bolt service (54,262 steps for 3,956
 #: executions)
 PARENT_STEPS_PER_EXECUTION = 54262 / 3956
-#: trace kinds whose record counts must not move with the engine
+#: trace kinds whose counts must not move with the engine; a
+#: ``worker.dispatch`` (one per packet) or ``tuple.execute`` (one per
+#: service) record counts once per task it names, so these are copies
 COUNTED_KINDS = ("tuple.execute", "net.post", "worker.dispatch")
 
 
@@ -241,9 +243,10 @@ def trace_counts(path):
     counts = Counter()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            kind = json.loads(line)["kind"]
+            record = json.loads(line)
+            kind = record["kind"]
             if kind in COUNTED_KINDS or kind.startswith("ack."):
-                counts[kind] += 1
+                counts[kind] += len(record.get("tasks", (None,)))
     return dict(sorted(counts.items()))
 
 

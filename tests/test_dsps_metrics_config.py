@@ -72,11 +72,11 @@ def test_empty_latency_samples_are_falsy_with_a_nan_summary():
 def test_multicast_tracker_completes_on_last_receive():
     sim = Simulator()
     hub = MetricsHub(sim)
-    hub.multicast.register(1, [10, 11, 12], emit_time=0.0)
+    hub.multicast.register(1, [10, 11, 12], start=0.0)
     sim.run(until=2.0)
-    hub.multicast.on_receive(1, [10, 11])  # one packet, two destinations
+    hub.multicast.reached(1, [10, 11], sim.now)  # one packet, two destinations
     assert hub.multicast.completed == 0
-    hub.multicast.on_receive(1, [12])
+    hub.multicast.reached(1, [12], sim.now)
     assert hub.multicast.completed == 1
     assert hub.multicast.latencies == [pytest.approx(2.0)]
     assert hub.multicast.outstanding == 0
@@ -87,36 +87,49 @@ def test_multicast_tracker_ignores_duplicate_delivery():
     remaining-destination counter and complete the multicast early."""
     sim = Simulator()
     hub = MetricsHub(sim)
-    hub.multicast.register(1, [10, 11], emit_time=0.0)
-    hub.multicast.on_receive(1, [10])
-    hub.multicast.on_receive(1, [10])  # duplicate: must not count as 11
+    hub.multicast.register(1, [10, 11], start=0.0)
+    hub.multicast.reached(1, [10], sim.now)
+    hub.multicast.reached(1, [10], sim.now)  # duplicate: must not count as 11
     assert hub.multicast.completed == 0
     assert hub.multicast.outstanding == 1
-    hub.multicast.on_receive(1, [11])
+    hub.multicast.reached(1, [11], sim.now)
     assert hub.multicast.completed == 1
 
 
 def test_multicast_tracker_ignores_unknown_and_cancelled():
     sim = Simulator()
     hub = MetricsHub(sim)
-    hub.multicast.on_receive(99, [0])  # unknown: no-op
+    hub.multicast.reached(99, [0], sim.now)  # unknown: no-op
     hub.multicast.register(1, [10, 11], 0.0)
     hub.multicast.cancel(1)
-    hub.multicast.on_receive(1, [10])
+    hub.multicast.reached(1, [10], sim.now)
     assert hub.multicast.completed == 0
 
 
 def test_completion_tracker():
     sim = Simulator()
     hub = MetricsHub(sim)
-    hub.completion.register(5, [20, 21], created_at=0.0)
+    hub.completion.register(5, [20, 21], start=0.0)
     sim.run(until=1.5)
-    hub.completion.on_executed(5, 20)
-    hub.completion.on_executed(5, 20)  # duplicate execution report
+    hub.completion.reached(5, [20], sim.now)
+    hub.completion.reached(5, [20], sim.now)  # duplicate execution report
     assert hub.completion.completed == 0
-    hub.completion.on_executed(5, 21)
+    hub.completion.reached(5, [21], sim.now)
     assert hub.completion.completed == 1
     assert hub.completion.latencies == [pytest.approx(1.5)]
+
+
+def test_tracker_completes_at_the_latest_reach_not_the_last_call():
+    """Lazy sinks realise executions out of completion-time order: a
+    tuple completes at the running max of its reach instants, and a
+    duplicate reach moves nothing."""
+    hub = MetricsHub(Simulator())
+    hub.completion.register(5, [20, 21, 22], start=0.0)
+    hub.completion.reached(5, [20], 3.0)
+    hub.completion.reached(5, [20], 9.0)  # duplicate: no new instant
+    hub.completion.reached(5, [21, 22], 2.0)
+    assert hub.completion.latencies == [3.0]
+    assert hub.completion.open_roots == frozenset()
 
 
 def test_tracker_register_merges_repeat_registration():
@@ -124,12 +137,12 @@ def test_tracker_register_merges_repeat_registration():
     id twice; the destination sets merge and the earliest time wins."""
     sim = Simulator()
     hub = MetricsHub(sim)
-    hub.multicast.register(1, [10], emit_time=1.0)
-    hub.multicast.register(1, [11], emit_time=2.0)
+    hub.multicast.register(1, [10], start=1.0)
+    hub.multicast.register(1, [11], start=2.0)
     sim.run(until=3.0)
-    hub.multicast.on_receive(1, [10])
+    hub.multicast.reached(1, [10], sim.now)
     assert hub.multicast.completed == 0
-    hub.multicast.on_receive(1, [11])
+    hub.multicast.reached(1, [11], sim.now)
     assert hub.multicast.completed == 1
     assert hub.multicast.latencies == [pytest.approx(2.0)]  # 3.0 - 1.0
 

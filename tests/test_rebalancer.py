@@ -30,9 +30,6 @@ def _config(rebalance: bool, **overrides):
     base = dict(
         partitioning="fields",
         rebalance=rebalance,
-        rebalance_waterline_fraction=0.02,
-        rebalance_interval_s=0.02,
-        rebalance_cooldown_s=0.05,
     )
     base.update(overrides)
     return whale_full_config(adaptive=False).with_overrides(**base)
@@ -147,11 +144,11 @@ def test_rebalancer_restores_a_parked_task_after_it_drains():
 # the quiet side: no-ops below the waterline
 # ----------------------------------------------------------------------
 def test_rebalancer_is_a_noop_below_the_waterline():
-    """A lightly loaded run never crosses the (default, deep) waterline:
-    zero migrations, no rebalance.* records, router membership exactly
-    the placement."""
+    """A lightly loaded run never crosses the waterline: zero
+    migrations, no rebalance.* records, router membership exactly the
+    placement."""
     tracer = MemoryTracer()
-    config = _config(rebalance=True, rebalance_waterline_fraction=None)
+    config = _config(rebalance=True)
     system = _run(_storm_system(config, rate=500.0, tracer=tracer))
     assert system.rebalancer.migrations == 0
     assert system.rebalancer.restores == 0

@@ -305,13 +305,13 @@ def test_message_for_colocated_tasks_is_decoded_and_tracked_once(mtype, monkeypa
         try:
             received = []
             multicast = runtime.metrics.multicast
-            real_receive = multicast.on_receive
+            real_reached = multicast.reached
 
-            def counting_receive(tuple_id, tasks):
+            def counting_reached(tuple_id, tasks, at):
                 received.append((tuple_id, list(tasks)))
-                return real_receive(tuple_id, tasks)
+                return real_reached(tuple_id, tasks, at)
 
-            multicast.on_receive = counting_receive
+            multicast.reached = counting_reached
             placement = runtime.placement
             target, local = max(
                 (

@@ -15,6 +15,7 @@ from repro.sim import SimulationError, Simulator
 from repro.trace import (
     ALL_CATEGORIES,
     DEFAULT_CATEGORIES,
+    TRACE_SCHEMA_VERSION,
     JsonlTracer,
     MemoryTracer,
     load_trace,
@@ -85,7 +86,7 @@ def test_jsonl_tracer_manifest_first_line(tmp_path):
         pass
     first = json.loads(path.read_text().splitlines()[0])
     assert first["kind"] == "manifest"
-    assert first["schema"] == 1
+    assert first["schema"] == TRACE_SCHEMA_VERSION
     assert first["seed"] == 7
     assert first["config"]["name"] == "whale"
     assert first["config"]["multicast"] == "nonblocking"
@@ -325,9 +326,27 @@ def test_trace_cli_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"tuple {some_id}:" in out
     assert "worker.dispatch" in out
+    assert "'tasks': [" in out and "'done': " in out
 
     assert main([str(path), "--rewires"]) == 0
     assert "no rewire operations" in capsys.readouterr().out
+
+
+def test_trace_cli_rejects_another_schema(tmp_path, capsys):
+    """A trace written under another record schema (schema 1 kept one
+    ``worker.dispatch`` per copy) ends the CLI with exit 1 and a message
+    naming both schemas, not a traceback."""
+    from repro.trace.__main__ import main
+
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        json.dumps({"kind": "manifest", "t": 0.0, "schema": 1}) + "\n"
+        + json.dumps({"kind": "worker.dispatch", "t": 0.1, "id": 1,
+                      "task": 3, "machine": 0}) + "\n"
+    )
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"trace schema 1; this reader reads {TRACE_SCHEMA_VERSION}" in err
 
 
 def test_trace_cli_exits_cleanly_into_a_closed_pipe(tmp_path):
